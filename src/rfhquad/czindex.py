@@ -12,14 +12,22 @@ formulas downstream depend on it).  Crossings are located analytically
 from the purely imaginary eigenvalues of J S, so hyperbolic directions
 contribute no crossings at all.
 
+The crossings are enumerated in one pass up to a horizon, from one Jordan
+spectrum of J S, and each merged crossing is signed once.  By catenation
+the index on [0, T] for every T up to the horizon is then sgn(S)/2, plus
+the endpoint term, plus a prefix sum of interior signatures: the
+generator census grades all its critical values from a single pass.
+
 Half-integers are kept exact as doubled integers; no index or grading is
 ever computed in floating point.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -190,58 +198,116 @@ def _imaginary_frequencies(JS, tol):
     return distinct
 
 
-def cz_index_data(S, T: float, tol: Tolerances = DEFAULT_TOL) -> CzPathData:
-    """Crossing data of the path exp(t J S) on [0, T], T > 0.
+class _Crossings:
+    """The crossings of exp(t J S) on (0, horizon], enumerated once.
 
     Crossing times are 2 pi j / mu for the imaginary eigenvalue
     frequencies mu of J S; coincident times (within tol.crossing) are
-    merged into a single crossing with the combined kernel.
+    merged into a single crossing with the combined kernel.  With
+    ``signed`` the signature of every merged crossing is computed once,
+    in time order, and the index on [0, T] for any T up to the horizon is
+    read off a prefix sum of them (catenation of the crossing-form index).
+
+    A query at T sees exactly what a pass with horizon T sees: the events
+    up to T + tol.crossing, merged as they would be on their own.  Only
+    the last merged crossing before that cut can lose members to it; it
+    starts within tol.crossing of T, so it is never interior, and its
+    signature is recomputed on the events it keeps when it is the endpoint.
     """
-    S = sym_matrix(S)
-    T = float(T)
-    if not (np.isfinite(T) and T > 0):
-        raise InputError(f"path length T must be positive, got {T!r}")
-    if S.size == 0:
-        return CzPathData(0, (), None)
-    if S.shape[0] % 2 != 0:
-        raise InputError("S must act on an even-dimensional space")
-    sgn_s = signature(S, tol)  # raises DegenerateInput on a kernel
-    JS = standard_J(S.shape[0] // 2) @ S
-    mus = _imaginary_frequencies(JS, tol)
 
-    events = []  # (time, [mu, ...])
-    for mu in mus:
-        j = 1
-        while True:
-            t = TWO_PI * j / mu
-            if t > T + tol.crossing:
-                break
-            events.append((t, mu))
-            j += 1
-    events.sort()
-    merged = []
-    for t, mu in events:
-        if merged and abs(t - merged[-1][0]) <= tol.crossing:
-            merged[-1][1].append(mu)
-        else:
-            merged.append([t, [mu]])
+    def __init__(self, S, horizon: float, tol: Tolerances, signed: bool = True):
+        S = sym_matrix(S)
+        horizon = float(horizon)
+        if not (np.isfinite(horizon) and horizon > 0):
+            raise InputError(f"path length T must be positive, got {horizon!r}")
+        self.S, self.horizon, self.tol = S, horizon, tol
+        self.sgn_start = 0
+        events = []  # (time, mu)
+        if S.size:
+            if S.shape[0] % 2 != 0:
+                raise InputError("S must act on an even-dimensional space")
+            if signed:
+                self.sgn_start = signature(S, tol)  # raises DegenerateInput on a kernel
+            self.JS = standard_J(S.shape[0] // 2) @ S
+            for mu in _imaginary_frequencies(self.JS, tol):
+                j = 1
+                while True:
+                    t = TWO_PI * j / mu
+                    if t > horizon + tol.crossing:
+                        break
+                    events.append((t, mu))
+                    j += 1
+            events.sort()
+        self.events = events
+        self.event_times = [t for t, _ in events]
+        self.starts = []  # index of the first event of each merged crossing
+        for i, t in enumerate(self.event_times):
+            if not self.starts or abs(t - self.event_times[self.starts[-1]]) > tol.crossing:
+                self.starts.append(i)
+        self.times = [self.event_times[i] for i in self.starts]
+        self._bases = {}  # mu -> basis of the mu i eigenspace of J S
+        if signed:
+            sigs = [0 if t <= tol.crossing else self._signature(g, len(events))
+                    for g, t in enumerate(self.times)]
+            self.prefix = list(accumulate(sigs, initial=0))
 
-    interior = []
-    endpoint = None
-    for t, group in merged:
-        if t <= tol.crossing:
-            continue
-        bases = [imaginary_eigenspace_basis(JS, mu, tol) for mu in group]
-        B = np.hstack(bases)
+    def _stop(self, g: int) -> int:
+        return self.starts[g + 1] if g + 1 < len(self.starts) else len(self.events)
+
+    def _signature(self, g: int, cut: int) -> int:
+        """Signature of S on the kernel at merged crossing g, made of its
+        events before index ``cut``."""
+        bases = []
+        for _, mu in self.events[self.starts[g]:min(self._stop(g), cut)]:
+            if mu not in self._bases:
+                self._bases[mu] = imaginary_eigenspace_basis(self.JS, mu, self.tol)
+            bases.append(self._bases[mu])
         try:
-            sig = restricted_signature(S, B, tol)
+            return restricted_signature(self.S, np.hstack(bases), self.tol)
         except DegenerateRestriction as exc:
-            raise CrossingDegenerate(f"degenerate crossing form at t = {t}: {exc}") from exc
-        if abs(t - T) <= tol.crossing:
-            endpoint = (t, sig)
-        elif t < T:
-            interior.append((t, sig))
-    return CzPathData(sgn_s, tuple(interior), endpoint)
+            raise CrossingDegenerate(
+                f"degenerate crossing form at t = {self.times[g]}: {exc}") from exc
+
+    def _split(self, T: float) -> tuple:
+        """(first, stop, end, cut) for the path on [0, T]: merged crossings
+        first .. stop-1 are interior, crossing ``end`` (or None) is the
+        endpoint, and the path sees the events before index ``cut``."""
+        tol = self.tol.crossing
+        cut = bisect_right(self.event_times, T + tol)
+        last = bisect_right(self.starts, cut - 1)
+        first = bisect_right(self.times, tol, 0, last)
+        stop = bisect_left(self.times, True, first, last, key=lambda t: t - T >= -tol)
+        end = bisect_left(self.times, True, stop, last, key=lambda t: t - T > tol)
+        return first, stop, (end - 1 if end > stop else None), cut
+
+    def _endpoint_signature(self, g: int, cut: int) -> int:
+        if self._stop(g) <= cut:
+            return self.prefix[g + 1] - self.prefix[g]
+        return self._signature(g, cut)
+
+    def index(self, T: float) -> HalfInt:
+        first, stop, end, cut = self._split(T)
+        doubled = self.sgn_start + 2 * (self.prefix[stop] - self.prefix[first])
+        if end is not None:
+            doubled += self._endpoint_signature(end, cut)
+        return HalfInt(doubled)
+
+    def data(self, T: float) -> CzPathData:
+        first, stop, end, cut = self._split(T)
+        interior = tuple((self.times[g], self.prefix[g + 1] - self.prefix[g])
+                         for g in range(first, stop))
+        endpoint = None if end is None else (self.times[end], self._endpoint_signature(end, cut))
+        return CzPathData(self.sgn_start, interior, endpoint)
+
+    def crossing_times(self, T: float) -> tuple:
+        first, stop, end, _ = self._split(T)
+        return tuple(self.times[first:stop]) + (() if end is None else (self.times[end],))
+
+
+def cz_index_data(S, T: float, tol: Tolerances = DEFAULT_TOL) -> CzPathData:
+    """Crossing data of the path exp(t J S) on [0, T], T > 0."""
+    path = _Crossings(S, T, tol)
+    return path.data(path.horizon)
 
 
 def cz_index_path(S, T: float, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
@@ -250,12 +316,12 @@ def cz_index_path(S, T: float, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
 
 
 def crossing_times(S, T: float, tol: Tolerances = DEFAULT_TOL) -> tuple:
-    """All crossing times in (0, T], endpoint included when resonant."""
-    data = cz_index_data(S, T, tol)
-    times = [t for t, _ in data.interior]
-    if data.endpoint:
-        times.append(data.endpoint[0])
-    return tuple(times)
+    """All crossing times in (0, T], endpoint included when resonant.
+
+    Only locates the crossings; no signature is computed.
+    """
+    path = _Crossings(S, T, tol, signed=False)
+    return path.crossing_times(path.horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .czindex import HalfInt, cz_index_path, grading, sigma_index
+from .czindex import HalfInt, _Crossings, grading, sigma_index
 from .errors import Inconsistent, InputError, InternalError, Underdetermined
 from .orbits import ActionWindow, OrbitFamily, census
 from .symlin import DEFAULT_TOL, Tolerances
@@ -100,21 +100,21 @@ def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
                      tol: Tolerances = DEFAULT_TOL) -> list:
     """All generators with action in the window, two per orbit family.
 
-    Transverse indices are computed once per critical value and reused
-    across the members of a resonance class.
+    The crossings of exp(t J A0) up to the largest |eta| are enumerated
+    once; each family's transverse index is read off their prefix sums at
+    its own |eta| and negated for eta < 0.
     """
     families = census(H, window, tol)
-    cz_cache: dict = {}
+    horizon = max((abs(fam.eta) for fam in families), default=0.0)
+    crossings = _Crossings(H.a0, horizon, tol) if horizon > 0 else None
     out = []
     for fam in families:
         if fam.eta == 0.0:
             cz = HalfInt(0)
         else:
-            key = round(fam.eta, 12)
-            if key not in cz_cache:
-                sign = 1 if fam.eta > 0 else -1
-                cz_cache[key] = sign * cz_index_path(H.a0, abs(fam.eta), tol)
-            cz = cz_cache[key]
+            cz = crossings.index(abs(fam.eta))
+            if fam.eta < 0:
+                cz = -cz
         fam = replace(fam, cz_transverse=cz)
         for pole in ("min", "max"):
             g = grading(fam, pole, H, tol)

@@ -196,5 +196,5 @@ def tentacular_check(nf1: NormalForm) -> TentacularVerdict:
         else:
             case, threshold = "m>2", SUFFICIENT_RE_DEEP
         checks.append(
-            BlockCheck(b.kind, b.m, b.lam, case, re > threshold, re - threshold))
+            BlockCheck(b.kind, b.m, b.lam, case, bool(re > threshold), float(re - threshold)))
     return TentacularVerdict(all(c.passed for c in checks), tuple(checks))

@@ -37,3 +37,11 @@ def h32():
     """n=3, k=2, frequencies [1, 2]: resonances interleave."""
     return QuadraticHamiltonian.from_frequencies(
         3, 2, [1.0, 2.0], build_block("a", 1, 1.0).matrix)
+
+
+@pytest.fixture
+def h42():
+    """n=4, k=2, frequencies [1, 1.3]: every tenth crossing of 1 meets one of 1.3."""
+    a1 = symplectic_direct_sum(
+        build_block("a", 1, 0.9).matrix, build_block("a", 1, 0.6).matrix)
+    return QuadraticHamiltonian.from_frequencies(4, 2, [1.0, 1.3], a1)

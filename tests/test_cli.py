@@ -59,6 +59,21 @@ def test_check_undecided_still_exits_zero(tmp_path, capsys):
     assert "not met" in out
 
 
+@pytest.mark.parametrize("n,m,re", [(3, 2, 1.0), (3, 2, 0.5), (4, 3, 2.5), (4, 3, 1.0)])
+def test_check_json_jordan_blocks(tmp_path, capsys, n, m, re):
+    """Blocks of Jordan size 2 and 3 report plain JSON booleans and numbers."""
+    doc = {"n": n, "k": 1, "a0": {"frequencies": [1.0]},
+           "a1": {"blocks": [{"kind": "a", "m": m, "re": re}]}}
+    assert main(["check", write_spec(tmp_path, doc), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    (block,) = out["tentacular"]["trace"]
+    assert block["m"] == m
+    assert type(block["passed"]) is bool
+    assert type(block["margin"]) is float
+    assert type(out["tentacular"]["sufficient"]) is bool
+    threshold = 2 ** -0.5 if m == 2 else 2.0
+    assert block["passed"] is (re > threshold)
+
 def test_classify_lists_blocks(spec31, capsys):
     assert main(["classify", spec31, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -18,12 +18,23 @@ from rfhquad import (
     stationary_fiber_dim,
     symplectic_direct_sum,
 )
+from rfhquad.czindex import CzPathData, _Crossings, _imaginary_frequencies
 from rfhquad.errors import (
     CrossingDegenerate,
     DegenerateInput,
     InputError,
     NonIntegerResult,
     ZeroEta,
+)
+from rfhquad.samples import random_elliptic_form, random_orthosymplectic
+from rfhquad.symlin import (
+    DEFAULT_TOL,
+    Tolerances,
+    imaginary_eigenspace_basis,
+    restricted_signature,
+    signature,
+    standard_J,
+    sym_matrix,
 )
 
 TWO_PI = 2 * np.pi
@@ -208,3 +219,100 @@ def test_rotation_index_monotone_in_period(k, N, mu):
     small = cz_index_path(S, TWO_PI * N / mu)
     large = cz_index_path(S, TWO_PI * (N + 1) / mu)
     assert large - small == HalfInt.from_int(2 * k)
+
+
+# ---------------------------------------------------------------------------
+# one-pass crossing enumeration against the per-T pass
+# ---------------------------------------------------------------------------
+
+
+def per_horizon_data(S, T, tol):
+    """The crossing data of exp(t J S) on [0, T] from a pass that stops at
+    T, merging and signing the crossings it meets on its own: the
+    reference the one-pass enumeration must reproduce exactly."""
+    S = sym_matrix(S)
+    sgn_s = signature(S, tol)
+    JS = standard_J(S.shape[0] // 2) @ S
+    events = []
+    for mu in _imaginary_frequencies(JS, tol):
+        j = 1
+        while TWO_PI * j / mu <= T + tol.crossing:
+            events.append((TWO_PI * j / mu, mu))
+            j += 1
+    events.sort()
+    merged = []
+    for t, mu in events:
+        if merged and abs(t - merged[-1][0]) <= tol.crossing:
+            merged[-1][1].append(mu)
+        else:
+            merged.append([t, [mu]])
+    interior, endpoint = [], None
+    for t, group in merged:
+        if t <= tol.crossing:
+            continue
+        B = np.hstack([imaginary_eigenspace_basis(JS, mu, tol) for mu in group])
+        sig = restricted_signature(S, B, tol)
+        if abs(t - T) <= tol.crossing:
+            endpoint = (t, sig)
+        elif t < T:
+            interior.append((t, sig))
+    return CzPathData(sgn_s, tuple(interior), endpoint)
+
+
+# a crossing tolerance wide enough for 1 and 2.0001 to share a crossing
+# at 2 pi, so horizons can cut a merged crossing in two; a power of two,
+# so t +- tol is exact for t in [2, 32) and horizons land on the edges
+WIDE = Tolerances(crossing=2.0**-10)
+RESONANT = (1.0, 1.5, 2.0, 2.0001, 3.0)
+
+
+@st.composite
+def forms_and_horizons(draw):
+    dof = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        S = random_elliptic_form(rng, dof, horizon=25.0)
+    else:
+        mus = np.array(draw(st.lists(st.sampled_from(RESONANT), min_size=dof, max_size=dof)))
+        signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                       min_size=dof, max_size=dof)))
+        U = random_orthosymplectic(rng, dof)
+        S = U @ np.diag(np.concatenate([signs * mus] * 2)) @ U.T
+        S = (S + S.T) / 2
+    tol = draw(st.sampled_from([DEFAULT_TOL, WIDE]))
+    times = per_horizon_data(S, 25.0, tol).interior
+    # crossing times, and horizons just inside and just outside the
+    # endpoint and merge radius tol.crossing around them
+    picked = draw(st.lists(st.sampled_from([t for t, _ in times]), min_size=1, max_size=2))
+    horizons = {t + f * tol.crossing for t in picked for f in (0, -1.5, -1, -0.5, 0.5, 1, 1.5)}
+    horizons |= set(draw(st.lists(st.floats(0.05, 25.0), max_size=2)))
+    return S, tol, sorted(horizons)
+
+
+@given(forms_and_horizons())
+def test_one_pass_matches_per_horizon_pass(case):
+    S, tol, horizons = case
+    signed = _Crossings(S, max(horizons), tol)
+    unsigned = _Crossings(S, max(horizons), tol, signed=False)
+    for T in horizons:
+        want = per_horizon_data(S, T, tol)
+        want_times = tuple(t for t, _ in want.interior) + (
+            (want.endpoint[0],) if want.endpoint else ())
+        assert signed.data(T) == want
+        assert signed.index(T) == want.index
+        assert unsigned.crossing_times(T) == want_times
+        assert cz_index_data(S, T, tol) == want
+        assert cz_index_path(S, T, tol).doubled == want.index.doubled
+        assert crossing_times(S, T, tol) == want_times
+
+
+def test_cut_merged_crossing_at_endpoint():
+    """1 and 2.0001 cross 3e-4 apart near 2 pi, one merged crossing under
+    WIDE; a horizon whose cut falls between them keeps the earlier alone."""
+    S = np.diag([1.0, -2.0001, 1.0, -2.0001])
+    t_a, t_b = 2 * TWO_PI / 2.0001, TWO_PI
+    T = t_a - WIDE.crossing + 0.5 * (t_b - t_a)
+    want = per_horizon_data(S, T, WIDE)
+    assert want.endpoint == (pytest.approx(t_a), -2)
+    assert _Crossings(S, 3 * TWO_PI, WIDE).data(T) == want
+    assert _Crossings(S, 3 * TWO_PI, WIDE).data(t_b) == per_horizon_data(S, t_b, WIDE)

@@ -7,9 +7,12 @@ from rfhquad import (
     ActionWindow,
     ExactSequenceProblem,
     GradedZ2Space,
+    HalfInt,
     QuadraticHamiltonian,
     alternating_sum,
     build_block,
+    crit_values,
+    cz_index_path,
     generator_census,
     positive_correspondence_check,
     rfh_full,
@@ -17,9 +20,14 @@ from rfhquad import (
     rfh_pm_compact,
     rfh_report,
     singular_homology,
+    sigma_index,
     solve_exact_sequence,
+    williamson_frequencies,
 )
+from rfhquad import czindex
 from rfhquad.errors import Inconsistent, InputError, Underdetermined
+from rfhquad.samples import random_hamiltonian, random_hyperbolic_blocks, random_orthosymplectic
+from rfhquad.selftest import criterion_grid
 
 TWO_PI = 2 * np.pi
 
@@ -214,3 +222,94 @@ class TestCorrespondence:
     def test_requires_positive_window(self, h21):
         with pytest.raises(InputError):
             positive_correspondence_check(h21, ActionWindow(-1.0, 7.0))
+
+
+def _assert_census_matches_reference(H, window):
+    """Every generator's transverse index and grading equal the per-eta
+    reference sign(eta) * cz_index_path(A0, |eta|), bit for bit."""
+    gens = generator_census(H, window)
+    assert gens, window
+    reference = {0.0: HalfInt(0)}  # keyed by the exact critical value
+    for g in gens:
+        eta = g.family.eta
+        if eta not in reference:
+            cz = cz_index_path(H.a0, abs(eta))
+            reference[eta] = cz if eta > 0 else -cz
+        cz = reference[eta]
+        grading = cz + sigma_index(g.family, g.pole) + HalfInt(1)
+        assert g.family.cz_transverse.doubled == cz.doubled, g.label
+        assert g.grading.doubled == grading.doubled, g.label
+
+
+def _conjugated(H, rng):
+    U = random_orthosymplectic(rng, H.k)
+    a0 = U @ H.a0 @ U.T
+    return QuadraticHamiltonian(H.n, H.k, (a0 + a0.T) / 2, H.a1)
+
+
+class TestCensusEquivalence:
+    """The one-pass census grades every generator exactly as the per-eta
+    index would."""
+
+    @pytest.mark.parametrize("H", criterion_grid(), ids=lambda H: f"n{H.n}k{H.k}")
+    def test_criterion_grid(self, H):
+        w = 3 * TWO_PI / min(H.frequencies) + 1e-6
+        _assert_census_matches_reference(H, ActionWindow(-w, w))
+
+    @pytest.mark.parametrize("freqs", [[1.0, 2.0], [1.0, 1.0], [1.0, 1.5, 3.0]])
+    def test_resonant_frequencies(self, freqs):
+        rng = np.random.default_rng(len(freqs))
+        k = len(freqs)
+        H = QuadraticHamiltonian.from_frequencies(
+            k + 1, k, freqs, random_hyperbolic_blocks(rng, 1).matrix)
+        for ham in (H, _conjugated(H, rng)):
+            _assert_census_matches_reference(ham, ActionWindow(-4 * TWO_PI, 4 * TWO_PI))
+            _assert_census_matches_reference(ham, ActionWindow(-TWO_PI - 1.0, 5 * TWO_PI))
+
+    def test_conjugated_a0(self, rng):
+        for n, k in ((3, 2), (4, 3), (5, 2)):
+            H = _conjugated(random_hamiltonian(rng, n, k), rng)
+            w = 4 * TWO_PI / min(williamson_frequencies(H.a0)) + 1e-6
+            _assert_census_matches_reference(H, ActionWindow(-w, w))
+
+    def test_windows_ending_on_critical_values(self, h32):
+        values = crit_values(h32.frequencies, ActionWindow(-20.0, 20.0))
+        nonzero = [v for v in values if v != 0.0]
+        for lo, hi in ((nonzero[0], nonzero[-1]), (nonzero[2], nonzero[-3]),
+                       (values[len(values) // 2 + 1], nonzero[-1])):
+            _assert_census_matches_reference(h32, ActionWindow(lo, hi))
+
+    def test_asymmetric_windows(self, h32, h21):
+        for H in (h32, h21):
+            _assert_census_matches_reference(H, ActionWindow(-3.0, 25.0))
+            _assert_census_matches_reference(H, ActionWindow(-40.0, -0.5))
+            _assert_census_matches_reference(H, ActionWindow(0.5, 11.0))
+
+    def test_fifty_fold_window(self, h42):
+        w = 50 * TWO_PI + 1e-6
+        _assert_census_matches_reference(h42, ActionWindow(-w, w))
+
+
+def test_census_enumerates_each_crossing_once(h42, monkeypatch):
+    """On a 50x window the census takes one Jordan spectrum of J A0 and one
+    crossing signature per distinct positive crossing time up to max|eta|;
+    a census that recomputes the index per eta grows quadratically."""
+    calls = {"spectrum": 0, "signature": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(czindex, "spectrum_with_jordan",
+                        counting("spectrum", czindex.spectrum_with_jordan))
+    monkeypatch.setattr(czindex, "restricted_signature",
+                        counting("signature", czindex.restricted_signature))
+    w = 50 * TWO_PI + 1e-6
+    gens = generator_census(h42, ActionWindow(-w, w))
+    horizon = max(abs(g.action) for g in gens)
+    # distinct positive crossing times; 1.0 and 1.3 share those at 20 pi j
+    positive = crit_values(h42.frequencies, ActionWindow(1e-6, horizon))
+    assert len(positive) == 50 + 65 - 5
+    assert calls == {"spectrum": 1, "signature": len(positive)}
