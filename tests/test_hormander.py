@@ -70,6 +70,17 @@ def test_build_block_input_errors():
         build_block("c", 1, 1.0 + 1.0j, gamma=1)
 
 
+@pytest.mark.parametrize("kind, lam, gamma", [
+    ("a", float("nan"), None),
+    ("a", float("inf"), None),
+    ("b", complex(1.0, float("nan")), None),
+    ("c", complex(0.0, float("inf")), 1),
+])
+def test_build_block_rejects_non_finite_eigenvalue(kind, lam, gamma):
+    with pytest.raises(InputError, match="finite"):
+        build_block(kind, 1, lam, gamma)
+
+
 def test_classify_elliptic():
     nf = classify(np.diag([0.7, 0.7]))
     assert len(nf.blocks) == 1

@@ -35,6 +35,12 @@ def test_sym_matrix_rejects_asymmetric():
         sym_matrix([[0.0, 1.0], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sym_matrix_rejects_non_finite(bad):
+    with pytest.raises(InputError, match="non-finite"):
+        sym_matrix([[bad, 0.0], [0.0, 1.0]])
+
+
 def test_spectrum_diagonal():
     spec = spectrum_with_jordan(np.diag([1.0, -1.0]))
     assert spec.key() == ((-1.0, 0.0, (1,)), (1.0, 0.0, (1,)))
