@@ -12,11 +12,8 @@ from .czindex import (
     crossing_times,
     cz_index_data,
     cz_index_path,
-    cz_transverse,
     grading,
-    hybrid_virtual_dim,
     sigma_index,
-    stationary_fiber_dim,
 )
 from .errors import (
     CensusOverflow,
@@ -37,7 +34,6 @@ from .errors import (
     RfhquadError,
     SignatureMismatch,
     Underdetermined,
-    ZeroEta,
 )
 from .hormander import (
     HormanderBlock,
@@ -54,7 +50,6 @@ from .orbits import (
     OrbitFamily,
     census,
     crit_values,
-    hyperbolic_orbit_freeness,
     orbit_family,
     williamson_frequencies,
 )
@@ -68,8 +63,6 @@ from .rfh import (
     exact1_problem,
     exact2_problem,
     generator_census,
-    positive_correspondence_check,
-    rfh_full,
     rfh_geq0,
     rfh_pm_compact,
     rfh_report,
@@ -83,7 +76,6 @@ from .symlin import (
     Tolerances,
     imaginary_eigenspace_basis,
     inertia,
-    kernel_basis,
     kernel_dim,
     matrix_exp,
     restricted_signature,

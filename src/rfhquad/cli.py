@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -60,20 +61,29 @@ class _ParsedSpec:
 
 
 def _load_tolerances(doc_tol) -> Tolerances:
-    merged = {}
+    sources = []
     env = os.environ.get(TOL_ENV)
     if env:
         try:
-            merged.update(json.loads(env))
+            sources.append((TOL_ENV, json.loads(env)))
         except json.JSONDecodeError as exc:
             raise InputError(f"{TOL_ENV} is not valid JSON: {exc}") from exc
-    if doc_tol:
-        merged.update(doc_tol)
+    if doc_tol is not None:
+        sources.append(("tolerances", doc_tol))
+    merged = {}
+    for source, overrides in sources:
+        if not isinstance(overrides, dict):
+            raise InputError(f"{source} must be a JSON object")
+        merged.update(overrides)
     names = {f.name for f in dataclasses.fields(Tolerances)}
     unknown = set(merged) - names
     if unknown:
         raise InputError(f"unknown tolerance fields: {sorted(unknown)}; knowns: {sorted(names)}")
-    return dataclasses.replace(DEFAULT_TOL, **{k: float(v) for k, v in merged.items()})
+    try:
+        values = {k: float(v) for k, v in merged.items()}
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"tolerances must be numbers: {exc}") from exc
+    return dataclasses.replace(DEFAULT_TOL, **values)
 
 
 def _matrix_from(rows, name) -> np.ndarray:
@@ -95,43 +105,50 @@ def _parse_spec(doc: dict) -> _ParsedSpec:
         if key not in doc:
             raise InputError(f"missing required field {key!r}")
     n, k = doc["n"], doc["k"]
-    if not (isinstance(n, int) and isinstance(k, int)):
-        raise InputError("n and k must be integers")
+    for key, value in (("n", n), ("k", k)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputError(f"{key} must be an integer, got {json.dumps(value)}")
     tol = _load_tolerances(doc.get("tolerances"))
 
     a0_doc = doc["a0"]
+    a1_doc = doc.get("a1")
     frequencies = None
-    if isinstance(a0_doc, dict) and "frequencies" in a0_doc:
-        frequencies = [float(f) for f in a0_doc["frequencies"]]
-        a0 = (np.diag(np.concatenate([sorted(frequencies)] * 2))
+    block_args = None
+    field = "a0 frequencies"
+    try:
+        if isinstance(a0_doc, dict) and "frequencies" in a0_doc:
+            frequencies = sorted(float(f) for f in _array(a0_doc["frequencies"]))
+        if isinstance(a1_doc, dict) and "blocks" in a1_doc:
+            field = "a1 blocks"
+            block_args = []
+            for i, item in enumerate(_array(a1_doc["blocks"])):
+                field = f"a1 block {i}"
+                kind, m = item["kind"], int(item["m"])
+                lam = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+                gamma = item.get("gamma")
+                block_args.append((kind, m, lam, None if gamma is None else int(gamma)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{field}: {exc}") from exc
+
+    if frequencies is not None:
+        a0 = (np.diag(np.concatenate([frequencies] * 2))
               if frequencies else np.zeros((0, 0)))
-        echo_a0 = {"frequencies": sorted(frequencies)}
+        echo_a0 = {"frequencies": frequencies}
     elif isinstance(a0_doc, dict) and "matrix" in a0_doc:
         a0 = _matrix_from(a0_doc["matrix"], "a0")
         echo_a0 = {"matrix": a0.tolist()}
     else:
         raise InputError("a0 must carry either 'frequencies' or 'matrix'")
 
-    a1_doc = doc.get("a1")
     nf1 = None
     if a1_doc is None:
         if n != k:
             raise InputError("a1 is required when k < n")
         a1 = np.zeros((0, 0))
         echo_a1 = {"matrix": []}
-    elif isinstance(a1_doc, dict) and "blocks" in a1_doc:
-        blocks = []
-        for i, item in enumerate(a1_doc["blocks"]):
-            try:
-                kind = item["kind"]
-                m = int(item["m"])
-                lam = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
-                gamma = item.get("gamma")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"a1 block {i}: {exc}") from exc
-            blocks.append(build_block(kind, m, lam,
-                                      gamma=None if gamma is None else int(gamma), tol=tol))
-        nf1 = normal_form(blocks)
+    elif block_args is not None:
+        nf1 = normal_form([build_block(kind, m, lam, gamma=gamma, tol=tol)
+                           for kind, m, lam, gamma in block_args])
         if nf1.total_dim != 2 * (n - k):
             raise InputError(
                 f"a1 blocks span dimension {nf1.total_dim}, expected {2 * (n - k)}")
@@ -148,6 +165,12 @@ def _parse_spec(doc: dict) -> _ParsedSpec:
     echo = {"n": n, "k": k, "a0": echo_a0, "a1": echo_a1,
             "tolerances": dataclasses.asdict(tol)}
     return _ParsedSpec(H, tol, echo, nf1)
+
+
+def _array(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array, got {json.dumps(value)}")
+    return value
 
 
 def _block_echo(b) -> dict:
@@ -304,7 +327,7 @@ def _cmd_rfh(args) -> int:
     report = validate(spec.H, spec.tol)
     if not report.all_ok:
         raise InputError(f"Hamiltonian fails validation: {report.offending}")
-    r = rfh_report(spec.H, tol=spec.tol)
+    r = rfh_report(spec.H)
 
     def fmt(space):
         if not space:
@@ -340,6 +363,7 @@ def _cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 3
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="rfhquad",

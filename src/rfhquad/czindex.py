@@ -31,14 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import (
-    CrossingDegenerate,
-    DegenerateRestriction,
-    InputError,
-    InternalError,
-    NonIntegerResult,
-    ZeroEta,
-)
+from .errors import CrossingDegenerate, DegenerateRestriction, InputError, NonIntegerResult
 from .orbits import TWO_PI, OrbitFamily
 from .symlin import (
     DEFAULT_TOL,
@@ -50,18 +43,14 @@ from .symlin import (
     standard_J,
     sym_matrix,
 )
-from .tentacular import QuadraticHamiltonian
 
 __all__ = [
     "HalfInt",
     "cz_index_path",
     "cz_index_data",
     "crossing_times",
-    "cz_transverse",
     "sigma_index",
     "grading",
-    "hybrid_virtual_dim",
-    "stationary_fiber_dim",
 ]
 
 
@@ -329,24 +318,6 @@ def crossing_times(S, T: float, tol: Tolerances = DEFAULT_TOL) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def cz_transverse(H: QuadraticHamiltonian, family: OrbitFamily,
-                  tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Transverse Conley-Zehnder index of a nonstationary orbit family.
-
-    Computed on the elliptic factor over [0, |eta|] and negated for
-    eta < 0.  The hyperbolic factor is checked to contribute zero.
-    """
-    if family.eta == 0.0 or abs(family.eta) <= tol.crossing:
-        raise ZeroEta("transverse index is undefined for the stationary families")
-    eta_abs = abs(family.eta)
-    main = cz_index_path(H.a0, eta_abs, tol)
-    if H.a1.size:
-        hyp = cz_index_path(H.a1, eta_abs, tol)
-        if hyp != 0:
-            raise InternalError(f"hyperbolic factor has nonzero index {hyp}")
-    return main if family.eta > 0 else -main
-
-
 def sigma_index(family: OrbitFamily, pole: str) -> HalfInt:
     """Signature index of the Morse-Bott extremum on the family.
 
@@ -367,30 +338,17 @@ def sigma_index(family: OrbitFamily, pole: str) -> HalfInt:
     raise InputError(f"unknown topology {family.topology!r}")
 
 
-def grading(family: OrbitFamily, pole: str, H: QuadraticHamiltonian,
-            tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Full grading: transverse index + signature index + 1/2."""
+def grading(family: OrbitFamily, pole: str) -> HalfInt:
+    """Full grading: transverse index + signature index + 1/2.
+
+    A nonstationary family carries its transverse index from the census
+    (``generator_census``); one without it is rejected.
+    """
     if family.eta == 0.0:
         cz = HalfInt(0)
-    elif family.cz_transverse is not None:
-        cz = family.cz_transverse
+    elif family.cz_transverse is None:
+        raise InputError(f"family at eta = {family.eta} carries no transverse index; "
+                         "grade it through generator_census")
     else:
-        cz = cz_transverse(H, family, tol)
+        cz = family.cz_transverse
     return cz + sigma_index(family, pole) + HalfInt(1)
-
-
-def hybrid_virtual_dim(cz_l0: HalfInt, cz_l: HalfInt, dim_l0: int, dim_l: int) -> int:
-    """Virtual dimension cz(L) - cz(L0) + (dim L0 + dim L)/2 of a hybrid
-    moduli problem between two orbit families; must come out integral."""
-    for d in (dim_l0, dim_l):
-        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 0:
-            raise InputError(f"family dimensions must be nonnegative integers, got {d!r}")
-    doubled = cz_l.doubled - cz_l0.doubled + (int(dim_l0) + int(dim_l))
-    if doubled % 2 != 0:
-        raise NonIntegerResult("virtual dimension is not an integer")
-    return doubled // 2
-
-
-def stationary_fiber_dim(sigma_z: HalfInt, sigma_x: HalfInt) -> int:
-    """Fiber dimension of the stationary solutions: sigma(z) - sigma(x)."""
-    return (sigma_z - sigma_x).as_int()

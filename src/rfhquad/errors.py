@@ -55,10 +55,6 @@ class NotCritical(InputError):
     """The given action value is not a critical value."""
 
 
-class ZeroEta(InputError):
-    """Operation undefined for the stationary (eta == 0) families."""
-
-
 class CensusOverflow(InputError):
     """Action window produces more orbit families than the census cap."""
 

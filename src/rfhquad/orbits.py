@@ -34,7 +34,6 @@ __all__ = [
     "williamson_frequencies",
     "crit_values",
     "orbit_family",
-    "hyperbolic_orbit_freeness",
     "census",
     "DEFAULT_CENSUS_CAP",
 ]
@@ -166,23 +165,6 @@ def orbit_family(H: QuadraticHamiltonian, eta: float, side: str = "H",
         raise ResonanceMismatch(
             f"kernel dimension {m_num} != 2 * resonance count {m} at eta = {eta}")
     return OrbitFamily(eta, m, 2 * m - 1, "sphere", side, H.n, H.k)
-
-
-def hyperbolic_orbit_freeness(a1, etas, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when the hyperbolic factor has no nonzero fixed vector at any
-    nonzero eta in the list."""
-    a1 = sym_matrix(a1, "A1")
-    if a1.size == 0:
-        return True
-    dof = a1.shape[0] // 2
-    J = standard_J(dof)
-    for eta in etas:
-        eta = float(eta)
-        if abs(eta) <= tol.crossing:
-            continue
-        if kernel_dim(matrix_exp(J @ a1, eta) - np.eye(2 * dof), tol) != 0:
-            return False
-    return True
 
 
 def census(H: QuadraticHamiltonian, window: ActionWindow,

@@ -3,7 +3,9 @@
 Two long exact sequences over Z/2 deliver the full homology from known
 compact inputs.  Dimensions are propagated through the sequences by an
 interval solver on the ranks of the connecting maps; underdetermined or
-inconsistent systems raise instead of guessing.
+inconsistent systems raise instead of guessing.  ``rfh_report(H)`` is the
+one entry point: it returns the positive, negative, nonnegative and full
+theories together.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ __all__ = [
     "GradedZ2Space",
     "Generator",
     "generator_census",
-    "positive_correspondence_check",
     "singular_homology",
     "rfh_pm_compact",
     "ExactSequenceProblem",
@@ -28,9 +29,7 @@ __all__ = [
     "solve_exact_sequence",
     "exact1_problem",
     "exact2_problem",
-    "rfh_positive",
     "rfh_geq0",
-    "rfh_full",
     "RfhReport",
     "rfh_report",
     "alternating_sum",
@@ -117,7 +116,7 @@ def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
                 cz = -cz
         fam = replace(fam, cz_transverse=cz)
         for pole in ("min", "max"):
-            g = grading(fam, pole, H, tol)
+            g = grading(fam, pole)
             if not isinstance(g, HalfInt) or not g.is_integer:
                 raise InternalError(f"non-integer grading {g} for {fam} at {pole}")
             out.append(Generator(fam, pole, fam.eta, sigma_index(fam, pole), g))
@@ -125,48 +124,17 @@ def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
     return out
 
 
-def positive_correspondence_check(H: QuadraticHamiltonian, window: ActionWindow,
-                                  tol: Tolerances = DEFAULT_TOL,
-                                  h_side: QuadraticHamiltonian | None = None) -> bool:
-    """Over a positive action window the two stationary-free complexes agree.
-
-    Compares the multisets of (grading, action) pairs between generators
-    attached to the compact side and to the full hypersurface side, each
-    computed by its own census.  ``h_side`` substitutes a different
-    Hamiltonian for the hypersurface side; tests use it to demonstrate
-    that a genuine mismatch is detected.
-    """
-    if window.lo <= 0:
-        raise InputError("correspondence check needs a strictly positive window")
-    gens0 = generator_census(H, window, tol)
-    gens1 = generator_census(h_side if h_side is not None else H, window, tol)
-    h0 = sorted((g.grading.doubled, round(g.action, 9))
-                for g in gens0 if g.family.side == "H0")
-    h1 = sorted((g.grading.doubled, round(g.action, 9))
-                for g in gens1 if g.family.side == "H")
-    return h0 == h1
-
-
 # ---------------------------------------------------------------------------
 # known homological inputs
 # ---------------------------------------------------------------------------
 
 
-def singular_homology(kind: str, n: int | None = None, k: int | None = None) -> GradedZ2Space:
-    """Z/2 singular homology of the level set ('sigma'), its compact core
-    ('sigma0'), or a point."""
-    if kind == "point":
-        return GradedZ2Space({0: 1})
-    if n is None or k is None:
-        raise InputError("n and k are required for level-set homology")
+def singular_homology(n: int, k: int) -> GradedZ2Space:
+    """Z/2 singular homology of the level set S^(n+k-1) x R^(n-k), which is
+    homotopy equivalent to the sphere."""
     if not (1 <= k <= n - 1):
         raise InputError(f"need 1 <= k <= n-1, got n={n}, k={k}")
-    if kind == "sigma":
-        # S^(n+k-1) x R^(n-k), homotopy equivalent to the sphere
-        return GradedZ2Space({0: 1, n + k - 1: 1})
-    if kind == "sigma0":
-        return GradedZ2Space({0: 1, 2 * k - 1: 1})
-    raise InputError(f"unknown space kind {kind!r}")
+    return GradedZ2Space({0: 1, n + k - 1: 1})
 
 
 def rfh_pm_compact(k: int) -> tuple:
@@ -348,7 +316,7 @@ def exact1_problem(n: int, k: int) -> ExactSequenceProblem:
     The arrow out of the positive part in top degree is an isomorphism
     onto the fundamental-class term; that single seed determines the rest.
     """
-    h_sigma = singular_homology("sigma", n, k)
+    h_sigma = singular_homology(n, k)
     hplus, _ = rfh_pm_compact(k)
     d_hi, d_lo = _degree_range(n, k)
     terms = [("0-", None)]
@@ -398,27 +366,9 @@ def _collect(solved: SolvedSequence, name: str) -> GradedZ2Space:
     return GradedZ2Space(dims)
 
 
-def rfh_positive(k: int) -> GradedZ2Space:
-    return rfh_pm_compact(k)[0]
-
-
 def rfh_geq0(n: int, k: int) -> GradedZ2Space:
     solved = solve_exact_sequence(exact1_problem(n, k))
     return _collect(solved, "RFH>=0")
-
-
-def rfh_full(H_or_n, k: int | None = None, tol: Tolerances = DEFAULT_TOL) -> GradedZ2Space:
-    """Full Rabinowitz Floer homology; accepts either (n, k) or a
-    Hamiltonian carrying them."""
-    if isinstance(H_or_n, QuadraticHamiltonian):
-        n, k = H_or_n.n, H_or_n.k
-    else:
-        n = H_or_n
-        if k is None:
-            raise InputError("k is required when n is given directly")
-    geq0 = rfh_geq0(n, k)
-    solved = solve_exact_sequence(exact2_problem(n, k, geq0))
-    return _collect(solved, "RFH")
 
 
 @dataclass(frozen=True)
@@ -431,15 +381,10 @@ class RfhReport:
     full: GradedZ2Space
 
 
-def rfh_report(H_or_n, k: int | None = None, tol: Tolerances = DEFAULT_TOL) -> RfhReport:
-    if isinstance(H_or_n, QuadraticHamiltonian):
-        n, k = H_or_n.n, H_or_n.k
-    else:
-        n = H_or_n
-        if k is None:
-            raise InputError("k is required when n is given directly")
-    if not (1 <= k <= n - 1):
-        raise InputError(f"need 1 <= k <= n-1, got n={n}, k={k}")
+def rfh_report(H: QuadraticHamiltonian) -> RfhReport:
+    """Every homology theory of the level set of H, solved through the two
+    exact sequences; InputError unless 1 <= k <= n-1."""
+    n, k = H.n, H.k
     plus, minus = rfh_pm_compact(k)
     geq0 = rfh_geq0(n, k)
     solved = solve_exact_sequence(exact2_problem(n, k, geq0))

@@ -362,7 +362,7 @@ def criterion_9(seed: int = BASE_SEED) -> CriterionResult:
             ("H0", "max"): H.k,
         }
         for (side, pole), want in table.items():
-            got = grading(by_side[side], pole, H)
+            got = grading(by_side[side], pole)
             if got != want:
                 failures.append(f"n={H.n},k={H.k} {side}/{pole}: {got}, want {want}")
     return _result(9, "stationary degree table", t0, failures,

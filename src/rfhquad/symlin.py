@@ -31,7 +31,6 @@ __all__ = [
     "spectrum_with_jordan",
     "matrix_exp",
     "kernel_dim",
-    "kernel_basis",
     "inertia",
     "signature",
     "restricted_signature",
@@ -61,6 +60,9 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+# relative asymmetry sym_matrix accepts as roundoff
+_SYMMETRY_TOL = 1e-12
+
 
 def _as_square(M, name="matrix"):
     M = np.asarray(M, dtype=float)
@@ -71,13 +73,13 @@ def _as_square(M, name="matrix"):
     return M
 
 
-def sym_matrix(A, name="matrix", tol_factor=1e-12):
-    """Validate symmetry (within tol_factor * max|entry|) and symmetrize."""
+def sym_matrix(A, name="matrix"):
+    """Validate symmetry (within _SYMMETRY_TOL * max|entry|) and symmetrize."""
     A = _as_square(A, name)
     if A.size == 0:
         return A
     scale = float(np.abs(A).max())
-    if float(np.abs(A - A.T).max()) > tol_factor * max(scale, 1.0):
+    if float(np.abs(A - A.T).max()) > _SYMMETRY_TOL * max(scale, 1.0):
         raise InputError(f"{name} is not symmetric within tolerance")
     return (A + A.T) / 2.0
 
@@ -301,17 +303,6 @@ def kernel_dim(M, tol: Tolerances = DEFAULT_TOL) -> int:
     sv = np.linalg.svd(M, compute_uv=False)
     cut = tol.rank_cut * max(float(sv[0]), 1.0)
     return int(np.count_nonzero(sv < cut))
-
-
-def kernel_basis(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel, as matrix columns."""
-    M = np.asarray(M, dtype=float)
-    u, sv, vh = np.linalg.svd(M)
-    smax = float(sv[0]) if sv.size else 0.0
-    null = sv < tol.rank_cut * max(smax, 1.0)
-    # rows of vh beyond the rank also belong to the kernel
-    cols = list(np.nonzero(null)[0]) + list(range(sv.size, vh.shape[0]))
-    return vh[cols].T.copy() if cols else np.zeros((M.shape[1], 0))
 
 
 def inertia(S, tol: Tolerances = DEFAULT_TOL):

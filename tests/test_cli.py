@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rfhquad
 from rfhquad.cli import main
 
 SPEC31 = {
@@ -196,3 +201,79 @@ def test_selftest_json(capsys):
     assert main(["selftest", "--criteria", "3", "--json"]) == 0
     results = json.loads(capsys.readouterr().out)
     assert len(results) == 1 and results[0]["passed"] is True
+
+
+def test_successive_calls_share_no_state(spec31, capsys):
+    """The parser is built once per process; no flag of one call leaks into the next."""
+    assert main(["rfh", spec31, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["full"] == {"-2": 1, "-1": 1}
+    assert main(["rfh", spec31]) == 0
+    assert capsys.readouterr().out.startswith("RFH+   :")
+    assert main(["selftest", "--criteria", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "criterion  3 PASS" in out and "criterion  8" not in out
+    assert main(["orbits", spec31, "--lo", "-7", "--hi", "7", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["window"] == [-7.0, 7.0]
+    assert main(["orbits", spec31]) == 0
+    assert "12.566" in capsys.readouterr().out  # default window 4 pi / mu_min
+    assert main(["census", spec31, "--criteria", "3"]) == 1
+
+
+@pytest.mark.parametrize("patch", [
+    {"tolerances": {"eig_cluster": "abc"}},
+    {"tolerances": [1, 2]},
+    {"tolerances": {"eig_cluster": None}},
+    {"a0": {"frequencies": ["x"]}},
+    {"a0": {"frequencies": 1.0}},
+    {"a1": {"blocks": 5}},
+    {"a1": {"blocks": [{"kind": "a", "m": 1, "re": 1.0, "gamma": "x"},
+                       {"kind": "a", "m": 1, "re": 0.7}]}},
+], ids=lambda patch: json.dumps(patch))
+def test_malformed_document_is_input_error(tmp_path, capsys, patch):
+    path = write_spec(tmp_path, dict(SPEC31, **patch))
+    for sub in ("check", "rfh"):
+        assert main([sub, path]) == 1
+        assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("key", ["n", "k"])
+def test_boolean_dimension_is_input_error(tmp_path, capsys, key):
+    assert main(["rfh", write_spec(tmp_path, dict(SPEC31, **{key: True}))]) == 1
+    assert capsys.readouterr().err == f"input error: {key} must be an integer, got true\n"
+
+
+def test_non_object_env_tolerances_is_input_error(spec31, capsys, monkeypatch):
+    monkeypatch.setenv("RFHQUAD_TOLERANCES", "[1e-8]")
+    assert main(["rfh", spec31]) == 1
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _script_env() -> dict:
+    """The environment, with the package under test first on the path."""
+    src = str(Path(rfhquad.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_rfh_grid_script():
+    out = subprocess.run([sys.executable, str(SCRIPTS / "rfh_grid.py"), "--n-max", "4"],
+                         capture_output=True, text=True, env=_script_env(), timeout=120)
+    assert out.returncode == 0, out.stderr
+    rows = {tuple(line.split()[:2]): line for line in out.stdout.splitlines()[1:]}
+    assert len(rows) == 6
+    assert rows["4", "3"].split()[2] == "Z2^2@-3"
+
+
+def test_random_spec_script_feeds_the_cli():
+    env = _script_env()
+    spec = subprocess.run([sys.executable, str(SCRIPTS / "random_spec.py"),
+                           "--seed", "7", "--n", "4", "--k", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert spec.returncode == 0, spec.stderr
+    out = subprocess.run([sys.executable, "-m", "rfhquad.cli", "rfh", "-"], input=spec.stdout,
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "RFH    :" in out.stdout

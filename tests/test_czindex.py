@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,12 +12,9 @@ from rfhquad import (
     crossing_times,
     cz_index_data,
     cz_index_path,
-    cz_transverse,
     grading,
-    hybrid_virtual_dim,
     orbit_family,
     sigma_index,
-    stationary_fiber_dim,
     symplectic_direct_sum,
 )
 from rfhquad.czindex import CzPathData, _Crossings, _imaginary_frequencies
@@ -24,7 +23,6 @@ from rfhquad.errors import (
     DegenerateInput,
     InputError,
     NonIntegerResult,
-    ZeroEta,
 )
 from rfhquad.samples import random_elliptic_form, random_orthosymplectic
 from rfhquad.symlin import (
@@ -140,24 +138,6 @@ class TestCzPath:
 
 
 class TestTransverseAndGrading:
-    def test_transverse_single_frequency(self, h21):
-        fam = orbit_family(h21, TWO_PI)
-        assert cz_transverse(h21, fam) == HalfInt.from_int(2)
-
-    def test_transverse_interleaved(self, h32):
-        fam = orbit_family(h32, np.pi)
-        assert cz_transverse(h32, fam) == HalfInt.from_int(3)
-
-    def test_transverse_negative_action(self, h21):
-        fam = orbit_family(h21, -TWO_PI)
-        assert cz_transverse(h21, fam) == HalfInt.from_int(-2)
-
-    def test_transverse_rejects_stationary(self, h21):
-        from rfhquad import census, ActionWindow
-        stat = census(h21, ActionWindow(-0.5, 0.5))[0]
-        with pytest.raises(ZeroEta):
-            cz_transverse(h21, stat)
-
     def test_sigma_index_sphere(self, h32):
         fam = orbit_family(h32, TWO_PI, side="H")  # m = 2
         assert sigma_index(fam, "max") == HalfInt(3)
@@ -176,33 +156,20 @@ class TestTransverseAndGrading:
     def test_grading_positive_resonant(self):
         H = QuadraticHamiltonian.from_frequencies(
             3, 2, [1.0, 1.0], build_block("a", 1, 1.0).matrix)
-        fam = orbit_family(H, TWO_PI, side="H0")
+        fam = replace(orbit_family(H, TWO_PI, side="H0"), cz_transverse=HalfInt.from_int(4))
         assert fam.m == 2
-        assert grading(fam, "min", H) == HalfInt.from_int(3)
-        assert grading(fam, "max", H) == HalfInt.from_int(6)
+        assert grading(fam, "min") == HalfInt.from_int(3)
+        assert grading(fam, "max") == HalfInt.from_int(6)
 
     def test_grading_negative_action(self, h21):
-        fam = orbit_family(h21, -TWO_PI, side="H0")
-        assert grading(fam, "max", h21) == HalfInt.from_int(-1)
-        assert grading(fam, "min", h21) == HalfInt.from_int(-2)
+        fam = replace(orbit_family(h21, -TWO_PI, side="H0"), cz_transverse=HalfInt.from_int(-2))
+        assert grading(fam, "max") == HalfInt.from_int(-1)
+        assert grading(fam, "min") == HalfInt.from_int(-2)
 
-
-class TestHybridDimension:
-    def test_equal_indices(self):
-        cz = HalfInt.from_int(2)
-        assert hybrid_virtual_dim(cz, cz, 1, 1) == 1
-        assert hybrid_virtual_dim(cz, cz, 3, 3) == 3
-
-    def test_mixed(self):
-        assert hybrid_virtual_dim(HalfInt.from_int(2), HalfInt.from_int(4), 1, 3) == 4
-
-    def test_non_integer_reported(self):
-        with pytest.raises(NonIntegerResult):
-            hybrid_virtual_dim(HalfInt(0), HalfInt(1), 1, 1)
-
-    def test_stationary_fiber(self):
-        # sigma-side max against sigma-side min for n=3, k=2
-        assert stationary_fiber_dim(HalfInt(3), HalfInt(-5)) == 4
+    def test_grading_needs_census_index(self, h21):
+        """Only the census produces the transverse index."""
+        with pytest.raises(InputError):
+            grading(orbit_family(h21, TWO_PI), "min")
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40))

@@ -9,7 +9,6 @@ from rfhquad import (
     build_block,
     census,
     crit_values,
-    hyperbolic_orbit_freeness,
     kernel_dim,
     matrix_exp,
     orbit_family,
@@ -100,13 +99,6 @@ def test_orbit_family_dimension(h32):
     fam = orbit_family(h32, TWO_PI)
     assert fam.family_dim == 2 * fam.m - 1
     assert fam.topology_name == "S^3"
-
-
-def test_hyperbolic_orbit_freeness():
-    hyp = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert hyperbolic_orbit_freeness(hyp, [TWO_PI])
-    assert hyperbolic_orbit_freeness(hyp, [0.0])
-    assert not hyperbolic_orbit_freeness(np.diag([1.0, 1.0]), [TWO_PI])
 
 
 def test_census_matched_pairs(h21):

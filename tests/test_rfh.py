@@ -14,8 +14,6 @@ from rfhquad import (
     crit_values,
     cz_index_path,
     generator_census,
-    positive_correspondence_check,
-    rfh_full,
     rfh_geq0,
     rfh_pm_compact,
     rfh_report,
@@ -53,21 +51,12 @@ class TestGradedSpace:
 
 class TestKnownSpaces:
     def test_hypersurface_homology(self):
-        assert singular_homology("sigma", 3, 1) == {0: 1, 3: 1}
-        assert singular_homology("sigma", 5, 2) == {0: 1, 6: 1}
-
-    def test_compact_level_homology(self):
-        assert singular_homology("sigma0", 3, 2) == {0: 1, 3: 1}
-        assert singular_homology("sigma0", 2, 1) == {0: 1, 1: 1}
-
-    def test_point(self):
-        assert singular_homology("point") == {0: 1}
+        assert singular_homology(3, 1) == {0: 1, 3: 1}
+        assert singular_homology(5, 2) == {0: 1, 6: 1}
 
     def test_guards(self):
         with pytest.raises(InputError):
-            singular_homology("sigma", 2, 2)
-        with pytest.raises(InputError):
-            singular_homology("nope")
+            singular_homology(2, 2)
 
     def test_compact_side_theories(self):
         plus, minus = rfh_pm_compact(1)
@@ -134,15 +123,15 @@ class TestSequenceSolver:
 
 
 class TestHomology:
-    def test_half_open_cylinder(self):
-        assert rfh_full(3, 1) == {-2: 1, -1: 1}
+    def test_half_open_cylinder(self, h31):
+        assert rfh_report(h31).full == {-2: 1, -1: 1}
 
-    def test_degree_collision(self):
+    def test_degree_collision(self, h21):
         # k = n-1 stacks both classes in one degree
-        assert rfh_full(2, 1) == {-1: 2}
+        assert rfh_report(h21).full == {-1: 2}
 
-    def test_wider_gap(self):
-        assert rfh_full(5, 2) == {-4: 1, -2: 1}
+    def test_wider_gap(self, rng):
+        assert rfh_report(random_hamiltonian(rng, 5, 2)).full == {-4: 1, -2: 1}
 
     def test_nonnegative_part(self):
         assert rfh_geq0(3, 1) == {-2: 1}
@@ -155,14 +144,10 @@ class TestHomology:
         assert report.geq0 == {-2: 1}
         assert report.plus == {2: 1} and report.minus == {-1: 1}
 
-    def test_accepts_hamiltonian_or_pair(self, h31):
-        assert rfh_full(h31) == rfh_full(3, 1)
-
     def test_k_range_guard(self):
+        H = QuadraticHamiltonian.from_frequencies(3, 3, [1.0, 2.0, 3.0], np.zeros((0, 0)))
         with pytest.raises(InputError):
-            rfh_report(3, 3)
-        with pytest.raises(InputError):
-            rfh_full(2)
+            rfh_report(H)
 
     @given(st.integers(2, 7), st.data())
     def test_grid_matches_closed_form(self, n, data):
@@ -170,7 +155,8 @@ class TestHomology:
         expect = {}
         for d in (1 - n, -k):
             expect[d] = expect.get(d, 0) + 1
-        assert rfh_full(n, k) == expect
+        H = random_hamiltonian(np.random.default_rng(10 * n + k), n, k)
+        assert rfh_report(H).full == expect
 
 
 class TestGeneratorCensus:
@@ -204,24 +190,22 @@ class TestGeneratorCensus:
         gens = generator_census(h21, ActionWindow(0.1, 7.0))
         assert any(g.label.startswith("H0/eta=") for g in gens)
 
+    def test_degrees_negative_action(self, h21):
+        gens = generator_census(h21, ActionWindow(-7.0, -0.1))
+        for side in ("H0", "H"):
+            assert sorted(g.grading.as_int() for g in gens if g.family.side == side) == [-2, -1]
 
-class TestCorrespondence:
-    def test_holds_for_valid_input(self, h21, h32):
-        assert positive_correspondence_check(h21, ActionWindow(0.1, 7.0))
-        assert positive_correspondence_check(h32, ActionWindow(0.1, 10.0))
+    def test_transverse_indices(self, h21, h32):
+        for H, eta, want in ((h21, TWO_PI, 2), (h21, -TWO_PI, -2), (h32, np.pi, 3)):
+            gens = generator_census(H, ActionWindow(eta - 0.5, eta + 0.5))
+            assert len(gens) == 4
+            assert {g.family.cz_transverse for g in gens} == {HalfInt.from_int(want)}
 
-    def test_detects_mismatch(self, h21):
-        other = QuadraticHamiltonian.from_frequencies(
-            2, 1, [1.1], build_block("a", 1, 1.0).matrix)
-        assert not positive_correspondence_check(
-            h21, ActionWindow(0.1, 7.0), h_side=other)
-
-    def test_trivial_on_empty_window(self, h21):
-        assert positive_correspondence_check(h21, ActionWindow(1.0, 2.0))
-
-    def test_requires_positive_window(self, h21):
-        with pytest.raises(InputError):
-            positive_correspondence_check(h21, ActionWindow(-1.0, 7.0))
+    def test_sides_agree_on_positive_window(self, h32):
+        gens = generator_census(h32, ActionWindow(0.1, 10.0))
+        by_side = {side: sorted((g.grading, g.action) for g in gens if g.family.side == side)
+                   for side in ("H0", "H")}
+        assert by_side["H0"] and by_side["H0"] == by_side["H"]
 
 
 def _assert_census_matches_reference(H, window):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from rfhquad import (
     Tolerances,
-    kernel_basis,
     kernel_dim,
     matrix_exp,
     restricted_signature,
@@ -113,14 +112,6 @@ def test_kernel_dim_full_period():
 def test_kernel_dim_hyperbolic_return_map():
     M = matrix_exp(standard_J(1) @ np.array([[0.0, 1.0], [1.0, 0.0]]), 2 * np.pi) - np.eye(2)
     assert kernel_dim(M) == 0
-
-
-def test_kernel_basis_spans_null_space():
-    M = np.diag([0.0, 0.0, 3.0, 7.0])
-    B = kernel_basis(M)
-    assert B.shape == (4, 2)
-    assert np.allclose(M @ B, 0.0, atol=1e-12)
-    assert np.allclose(B.T @ B, np.eye(2), atol=1e-12)
 
 
 def test_signature_examples():
