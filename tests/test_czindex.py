@@ -6,12 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rfhquad import (
+    ActionWindow,
     HalfInt,
     QuadraticHamiltonian,
     build_block,
     crossing_times,
     cz_index_data,
     cz_index_path,
+    generator_census,
     grading,
     orbit_family,
     sigma_index,
@@ -137,7 +139,25 @@ class TestCzPath:
             cz_index_path(S, 3 * np.pi)
 
 
+def census_transverse(H, eta):
+    """The transverse index the generator census gives every generator at
+    the critical value eta (its only producer)."""
+    gens = generator_census(H, ActionWindow(eta - 0.5, eta + 0.5))
+    assert len(gens) == 4  # two poles on each of the H0 and H sides
+    (cz,) = {g.family.cz_transverse for g in gens}
+    return cz
+
+
 class TestTransverseAndGrading:
+    def test_transverse_single_frequency(self, h21):
+        assert census_transverse(h21, TWO_PI) == HalfInt.from_int(2)
+
+    def test_transverse_interleaved(self, h32):
+        assert census_transverse(h32, np.pi) == HalfInt.from_int(3)
+
+    def test_transverse_negative_action(self, h21):
+        assert census_transverse(h21, -TWO_PI) == HalfInt.from_int(-2)
+
     def test_sigma_index_sphere(self, h32):
         fam = orbit_family(h32, TWO_PI, side="H")  # m = 2
         assert sigma_index(fam, "max") == HalfInt(3)

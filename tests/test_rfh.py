@@ -195,12 +195,6 @@ class TestGeneratorCensus:
         for side in ("H0", "H"):
             assert sorted(g.grading.as_int() for g in gens if g.family.side == side) == [-2, -1]
 
-    def test_transverse_indices(self, h21, h32):
-        for H, eta, want in ((h21, TWO_PI, 2), (h21, -TWO_PI, -2), (h32, np.pi, 3)):
-            gens = generator_census(H, ActionWindow(eta - 0.5, eta + 0.5))
-            assert len(gens) == 4
-            assert {g.family.cz_transverse for g in gens} == {HalfInt.from_int(want)}
-
     def test_sides_agree_on_positive_window(self, h32):
         gens = generator_census(h32, ActionWindow(0.1, 10.0))
         by_side = {side: sorted((g.grading, g.action) for g in gens if g.family.side == side)
