@@ -27,7 +27,6 @@ from .errors import (
     InputError,
     InternalError,
     NonIntegerResult,
-    NotCritical,
     NotPositiveDefinite,
     NumericalError,
     ResonanceMismatch,
@@ -50,7 +49,6 @@ from .orbits import (
     OrbitFamily,
     census,
     crit_values,
-    orbit_family,
     williamson_frequencies,
 )
 from .rfh import (
@@ -71,13 +69,13 @@ from .rfh import (
 )
 from .symlin import (
     DEFAULT_TOL,
+    ExpEvaluator,
     Spectrum,
     SpectrumItem,
     Tolerances,
     imaginary_eigenspace_basis,
     inertia,
     kernel_dim,
-    matrix_exp,
     restricted_signature,
     signature,
     spectrum_with_jordan,

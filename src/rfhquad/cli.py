@@ -123,10 +123,12 @@ def _parse_spec(doc: dict) -> _ParsedSpec:
             block_args = []
             for i, item in enumerate(_array(a1_doc["blocks"])):
                 field = f"a1 block {i}"
-                kind, m = item["kind"], int(item["m"])
+                kind, m = item["kind"], _integer(item["m"], "m")
                 lam = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
                 gamma = item.get("gamma")
-                block_args.append((kind, m, lam, None if gamma is None else int(gamma)))
+                if gamma is not None:
+                    gamma = _integer(gamma, "gamma")
+                block_args.append((kind, m, lam, gamma))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{field}: {exc}") from exc
 
@@ -170,6 +172,13 @@ def _parse_spec(doc: dict) -> _ParsedSpec:
 def _array(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a JSON array, got {json.dumps(value)}")
+    return value
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer; booleans, fractions and strings are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {json.dumps(value)}")
     return value
 
 

@@ -51,10 +51,6 @@ class NotPositiveDefinite(InputError):
     """Positive definiteness required but not satisfied."""
 
 
-class NotCritical(InputError):
-    """The given action value is not a critical value."""
-
-
 class CensusOverflow(InputError):
     """Action window produces more orbit families than the census cap."""
 

@@ -6,6 +6,8 @@ sigma_min(exp(t J S) - Id) on a dense grid, brackets the dips, and
 refines each by golden-section search.  Near a crossing sigma_min decays
 linearly in |t - t*|, so the refined minimizer localizes the crossing
 far more sharply than the quadratic touch of the determinant would.
+exp(t J S) comes from symlin.ExpEvaluator, which the analytic path in
+czindex never uses.
 
 The scan is screened.  With E(t) = exp(t J S), E(t) = E(t_c) exp((t - t_c) J S)
 and Weyl's inequality give
@@ -21,7 +23,7 @@ stride only where the lower bound at either end can fall below the
 bracketing level, and at stride 1 every point of such a cell is taken.
 Each level is one batched evaluation.  Elsewhere no dip can hide, and the
 scan finds the same dips as a full-grid scan.  The bound uses no
-eigenvalue frequencies and holds on the Pade fallback too.
+eigenvalue frequencies and holds on the evaluator's Pade fallback too.
 
 All brackets are refined together: the golden-section searches advance in
 lockstep, one batched evaluation per step, each bracket stopping at its
@@ -37,11 +39,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .czindex import HalfInt
 from .errors import InputError
-from .symlin import DEFAULT_TOL, Tolerances, signature, standard_J, sym_matrix
+from .symlin import DEFAULT_TOL, ExpEvaluator, Tolerances, signature, standard_J, sym_matrix
 
 __all__ = ["OracleCz", "oracle_cz"]
 
@@ -60,45 +61,6 @@ class OracleCz:
     times: tuple
     index: HalfInt
     endpoint_hit: bool
-
-
-class _ExpEvaluator:
-    """exp(t J S) for many t, via one eigendecomposition when it is
-    trustworthy, falling back to per-point Pade otherwise."""
-
-    def __init__(self, JS):
-        self.JS = JS
-        w, V = np.linalg.eig(JS)
-        self.w = w
-        self.V = V
-        try:
-            self.Vi = np.linalg.inv(V)
-            resid = np.linalg.norm(V @ np.diag(w) @ self.Vi - JS, 2)
-            self.fast = resid <= 1e-10 * max(1.0, np.linalg.norm(JS, 2))
-        except np.linalg.LinAlgError:
-            self.fast = False
-
-    def _pade(self, ts):
-        return np.reshape([expm(t * self.JS) for t in ts], (len(ts),) + self.JS.shape)
-
-    def batch(self, ts):
-        """exp(t J S) at every t of the screen, by one einsum."""
-        if not self.fast:
-            return self._pade(ts)
-        E = np.exp(np.multiply.outer(np.asarray(ts), self.w))
-        return np.einsum("ij,tj,jk->tik", self.V, E, self.Vi).real
-
-    def points(self, ts):
-        """exp(t J S) at scattered t, each by the product
-        V diag(exp(t w)) V^-1, stacked: a point's value does not depend
-        on the other points asked for with it."""
-        if not self.fast:
-            return self._pade(ts)
-        E = np.exp(np.multiply.outer(np.asarray(ts), self.w))
-        D = np.zeros(E.shape + E.shape[-1:], dtype=E.dtype)
-        d = np.arange(E.shape[-1])
-        D[:, d, d] = E
-        return (self.V @ D @ self.Vi).real
 
 
 def _golden_lockstep(f, a, b):
@@ -142,21 +104,21 @@ def _form_signature(S, B) -> int:
     return int((w > c).sum()) - int((w < -c).sum())
 
 
-def _screened_scan(ev: _ExpEvaluator, ts) -> np.ndarray:
+def _screened_scan(ev: ExpEvaluator, ts) -> np.ndarray:
     """sigma_min(exp(t J S) - Id) at each of the equally spaced ``ts``
     where it can fall below _BRACKET, and +inf where the screen rules
     that out (the true value there is at least _BRACKET)."""
     grid = len(ts) - 1
-    eye = np.eye(ev.JS.shape[0])
+    eye = np.eye(ev.M.shape[0])
     F = np.full(grid + 1, np.inf)
     top = np.full(grid + 1, np.nan)  # sigma_max where taken
-    step_norm = ts[-1] / grid * np.linalg.norm(ev.JS, 2)
+    step_norm = ts[-1] / grid * np.linalg.norm(ev.M, 2)
     lo = np.arange(0, grid, _STRIDES[0])  # left ends of the cells to take
     for level, stride in enumerate(_STRIDES):
         hi = np.minimum(lo + stride, grid)
         ends = np.union1d(lo, hi)
         fresh = ends[np.isnan(top[ends])]
-        s = np.linalg.svd(ev.batch(ts[fresh]) - eye, compute_uv=False)
+        s = np.linalg.svd(ev.at(ts[fresh]) - eye, compute_uv=False)
         F[fresh], top[fresh] = s[:, -1], s[:, 0]
         if stride == 1:
             break
@@ -191,7 +153,7 @@ def oracle_cz(S, T: float, grid: int = 20000,
     if not S.size:
         return OracleCz((), HalfInt(0), False)
     dof = S.shape[0] // 2
-    ev = _ExpEvaluator(standard_J(dof) @ S)
+    ev = ExpEvaluator(standard_J(dof) @ S)
     eye = np.eye(2 * dof)
     ts = np.linspace(0.0, T, grid + 1)
     # Points the screen skips read +inf: they are only compared against
@@ -212,14 +174,14 @@ def oracle_cz(S, T: float, grid: int = 20000,
     merged = np.array(merged, dtype=int)
 
     def fmin(t):
-        return np.linalg.svd(ev.points(t) - eye, compute_uv=False)[:, -1]
+        return np.linalg.svd(ev.at(t) - eye, compute_uv=False)[:, -1]
 
     t_star, val = _golden_lockstep(fmin, ts[merged - 1], ts[np.minimum(merged + 1, grid)])
     t_star = t_star[val <= _ACCEPT]
     doubled = signature(S, tol)
     times = []
     endpoint_hit = False
-    for t, M in zip(t_star.tolist(), ev.points(t_star) - eye):
+    for t, M in zip(t_star.tolist(), ev.at(t_star) - eye):
         B = _kernel_cols(M)
         if B is None:
             continue

@@ -21,11 +21,10 @@ from .errors import (
     CensusOverflow,
     InputError,
     InternalError,
-    NotCritical,
     NotPositiveDefinite,
     ResonanceMismatch,
 )
-from .symlin import DEFAULT_TOL, Tolerances, kernel_dim, matrix_exp, standard_J, sym_matrix
+from .symlin import DEFAULT_TOL, ExpEvaluator, Tolerances, kernel_dim, standard_J, sym_matrix
 from .tentacular import QuadraticHamiltonian, validate
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "OrbitFamily",
     "williamson_frequencies",
     "crit_values",
-    "orbit_family",
     "census",
     "DEFAULT_CENSUS_CAP",
 ]
@@ -141,57 +139,41 @@ def _resonant_count(frequencies, eta: float, tol: Tolerances) -> int:
     return count
 
 
-def orbit_family(H: QuadraticHamiltonian, eta: float, side: str = "H",
-                 tol: Tolerances = DEFAULT_TOL) -> OrbitFamily:
-    """The orbit family at a nonzero critical value eta.
-
-    The resonance count against the frequencies is cross-checked against
-    the numerical kernel of exp(eta J A0) - Id; disagreement is an
-    internal error, not a user error.
-    """
-    if side not in ("H", "H0"):
-        raise InputError(f"side must be 'H' or 'H0', got {side!r}")
-    eta = float(eta)
-    if abs(eta) <= tol.crossing:
-        raise InputError("eta == 0 is the stationary family; census handles it")
-    freqs = H.frequencies if H.frequencies is not None else williamson_frequencies(H.a0, tol)
-    m = _resonant_count(freqs, eta, tol)
-    if m == 0:
-        raise NotCritical(f"{eta} is not a critical value of the action")
-    k = H.k
-    flow = matrix_exp(standard_J(k) @ H.a0, eta)
-    m_num = kernel_dim(flow - np.eye(2 * k), tol)
-    if m_num != 2 * m:
-        raise ResonanceMismatch(
-            f"kernel dimension {m_num} != 2 * resonance count {m} at eta = {eta}")
-    return OrbitFamily(eta, m, 2 * m - 1, "sphere", side, H.n, H.k)
-
-
 def census(H: QuadraticHamiltonian, window: ActionWindow,
-           tol: Tolerances = DEFAULT_TOL, max_families: int = DEFAULT_CENSUS_CAP) -> tuple:
+           tol: Tolerances = DEFAULT_TOL) -> tuple:
     """All orbit families with action in the window, sorted by action.
 
     Every nonzero critical value carries a matched (H0-side, H-side) pair
     with identical (eta, m); eta = 0, when present, carries the two
-    stationary families.  The family count is capped (default 10^4).
+    stationary families.  The family count is capped at DEFAULT_CENSUS_CAP.
+
+    Each resonance count m is cross-checked against the numerical kernel
+    of exp(eta J A0) - Id, all eta at once; disagreement is an internal
+    error, not a user error.
     """
     report = validate(H, tol)
     if not report.all_ok:
         raise InputError(f"Hamiltonian fails validation: {report.offending}")
     freqs = H.frequencies if H.frequencies is not None else williamson_frequencies(H.a0, tol)
     values = crit_values(freqs, window, tol)
-    if 2 * len(values) > max_families:
+    if 2 * len(values) > DEFAULT_CENSUS_CAP:
         raise CensusOverflow(
-            f"window yields up to {2 * len(values)} families, cap is {max_families}")
+            f"window yields up to {2 * len(values)} families, cap is {DEFAULT_CENSUS_CAP}")
+    etas = [eta for eta in values if abs(eta) > tol.crossing]
+    counts = [_resonant_count(freqs, eta, tol) for eta in etas]
+    flows = ExpEvaluator(standard_J(H.k) @ H.a0).at(etas)
+    for eta, m, m_num in zip(etas, counts, kernel_dim(flows - np.eye(2 * H.k), tol)):
+        if m_num != 2 * m:
+            raise ResonanceMismatch(
+                f"kernel dimension {m_num} != 2 * resonance count {m} at eta = {eta}")
     families = []
+    counts_left = iter(counts)
     for eta in values:
         if abs(eta) <= tol.crossing:
             families.append(OrbitFamily(0.0, H.k, 2 * H.k - 1, "sigma0", "H0", H.n, H.k))
             families.append(OrbitFamily(0.0, H.n, 2 * H.n - 1, "sigma", "H", H.n, H.k))
         else:
-            base = orbit_family(H, eta, "H0", tol)
-            families.append(base)
-            families.append(OrbitFamily(base.eta, base.m, base.family_dim,
-                                        "sphere", "H", H.n, H.k))
-    families.sort(key=lambda f: (f.eta, 0 if f.side == "H0" else 1))
+            m = next(counts_left)
+            for side in ("H0", "H"):
+                families.append(OrbitFamily(float(eta), m, 2 * m - 1, "sphere", side, H.n, H.k))
     return tuple(families)

@@ -11,11 +11,10 @@ checks but not inside exponentials over long windows).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .hormander import HormanderBlock, NormalForm, build_block, normal_form
 from .orbits import TWO_PI
-from .symlin import DEFAULT_TOL, standard_J, symplectic_direct_sum
+from .symlin import DEFAULT_TOL, ExpEvaluator, standard_J, symplectic_direct_sum
 from .tentacular import QuadraticHamiltonian
 
 __all__ = [
@@ -80,7 +79,7 @@ def random_symplectic(rng: np.random.Generator, dof: int,
     R = rng.normal(size=(m, m))
     R = (R + R.T) / 2
     R *= magnitude / max(1.0, np.linalg.norm(R, 2))
-    return expm(standard_J(dof) @ R)
+    return ExpEvaluator(standard_J(dof) @ R).at([1.0])[0]
 
 
 def random_orthosymplectic(rng: np.random.Generator, dof: int) -> np.ndarray:

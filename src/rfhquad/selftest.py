@@ -19,7 +19,7 @@ import numpy as np
 from .czindex import cz_index_data, cz_index_path, crossing_times, grading
 from .hormander import block_signature, build_block, classify, normal_form
 from .oracles import oracle_cz
-from .orbits import TWO_PI, ActionWindow, census, crit_values, orbit_family
+from .orbits import TWO_PI, ActionWindow, census, crit_values
 from .rfh import (
     ExactSequenceProblem,
     GradedZ2Space,
@@ -38,7 +38,7 @@ from .samples import (
     random_orthosymplectic,
     random_symplectic,
 )
-from .symlin import kernel_dim, matrix_exp, signature, standard_J, symplectic_direct_sum
+from .symlin import ExpEvaluator, kernel_dim, signature, standard_J, symplectic_direct_sum
 from .tentacular import QuadraticHamiltonian, validate
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA", "criterion_grid"]
@@ -300,20 +300,16 @@ def criterion_7(seed: int = BASE_SEED) -> CriterionResult:
     checked = 0
     for H in criterion_grid(seed):
         w = TWO_PI / min(H.frequencies) + 1e-6
-        etas = [e for e in crit_values(H.frequencies, ActionWindow(-w, w))
-                if abs(e) > 1e-12]
-        Jn = standard_J(H.n)
-        Jk = standard_J(H.k)
-        eye_n = np.eye(2 * H.n)
-        eye_k = np.eye(2 * H.k)
-        for eta in etas:
+        fams = [f for f in census(H, ActionWindow(-w, w))
+                if f.side == "H" and f.topology == "sphere"]
+        etas = [f.eta for f in fams]
+        dns = kernel_dim(ExpEvaluator(standard_J(H.n) @ H.full_matrix).at(etas) - np.eye(2 * H.n))
+        dks = kernel_dim(ExpEvaluator(standard_J(H.k) @ H.a0).at(etas) - np.eye(2 * H.k))
+        for fam, dn, dk in zip(fams, dns, dks):
             checked += 1
-            fam = orbit_family(H, eta)
-            dn = kernel_dim(matrix_exp(Jn @ H.full_matrix, eta) - eye_n)
-            dk = kernel_dim(matrix_exp(Jk @ H.a0, eta) - eye_k)
             if not (dn == dk == 2 * fam.m):
                 failures.append(
-                    f"n={H.n},k={H.k},eta={eta:.4f}: kernels {dn},{dk}, want {2 * fam.m}")
+                    f"n={H.n},k={H.k},eta={fam.eta:.4f}: kernels {dn},{dk}, want {2 * fam.m}")
     return _result(7, "orbit kernel correspondence", t0, failures,
                    f"{checked} critical values over the grid")
 

@@ -29,7 +29,7 @@ __all__ = [
     "symplectic_direct_sum",
     "sym_matrix",
     "spectrum_with_jordan",
-    "matrix_exp",
+    "ExpEvaluator",
     "kernel_dim",
     "inertia",
     "signature",
@@ -274,21 +274,41 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 
-def matrix_exp(M, t: float) -> np.ndarray:
-    """exp(t M).  Scaling-and-squaring Pade; exact identity at t == 0."""
-    M = _as_square(M)
-    t = float(t)
-    if not np.isfinite(t):
-        raise InputError(f"time parameter must be finite, got {t!r}")
-    if M.size == 0:
-        return M.copy()
-    if t == 0.0:
-        return np.eye(M.shape[0])
-    return scipy.linalg.expm(t * M)
+class ExpEvaluator:
+    """exp(t M) for a stack of times t, the package's one matrix exponential.
+
+    One eigendecomposition M = V diag(w) V^-1 serves every t when it
+    reproduces M to 1e-10 * max(|M|_2, 1); each point is then the product
+    (V * exp(t w)) @ V^-1.  Otherwise (a defective M, such as a Jordan
+    block) each point falls back to scaling-and-squaring Pade.  A point's
+    value does not depend on the other points asked for with it.
+    """
+
+    def __init__(self, M):
+        self.M = _as_square(M)
+        self.w, self.V = np.linalg.eig(self.M)
+        try:
+            self.Vi = np.linalg.inv(self.V)
+            resid = np.linalg.norm(self.V @ np.diag(self.w) @ self.Vi - self.M, 2)
+            self.fast = bool(resid <= 1e-10 * max(1.0, np.linalg.norm(self.M, 2)))
+        except np.linalg.LinAlgError:
+            self.fast = False
+
+    def at(self, ts) -> np.ndarray:
+        """exp(t M) for each t of the 1-D sequence ``ts``, stacked."""
+        ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1 or np.count_nonzero(np.isfinite(ts)) != ts.size:
+            raise InputError("times must be a 1-D sequence of finite numbers")
+        if not self.fast:
+            return np.reshape([scipy.linalg.expm(t * self.M) for t in ts],
+                              ts.shape + self.M.shape)
+        E = np.exp(np.multiply.outer(ts, self.w))
+        return ((self.V * E[:, None, :]) @ self.Vi).real
 
 
-def kernel_dim(M, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Numerical nullity: singular values below rank_cut * scale.
+def kernel_dim(M, tol: Tolerances = DEFAULT_TOL):
+    """Numerical nullity of each matrix of a stack M of shape (..., r, c):
+    the count of its singular values below rank_cut * scale.
 
     The scale is max(largest singular value, 1): the callers feed
     matrices of the shape exp(...) - Id whose natural size is order one,
@@ -296,13 +316,11 @@ def kernel_dim(M, tol: Tolerances = DEFAULT_TOL) -> int:
     than let roundoff noise pass as rank.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise InputError("kernel_dim expects a matrix")
-    if M.size == 0:
-        return min(M.shape) if M.shape else 0
+    if M.ndim < 2:
+        raise InputError("kernel_dim expects a matrix or a stack of matrices")
     sv = np.linalg.svd(M, compute_uv=False)
-    cut = tol.rank_cut * max(float(sv[0]), 1.0)
-    return int(np.count_nonzero(sv < cut))
+    cut = tol.rank_cut * np.maximum(sv[..., :1], 1.0)
+    return np.count_nonzero(sv < cut, axis=-1)
 
 
 def inertia(S, tol: Tolerances = DEFAULT_TOL):

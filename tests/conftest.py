@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from rfhquad import QuadraticHamiltonian, build_block, symplectic_direct_sum
+from rfhquad import ActionWindow, QuadraticHamiltonian, build_block, census, symplectic_direct_sum
 
 settings.register_profile(
     "suite",
@@ -11,6 +11,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def family():
+    """family(H, eta, side="H"): the census family at the critical value eta."""
+
+    def pick(H, eta, side="H"):
+        fams = census(H, ActionWindow(eta - 1e-6, eta + 1e-6))
+        (fam,) = [f for f in fams if f.side == side]
+        return fam
+
+    return pick
 
 
 @pytest.fixture

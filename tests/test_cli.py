@@ -228,6 +228,15 @@ def test_successive_calls_share_no_state(spec31, capsys):
     {"a1": {"blocks": 5}},
     {"a1": {"blocks": [{"kind": "a", "m": 1, "re": 1.0, "gamma": "x"},
                        {"kind": "a", "m": 1, "re": 0.7}]}},
+    # Jordan data must be JSON integers: never truncated, parsed or read as booleans
+    {"a1": {"blocks": [{"kind": "a", "m": 1.9, "re": 1.0}, {"kind": "a", "m": 1, "re": 0.7}]}},
+    {"a1": {"blocks": [{"kind": "a", "m": True, "re": 1.0}, {"kind": "a", "m": 1, "re": 0.7}]}},
+    {"a1": {"blocks": [{"kind": "a", "m": 1.0, "re": 1.0}, {"kind": "a", "m": 1, "re": 0.7}]}},
+    {"a1": {"blocks": [{"kind": "a", "m": "2", "re": 1.0}]}},
+    {"a1": {"blocks": [{"kind": "c", "m": 1, "im": 1.3, "gamma": 1.7},
+                       {"kind": "a", "m": 1, "re": 0.7}]}},
+    {"a1": {"blocks": [{"kind": "c", "m": 1, "im": 1.3, "gamma": True},
+                       {"kind": "a", "m": 1, "re": 0.7}]}},
 ], ids=lambda patch: json.dumps(patch))
 def test_malformed_document_is_input_error(tmp_path, capsys, patch):
     path = write_spec(tmp_path, dict(SPEC31, **patch))

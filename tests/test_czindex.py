@@ -15,7 +15,6 @@ from rfhquad import (
     cz_index_path,
     generator_census,
     grading,
-    orbit_family,
     sigma_index,
     symplectic_direct_sum,
 )
@@ -158,8 +157,8 @@ class TestTransverseAndGrading:
     def test_transverse_negative_action(self, h21):
         assert census_transverse(h21, -TWO_PI) == HalfInt.from_int(-2)
 
-    def test_sigma_index_sphere(self, h32):
-        fam = orbit_family(h32, TWO_PI, side="H")  # m = 2
+    def test_sigma_index_sphere(self, h32, family):
+        fam = family(h32, TWO_PI, side="H")  # m = 2
         assert sigma_index(fam, "max") == HalfInt(3)
         assert sigma_index(fam, "min") == HalfInt(-3)
 
@@ -173,23 +172,23 @@ class TestTransverseAndGrading:
         assert sigma_index(sigma, "min") == HalfInt(-5)  # -(n - 1/2) at n=3
         assert sigma_index(sigma, "max") == HalfInt(3)
 
-    def test_grading_positive_resonant(self):
+    def test_grading_positive_resonant(self, family):
         H = QuadraticHamiltonian.from_frequencies(
             3, 2, [1.0, 1.0], build_block("a", 1, 1.0).matrix)
-        fam = replace(orbit_family(H, TWO_PI, side="H0"), cz_transverse=HalfInt.from_int(4))
+        fam = replace(family(H, TWO_PI, side="H0"), cz_transverse=HalfInt.from_int(4))
         assert fam.m == 2
         assert grading(fam, "min") == HalfInt.from_int(3)
         assert grading(fam, "max") == HalfInt.from_int(6)
 
-    def test_grading_negative_action(self, h21):
-        fam = replace(orbit_family(h21, -TWO_PI, side="H0"), cz_transverse=HalfInt.from_int(-2))
+    def test_grading_negative_action(self, h21, family):
+        fam = replace(family(h21, -TWO_PI, side="H0"), cz_transverse=HalfInt.from_int(-2))
         assert grading(fam, "max") == HalfInt.from_int(-1)
         assert grading(fam, "min") == HalfInt.from_int(-2)
 
-    def test_grading_needs_census_index(self, h21):
-        """Only the census produces the transverse index."""
+    def test_grading_needs_census_index(self, h21, family):
+        """Only the generator census attaches the transverse index."""
         with pytest.raises(InputError):
-            grading(orbit_family(h21, TWO_PI), "min")
+            grading(family(h21, TWO_PI), "min")
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40))

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from rfhquad import oracles
 from rfhquad import (
     HalfInt,
     OracleCz,
@@ -21,32 +22,31 @@ from rfhquad.oracles import (
     _BRACKET,
     _ENDPOINT,
     _WIDTH,
-    _ExpEvaluator,
     _form_signature,
     _golden_lockstep,
     _kernel_cols,
     _screened_scan,
 )
 from rfhquad.samples import random_elliptic_form
-from rfhquad.symlin import DEFAULT_TOL, signature, standard_J, sym_matrix
+from rfhquad.symlin import DEFAULT_TOL, ExpEvaluator, signature, standard_J, sym_matrix
 
 TWO_PI = 2 * np.pi
 
 
 def _full_scan(ev, ts):
-    eye = np.eye(ev.JS.shape[0])
-    return np.linalg.svd(ev.batch(ts) - eye, compute_uv=False)[:, -1]
+    eye = np.eye(ev.M.shape[0])
+    return np.linalg.svd(ev.at(ts) - eye, compute_uv=False)[:, -1]
 
 
 def _at(ev, t):
-    """exp(t J S) at one point, by the plain 2-D product."""
+    """exp(t J S) at one point, by the evaluator's point formula on 2-D arrays."""
     if ev.fast:
-        return (ev.V @ np.diag(np.exp(t * ev.w)) @ ev.Vi).real
-    return expm(t * ev.JS)
+        return ((ev.V * np.exp(t * ev.w)) @ ev.Vi).real
+    return expm(t * ev.M)
 
 
 def _fmin(ev, t):
-    return float(np.linalg.svd(_at(ev, t) - np.eye(ev.JS.shape[0]), compute_uv=False)[-1])
+    return float(np.linalg.svd(_at(ev, t) - np.eye(ev.M.shape[0]), compute_uv=False)[-1])
 
 
 def _golden_min(f, a, b, width=_WIDTH):
@@ -75,7 +75,7 @@ def _reference_oracle(S, T, grid=20000, tol=DEFAULT_TOL):
     S = sym_matrix(S)
     T = float(T)
     dof = S.shape[0] // 2
-    ev = _ExpEvaluator(standard_J(dof) @ S)
+    ev = ExpEvaluator(standard_J(dof) @ S)
     eye = np.eye(2 * dof)
     ts = np.linspace(0.0, T, grid + 1)
     F = _full_scan(ev, ts)
@@ -145,7 +145,7 @@ def test_screened_oracle_matches_full_scan(seed, dof, grid, where, offset, pick)
         T = {"on": t, "before": t - offset, "after": t + offset}[where]
     _assert_matches_reference(S, T, grid)
 
-    ev = _ExpEvaluator(standard_J(dof) @ sym_matrix(S))
+    ev = ExpEvaluator(standard_J(dof) @ sym_matrix(S))
     ts = np.linspace(0.0, T, grid + 1)
     F, ref = _screened_scan(ev, ts), _full_scan(ev, ts)
     seen = np.isfinite(F)
@@ -155,7 +155,7 @@ def test_screened_oracle_matches_full_scan(seed, dof, grid, where, offset, pick)
 
 def test_fallback_without_eigenbasis():
     S = normal_form([build_block("c", 2, 1j, gamma=1)]).matrix
-    assert not _ExpEvaluator(standard_J(2) @ S).fast
+    assert not ExpEvaluator(standard_J(2) @ S).fast
     got = _assert_matches_reference(S, 9.0, 4000)
     assert got.times
 
@@ -190,34 +190,47 @@ def test_rejects_bad_horizon_and_grid(T, grid, message):
         oracle_cz(np.eye(2), T, grid)
 
 
-def _guard_case_calls(monkeypatch, method):
-    """Sizes of the calls of _ExpEvaluator.<method> while the oracle runs
-    on a dof-3 form over [0, 4 pi] with ten crossings."""
-    sizes = []
-    original = getattr(_ExpEvaluator, method)
+def _guard_case_calls(monkeypatch):
+    """Sizes of the calls of ExpEvaluator.at while the oracle runs on a
+    dof-3 form over [0, 4 pi] with ten crossings: those made inside the
+    screened scan, and those made after it (refinement and kernels)."""
+    scan, rest = [], []
+    sink = [rest]
+    original_at, original_scan = ExpEvaluator.at, oracles._screened_scan
 
     def counting(self, ts):
-        sizes.append(len(ts))
-        return original(self, ts)
+        sink[-1].append(len(ts))
+        return original_at(self, ts)
 
-    monkeypatch.setattr(_ExpEvaluator, method, counting)
+    def scanning(ev, ts):
+        sink.append(scan)
+        try:
+            return original_scan(ev, ts)
+        finally:
+            sink.pop()
+
+    monkeypatch.setattr(ExpEvaluator, "at", counting)
+    monkeypatch.setattr(oracles, "_screened_scan", scanning)
     T = 4 * math.pi
     S = random_elliptic_form(np.random.default_rng(4), 3, horizon=T + 0.1)
     assert len(oracle_cz(S, T, 20000).times) == 10
-    return sizes
+    assert scan and rest
+    return scan, rest
 
 
 def test_scan_evaluates_a_fraction_of_the_grid(monkeypatch):
     """Guard against a return to a full-grid or single-level scan: count
     the matrices exp(t J S) the scan builds."""
-    assert sum(_guard_case_calls(monkeypatch, "batch")) <= 20000 / 16
+    scan, _ = _guard_case_calls(monkeypatch)
+    assert sum(scan) <= 20000 / 16
 
 
 def test_refinement_is_batched(monkeypatch):
     """Guard against a return to point-by-point refinement, about 41
     evaluations per crossing: the lockstep search makes one batched
     evaluation per step for all brackets."""
-    assert len(_guard_case_calls(monkeypatch, "points")) <= 50
+    _, rest = _guard_case_calls(monkeypatch)
+    assert len(rest) <= 50
 
 
 @pytest.mark.parametrize("blocks, fast", [
@@ -227,16 +240,16 @@ def test_refinement_is_batched(monkeypatch):
 ])
 def test_points_match_single_point_product(blocks, fast, rng):
     """The batched evaluator gives each point bit for bit the value of
-    the 2-D product V diag(exp(t w)) V^-1 (or expm), whatever else is
+    the 2-D product (V * exp(t w)) @ V^-1 (or expm), whatever else is
     asked for with it."""
     S = normal_form(blocks).matrix
-    ev = _ExpEvaluator(standard_J(S.shape[0] // 2) @ S)
+    ev = ExpEvaluator(standard_J(S.shape[0] // 2) @ S)
     assert ev.fast == fast
     ts = np.concatenate([rng.uniform(0.0, 10.0, 60), [0.0, TWO_PI]])
     ref = np.stack([_at(ev, t) for t in ts])
-    assert np.array_equal(ev.points(ts), ref)
-    assert np.array_equal(ev.points(ts[::-1]), ref[::-1])
-    assert np.array_equal(ev.points(ts[:1]), ref[:1])
+    assert np.array_equal(ev.at(ts), ref)
+    assert np.array_equal(ev.at(ts[::-1]), ref[::-1])
+    assert np.array_equal(ev.at(ts[:1]), ref[:1])
 
 
 @given(
@@ -256,7 +269,7 @@ def test_lockstep_refinement_matches_scalar_search(seed, dof, grid, widths, step
     rng = np.random.default_rng(seed)
     T = float(rng.uniform(0.5, 4 * math.pi))
     S = random_elliptic_form(rng, dof, horizon=T + 0.1)
-    ev = _ExpEvaluator(standard_J(dof) @ sym_matrix(S))
+    ev = ExpEvaluator(standard_J(dof) @ sym_matrix(S))
     eye = np.eye(2 * dof)
     ts = np.linspace(0.0, T, grid + 1)
     near = [min(max(int(round(t / T * grid)), 1), grid) for t in crossing_times(S, T)]
@@ -268,7 +281,7 @@ def test_lockstep_refinement_matches_scalar_search(seed, dof, grid, widths, step
         b.append(lo + w)
 
     def fbatch(t):
-        s = np.linalg.svd(ev.points(t) - eye, compute_uv=False)[:, -1]
+        s = np.linalg.svd(ev.at(t) - eye, compute_uv=False)[:, -1]
         return s if step is None else np.floor(s / step)
 
     def fscalar(t):

@@ -1,12 +1,17 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rfhquad
 from rfhquad import (
+    ExpEvaluator,
     Tolerances,
     kernel_dim,
-    matrix_exp,
     restricted_signature,
     signature,
     spectrum_with_jordan,
@@ -76,17 +81,22 @@ def test_spectrum_of_js_is_symmetric(rng):
             assert min(abs(ev + lam)) < 1e-8 * max(1.0, abs(lam))
 
 
+def _exp(M, t):
+    """exp(t M) at one point, through the evaluator."""
+    return ExpEvaluator(M).at([t])[0]
+
+
 def test_matrix_exp_zero_is_identity():
-    assert np.allclose(matrix_exp(np.zeros((2, 2)), 5.0), np.eye(2))
+    assert np.allclose(_exp(np.zeros((2, 2)), 5.0), np.eye(2))
 
 
 def test_matrix_exp_rotation_quarter_turn():
-    got = matrix_exp(standard_J(1), np.pi / 2)
+    got = _exp(standard_J(1), np.pi / 2)
     assert np.allclose(got, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
 
 
 def test_matrix_exp_diagonal():
-    got = matrix_exp(np.diag([1.0, -1.0]), 1.0)
+    got = _exp(np.diag([1.0, -1.0]), 1.0)
     assert np.allclose(got, np.diag([np.e, 1.0 / np.e]))
 
 
@@ -95,9 +105,34 @@ def test_matrix_exp_group_law(s, t, seed):
     rng = np.random.default_rng(seed)
     M = rng.normal(size=(4, 4))
     M *= 2.0 / max(1.0, np.linalg.norm(M, 2))
-    lhs = matrix_exp(M, s + t)
-    rhs = matrix_exp(M, s) @ matrix_exp(M, t)
-    assert np.allclose(lhs, rhs, rtol=1e-8, atol=1e-8)
+    E_s, E_t, E_st = ExpEvaluator(M).at([s, t, s + t])
+    assert np.allclose(E_st, E_s @ E_t, rtol=1e-8, atol=1e-8)
+
+
+def test_exp_evaluator_falls_back_on_a_jordan_block():
+    ev = ExpEvaluator([[0.0, 1.0], [0.0, 0.0]])
+    assert not ev.fast
+    assert np.array_equal(ev.at([0.0, 2.0]), [np.eye(2), [[1.0, 2.0], [0.0, 1.0]]])
+
+
+@pytest.mark.parametrize("ts", [[np.nan], [1.0, np.inf], [[1.0]], 1.0])
+def test_exp_evaluator_rejects_bad_times(ts):
+    with pytest.raises(InputError, match="times"):
+        ExpEvaluator(np.eye(2)).at(ts)
+
+
+def test_expm_only_in_the_evaluator():
+    """One exponential path: scipy's expm is named in the package only
+    inside ExpEvaluator, as its fallback."""
+    src = Path(rfhquad.__file__).parent
+    tree = ast.parse((src / "symlin.py").read_text())
+    (ev,) = [node for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == "ExpEvaluator"]
+    hits = [(path.name, no) for path in sorted(src.rglob("*.py"))
+            for no, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"\bexpm\b", line)]
+    assert hits
+    assert all(name == "symlin.py" and ev.lineno <= no <= ev.end_lineno for name, no in hits), hits
 
 
 def test_kernel_dim_zero_matrix():
@@ -105,13 +140,22 @@ def test_kernel_dim_zero_matrix():
 
 
 def test_kernel_dim_full_period():
-    M = matrix_exp(standard_J(1) @ np.diag([1.0, 1.0]), 2 * np.pi) - np.eye(2)
+    M = _exp(standard_J(1) @ np.diag([1.0, 1.0]), 2 * np.pi) - np.eye(2)
     assert kernel_dim(M) == 2
 
 
 def test_kernel_dim_hyperbolic_return_map():
-    M = matrix_exp(standard_J(1) @ np.array([[0.0, 1.0], [1.0, 0.0]]), 2 * np.pi) - np.eye(2)
+    M = _exp(standard_J(1) @ np.array([[0.0, 1.0], [1.0, 0.0]]), 2 * np.pi) - np.eye(2)
     assert kernel_dim(M) == 0
+
+
+def test_kernel_dim_of_a_stack():
+    """One nullity per matrix, each as if the matrix came alone."""
+    JA = standard_J(2) @ np.diag([1.0, 2.0, 1.0, 2.0])
+    stack = ExpEvaluator(JA).at([np.pi, 2 * np.pi, 1.0]) - np.eye(4)
+    assert kernel_dim(stack).tolist() == [2, 4, 0]
+    assert [kernel_dim(M) for M in stack] == [2, 4, 0]
+    assert kernel_dim(np.zeros((0, 3, 3))).shape == (0,)
 
 
 def test_signature_examples():
