@@ -208,13 +208,18 @@ def _num(h):
     return h
 
 
+def _write_json(doc) -> None:
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")  # one write, not one per token
+
+
 def _emit(args, human_lines, json_obj, echo=None):
+    """Print ``json_obj`` (with the input echo) under --json, else the
+    human lines; these may be a generator, consumed only without --json."""
     if args.json:
         doc = dict(json_obj)
         if echo is not None:
             doc["input_echo"] = echo
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(doc)
     else:
         for line in human_lines:
             print(line)
@@ -301,15 +306,17 @@ def _cmd_orbits(args) -> int:
     spec = _parse_spec(_read_doc(args.spec))
     w = _window(args, spec)
     fams = census(spec.H, w, spec.tol)
-    lines = [f"orbit families with action in [{w.lo:.9g}, {w.hi:.9g}]: {len(fams)}",
-             f"  {'eta':>14}  {'side':<4} {'m':>2}  {'topology':<22} dim"]
-    jfams = []
-    for f in fams:
-        lines.append(f"  {f.eta:>14.9g}  {f.side:<4} {f.m:>2}  {f.topology_name:<22} "
-                     f"{f.family_dim}")
-        jfams.append({"eta": f.eta, "side": f.side, "m": f.m,
-                      "topology": f.topology_name, "family_dim": f.family_dim})
-    _emit(args, lines, {"window": [w.lo, w.hi], "families": jfams}, spec.echo)
+
+    def table():
+        yield f"orbit families with action in [{w.lo:.9g}, {w.hi:.9g}]: {len(fams)}"
+        yield f"  {'eta':>14}  {'side':<4} {'m':>2}  {'topology':<22} dim"
+        for f in fams:
+            yield (f"  {f.eta:>14.9g}  {f.side:<4} {f.m:>2}  {f.topology_name:<22} "
+                   f"{f.family_dim}")
+
+    jfams = [{"eta": f.eta, "side": f.side, "m": f.m,
+              "topology": f.topology_name, "family_dim": f.family_dim} for f in fams]
+    _emit(args, table(), {"window": [w.lo, w.hi], "families": jfams}, spec.echo)
     return 0
 
 
@@ -317,17 +324,20 @@ def _cmd_census(args) -> int:
     spec = _parse_spec(_read_doc(args.spec))
     w = _window(args, spec)
     gens = generator_census(spec.H, w, spec.tol)
-    lines = [f"generators with action in [{w.lo:.9g}, {w.hi:.9g}]: {len(gens)}",
-             f"  {'side':<4} {'eta':>14}  {'pole':<4} {'mu_sigma':>9} {'mu_cz':>6} {'mu':>5}"]
-    jgens = []
-    for g in gens:
-        cz = g.family.cz_transverse if g.family.eta != 0.0 else HalfInt(0)
-        lines.append(f"  {g.family.side:<4} {g.action:>14.9g}  {g.pole:<4} "
-                     f"{str(g.sigma_index):>9} {str(cz):>6} {str(g.grading):>5}")
-        jgens.append({"side": g.family.side, "eta": g.action, "pole": g.pole,
-                      "m": g.family.m, "sigma_index": _num(g.sigma_index),
-                      "cz_transverse": _num(cz), "grading": _num(g.grading)})
-    _emit(args, lines, {"window": [w.lo, w.hi], "generators": jgens}, spec.echo)
+
+    def table():
+        yield f"generators with action in [{w.lo:.9g}, {w.hi:.9g}]: {len(gens)}"
+        yield f"  {'side':<4} {'eta':>14}  {'pole':<4} {'mu_sigma':>9} {'mu_cz':>6} {'mu':>5}"
+        for g in gens:
+            yield (f"  {g.family.side:<4} {g.action:>14.9g}  {g.pole:<4} "
+                   f"{str(g.sigma_index):>9} {str(g.family.cz_transverse):>6} "
+                   f"{str(g.grading):>5}")
+
+    jgens = [{"side": g.family.side, "eta": g.action, "pole": g.pole,
+              "m": g.family.m, "sigma_index": _num(g.sigma_index),
+              "cz_transverse": _num(g.family.cz_transverse), "grading": _num(g.grading)}
+             for g in gens]
+    _emit(args, table(), {"window": [w.lo, w.hi], "generators": jgens}, spec.echo)
     return 0
 
 
@@ -367,8 +377,7 @@ def _cmd_selftest(args) -> int:
     stream = sys.stderr if args.json else sys.stdout
     results = run_all(numbers, stream=stream, seed=args.seed)
     if args.json:
-        json.dump([dataclasses.asdict(r) for r in results], sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json([dataclasses.asdict(r) for r in results])
     return 0 if all(r.passed for r in results) else 3
 
 

@@ -13,10 +13,12 @@ from the purely imaginary eigenvalues of J S, so hyperbolic directions
 contribute no crossings at all.
 
 The crossings are enumerated in one pass up to a horizon, from one Jordan
-spectrum of J S, and each merged crossing is signed once.  By catenation
-the index on [0, T] for every T up to the horizon is then sgn(S)/2, plus
-the endpoint term, plus a prefix sum of interior signatures: the
-generator census grades all its critical values from a single pass.
+spectrum of J S.  At a crossing t = 2 pi j / mu the kernel is the sum of
+the mu i eigenspaces of J S over the frequencies resonant there, whatever
+j is, so each resonant frequency set is signed once.  By catenation the
+index on [0, T] for every T up to the horizon is then sgn(S)/2, plus the
+endpoint term, plus a prefix sum of interior signatures: the generator
+census grades all its critical values from a single pass.
 
 Half-integers are kept exact as doubled integers; no index or grading is
 ever computed in floating point.
@@ -61,6 +63,8 @@ class HalfInt:
     doubled: int
 
     def __post_init__(self):
+        if type(self.doubled) is int:  # the common case, already normalized
+            return
         if isinstance(self.doubled, bool) or not isinstance(self.doubled, (int, np.integer)):
             raise InputError(f"HalfInt needs an integer, got {self.doubled!r}")
         object.__setattr__(self, "doubled", int(self.doubled))
@@ -193,15 +197,16 @@ class _Crossings:
     Crossing times are 2 pi j / mu for the imaginary eigenvalue
     frequencies mu of J S; coincident times (within tol.crossing) are
     merged into a single crossing with the combined kernel.  With
-    ``signed`` the signature of every merged crossing is computed once,
-    in time order, and the index on [0, T] for any T up to the horizon is
-    read off a prefix sum of them (catenation of the crossing-form index).
+    ``signed`` every merged crossing is signed in time order, each
+    resonant frequency set once (its kernel does not depend on the time),
+    and the index on [0, T] for any T up to the horizon is read off a
+    prefix sum of the signatures (catenation of the crossing-form index).
 
     A query at T sees exactly what a pass with horizon T sees: the events
     up to T + tol.crossing, merged as they would be on their own.  Only
     the last merged crossing before that cut can lose members to it; it
-    starts within tol.crossing of T, so it is never interior, and its
-    signature is recomputed on the events it keeps when it is the endpoint.
+    starts within tol.crossing of T, so it is never interior, and as the
+    endpoint it is signed on the frequencies of the events it keeps.
     """
 
     def __init__(self, S, horizon: float, tol: Tolerances, signed: bool = True):
@@ -235,6 +240,7 @@ class _Crossings:
                 self.starts.append(i)
         self.times = [self.event_times[i] for i in self.starts]
         self._bases = {}  # mu -> basis of the mu i eigenspace of J S
+        self._signatures = {}  # resonant frequencies -> signature of S on their kernel
         if signed:
             sigs = [0 if t <= tol.crossing else self._signature(g, len(events))
                     for g, t in enumerate(self.times)]
@@ -245,17 +251,28 @@ class _Crossings:
 
     def _signature(self, g: int, cut: int) -> int:
         """Signature of S on the kernel at merged crossing g, made of its
-        events before index ``cut``."""
-        bases = []
-        for _, mu in self.events[self.starts[g]:min(self._stop(g), cut)]:
-            if mu not in self._bases:
-                self._bases[mu] = imaginary_eigenspace_basis(self.JS, mu, self.tol)
-            bases.append(self._bases[mu])
-        try:
-            return restricted_signature(self.S, np.hstack(bases), self.tol)
-        except DegenerateRestriction as exc:
-            raise CrossingDegenerate(
-                f"degenerate crossing form at t = {self.times[g]}: {exc}") from exc
+        events before index ``cut``.
+
+        That kernel is the sum of the mu i eigenspaces of J S over the
+        frequencies mu resonant there, whatever the time, so the signature
+        is memoized by their ordered tuple.  A degenerate form raises at
+        every crossing that meets it and is never cached.
+        """
+        mus = tuple(mu for _, mu in self.events[self.starts[g]:min(self._stop(g), cut)])
+        sig = self._signatures.get(mus)
+        if sig is None:
+            bases = []
+            for mu in mus:
+                if mu not in self._bases:
+                    self._bases[mu] = imaginary_eigenspace_basis(self.JS, mu, self.tol)
+                bases.append(self._bases[mu])
+            try:
+                sig = restricted_signature(self.S, np.hstack(bases), self.tol)
+            except DegenerateRestriction as exc:
+                raise CrossingDegenerate(
+                    f"degenerate crossing form at t = {self.times[g]}: {exc}") from exc
+            self._signatures[mus] = sig
+        return sig
 
     def _split(self, T: float) -> tuple:
         """(first, stop, end, cut) for the path on [0, T]: merged crossings
@@ -339,16 +356,17 @@ def sigma_index(family: OrbitFamily, pole: str) -> HalfInt:
 
 
 def grading(family: OrbitFamily, pole: str) -> HalfInt:
-    """Full grading: transverse index + signature index + 1/2.
+    """Full grading: transverse index + signature index + 1/2, summed as
+    doubled integers.
 
     A nonstationary family carries its transverse index from the census
     (``generator_census``); one without it is rejected.
     """
     if family.eta == 0.0:
-        cz = HalfInt(0)
+        cz = 0
     elif family.cz_transverse is None:
         raise InputError(f"family at eta = {family.eta} carries no transverse index; "
                          "grade it through generator_census")
     else:
-        cz = family.cz_transverse
-    return cz + sigma_index(family, pole) + HalfInt(1)
+        cz = family.cz_transverse.doubled
+    return HalfInt(cz + sigma_index(family, pole).doubled + 1)

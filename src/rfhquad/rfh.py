@@ -10,7 +10,7 @@ theories together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .czindex import HalfInt, _Crossings, grading, sigma_index
 from .errors import Inconsistent, InputError, InternalError, Underdetermined
@@ -100,21 +100,21 @@ def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
     """All generators with action in the window, two per orbit family.
 
     The crossings of exp(t J A0) up to the largest |eta| are enumerated
-    once; each family's transverse index is read off their prefix sums at
-    its own |eta| and negated for eta < 0.
+    once; the transverse index is read off their prefix sums once per
+    distinct |eta| and negated for eta < 0.
     """
     families = census(H, window, tol)
     horizon = max((abs(fam.eta) for fam in families), default=0.0)
     crossings = _Crossings(H.a0, horizon, tol) if horizon > 0 else None
+    index_at = {0.0: 0}  # |eta| -> doubled transverse index at |eta|
     out = []
     for fam in families:
-        if fam.eta == 0.0:
-            cz = HalfInt(0)
-        else:
-            cz = crossings.index(abs(fam.eta))
-            if fam.eta < 0:
-                cz = -cz
-        fam = replace(fam, cz_transverse=cz)
+        eta = abs(fam.eta)
+        if eta not in index_at:
+            index_at[eta] = crossings.index(eta).doubled
+        cz = HalfInt(index_at[eta] if fam.eta >= 0 else -index_at[eta])
+        fam = OrbitFamily(fam.eta, fam.m, fam.family_dim, fam.topology, fam.side,
+                          fam.n, fam.k, cz_transverse=cz)
         for pole in ("min", "max"):
             g = grading(fam, pole)
             if not isinstance(g, HalfInt) or not g.is_integer:

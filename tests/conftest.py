@@ -3,6 +3,15 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from rfhquad import ActionWindow, QuadraticHamiltonian, build_block, census, symplectic_direct_sum
+from rfhquad.czindex import CzPathData, _imaginary_frequencies
+from rfhquad.orbits import TWO_PI
+from rfhquad.symlin import (
+    imaginary_eigenspace_basis,
+    restricted_signature,
+    signature,
+    standard_J,
+    sym_matrix,
+)
 
 settings.register_profile(
     "suite",
@@ -11,6 +20,40 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def per_horizon_data(S, T, tol):
+    """The crossing data of exp(t J S) on [0, T] from a pass that stops at
+    T, merging the crossings it meets on its own and signing each one
+    afresh, with no cache: the reference the one-pass enumeration and the
+    census must reproduce exactly."""
+    S = sym_matrix(S)
+    sgn_s = signature(S, tol)
+    JS = standard_J(S.shape[0] // 2) @ S
+    events = []
+    for mu in _imaginary_frequencies(JS, tol):
+        j = 1
+        while TWO_PI * j / mu <= T + tol.crossing:
+            events.append((TWO_PI * j / mu, mu))
+            j += 1
+    events.sort()
+    merged = []
+    for t, mu in events:
+        if merged and abs(t - merged[-1][0]) <= tol.crossing:
+            merged[-1][1].append(mu)
+        else:
+            merged.append([t, [mu]])
+    interior, endpoint = [], None
+    for t, group in merged:
+        if t <= tol.crossing:
+            continue
+        B = np.hstack([imaginary_eigenspace_basis(JS, mu, tol) for mu in group])
+        sig = restricted_signature(S, B, tol)
+        if abs(t - T) <= tol.crossing:
+            endpoint = (t, sig)
+        elif t < T:
+            interior.append((t, sig))
+    return CzPathData(sgn_s, tuple(interior), endpoint)
 
 
 @pytest.fixture

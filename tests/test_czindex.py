@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import per_horizon_data
 from rfhquad import (
     ActionWindow,
     HalfInt,
@@ -18,7 +19,8 @@ from rfhquad import (
     sigma_index,
     symplectic_direct_sum,
 )
-from rfhquad.czindex import CzPathData, _Crossings, _imaginary_frequencies
+from rfhquad import czindex
+from rfhquad.czindex import _Crossings
 from rfhquad.errors import (
     CrossingDegenerate,
     DegenerateInput,
@@ -26,15 +28,7 @@ from rfhquad.errors import (
     NonIntegerResult,
 )
 from rfhquad.samples import random_elliptic_form, random_orthosymplectic
-from rfhquad.symlin import (
-    DEFAULT_TOL,
-    Tolerances,
-    imaginary_eigenspace_basis,
-    restricted_signature,
-    signature,
-    standard_J,
-    sym_matrix,
-)
+from rfhquad.symlin import DEFAULT_TOL, Tolerances, restricted_signature
 
 TWO_PI = 2 * np.pi
 
@@ -137,6 +131,24 @@ class TestCzPath:
         with pytest.raises(CrossingDegenerate):
             cz_index_path(S, 3 * np.pi)
 
+    def test_degenerate_crossing_form_never_cached(self, monkeypatch):
+        """The crossings at 2 pi and 4 pi share one resonant frequency set;
+        a degenerate form is re-signed, and raises, at each of them."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return restricted_signature(*args, **kwargs)
+
+        monkeypatch.setattr(czindex, "restricted_signature", counting)
+        S = build_block("c", 2, 1.0j, gamma=1).matrix
+        path = _Crossings(S, 5 * np.pi, DEFAULT_TOL, signed=False)
+        assert len(path.times) == 2
+        for g, t in enumerate(path.times):
+            with pytest.raises(CrossingDegenerate, match=f"t = {t}"):
+                path._signature(g, len(path.events))
+        assert len(calls) == 2
+
 
 def census_transverse(H, eta):
     """The transverse index the generator census gives every generator at
@@ -210,39 +222,6 @@ def test_rotation_index_monotone_in_period(k, N, mu):
 # ---------------------------------------------------------------------------
 # one-pass crossing enumeration against the per-T pass
 # ---------------------------------------------------------------------------
-
-
-def per_horizon_data(S, T, tol):
-    """The crossing data of exp(t J S) on [0, T] from a pass that stops at
-    T, merging and signing the crossings it meets on its own: the
-    reference the one-pass enumeration must reproduce exactly."""
-    S = sym_matrix(S)
-    sgn_s = signature(S, tol)
-    JS = standard_J(S.shape[0] // 2) @ S
-    events = []
-    for mu in _imaginary_frequencies(JS, tol):
-        j = 1
-        while TWO_PI * j / mu <= T + tol.crossing:
-            events.append((TWO_PI * j / mu, mu))
-            j += 1
-    events.sort()
-    merged = []
-    for t, mu in events:
-        if merged and abs(t - merged[-1][0]) <= tol.crossing:
-            merged[-1][1].append(mu)
-        else:
-            merged.append([t, [mu]])
-    interior, endpoint = [], None
-    for t, group in merged:
-        if t <= tol.crossing:
-            continue
-        B = np.hstack([imaginary_eigenspace_basis(JS, mu, tol) for mu in group])
-        sig = restricted_signature(S, B, tol)
-        if abs(t - T) <= tol.crossing:
-            endpoint = (t, sig)
-        elif t < T:
-            interior.append((t, sig))
-    return CzPathData(sgn_s, tuple(interior), endpoint)
 
 
 # a crossing tolerance wide enough for 1 and 2.0001 to share a crossing

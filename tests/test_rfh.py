@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import per_horizon_data
 from rfhquad import (
     ActionWindow,
     ExactSequenceProblem,
@@ -12,7 +13,6 @@ from rfhquad import (
     alternating_sum,
     build_block,
     crit_values,
-    cz_index_path,
     generator_census,
     rfh_geq0,
     rfh_pm_compact,
@@ -26,6 +26,7 @@ from rfhquad import czindex
 from rfhquad.errors import Inconsistent, InputError, Underdetermined
 from rfhquad.samples import random_hamiltonian, random_hyperbolic_blocks, random_orthosymplectic
 from rfhquad.selftest import criterion_grid
+from rfhquad.symlin import DEFAULT_TOL
 
 TWO_PI = 2 * np.pi
 
@@ -204,16 +205,16 @@ class TestGeneratorCensus:
 
 def _assert_census_matches_reference(H, window):
     """Every generator's transverse index and grading equal the per-eta
-    reference sign(eta) * cz_index_path(A0, |eta|), bit for bit."""
+    reference sign(eta) * index(A0, |eta|), bit for bit, where the index
+    comes from a pass that stops at |eta| and signs every crossing afresh."""
     gens = generator_census(H, window)
     assert gens, window
-    reference = {0.0: HalfInt(0)}  # keyed by the exact critical value
+    reference = {0.0: HalfInt(0)}  # keyed by the exact |eta|
     for g in gens:
-        eta = g.family.eta
+        eta = abs(g.family.eta)
         if eta not in reference:
-            cz = cz_index_path(H.a0, abs(eta))
-            reference[eta] = cz if eta > 0 else -cz
-        cz = reference[eta]
+            reference[eta] = per_horizon_data(H.a0, eta, DEFAULT_TOL).index
+        cz = reference[eta] if g.family.eta >= 0 else -reference[eta]
         grading = cz + sigma_index(g.family, g.pole) + HalfInt(1)
         assert g.family.cz_transverse.doubled == cz.doubled, g.label
         assert g.grading.doubled == grading.doubled, g.label
@@ -269,9 +270,10 @@ class TestCensusEquivalence:
 
 
 def test_census_enumerates_each_crossing_once(h42, monkeypatch):
-    """On a 50x window the census takes one Jordan spectrum of J A0 and one
-    crossing signature per distinct positive crossing time up to max|eta|;
-    a census that recomputes the index per eta grows quadratically."""
+    """The census takes one Jordan spectrum of J A0 and signs each resonant
+    frequency set once: {1.0}, {1.3} and {1.0, 1.3}, on a 50x window as on
+    a 100x one.  A census that signs every crossing grows linearly with the
+    window, one that recomputes the index per eta quadratically."""
     calls = {"spectrum": 0, "signature": 0}
 
     def counting(name, fn):
@@ -284,10 +286,11 @@ def test_census_enumerates_each_crossing_once(h42, monkeypatch):
                         counting("spectrum", czindex.spectrum_with_jordan))
     monkeypatch.setattr(czindex, "restricted_signature",
                         counting("signature", czindex.restricted_signature))
-    w = 50 * TWO_PI + 1e-6
-    gens = generator_census(h42, ActionWindow(-w, w))
-    horizon = max(abs(g.action) for g in gens)
-    # distinct positive crossing times; 1.0 and 1.3 share those at 20 pi j
-    positive = crit_values(h42.frequencies, ActionWindow(1e-6, horizon))
-    assert len(positive) == 50 + 65 - 5
-    assert calls == {"spectrum": 1, "signature": len(positive)}
+    for mult, crossings in ((50, 50 + 65 - 5), (100, 100 + 130 - 10)):
+        calls.update(spectrum=0, signature=0)
+        w = mult * TWO_PI + 1e-6
+        gens = generator_census(h42, ActionWindow(-w, w))
+        horizon = max(abs(g.action) for g in gens)
+        # distinct positive crossing times; 1.0 and 1.3 share those at 20 pi j
+        assert len(crit_values(h42.frequencies, ActionWindow(1e-6, horizon))) == crossings
+        assert calls == {"spectrum": 1, "signature": 3}
