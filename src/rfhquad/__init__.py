@@ -48,7 +48,6 @@ from .orbits import (
     ActionWindow,
     OrbitFamily,
     census,
-    crit_values,
     williamson_frequencies,
 )
 from .rfh import (

@@ -34,10 +34,10 @@ from .errors import (
     Underdetermined,
 )
 from .hormander import NormalForm, block_signature, build_block, classify, normal_form
-from .orbits import TWO_PI, ActionWindow, census, williamson_frequencies
+from .orbits import ActionWindow, census, williamson_frequencies
 from .rfh import generator_census, rfh_report
 from .selftest import BASE_SEED, run_all
-from .symlin import DEFAULT_TOL, Tolerances
+from .symlin import DEFAULT_TOL, TWO_PI, Tolerances
 from .tentacular import QuadraticHamiltonian, TentacularVerdict, tentacular_check, validate
 
 TOL_ENV = "RFHQUAD_TOLERANCES"

@@ -12,13 +12,17 @@ formulas downstream depend on it).  Crossings are located analytically
 from the purely imaginary eigenvalues of J S, so hyperbolic directions
 contribute no crossings at all.
 
-The crossings are enumerated in one pass up to a horizon, from one Jordan
-spectrum of J S.  At a crossing t = 2 pi j / mu the kernel is the sum of
-the mu i eigenspaces of J S over the frequencies resonant there, whatever
-j is, so each resonant frequency set is signed once.  By catenation the
-index on [0, T] for every T up to the horizon is then sgn(S)/2, plus the
-endpoint term, plus a prefix sum of interior signatures: the generator
-census grades all its critical values from a single pass.
+The crossings are enumerated in one pass up to a horizon, from a list of
+frequencies with multiplicities: the Jordan spectrum of J S for a general
+form, the Williamson frequencies of A0 for the orbit census, which takes
+its critical values and resonance counts from the same enumeration that
+grades them.  At a crossing t = 2 pi j / mu the kernel is the sum of the
+mu i eigenspaces of J S over the frequencies resonant there, whatever j
+is, so each resonant frequency set is signed once, and only when an index
+is asked for.  By catenation the index on [0, T] for every T up to the
+horizon is then sgn(S)/2, plus the endpoint term, plus a prefix sum of
+interior signatures: the generator census grades all its critical values
+from a single pass.
 
 Half-integers are kept exact as doubled integers; no index or grading is
 ever computed in floating point.
@@ -30,13 +34,21 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CrossingDegenerate, DegenerateRestriction, InputError, NonIntegerResult
-from .orbits import TWO_PI, OrbitFamily
+from .errors import (
+    ClusterAmbiguous,
+    CrossingDegenerate,
+    DegenerateRestriction,
+    InputError,
+    InternalError,
+    NonIntegerResult,
+)
 from .symlin import (
     DEFAULT_TOL,
+    TWO_PI,
     Tolerances,
     imaginary_eigenspace_basis,
     restricted_signature,
@@ -45,6 +57,9 @@ from .symlin import (
     standard_J,
     sym_matrix,
 )
+
+if TYPE_CHECKING:
+    from .orbits import OrbitFamily
 
 __all__ = [
     "HalfInt",
@@ -169,85 +184,137 @@ class CzPathData:
         return HalfInt(doubled)
 
 
-def _imaginary_frequencies(JS, tol):
-    """Distinct positive imaginary parts of imaginary eigenvalues of JS.
+def _merged_frequencies(pairs, scale: float, tol: Tolerances) -> tuple:
+    """Ascending (mu, multiplicity) pairs with each frequency within
+    tol.eig_cluster * scale of a kept one folded into it: the kept one is
+    the lowest of its run and carries the summed multiplicity."""
+    radius = tol.eig_cluster * scale
+    merged = []
+    for mu, mult in pairs:
+        if merged and abs(mu - merged[-1][0]) <= radius:
+            merged[-1] = (merged[-1][0], merged[-1][1] + mult)
+        else:
+            merged.append((float(mu), int(mult)))
+    return tuple(merged)
+
+
+def _imaginary_frequencies(JS, tol) -> tuple:
+    """(mu, multiplicity) for the distinct positive imaginary parts mu of
+    the imaginary eigenvalues of JS, counting the eigenvectors of i mu.
 
     Works from the clustered Jordan spectrum rather than raw eigenvalues:
     a defective imaginary pair scatters raw eigenvalues onto a ring of
     radius ~eps^(1/m), which a plain real-part filter misreads as
     off-axis, silently dropping the crossing.
     """
-    spec = spectrum_with_jordan(JS, tol)
-    vals = [it.eigenvalue for it in spec.items]
-    scale = max(1.0, float(max(abs(z) for z in vals)))
-    mus = sorted(z.imag for z in vals
-                 if abs(z.real) <= tol.eig_cluster * scale
-                 and z.imag > tol.eig_cluster * scale)
-    distinct = []
+    items = spectrum_with_jordan(JS, tol).items
+    scale = max([1.0] + [abs(it.eigenvalue) for it in items])
+    radius = tol.eig_cluster * scale
+    pairs = sorted((it.eigenvalue.imag, len(it.block_sizes)) for it in items
+                   if abs(it.eigenvalue.real) <= radius and it.eigenvalue.imag > radius)
+    return _merged_frequencies(pairs, scale, tol)
+
+
+def _events(mus, lo: float, hi: float) -> list:
+    """Sorted (t, mu) for the times t = 2 pi j / mu up to hi, j from 1 or
+    from about lo on."""
+    events = []
     for mu in mus:
-        if distinct and abs(mu - distinct[-1]) <= tol.eig_cluster * scale:
-            continue
-        distinct.append(float(mu))
-    return distinct
+        j = max(1, int(lo * mu / TWO_PI))
+        t = TWO_PI * j / mu
+        while t <= hi:
+            events.append((t, mu))
+            j += 1
+            t = TWO_PI * j / mu
+    events.sort()
+    return events
 
 
 class _Crossings:
     """The crossings of exp(t J S) on (0, horizon], enumerated once.
 
-    Crossing times are 2 pi j / mu for the imaginary eigenvalue
-    frequencies mu of J S; coincident times (within tol.crossing) are
-    merged into a single crossing with the combined kernel.  With
-    ``signed`` every merged crossing is signed in time order, each
-    resonant frequency set once (its kernel does not depend on the time),
-    and the index on [0, T] for any T up to the horizon is read off a
-    prefix sum of the signatures (catenation of the crossing-form index).
+    ``frequencies`` lists (mu, multiplicity) for the distinct frequencies
+    of the imaginary eigenvalues of J S; the caller supplies them (the
+    Jordan spectrum of J S in ``_form_crossings``, the Williamson
+    frequencies of A0 in the census).  Crossing times are 2 pi j / mu;
+    coincident times (within tol.crossing) are merged into a single
+    crossing with the combined kernel and the summed multiplicity.
+
+    Nothing is signed until an index is asked for.  Then every merged
+    crossing is signed in time order, each resonant frequency set once
+    (its kernel does not depend on the time), and the index on [0, T] for
+    any T up to the horizon is read off a prefix sum of the signatures
+    (catenation of the crossing-form index).
 
     A query at T sees exactly what a pass with horizon T sees: the events
     up to T + tol.crossing, merged as they would be on their own.  Only
     the last merged crossing before that cut can lose members to it; it
     starts within tol.crossing of T, so it is never interior, and as the
     endpoint it is signed on the frequencies of the events it keeps.
+
+    With ``start`` > 0 the crossings before ``start`` may be left out;
+    those kept are merged exactly as a pass from 0 merges them.  Such a
+    pass locates crossings but has no index.
     """
 
-    def __init__(self, S, horizon: float, tol: Tolerances, signed: bool = True):
-        S = sym_matrix(S)
+    def __init__(self, S, frequencies, horizon: float, tol: Tolerances, start: float = 0.0):
         horizon = float(horizon)
         if not (np.isfinite(horizon) and horizon > 0):
             raise InputError(f"path length T must be positive, got {horizon!r}")
-        self.S, self.horizon, self.tol = S, horizon, tol
-        self.sgn_start = 0
-        events = []  # (time, mu)
-        if S.size:
-            if S.shape[0] % 2 != 0:
-                raise InputError("S must act on an even-dimensional space")
-            if signed:
-                self.sgn_start = signature(S, tol)  # raises DegenerateInput on a kernel
-            self.JS = standard_J(S.shape[0] // 2) @ S
-            for mu in _imaginary_frequencies(self.JS, tol):
-                j = 1
-                while True:
-                    t = TWO_PI * j / mu
-                    if t > horizon + tol.crossing:
-                        break
-                    events.append((t, mu))
-                    j += 1
-            events.sort()
+        self.S, self.horizon, self.tol, self.start = S, horizon, tol, start
+        self.JS = standard_J(S.shape[0] // 2) @ S
+        self.multiplicities = dict(frequencies)  # mu -> number of i mu eigenvectors
+        mus, end = list(self.multiplicities), horizon + tol.crossing
+        events = None
+        if start > 0 and mus:
+            # from one period of the fastest frequency early, skipping to the
+            # first event more than tol.crossing after the one before it, both
+            # past lo, where every frequency's events are listed: a pass from 0
+            # starts a merged crossing there too.  Should the skipped events
+            # reach start, the pass starts from 0 instead.
+            lo = start - TWO_PI / max(mus)
+            late = _events(mus, lo, end)
+            first = next((i for i in range(bisect_left(late, (lo,)) + 1, len(late))
+                          if late[i][0] - late[i - 1][0] > tol.crossing), len(late))
+            if first == 0 or late[first - 1][0] < start:
+                events = late[first:]
+        if events is None:
+            events = _events(mus, 0.0, end)
         self.events = events
         self.event_times = [t for t, _ in events]
+        self.event_mus = [mu for _, mu in events]
         self.starts = []  # index of the first event of each merged crossing
+        anchor = -np.inf
         for i, t in enumerate(self.event_times):
-            if not self.starts or abs(t - self.event_times[self.starts[-1]]) > tol.crossing:
+            if t - anchor > tol.crossing:
                 self.starts.append(i)
+                anchor = t
         self.times = [self.event_times[i] for i in self.starts]
         self._bases = {}  # mu -> basis of the mu i eigenspace of J S
-        self._signatures = {}  # resonant frequencies -> signature of S on their kernel
-        if signed:
-            sigs = [0 if t <= tol.crossing else self._signature(g, len(events))
-                    for g, t in enumerate(self.times)]
-            self.prefix = list(accumulate(sigs, initial=0))
+        self._signatures = {}  # resonant frequency set -> signature of S on its kernel
+        self.prefix = None  # prefix sums of the interior signatures, once signed
 
     def _stop(self, g: int) -> int:
         return self.starts[g + 1] if g + 1 < len(self.starts) else len(self.events)
+
+    def _mus(self, g: int, cut: int) -> tuple:
+        """Sorted frequencies of merged crossing g's events before index ``cut``."""
+        return tuple(sorted(self.event_mus[self.starts[g]:min(self._stop(g), cut)]))
+
+    def multiplicity(self, g: int) -> int:
+        """Summed multiplicity of the frequencies resonant at merged crossing g."""
+        return sum(self.multiplicities[mu] for mu in self._mus(g, len(self.events)))
+
+    def _basis(self, mu: float) -> np.ndarray:
+        basis = self._bases.get(mu)
+        if basis is None:
+            basis = imaginary_eigenspace_basis(self.JS, mu, self.tol)
+            if basis.shape[1] != 2 * self.multiplicities[mu]:
+                raise ClusterAmbiguous(
+                    f"eigenspace of {mu}i has dimension {basis.shape[1]}, "
+                    f"not 2 * multiplicity {self.multiplicities[mu]}")
+            self._bases[mu] = basis
+        return basis
 
     def _signature(self, g: int, cut: int) -> int:
         """Signature of S on the kernel at merged crossing g, made of its
@@ -255,24 +322,32 @@ class _Crossings:
 
         That kernel is the sum of the mu i eigenspaces of J S over the
         frequencies mu resonant there, whatever the time, so the signature
-        is memoized by their ordered tuple.  A degenerate form raises at
+        is memoized by their sorted tuple.  A degenerate form raises at
         every crossing that meets it and is never cached.
         """
-        mus = tuple(mu for _, mu in self.events[self.starts[g]:min(self._stop(g), cut)])
+        mus = self._mus(g, cut)
         sig = self._signatures.get(mus)
         if sig is None:
-            bases = []
-            for mu in mus:
-                if mu not in self._bases:
-                    self._bases[mu] = imaginary_eigenspace_basis(self.JS, mu, self.tol)
-                bases.append(self._bases[mu])
             try:
-                sig = restricted_signature(self.S, np.hstack(bases), self.tol)
+                sig = restricted_signature(self.S, np.hstack([self._basis(mu) for mu in mus]),
+                                           self.tol)
             except DegenerateRestriction as exc:
                 raise CrossingDegenerate(
                     f"degenerate crossing form at t = {self.times[g]}: {exc}") from exc
             self._signatures[mus] = sig
         return sig
+
+    def _sign(self) -> list:
+        """sgn(S) and the prefix sums of the interior signatures, computed
+        on first use."""
+        if self.prefix is None:
+            if self.start > 0:
+                raise InternalError("a pass that starts late has no index")
+            self.sgn_start = signature(self.S, self.tol) if self.S.size else 0
+            sigs = [0 if t <= self.tol.crossing else self._signature(g, len(self.events))
+                    for g, t in enumerate(self.times)]
+            self.prefix = list(accumulate(sigs, initial=0))
+        return self.prefix
 
     def _split(self, T: float) -> tuple:
         """(first, stop, end, cut) for the path on [0, T]: merged crossings
@@ -292,16 +367,17 @@ class _Crossings:
         return self._signature(g, cut)
 
     def index(self, T: float) -> HalfInt:
+        prefix = self._sign()
         first, stop, end, cut = self._split(T)
-        doubled = self.sgn_start + 2 * (self.prefix[stop] - self.prefix[first])
+        doubled = self.sgn_start + 2 * (prefix[stop] - prefix[first])
         if end is not None:
             doubled += self._endpoint_signature(end, cut)
         return HalfInt(doubled)
 
     def data(self, T: float) -> CzPathData:
+        prefix = self._sign()
         first, stop, end, cut = self._split(T)
-        interior = tuple((self.times[g], self.prefix[g + 1] - self.prefix[g])
-                         for g in range(first, stop))
+        interior = tuple((self.times[g], prefix[g + 1] - prefix[g]) for g in range(first, stop))
         endpoint = None if end is None else (self.times[end], self._endpoint_signature(end, cut))
         return CzPathData(self.sgn_start, interior, endpoint)
 
@@ -310,9 +386,19 @@ class _Crossings:
         return tuple(self.times[first:stop]) + (() if end is None else (self.times[end],))
 
 
+def _form_crossings(S, T: float, tol: Tolerances) -> _Crossings:
+    """The crossings of exp(t J S) on (0, T], at the frequencies of the
+    Jordan spectrum of J S."""
+    S = sym_matrix(S)
+    if S.shape[0] % 2 != 0:
+        raise InputError("S must act on an even-dimensional space")
+    JS = standard_J(S.shape[0] // 2) @ S
+    return _Crossings(S, _imaginary_frequencies(JS, tol), T, tol)
+
+
 def cz_index_data(S, T: float, tol: Tolerances = DEFAULT_TOL) -> CzPathData:
     """Crossing data of the path exp(t J S) on [0, T], T > 0."""
-    path = _Crossings(S, T, tol)
+    path = _form_crossings(S, T, tol)
     return path.data(path.horizon)
 
 
@@ -326,7 +412,7 @@ def crossing_times(S, T: float, tol: Tolerances = DEFAULT_TOL) -> tuple:
 
     Only locates the crossings; no signature is computed.
     """
-    path = _Crossings(S, T, tol, signed=False)
+    path = _form_crossings(S, T, tol)
     return path.crossing_times(path.horizon)
 
 

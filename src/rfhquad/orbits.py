@@ -9,14 +9,22 @@ S^(2m-1) of closed orbits (m = number of resonant frequencies, counted
 with multiplicity), appearing once on the full level set and once on the
 compact comparison level set; eta = 0 carries the two level sets
 themselves as stationary families.
+
+The critical values are the crossing times of exp(t J A0), so the census
+reads each |eta| and its m off the crossing enumeration of the index layer
+(``czindex._Crossings``) at the Williamson frequencies of A0: the generator
+census grades the families from that same enumeration, and no second rule
+decides which frequencies resonate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
+from .czindex import _Crossings, _merged_frequencies
 from .errors import (
     CensusOverflow,
     InputError,
@@ -24,19 +32,25 @@ from .errors import (
     NotPositiveDefinite,
     ResonanceMismatch,
 )
-from .symlin import DEFAULT_TOL, ExpEvaluator, Tolerances, kernel_dim, standard_J, sym_matrix
+from .symlin import (
+    DEFAULT_TOL,
+    TWO_PI,
+    ExpEvaluator,
+    Tolerances,
+    kernel_dim,
+    standard_J,
+    sym_matrix,
+)
 from .tentacular import QuadraticHamiltonian, validate
 
 __all__ = [
     "ActionWindow",
     "OrbitFamily",
     "williamson_frequencies",
-    "crit_values",
     "census",
     "DEFAULT_CENSUS_CAP",
 ]
 
-TWO_PI = 2.0 * np.pi
 DEFAULT_CENSUS_CAP = 10_000
 
 
@@ -103,40 +117,12 @@ def williamson_frequencies(a0, tol: Tolerances = DEFAULT_TOL) -> tuple:
     return tuple(mus)
 
 
-def crit_values(frequencies, window: ActionWindow, tol: Tolerances = DEFAULT_TOL) -> tuple:
-    """All critical action values in the window: union of (2 pi / mu) Z.
-
-    Values closer than tol.crossing are merged; endpoints are inclusive.
-    """
-    freqs = [float(f) for f in frequencies]
-    if any(f <= 0 for f in freqs):
-        raise InputError("frequencies must be positive")
-    candidates = []
-    for mu in sorted(set(freqs)):
-        step = TWO_PI / mu
-        j_lo = int(np.floor(window.lo / step)) - 1
-        j_hi = int(np.ceil(window.hi / step)) + 1
-        for j in range(j_lo, j_hi + 1):
-            t = j * step
-            if t in window:
-                candidates.append(t)
-    candidates.sort()
-    out = []
-    for t in candidates:
-        if out and abs(t - out[-1]) <= tol.crossing:
-            continue
-        out.append(t)
-    return tuple(out)
-
-
-def _resonant_count(frequencies, eta: float, tol: Tolerances) -> int:
-    count = 0
-    for mu in frequencies:
-        phase = eta * mu
-        j = round(phase / TWO_PI)
-        if j != 0 and abs(phase - TWO_PI * j) <= max(tol.crossing, 1e-9):
-            count += 1
-    return count
+def _lower_bound(freqs, window: ActionWindow) -> float:
+    """A lower bound on the number of critical values in the window, from
+    its ends alone: over all mu, the count of 2 pi j / mu in it (j in Z),
+    less one at each end for rounding."""
+    return max(np.floor(window.hi * mu / TWO_PI) - np.ceil(window.lo * mu / TWO_PI) - 1.0
+               for mu, _ in freqs)
 
 
 def census(H: QuadraticHamiltonian, window: ActionWindow,
@@ -145,35 +131,58 @@ def census(H: QuadraticHamiltonian, window: ActionWindow,
 
     Every nonzero critical value carries a matched (H0-side, H-side) pair
     with identical (eta, m); eta = 0, when present, carries the two
-    stationary families.  The family count is capped at DEFAULT_CENSUS_CAP.
+    stationary families.  The family count is capped at DEFAULT_CENSUS_CAP;
+    a window that exceeds it by a closed-form count is refused before any
+    crossing is enumerated.
 
-    Each resonance count m is cross-checked against the numerical kernel
-    of exp(eta J A0) - Id, all eta at once; disagreement is an internal
-    error, not a user error.
+    The values are eta = +-t over the merged crossings t of exp(t J A0)
+    at the Williamson frequencies of A0, and m is the summed multiplicity
+    of the frequencies resonant at t.  Each m is cross-checked against the
+    numerical kernel of exp(eta J A0) - Id, all eta at once; disagreement
+    is an internal error, not a user error.
     """
+    return _census(H, window, tol)[0]
+
+
+def _census(H: QuadraticHamiltonian, window: ActionWindow, tol: Tolerances,
+            indexed: bool = False) -> tuple:
+    """(families, crossings): the census and the enumeration it was read
+    off.  Only the |eta| span of the window is enumerated unless
+    ``indexed``, which starts at 0 so that the crossings can grade."""
     report = validate(H, tol)
     if not report.all_ok:
         raise InputError(f"Hamiltonian fails validation: {report.offending}")
-    freqs = H.frequencies if H.frequencies is not None else williamson_frequencies(H.a0, tol)
-    values = crit_values(freqs, window, tol)
-    if 2 * len(values) > DEFAULT_CENSUS_CAP:
+    mus = williamson_frequencies(H.a0, tol)
+    freqs = _merged_frequencies([(mu, 1) for mu in mus], max(1.0, mus[-1]), tol)
+    least = 2 * _lower_bound(freqs, window)
+    if least > DEFAULT_CENSUS_CAP:
         raise CensusOverflow(
-            f"window yields up to {2 * len(values)} families, cap is {DEFAULT_CENSUS_CAP}")
-    etas = [eta for eta in values if abs(eta) > tol.crossing]
-    counts = [_resonant_count(freqs, eta, tol) for eta in etas]
-    flows = ExpEvaluator(standard_J(H.k) @ H.a0).at(etas)
+            f"window yields at least {least:.0f} families, cap is {DEFAULT_CENSUS_CAP}")
+    lo, hi = window.lo, window.hi
+    start = 0.0 if indexed or lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+    path = _Crossings(H.a0, freqs, max(-lo, hi), tol, start)
+    first = bisect_right(path.times, tol.crossing)  # the crossings at |eta| > 0
+
+    def span(t_lo, t_hi):  # the merged crossings with t_lo <= t <= t_hi
+        return range(bisect_left(path.times, t_lo, first), bisect_right(path.times, t_hi, first))
+
+    negative = [(-path.times[g], g) for g in reversed(span(-hi, -lo))]
+    values = negative + [(path.times[g], g) for g in span(lo, hi)]
+    count = len(values) + (0.0 in window)
+    if 2 * count > DEFAULT_CENSUS_CAP:
+        raise CensusOverflow(
+            f"window yields up to {2 * count} families, cap is {DEFAULT_CENSUS_CAP}")
+    etas = [eta for eta, _ in values]
+    counts = [path.multiplicity(g) for _, g in values]
+    flows = ExpEvaluator(path.JS).at(etas)
     for eta, m, m_num in zip(etas, counts, kernel_dim(flows - np.eye(2 * H.k), tol)):
         if m_num != 2 * m:
             raise ResonanceMismatch(
                 f"kernel dimension {m_num} != 2 * resonance count {m} at eta = {eta}")
-    families = []
-    counts_left = iter(counts)
-    for eta in values:
-        if abs(eta) <= tol.crossing:
-            families.append(OrbitFamily(0.0, H.k, 2 * H.k - 1, "sigma0", "H0", H.n, H.k))
-            families.append(OrbitFamily(0.0, H.n, 2 * H.n - 1, "sigma", "H", H.n, H.k))
-        else:
-            m = next(counts_left)
-            for side in ("H0", "H"):
-                families.append(OrbitFamily(float(eta), m, 2 * m - 1, "sphere", side, H.n, H.k))
-    return tuple(families)
+    families = [OrbitFamily(eta, m, 2 * m - 1, "sphere", side, H.n, H.k)
+                for eta, m in zip(etas, counts) for side in ("H0", "H")]
+    if 0.0 in window:
+        at = 2 * len(negative)
+        families[at:at] = [OrbitFamily(0.0, H.k, 2 * H.k - 1, "sigma0", "H0", H.n, H.k),
+                           OrbitFamily(0.0, H.n, 2 * H.n - 1, "sigma", "H", H.n, H.k)]
+    return tuple(families), path

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .czindex import HalfInt, _Crossings, grading, sigma_index
+from .czindex import HalfInt, grading, sigma_index
 from .errors import Inconsistent, InputError, InternalError, Underdetermined
-from .orbits import ActionWindow, OrbitFamily, census
+from .orbits import ActionWindow, OrbitFamily, _census
 from .symlin import DEFAULT_TOL, Tolerances
 from .tentacular import QuadraticHamiltonian
 
@@ -85,9 +85,15 @@ class Generator:
 
     family: OrbitFamily
     pole: str
-    action: float
-    sigma_index: HalfInt
     grading: HalfInt
+
+    @property
+    def action(self) -> float:
+        return self.family.eta
+
+    @property
+    def sigma_index(self) -> HalfInt:
+        return sigma_index(self.family, self.pole)
 
     @property
     def label(self) -> str:
@@ -99,13 +105,11 @@ def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
                      tol: Tolerances = DEFAULT_TOL) -> list:
     """All generators with action in the window, two per orbit family.
 
-    The crossings of exp(t J A0) up to the largest |eta| are enumerated
-    once; the transverse index is read off their prefix sums once per
-    distinct |eta| and negated for eta < 0.
+    The census enumerates the crossings of exp(t J A0) once, from 0 to the
+    window's largest |eta|; the transverse index is read off that same
+    enumeration once per distinct |eta| and negated for eta < 0.
     """
-    families = census(H, window, tol)
-    horizon = max((abs(fam.eta) for fam in families), default=0.0)
-    crossings = _Crossings(H.a0, horizon, tol) if horizon > 0 else None
+    families, crossings = _census(H, window, tol, indexed=True)
     index_at = {0.0: 0}  # |eta| -> doubled transverse index at |eta|
     out = []
     for fam in families:
@@ -119,8 +123,8 @@ def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
             g = grading(fam, pole)
             if not isinstance(g, HalfInt) or not g.is_integer:
                 raise InternalError(f"non-integer grading {g} for {fam} at {pole}")
-            out.append(Generator(fam, pole, fam.eta, sigma_index(fam, pole), g))
-    out.sort(key=lambda g: (g.action, g.family.side, g.pole))
+            out.append(Generator(fam, pole, g))
+    out.sort(key=lambda g: (g.family.eta, g.family.side, g.pole))
     return out
 
 

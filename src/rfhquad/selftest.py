@@ -19,7 +19,7 @@ import numpy as np
 from .czindex import cz_index_data, cz_index_path, crossing_times, grading
 from .hormander import block_signature, build_block, classify, normal_form
 from .oracles import oracle_cz
-from .orbits import TWO_PI, ActionWindow, census, crit_values
+from .orbits import ActionWindow, census
 from .rfh import (
     ExactSequenceProblem,
     GradedZ2Space,
@@ -38,7 +38,14 @@ from .samples import (
     random_orthosymplectic,
     random_symplectic,
 )
-from .symlin import ExpEvaluator, kernel_dim, signature, standard_J, symplectic_direct_sum
+from .symlin import (
+    TWO_PI,
+    ExpEvaluator,
+    kernel_dim,
+    signature,
+    standard_J,
+    symplectic_direct_sum,
+)
 from .tentacular import QuadraticHamiltonian, validate
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA", "criterion_grid"]
@@ -84,7 +91,7 @@ def _separated_hamiltonian(rng, n, k):
         if any(b - a < 0.05 for a, b in zip(freqs, freqs[1:])):
             continue
         w = TWO_PI / min(freqs) + 1e-6
-        etas = [e for e in crit_values(freqs, ActionWindow(-w, w)) if e > 1e-12]
+        etas = [TWO_PI * j / mu for mu in freqs for j in range(1, int(w * mu / TWO_PI) + 1)]
         ok = True
         for eta in etas:
             for mu in freqs:

@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 
+TWO_PI = 2.0 * np.pi
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances shared by every routine in the package.

@@ -4,8 +4,8 @@ from hypothesis import HealthCheck, settings
 
 from rfhquad import ActionWindow, QuadraticHamiltonian, build_block, census, symplectic_direct_sum
 from rfhquad.czindex import CzPathData, _imaginary_frequencies
-from rfhquad.orbits import TWO_PI
 from rfhquad.symlin import (
+    TWO_PI,
     imaginary_eigenspace_basis,
     restricted_signature,
     signature,
@@ -31,7 +31,7 @@ def per_horizon_data(S, T, tol):
     sgn_s = signature(S, tol)
     JS = standard_J(S.shape[0] // 2) @ S
     events = []
-    for mu in _imaginary_frequencies(JS, tol):
+    for mu, _ in _imaginary_frequencies(JS, tol):
         j = 1
         while TWO_PI * j / mu <= T + tol.crossing:
             events.append((TWO_PI * j / mu, mu))
@@ -54,6 +54,12 @@ def per_horizon_data(S, T, tol):
         elif t < T:
             interior.append((t, sig))
     return CzPathData(sgn_s, tuple(interior), endpoint)
+
+
+def critical_values(H, window):
+    """The critical values of the census of H in the window: the actions
+    of its H0-side families, zero included when in the window."""
+    return tuple(f.eta for f in census(H, window) if f.side == "H0")
 
 
 @pytest.fixture

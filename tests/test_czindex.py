@@ -20,15 +20,21 @@ from rfhquad import (
     symplectic_direct_sum,
 )
 from rfhquad import czindex
-from rfhquad.czindex import _Crossings
+from rfhquad.czindex import (
+    _Crossings,
+    _form_crossings,
+    _imaginary_frequencies,
+    _merged_frequencies,
+)
 from rfhquad.errors import (
+    ClusterAmbiguous,
     CrossingDegenerate,
     DegenerateInput,
     InputError,
     NonIntegerResult,
 )
 from rfhquad.samples import random_elliptic_form, random_orthosymplectic
-from rfhquad.symlin import DEFAULT_TOL, Tolerances, restricted_signature
+from rfhquad.symlin import DEFAULT_TOL, Tolerances, restricted_signature, standard_J
 
 TWO_PI = 2 * np.pi
 
@@ -142,8 +148,9 @@ class TestCzPath:
 
         monkeypatch.setattr(czindex, "restricted_signature", counting)
         S = build_block("c", 2, 1.0j, gamma=1).matrix
-        path = _Crossings(S, 5 * np.pi, DEFAULT_TOL, signed=False)
+        path = _form_crossings(S, 5 * np.pi, DEFAULT_TOL)
         assert len(path.times) == 2
+        assert not calls  # construction signs nothing
         for g, t in enumerate(path.times):
             with pytest.raises(CrossingDegenerate, match=f"t = {t}"):
                 path._signature(g, len(path.events))
@@ -257,18 +264,19 @@ def forms_and_horizons(draw):
 @given(forms_and_horizons())
 def test_one_pass_matches_per_horizon_pass(case):
     S, tol, horizons = case
-    signed = _Crossings(S, max(horizons), tol)
-    unsigned = _Crossings(S, max(horizons), tol, signed=False)
+    unsigned = _form_crossings(S, max(horizons), tol)
+    signed = _form_crossings(S, max(horizons), tol)
     for T in horizons:
         want = per_horizon_data(S, T, tol)
         want_times = tuple(t for t, _ in want.interior) + (
             (want.endpoint[0],) if want.endpoint else ())
+        assert unsigned.crossing_times(T) == want_times
         assert signed.data(T) == want
         assert signed.index(T) == want.index
-        assert unsigned.crossing_times(T) == want_times
         assert cz_index_data(S, T, tol) == want
         assert cz_index_path(S, T, tol).doubled == want.index.doubled
         assert crossing_times(S, T, tol) == want_times
+    assert unsigned.prefix is None  # construction and crossing_times sign nothing
 
 
 def test_cut_merged_crossing_at_endpoint():
@@ -279,5 +287,26 @@ def test_cut_merged_crossing_at_endpoint():
     T = t_a - WIDE.crossing + 0.5 * (t_b - t_a)
     want = per_horizon_data(S, T, WIDE)
     assert want.endpoint == (pytest.approx(t_a), -2)
-    assert _Crossings(S, 3 * TWO_PI, WIDE).data(T) == want
-    assert _Crossings(S, 3 * TWO_PI, WIDE).data(t_b) == per_horizon_data(S, t_b, WIDE)
+    assert _form_crossings(S, 3 * TWO_PI, WIDE).data(T) == want
+    assert _form_crossings(S, 3 * TWO_PI, WIDE).data(t_b) == per_horizon_data(S, t_b, WIDE)
+
+
+def test_basis_of_the_wrong_dimension_is_ambiguous():
+    """A frequency whose eigenspace is smaller than its multiplicity says
+    is refused when the crossing is signed, never signed on the smaller
+    space."""
+    path = _Crossings(np.eye(2), ((1.0, 2),), 7.0, DEFAULT_TOL)
+    assert path.multiplicity(0) == 2
+    with pytest.raises(ClusterAmbiguous, match="dimension 2"):
+        path.index(7.0)
+
+
+def test_frequencies_closer_than_the_cluster_radius_merge():
+    """One helper merges the census's Williamson frequencies and the
+    index's Jordan frequencies: the lowest of a run within
+    eig_cluster * scale stays, with the summed multiplicity."""
+    pairs = [(1.0, 1), (1.0 + 5e-10, 1), (1.0 + 1.4e-9, 2), (2.0, 1)]
+    assert _merged_frequencies(pairs, 1.0, DEFAULT_TOL) == ((1.0, 2), (1.0 + 1.4e-9, 2), (2.0, 1))
+    S = np.diag([1.0, 1.0 + 1e-13, 1.0, 1.0 + 1e-13])
+    assert _imaginary_frequencies(standard_J(2) @ S, DEFAULT_TOL) == (
+        (pytest.approx(1.0), 2),)

@@ -4,23 +4,40 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import critical_values
 from rfhquad import (
     DEFAULT_TOL,
     ActionWindow,
     ExpEvaluator,
     QuadraticHamiltonian,
+    Tolerances,
     build_block,
     census,
-    crit_values,
+    czindex,
     kernel_dim,
     orbits,
     standard_J,
     williamson_frequencies,
 )
-from rfhquad.errors import CensusOverflow, InputError, NotPositiveDefinite, ResonanceMismatch
+from rfhquad.errors import (
+    CensusOverflow,
+    InputError,
+    InternalError,
+    NotPositiveDefinite,
+    ResonanceMismatch,
+)
 from rfhquad.samples import random_hyperbolic_blocks, random_orthosymplectic
 
 TWO_PI = 2 * np.pi
+
+
+def crit_values(frequencies, window):
+    """The census's critical values for elliptic frequencies ``frequencies``
+    (one hyperbolic pair alongside), zero included when in the window."""
+    k = len(frequencies)
+    H = QuadraticHamiltonian.from_frequencies(
+        k + 1, k, frequencies, build_block("a", 1, 1.0).matrix)
+    return critical_values(H, window)
 
 
 def test_williamson_identity():
@@ -142,8 +159,8 @@ def test_kernel_dim_matches_family(h32, family):
 def test_census_raises_on_resonance_mismatch(h32, monkeypatch):
     """A resonance count that disagrees with the kernel of
     exp(eta J A0) - Id is an internal error."""
-    count = orbits._resonant_count
-    monkeypatch.setattr(orbits, "_resonant_count", lambda *args: count(*args) + 1)
+    count = czindex._Crossings.multiplicity
+    monkeypatch.setattr(czindex._Crossings, "multiplicity", lambda *args: count(*args) + 1)
     with pytest.raises(ResonanceMismatch):
         census(h32, ActionWindow(0.1, 10.0))
     census(h32, ActionWindow(-0.5, 0.5))  # stationary families only: nothing to check
@@ -219,3 +236,50 @@ def test_crit_values_window_monotone(seed):
     small = crit_values(mus, ActionWindow(0.1, 5.0))
     large = crit_values(mus, ActionWindow(0.1, 9.0))
     assert set(np.round(small, 9)) <= set(np.round(large, 9))
+
+
+def test_census_refuses_oversized_window_before_enumerating(h21, monkeypatch):
+    """A window whose closed-form count of critical values already passes
+    the cap is refused before any crossing is enumerated."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("crossings enumerated for an oversized window")
+
+    monkeypatch.setattr(czindex._Crossings, "__init__", refuse)
+    with pytest.raises(CensusOverflow):
+        census(h21, ActionWindow(-1e9, 1e9))
+
+
+def test_census_enumerates_only_the_window_span(h42):
+    """A census far from 0 enumerates the |eta| span of its window, not
+    every crossing below it, and finds what a pass from 0 finds there."""
+    _, path = orbits._census(h42, ActionWindow(1e6, 1e6 + 1.0), DEFAULT_TOL)
+    assert len(path.events) <= 6
+    for window in (ActionWindow(1e3, 1e3 + 40.0), ActionWindow(-1e3 - 40.0, -1e3)):
+        late = census(h42, window)
+        assert late == orbits._census(h42, window, DEFAULT_TOL, indexed=True)[0]
+        assert len(late) == 2 * 14  # 6 crossings of 1.0 and 9 of 1.3, one shared
+
+
+def test_late_start_merges_as_a_pass_from_zero():
+    """Under a crossing tolerance of 0.8 the crossings of ten frequencies
+    in [1, 1.63] chain, some over more than a period of the fastest, so
+    where a pass starts decides how they merge.  A pass that starts late
+    keeps, from its start on, the merged crossings of a pass from 0,
+    whether it starts one period early or has to start from 0."""
+    wide = Tolerances(crossing=0.8)
+    mus = tuple(1.0 + 0.07 * i for i in range(10))
+    S = np.diag(mus * 2)
+    freqs = tuple((mu, 1) for mu in mus)
+    full = czindex._Crossings(S, freqs, 80.0, wide)
+    starts = sorted({t + f for t in full.event_times for f in (-0.1, 0.0)})
+    late_starts = 0
+    for start in starts:
+        late = czindex._Crossings(S, freqs, 80.0, wide, start)
+        want = [(t, full.multiplicity(g)) for g, t in enumerate(full.times) if t >= start]
+        got = [(t, late.multiplicity(g)) for g, t in enumerate(late.times) if t >= start]
+        assert got == want, start
+        late_starts += late.event_times[0] >= start - TWO_PI / mus[-1]
+        with pytest.raises(InternalError):
+            late.index(start)
+    assert 0 < late_starts < len(starts)  # both ways are taken

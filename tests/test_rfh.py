@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import per_horizon_data
+from conftest import critical_values, per_horizon_data
 from rfhquad import (
     ActionWindow,
     ExactSequenceProblem,
@@ -12,7 +12,7 @@ from rfhquad import (
     QuadraticHamiltonian,
     alternating_sum,
     build_block,
-    crit_values,
+    census,
     generator_census,
     rfh_geq0,
     rfh_pm_compact,
@@ -23,7 +23,7 @@ from rfhquad import (
     williamson_frequencies,
 )
 from rfhquad import czindex
-from rfhquad.errors import Inconsistent, InputError, Underdetermined
+from rfhquad.errors import Inconsistent, InputError, ResonanceMismatch, Underdetermined
 from rfhquad.samples import random_hamiltonian, random_hyperbolic_blocks, random_orthosymplectic
 from rfhquad.selftest import criterion_grid
 from rfhquad.symlin import DEFAULT_TOL
@@ -252,7 +252,7 @@ class TestCensusEquivalence:
             _assert_census_matches_reference(H, ActionWindow(-w, w))
 
     def test_windows_ending_on_critical_values(self, h32):
-        values = crit_values(h32.frequencies, ActionWindow(-20.0, 20.0))
+        values = critical_values(h32, ActionWindow(-20.0, 20.0))
         nonzero = [v for v in values if v != 0.0]
         for lo, hi in ((nonzero[0], nonzero[-1]), (nonzero[2], nonzero[-3]),
                        (values[len(values) // 2 + 1], nonzero[-1])):
@@ -270,11 +270,12 @@ class TestCensusEquivalence:
 
 
 def test_census_enumerates_each_crossing_once(h42, monkeypatch):
-    """The census takes one Jordan spectrum of J A0 and signs each resonant
-    frequency set once: {1.0}, {1.3} and {1.0, 1.3}, on a 50x window as on
-    a 100x one.  A census that signs every crossing grows linearly with the
-    window, one that recomputes the index per eta quadratically."""
-    calls = {"spectrum": 0, "signature": 0}
+    """The generator census builds one crossing enumeration, takes no
+    Jordan spectrum, and signs each resonant frequency set once: {1.0},
+    {1.3} and {1.0, 1.3}, on a 50x, a 100x and a 1000x window.  A census
+    that signs every crossing grows linearly with the window, one that
+    recomputes the index per eta quadratically."""
+    calls = {"spectrum": 0, "signature": 0, "crossings": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -286,11 +287,58 @@ def test_census_enumerates_each_crossing_once(h42, monkeypatch):
                         counting("spectrum", czindex.spectrum_with_jordan))
     monkeypatch.setattr(czindex, "restricted_signature",
                         counting("signature", czindex.restricted_signature))
-    for mult, crossings in ((50, 50 + 65 - 5), (100, 100 + 130 - 10)):
-        calls.update(spectrum=0, signature=0)
+    monkeypatch.setattr(czindex._Crossings, "__init__",
+                        counting("crossings", czindex._Crossings.__init__))
+    for mult, crossings in ((50, 50 + 65 - 5), (100, 100 + 130 - 10), (1000, 1000 + 1300 - 100)):
         w = mult * TWO_PI + 1e-6
+        calls.update(spectrum=0, signature=0, crossings=0)
         gens = generator_census(h42, ActionWindow(-w, w))
-        horizon = max(abs(g.action) for g in gens)
+        assert calls == {"spectrum": 0, "signature": 3, "crossings": 1}
         # distinct positive crossing times; 1.0 and 1.3 share those at 20 pi j
-        assert len(crit_values(h42.frequencies, ActionWindow(1e-6, horizon))) == crossings
-        assert calls == {"spectrum": 1, "signature": 3}
+        horizon = max(abs(g.action) for g in gens)
+        assert len(critical_values(h42, ActionWindow(1e-6, horizon))) == crossings
+
+
+def _h0_gradings(H, window):
+    """(min, max) gradings of the H0-side families, by action."""
+    gens = [g for g in generator_census(H, window) if g.family.side == "H0"]
+    by_eta = {}
+    for g in gens:
+        by_eta.setdefault(g.action, {})[g.pole] = g.grading.as_int()
+    return [(p["min"], p["max"]) for _, p in sorted(by_eta.items())]
+
+
+class TestOneResonanceDecision:
+    """Frequencies that sit within the old census's phase test but apart
+    for the index, or declared frequencies that differ from A0's by
+    round-off: the census and the index read one crossing enumeration, so
+    each either grades as Long's closed form does or raises."""
+
+    A1 = build_block("a", 1, 1.0).matrix
+
+    def test_near_double_frequency(self):
+        """2(1 + 1e-10) crosses 6.3e-10 before 2 pi: apart from 1's crossing."""
+        H = QuadraticHamiltonian.from_frequencies(3, 2, [1.0, 2 * (1 + 1e-10)], self.A1)
+        assert _h0_gradings(H, ActionWindow(0.1, 3 * np.pi)) == [(3, 4), (5, 6), (7, 8), (9, 10)]
+
+    def test_frequencies_merged_by_the_index_but_not_resonant(self):
+        """1 and 1 + 2e-10 are one frequency within the cluster radius, but
+        exp(2 pi J A0) - Id keeps only one of them in its kernel: reported,
+        not graded as two families nor as one."""
+        H = QuadraticHamiltonian.from_frequencies(3, 2, [1.0, 1.0 + 2e-10], self.A1)
+        with pytest.raises(ResonanceMismatch):
+            census(H, ActionWindow(0.1, 3 * np.pi))
+        with pytest.raises(ResonanceMismatch):
+            generator_census(H, ActionWindow(0.1, 3 * np.pi))
+
+    def test_declared_frequency_off_by_round_off(self):
+        """Declared frequencies are checked by validate (to 1e-8) and not
+        read by the census: A0's own frequency 1 grades."""
+        H = QuadraticHamiltonian(2, 1, np.eye(2), self.A1, frequencies=(1 + 1e-11,))
+        assert _h0_gradings(H, ActionWindow(0.1, 13.0)) == [(2, 3), (4, 5)]
+
+    def test_close_frequencies_need_no_jordan_spectrum(self):
+        """1 and 1 + 5e-8 cross 3e-7 apart near 2 pi; their Jordan spectrum
+        is ambiguous, the census's frequencies are not."""
+        H = QuadraticHamiltonian.from_frequencies(3, 2, [1.0, 1.0 + 5e-8], self.A1)
+        assert _h0_gradings(H, ActionWindow(0.1, 3 * np.pi)) == [(3, 4), (5, 6)]
