@@ -48,7 +48,6 @@ from .orbits import (
     ActionWindow,
     OrbitFamily,
     census,
-    williamson_frequencies,
 )
 from .rfh import (
     ExactSequenceProblem,
@@ -89,6 +88,7 @@ from .tentacular import (
     ValidationReport,
     tentacular_check,
     validate,
+    williamson_frequencies,
 )
 
 __version__ = "0.1.0"

@@ -34,11 +34,17 @@ from .errors import (
     Underdetermined,
 )
 from .hormander import NormalForm, block_signature, build_block, classify, normal_form
-from .orbits import ActionWindow, census, williamson_frequencies
+from .orbits import ActionWindow, census
 from .rfh import generator_census, rfh_report
 from .selftest import BASE_SEED, run_all
 from .symlin import DEFAULT_TOL, TWO_PI, Tolerances
-from .tentacular import QuadraticHamiltonian, TentacularVerdict, tentacular_check, validate
+from .tentacular import (
+    QuadraticHamiltonian,
+    TentacularVerdict,
+    tentacular_check,
+    validate,
+    williamson_frequencies,
+)
 
 TOL_ENV = "RFHQUAD_TOLERANCES"
 

@@ -12,17 +12,16 @@ formulas downstream depend on it).  Crossings are located analytically
 from the purely imaginary eigenvalues of J S, so hyperbolic directions
 contribute no crossings at all.
 
-The crossings are enumerated in one pass up to a horizon, from a list of
-frequencies with multiplicities: the Jordan spectrum of J S for a general
-form, the Williamson frequencies of A0 for the orbit census, which takes
-its critical values and resonance counts from the same enumeration that
-grades them.  At a crossing t = 2 pi j / mu the kernel is the sum of the
-mu i eigenspaces of J S over the frequencies resonant there, whatever j
-is, so each resonant frequency set is signed once, and only when an index
-is asked for.  By catenation the index on [0, T] for every T up to the
-horizon is then sgn(S)/2, plus the endpoint term, plus a prefix sum of
-interior signatures: the generator census grades all its critical values
-from a single pass.
+The crossings are enumerated in one pass over a window of times, from a
+list of frequencies with multiplicities: the Jordan spectrum of J S for a
+general form, the Williamson frequencies of A0 for the orbit census, which
+takes its critical values and resonance counts from the same enumeration
+that grades them.  The kernel at t = 2 pi j / mu is the sum of the mu i
+eigenspaces of J S over the frequencies resonant there, which are
+S-orthogonal (Robbin-Salamon 1993), so each frequency is signed once, when
+an index is first asked for, and its crossings below T are counted by
+arithmetic (Long 2002): the index at T needs only the crossing at T from
+the enumeration.
 
 Half-integers are kept exact as doubled integers; no index or grading is
 ever computed in floating point.
@@ -30,10 +29,11 @@ ever computed in floating point.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,7 +43,6 @@ from .errors import (
     CrossingDegenerate,
     DegenerateRestriction,
     InputError,
-    InternalError,
     NonIntegerResult,
 )
 from .symlin import (
@@ -230,6 +229,18 @@ def _events(mus, lo: float, hi: float) -> list:
     return events
 
 
+def _count_before(mu: float, t: float) -> int:
+    """#{j >= 1 : 2 pi j / mu < t}, counted by arithmetic on the float
+    expression ``_events`` lists, so it is exactly the number of events
+    of mu a pass from 0 lists before t."""
+    j = max(0, int(t * mu / TWO_PI))
+    while j > 0 and TWO_PI * j / mu >= t:
+        j -= 1
+    while TWO_PI * (j + 1) / mu < t:
+        j += 1
+    return j
+
+
 class _Crossings:
     """The crossings of exp(t J S) on (0, horizon], enumerated once.
 
@@ -240,11 +251,11 @@ class _Crossings:
     coincident times (within tol.crossing) are merged into a single
     crossing with the combined kernel and the summed multiplicity.
 
-    Nothing is signed until an index is asked for.  Then every merged
-    crossing is signed in time order, each resonant frequency set once
-    (its kernel does not depend on the time), and the index on [0, T] for
-    any T up to the horizon is read off a prefix sum of the signatures
-    (catenation of the crossing-form index).
+    Nothing is signed until an index is asked for, then each frequency
+    once: the crossing form splits over the S-orthogonal eigenspaces of
+    J S, so a merged crossing's signature is the sum over its events.  The
+    index on [0, T] is sgn(S) plus, for each frequency, its signature times
+    twice its crossings before the endpoint crossing and once its events in it.
 
     A query at T sees exactly what a pass with horizon T sees: the events
     up to T + tol.crossing, merged as they would be on their own.  Only
@@ -253,18 +264,23 @@ class _Crossings:
     endpoint it is signed on the frequencies of the events it keeps.
 
     With ``start`` > 0 the crossings before ``start`` may be left out;
-    those kept are merged exactly as a pass from 0 merges them.  Such a
-    pass locates crossings but has no index.
+    those kept are merged exactly as a pass from 0 merges them, and the
+    index at each of them is that of a pass from 0.
     """
 
     def __init__(self, S, frequencies, horizon: float, tol: Tolerances, start: float = 0.0):
         horizon = float(horizon)
         if not (np.isfinite(horizon) and horizon > 0):
             raise InputError(f"path length T must be positive, got {horizon!r}")
-        self.S, self.horizon, self.tol, self.start = S, horizon, tol, start
+        self.S, self.horizon, self.tol = S, horizon, tol
         self.JS = standard_J(S.shape[0] // 2) @ S
         self.multiplicities = dict(frequencies)  # mu -> number of i mu eigenvectors
         mus, end = list(self.multiplicities), horizon + tol.crossing
+        if mus and TWO_PI / max(mus) <= tol.crossing:
+            # so that no crossing is taken for the start of the path, and a
+            # merged crossing meets each frequency at most once
+            raise InputError(f"frequency {max(mus)} crosses every {TWO_PI / max(mus)}, "
+                             f"within the crossing tolerance {tol.crossing}")
         events = None
         if start > 0 and mus:
             # from one period of the fastest frequency early, skipping to the
@@ -290,100 +306,82 @@ class _Crossings:
                 self.starts.append(i)
                 anchor = t
         self.times = [self.event_times[i] for i in self.starts]
-        self._bases = {}  # mu -> basis of the mu i eigenspace of J S
-        self._signatures = {}  # resonant frequency set -> signature of S on its kernel
-        self.prefix = None  # prefix sums of the interior signatures, once signed
+        self.frequency_signatures = {}  # mu -> signature of S on the mu i eigenspace
 
     def _stop(self, g: int) -> int:
         return self.starts[g + 1] if g + 1 < len(self.starts) else len(self.events)
 
-    def _mus(self, g: int, cut: int) -> tuple:
-        """Sorted frequencies of merged crossing g's events before index ``cut``."""
-        return tuple(sorted(self.event_mus[self.starts[g]:min(self._stop(g), cut)]))
-
     def multiplicity(self, g: int) -> int:
         """Summed multiplicity of the frequencies resonant at merged crossing g."""
-        return sum(self.multiplicities[mu] for mu in self._mus(g, len(self.events)))
+        return sum(self.multiplicities[mu] for mu in self.event_mus[self.starts[g]:self._stop(g)])
 
-    def _basis(self, mu: float) -> np.ndarray:
-        basis = self._bases.get(mu)
-        if basis is None:
+    @cached_property
+    def sgn_start(self) -> int:
+        return signature(self.S, self.tol) if self.S.size else 0
+
+    def _frequency_signature(self, mu: float, t: float) -> int:
+        """Signature of S on the mu i eigenspace of J S, memoized.
+
+        The eigenspace must have dimension 2 * multiplicity, or the
+        frequencies were misread.  A degenerate form raises, naming the
+        crossing time t that met it, every time it is met, and is never
+        cached.
+        """
+        sig = self.frequency_signatures.get(mu)
+        if sig is None:
             basis = imaginary_eigenspace_basis(self.JS, mu, self.tol)
             if basis.shape[1] != 2 * self.multiplicities[mu]:
                 raise ClusterAmbiguous(
                     f"eigenspace of {mu}i has dimension {basis.shape[1]}, "
                     f"not 2 * multiplicity {self.multiplicities[mu]}")
-            self._bases[mu] = basis
-        return basis
-
-    def _signature(self, g: int, cut: int) -> int:
-        """Signature of S on the kernel at merged crossing g, made of its
-        events before index ``cut``.
-
-        That kernel is the sum of the mu i eigenspaces of J S over the
-        frequencies mu resonant there, whatever the time, so the signature
-        is memoized by their sorted tuple.  A degenerate form raises at
-        every crossing that meets it and is never cached.
-        """
-        mus = self._mus(g, cut)
-        sig = self._signatures.get(mus)
-        if sig is None:
             try:
-                sig = restricted_signature(self.S, np.hstack([self._basis(mu) for mu in mus]),
-                                           self.tol)
+                sig = restricted_signature(self.S, basis, self.tol)
             except DegenerateRestriction as exc:
-                raise CrossingDegenerate(
-                    f"degenerate crossing form at t = {self.times[g]}: {exc}") from exc
-            self._signatures[mus] = sig
+                raise CrossingDegenerate(f"degenerate crossing form at t = {t}: {exc}") from exc
+            self.frequency_signatures[mu] = sig
         return sig
 
-    def _sign(self) -> list:
-        """sgn(S) and the prefix sums of the interior signatures, computed
-        on first use."""
-        if self.prefix is None:
-            if self.start > 0:
-                raise InternalError("a pass that starts late has no index")
-            self.sgn_start = signature(self.S, self.tol) if self.S.size else 0
-            sigs = [0 if t <= self.tol.crossing else self._signature(g, len(self.events))
-                    for g, t in enumerate(self.times)]
-            self.prefix = list(accumulate(sigs, initial=0))
-        return self.prefix
+    def _crossing_signature(self, g: int, cut: int) -> int:
+        """Signature of S on the kernel at merged crossing g, made of its
+        events before index ``cut``."""
+        return sum(self._frequency_signature(mu, self.times[g])
+                   for mu in self.event_mus[self.starts[g]:min(self._stop(g), cut)])
 
     def _split(self, T: float) -> tuple:
-        """(first, stop, end, cut) for the path on [0, T]: merged crossings
-        first .. stop-1 are interior, crossing ``end`` (or None) is the
-        endpoint, and the path sees the events before index ``cut``."""
+        """(stop, end, cut) for the path on [0, T]: merged crossings before
+        ``stop`` are interior, crossing ``end`` (or None) is the endpoint,
+        and the path sees the events before index ``cut``."""
         tol = self.tol.crossing
         cut = bisect_right(self.event_times, T + tol)
         last = bisect_right(self.starts, cut - 1)
-        first = bisect_right(self.times, tol, 0, last)
-        stop = bisect_left(self.times, True, first, last, key=lambda t: t - T >= -tol)
+        stop = bisect_left(self.times, True, 0, last, key=lambda t: t - T >= -tol)
         end = bisect_left(self.times, True, stop, last, key=lambda t: t - T > tol)
-        return first, stop, (end - 1 if end > stop else None), cut
-
-    def _endpoint_signature(self, g: int, cut: int) -> int:
-        if self._stop(g) <= cut:
-            return self.prefix[g + 1] - self.prefix[g]
-        return self._signature(g, cut)
+        return stop, (end - 1 if end > stop else None), cut
 
     def index(self, T: float) -> HalfInt:
-        prefix = self._sign()
-        first, stop, end, cut = self._split(T)
-        doubled = self.sgn_start + 2 * (prefix[stop] - prefix[first])
+        stop, end, cut = self._split(T)
+        # the interior crossings are made of the events before crossing stop
+        edge = (self.times[stop] if stop < len(self.times)
+                else math.nextafter(self.horizon + self.tol.crossing, math.inf))
+        doubled = self.sgn_start
+        for mu in self.multiplicities:
+            n = _count_before(mu, edge)
+            if n:
+                doubled += 2 * n * self._frequency_signature(mu, TWO_PI / mu)
         if end is not None:
-            doubled += self._endpoint_signature(end, cut)
+            doubled += self._crossing_signature(end, cut)
         return HalfInt(doubled)
 
     def data(self, T: float) -> CzPathData:
-        prefix = self._sign()
-        first, stop, end, cut = self._split(T)
-        interior = tuple((self.times[g], prefix[g + 1] - prefix[g]) for g in range(first, stop))
-        endpoint = None if end is None else (self.times[end], self._endpoint_signature(end, cut))
-        return CzPathData(self.sgn_start, interior, endpoint)
+        sgn_start = self.sgn_start
+        stop, end, cut = self._split(T)
+        interior = tuple((self.times[g], self._crossing_signature(g, cut)) for g in range(stop))
+        endpoint = None if end is None else (self.times[end], self._crossing_signature(end, cut))
+        return CzPathData(sgn_start, interior, endpoint)
 
     def crossing_times(self, T: float) -> tuple:
-        first, stop, end, _ = self._split(T)
-        return tuple(self.times[first:stop]) + (() if end is None else (self.times[end],))
+        stop, end, _ = self._split(T)
+        return tuple(self.times[:stop]) + (() if end is None else (self.times[end],))
 
 
 def _form_crossings(S, T: float, tol: Tolerances) -> _Crossings:

@@ -12,9 +12,10 @@ themselves as stationary families.
 
 The critical values are the crossing times of exp(t J A0), so the census
 reads each |eta| and its m off the crossing enumeration of the index layer
-(``czindex._Crossings``) at the Williamson frequencies of A0: the generator
-census grades the families from that same enumeration, and no second rule
-decides which frequencies resonate.
+(``czindex._Crossings``) at the Williamson frequencies of A0, over the
+|eta| span of its window only: the generator census grades the families
+from that same enumeration, and no second rule decides which frequencies
+resonate.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .czindex import _Crossings, _merged_frequencies
 from .errors import (
     CensusOverflow,
     InputError,
-    InternalError,
-    NotPositiveDefinite,
     ResonanceMismatch,
 )
 from .symlin import (
@@ -38,15 +37,12 @@ from .symlin import (
     ExpEvaluator,
     Tolerances,
     kernel_dim,
-    standard_J,
-    sym_matrix,
 )
-from .tentacular import QuadraticHamiltonian, validate
+from .tentacular import QuadraticHamiltonian, validate, williamson_frequencies
 
 __all__ = [
     "ActionWindow",
     "OrbitFamily",
-    "williamson_frequencies",
     "census",
     "DEFAULT_CENSUS_CAP",
 ]
@@ -97,26 +93,6 @@ class OrbitFamily:
         return f"S^{self.n + self.k - 1} x R^{self.n - self.k}"
 
 
-def williamson_frequencies(a0, tol: Tolerances = DEFAULT_TOL) -> tuple:
-    """Symplectic eigenvalues of a positive definite form, ascending.
-
-    These are the positive imaginary parts of the eigenvalues of J A0,
-    with multiplicity.
-    """
-    a0 = sym_matrix(a0, "A0")
-    if a0.size == 0:
-        return ()
-    w = np.linalg.eigvalsh(a0)
-    if w.min() <= tol.rank_cut * float(np.abs(w).max()):
-        raise NotPositiveDefinite("A0 is not positive definite")
-    k = a0.shape[0] // 2
-    ev = np.linalg.eigvals(standard_J(k) @ a0)
-    mus = sorted(float(z.imag) for z in ev if z.imag > 0)
-    if len(mus) != k:
-        raise InternalError("eigenvalues of J A0 did not split into k conjugate pairs")
-    return tuple(mus)
-
-
 def _lower_bound(freqs, window: ActionWindow) -> float:
     """A lower bound on the number of critical values in the window, from
     its ends alone: over all mu, the count of 2 pi j / mu in it (j in Z),
@@ -144,11 +120,10 @@ def census(H: QuadraticHamiltonian, window: ActionWindow,
     return _census(H, window, tol)[0]
 
 
-def _census(H: QuadraticHamiltonian, window: ActionWindow, tol: Tolerances,
-            indexed: bool = False) -> tuple:
+def _census(H: QuadraticHamiltonian, window: ActionWindow, tol: Tolerances) -> tuple:
     """(families, crossings): the census and the enumeration it was read
-    off.  Only the |eta| span of the window is enumerated unless
-    ``indexed``, which starts at 0 so that the crossings can grade."""
+    off, over the |eta| span of the window only; the generator census
+    grades the families from the same enumeration."""
     report = validate(H, tol)
     if not report.all_ok:
         raise InputError(f"Hamiltonian fails validation: {report.offending}")
@@ -159,12 +134,11 @@ def _census(H: QuadraticHamiltonian, window: ActionWindow, tol: Tolerances,
         raise CensusOverflow(
             f"window yields at least {least:.0f} families, cap is {DEFAULT_CENSUS_CAP}")
     lo, hi = window.lo, window.hi
-    start = 0.0 if indexed or lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+    start = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
     path = _Crossings(H.a0, freqs, max(-lo, hi), tol, start)
-    first = bisect_right(path.times, tol.crossing)  # the crossings at |eta| > 0
 
     def span(t_lo, t_hi):  # the merged crossings with t_lo <= t <= t_hi
-        return range(bisect_left(path.times, t_lo, first), bisect_right(path.times, t_hi, first))
+        return range(bisect_left(path.times, t_lo), bisect_right(path.times, t_hi))
 
     negative = [(-path.times[g], g) for g in reversed(span(-hi, -lo))]
     values = negative + [(path.times[g], g) for g in span(lo, hi)]

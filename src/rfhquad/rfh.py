@@ -105,11 +105,13 @@ def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
                      tol: Tolerances = DEFAULT_TOL) -> list:
     """All generators with action in the window, two per orbit family.
 
-    The census enumerates the crossings of exp(t J A0) once, from 0 to the
-    window's largest |eta|; the transverse index is read off that same
-    enumeration once per distinct |eta| and negated for eta < 0.
+    The census enumerates the crossings of exp(t J A0) once, over the
+    window's |eta| span; the transverse index is read off that same
+    enumeration in closed form once per distinct |eta| and negated for
+    eta < 0, so the cost follows the window's width, not its distance
+    from 0.
     """
-    families, crossings = _census(H, window, tol, indexed=True)
+    families, crossings = _census(H, window, tol)
     index_at = {0.0: 0}  # |eta| -> doubled transverse index at |eta|
     out = []
     for fam in families:
@@ -306,9 +308,7 @@ def alternating_sum(dims) -> int:
 
 
 def _degree_range(n: int, k: int) -> tuple:
-    d_hi = max(k + 2, 2)
-    d_lo = -n - 1
-    return d_hi, d_lo
+    return k + 2, -n - 1
 
 
 def exact1_problem(n: int, k: int) -> ExactSequenceProblem:
@@ -323,18 +323,15 @@ def exact1_problem(n: int, k: int) -> ExactSequenceProblem:
     h_sigma = singular_homology(n, k)
     hplus, _ = rfh_pm_compact(k)
     d_hi, d_lo = _degree_range(n, k)
-    terms = [("0-", None)]
+    terms = [("0-", 0)]  # outside the degree range everything is zero
     maps = []
     for d in range(d_hi, d_lo - 1, -1):
         terms.append((("H(Sigma)", d + n - 1), h_sigma.dim(d + n - 1)))
         terms.append((("RFH>=0", d), None))
         terms.append((("RFH+", d), hplus.dim(d)))
         maps.extend(["unknown", "unknown", "unknown"])
-    terms.append(("0+", None))
+    terms.append(("0+", 0))
     maps.append("unknown")
-    # close the ends: outside the degree range everything is zero
-    terms[0] = ("0-", 0)
-    terms[-1] = ("0+", 0)
     # seed: RFH+_{k+1} -> H_{k+n-1}(Sigma) is an isomorphism
     labels = [lab for lab, _ in terms]
     i = labels.index(("RFH+", k + 1))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, InternalError, NotPositiveDefinite
 from .hormander import NormalForm
 from .symlin import (
     DEFAULT_TOL,
@@ -29,6 +29,7 @@ from .symlin import (
 __all__ = [
     "QuadraticHamiltonian",
     "ValidationReport",
+    "williamson_frequencies",
     "validate",
     "BlockCheck",
     "TentacularVerdict",
@@ -106,6 +107,26 @@ class ValidationReport:
         )
 
 
+def williamson_frequencies(a0, tol: Tolerances = DEFAULT_TOL) -> tuple:
+    """Symplectic eigenvalues of a positive definite form, ascending.
+
+    These are the positive imaginary parts of the eigenvalues of J A0,
+    with multiplicity.
+    """
+    a0 = sym_matrix(a0, "A0")
+    if a0.size == 0:
+        return ()
+    w = np.linalg.eigvalsh(a0)
+    if w.min() <= tol.rank_cut * float(np.abs(w).max()):
+        raise NotPositiveDefinite("A0 is not positive definite")
+    k = a0.shape[0] // 2
+    ev = np.linalg.eigvals(standard_J(k) @ a0)
+    mus = sorted(float(z.imag) for z in ev if z.imag > 0)
+    if len(mus) != k:
+        raise InternalError("eigenvalues of J A0 did not split into k conjugate pairs")
+    return tuple(mus)
+
+
 def validate(H: QuadraticHamiltonian, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
     """Check the three defining conditions, reporting offenders.
 
@@ -141,8 +162,6 @@ def validate(H: QuadraticHamiltonian, tol: Tolerances = DEFAULT_TOL) -> Validati
 
     freq_ok = None
     if H.frequencies is not None and H.k >= 1 and pos:
-        from .orbits import williamson_frequencies
-
         actual = williamson_frequencies(H.a0, tol)
         freq_ok = len(actual) == len(H.frequencies) and all(
             abs(a - b) <= 1e-8 * max(1.0, abs(b))

@@ -138,8 +138,8 @@ class TestCzPath:
             cz_index_path(S, 3 * np.pi)
 
     def test_degenerate_crossing_form_never_cached(self, monkeypatch):
-        """The crossings at 2 pi and 4 pi share one resonant frequency set;
-        a degenerate form is re-signed, and raises, at each of them."""
+        """The crossings at 2 pi and 4 pi share one frequency; a degenerate
+        form is re-signed, and raises, at each of them."""
         calls = []
 
         def counting(*args, **kwargs):
@@ -151,10 +151,12 @@ class TestCzPath:
         path = _form_crossings(S, 5 * np.pi, DEFAULT_TOL)
         assert len(path.times) == 2
         assert not calls  # construction signs nothing
-        for g, t in enumerate(path.times):
+        (mu,) = path.multiplicities
+        for t in path.times:
             with pytest.raises(CrossingDegenerate, match=f"t = {t}"):
-                path._signature(g, len(path.events))
+                path._frequency_signature(mu, t)
         assert len(calls) == 2
+        assert not path.frequency_signatures
 
 
 def census_transverse(H, eta):
@@ -276,7 +278,7 @@ def test_one_pass_matches_per_horizon_pass(case):
         assert cz_index_data(S, T, tol) == want
         assert cz_index_path(S, T, tol).doubled == want.index.doubled
         assert crossing_times(S, T, tol) == want_times
-    assert unsigned.prefix is None  # construction and crossing_times sign nothing
+    assert not unsigned.frequency_signatures  # construction and crossing_times sign nothing
 
 
 def test_cut_merged_crossing_at_endpoint():
@@ -299,6 +301,14 @@ def test_basis_of_the_wrong_dimension_is_ambiguous():
     assert path.multiplicity(0) == 2
     with pytest.raises(ClusterAmbiguous, match="dimension 2"):
         path.index(7.0)
+
+
+def test_frequency_faster_than_the_crossing_tolerance_is_refused():
+    """Crossings 2 pi / 8 apart, within a crossing tolerance of 1, would
+    merge with the start of the path and with each other: refused before
+    any is located or signed, not signed as one crossing."""
+    with pytest.raises(InputError, match="crossing tolerance"):
+        crossing_times(8.0 * np.eye(2), 5.0, Tolerances(crossing=1.0))
 
 
 def test_frequencies_closer_than_the_cluster_radius_merge():

@@ -22,7 +22,6 @@ from rfhquad import (
 from rfhquad.errors import (
     CensusOverflow,
     InputError,
-    InternalError,
     NotPositiveDefinite,
     ResonanceMismatch,
 )
@@ -255,9 +254,13 @@ def test_census_enumerates_only_the_window_span(h42):
     every crossing below it, and finds what a pass from 0 finds there."""
     _, path = orbits._census(h42, ActionWindow(1e6, 1e6 + 1.0), DEFAULT_TOL)
     assert len(path.events) <= 6
+    freqs = tuple((mu, 1) for mu in williamson_frequencies(h42.a0))
     for window in (ActionWindow(1e3, 1e3 + 40.0), ActionWindow(-1e3 - 40.0, -1e3)):
         late = census(h42, window)
-        assert late == orbits._census(h42, window, DEFAULT_TOL, indexed=True)[0]
+        full = czindex._Crossings(h42.a0, freqs, max(-window.lo, window.hi), DEFAULT_TOL)
+        assert [(f.eta, f.m) for f in late if f.side == "H0"] == sorted(
+            (s * t, full.multiplicity(g))
+            for g, t in enumerate(full.times) for s in (1, -1) if s * t in window)
         assert len(late) == 2 * 14  # 6 crossings of 1.0 and 9 of 1.3, one shared
 
 
@@ -265,8 +268,9 @@ def test_late_start_merges_as_a_pass_from_zero():
     """Under a crossing tolerance of 0.8 the crossings of ten frequencies
     in [1, 1.63] chain, some over more than a period of the fastest, so
     where a pass starts decides how they merge.  A pass that starts late
-    keeps, from its start on, the merged crossings of a pass from 0,
-    whether it starts one period early or has to start from 0."""
+    keeps, from its start on, the merged crossings of a pass from 0, and
+    their indices, whether it starts one period early or has to start
+    from 0."""
     wide = Tolerances(crossing=0.8)
     mus = tuple(1.0 + 0.07 * i for i in range(10))
     S = np.diag(mus * 2)
@@ -280,6 +284,5 @@ def test_late_start_merges_as_a_pass_from_zero():
         got = [(t, late.multiplicity(g)) for g, t in enumerate(late.times) if t >= start]
         assert got == want, start
         late_starts += late.event_times[0] >= start - TWO_PI / mus[-1]
-        with pytest.raises(InternalError):
-            late.index(start)
+        assert [late.index(t) for t in late.times] == [full.index(t) for t in late.times], start
     assert 0 < late_starts < len(starts)  # both ways are taken

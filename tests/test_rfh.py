@@ -271,8 +271,8 @@ class TestCensusEquivalence:
 
 def test_census_enumerates_each_crossing_once(h42, monkeypatch):
     """The generator census builds one crossing enumeration, takes no
-    Jordan spectrum, and signs each resonant frequency set once: {1.0},
-    {1.3} and {1.0, 1.3}, on a 50x, a 100x and a 1000x window.  A census
+    Jordan spectrum, and signs each frequency once: 1.0 and 1.3, also
+    where they cross together, on a 50x, a 100x and a 1000x window.  A census
     that signs every crossing grows linearly with the window, one that
     recomputes the index per eta quadratically."""
     calls = {"spectrum": 0, "signature": 0, "crossings": 0}
@@ -293,10 +293,36 @@ def test_census_enumerates_each_crossing_once(h42, monkeypatch):
         w = mult * TWO_PI + 1e-6
         calls.update(spectrum=0, signature=0, crossings=0)
         gens = generator_census(h42, ActionWindow(-w, w))
-        assert calls == {"spectrum": 0, "signature": 3, "crossings": 1}
+        assert calls == {"spectrum": 0, "signature": 2, "crossings": 1}
         # distinct positive crossing times; 1.0 and 1.3 share those at 20 pi j
         horizon = max(abs(g.action) for g in gens)
         assert len(critical_values(h42, ActionWindow(1e-6, horizon))) == crossings
+
+
+def test_census_far_from_zero_enumerates_its_window(h42, monkeypatch):
+    """A window at 1e6 holds one critical value: the generator census
+    lists the few events around it, not the 3.7e5 below it, and grades
+    each family as Long's closed form, cz = k + sum over mu of
+    2 #{2 pi j / mu < eta} + #{2 pi j / mu = eta}."""
+    built = []
+    init = czindex._Crossings.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(czindex._Crossings, "__init__", recording)
+    gens = generator_census(h42, ActionWindow(1e6, 1e6 + 1.0))
+    assert len(built) == 1 and len(built[0].events) <= 6
+    assert len(gens) == 4
+    for g in gens:
+        eta, m = g.family.eta, g.family.m
+        cz = h42.k
+        for mu in h42.frequencies:
+            j = int(eta * mu / TWO_PI)  # 2 pi (j - 1) / mu < eta < 2 pi (j + 2) / mu
+            times = [TWO_PI * i / mu for i in (j, j + 1)]
+            cz += 2 * (j - 1 + sum(t < eta for t in times)) + sum(t == eta for t in times)
+        assert g.grading.as_int() == (cz - m + 1 if g.pole == "min" else cz + m), g.label
 
 
 def _h0_gradings(H, window):

@@ -135,6 +135,21 @@ def test_expm_only_in_the_evaluator():
     assert all(name == "symlin.py" and ev.lineno <= no <= ev.end_lineno for name, no in hits), hits
 
 
+def test_restricted_signature_only_in_the_frequency_signer():
+    """One signing path for the index: czindex names restricted_signature
+    only inside _Crossings's per-frequency signer."""
+    tree = ast.parse((Path(rfhquad.__file__).parent / "czindex.py").read_text())
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "_Crossings"]
+    (signer,) = [node for node in cls.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_frequency_signature"]
+    uses = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "restricted_signature"
+            or isinstance(node, ast.Attribute) and node.attr == "restricted_signature"]
+    assert uses
+    assert all(signer.lineno <= no <= signer.end_lineno for no in uses), uses
+
+
 def test_kernel_dim_zero_matrix():
     assert kernel_dim(np.zeros((2, 2))) == 2
 
