@@ -21,7 +21,9 @@ eigenspaces of J S over the frequencies resonant there, which are
 S-orthogonal (Robbin-Salamon 1993), so each frequency is signed once, when
 an index is first asked for, and its crossings below T are counted by
 arithmetic (Long 2002): the index at T needs only the crossing at T from
-the enumeration.
+the enumeration.  Between consecutive crossings the index changes only by
+their signatures, so a census reads the closed form once and sums from
+there.
 
 Half-integers are kept exact as doubled integers; no index or grading is
 ever computed in floating point.
@@ -256,6 +258,8 @@ class _Crossings:
     J S, so a merged crossing's signature is the sum over its events.  The
     index on [0, T] is sgn(S) plus, for each frequency, its signature times
     twice its crossings before the endpoint crossing and once its events in it.
+    ``indices`` reads that closed form once, then sums the index along a run
+    of merged crossings, each signed once.
 
     A query at T sees exactly what a pass with horizon T sees: the events
     up to T + tol.crossing, merged as they would be on their own.  Only
@@ -371,6 +375,30 @@ class _Crossings:
         if end is not None:
             doubled += self._crossing_signature(end, cut)
         return HalfInt(doubled)
+
+    def indices(self, asked) -> dict:
+        """g -> the doubled index at T = times[g], for every merged crossing
+        from the least to the greatest of ``asked``: in closed form at the
+        first asked, then by a running sum along the crossings.
+
+        At T = times[g] all of crossing g is the endpoint and the events
+        before it are those of the crossings before g, so from g to g + 1
+        the index gains crossing g's signature once more (now interior)
+        and crossing g + 1's once (the new endpoint).  The frequencies are
+        signed in the order an index query at each asked crossing, in
+        turn, would sign them.
+        """
+        first, lo, hi = asked[0], min(asked), max(asked)
+        doubled = {first: self.index(self.times[first]).doubled}
+        sig = {}
+        for g in range(first, hi + 1):
+            sig[g] = self._crossing_signature(g, len(self.events))
+            if g > first:
+                doubled[g] = doubled[g - 1] + sig[g - 1] + sig[g]
+        for g in range(first - 1, lo - 1, -1):
+            sig[g] = self._crossing_signature(g, len(self.events))
+            doubled[g] = doubled[g + 1] - sig[g + 1] - sig[g]
+        return doubled
 
     def data(self, T: float) -> CzPathData:
         sgn_start = self.sgn_start

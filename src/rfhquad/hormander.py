@@ -204,9 +204,6 @@ class NormalForm:
     def matrix(self) -> np.ndarray:
         return assemble(self.blocks)
 
-    def block_keys(self, ndigits: int = 6):
-        return tuple(sorted(b.key(ndigits) for b in self.blocks))
-
 
 def _sort_blocks(blocks):
     return tuple(

@@ -117,13 +117,16 @@ def census(H: QuadraticHamiltonian, window: ActionWindow,
     numerical kernel of exp(eta J A0) - Id, all eta at once; disagreement
     is an internal error, not a user error.
     """
-    return _census(H, window, tol)[0]
+    values, _ = _census(H, window, tol)
+    return _families(H, values, [None] * len(values))
 
 
 def _census(H: QuadraticHamiltonian, window: ActionWindow, tol: Tolerances) -> tuple:
-    """(families, crossings): the census and the enumeration it was read
-    off, over the |eta| span of the window only; the generator census
-    grades the families from the same enumeration."""
+    """(values, crossings): (eta, g, m) for each critical value in the
+    window, ascending, with g the merged crossing at |eta| (None at
+    eta = 0), and the enumeration it was read off, over the |eta| span of
+    the window only; the generator census grades the values from the same
+    enumeration."""
     report = validate(H, tol)
     if not report.all_ok:
         raise InputError(f"Hamiltonian fails validation: {report.offending}")
@@ -140,23 +143,31 @@ def _census(H: QuadraticHamiltonian, window: ActionWindow, tol: Tolerances) -> t
     def span(t_lo, t_hi):  # the merged crossings with t_lo <= t <= t_hi
         return range(bisect_left(path.times, t_lo), bisect_right(path.times, t_hi))
 
-    negative = [(-path.times[g], g) for g in reversed(span(-hi, -lo))]
-    values = negative + [(path.times[g], g) for g in span(lo, hi)]
-    count = len(values) + (0.0 in window)
-    if 2 * count > DEFAULT_CENSUS_CAP:
+    negative = [(-path.times[g], g, path.multiplicity(g)) for g in reversed(span(-hi, -lo))]
+    positive = [(path.times[g], g, path.multiplicity(g)) for g in span(lo, hi)]
+    values = negative + [(0.0, None, None)] * (0.0 in window) + positive
+    if 2 * len(values) > DEFAULT_CENSUS_CAP:
         raise CensusOverflow(
-            f"window yields up to {2 * count} families, cap is {DEFAULT_CENSUS_CAP}")
-    etas = [eta for eta, _ in values]
-    counts = [path.multiplicity(g) for _, g in values]
-    flows = ExpEvaluator(path.JS).at(etas)
-    for eta, m, m_num in zip(etas, counts, kernel_dim(flows - np.eye(2 * H.k), tol)):
+            f"window yields up to {2 * len(values)} families, cap is {DEFAULT_CENSUS_CAP}")
+    nonzero = negative + positive
+    flows = ExpEvaluator(path.JS).at([eta for eta, _, _ in nonzero])
+    for (eta, _, m), m_num in zip(nonzero, kernel_dim(flows - np.eye(2 * H.k), tol)):
         if m_num != 2 * m:
             raise ResonanceMismatch(
                 f"kernel dimension {m_num} != 2 * resonance count {m} at eta = {eta}")
-    families = [OrbitFamily(eta, m, 2 * m - 1, "sphere", side, H.n, H.k)
-                for eta, m in zip(etas, counts) for side in ("H0", "H")]
-    if 0.0 in window:
-        at = 2 * len(negative)
-        families[at:at] = [OrbitFamily(0.0, H.k, 2 * H.k - 1, "sigma0", "H0", H.n, H.k),
-                           OrbitFamily(0.0, H.n, 2 * H.n - 1, "sigma", "H", H.n, H.k)]
-    return tuple(families), path
+    return values, path
+
+
+def _families(H: QuadraticHamiltonian, values, transverse) -> tuple:
+    """The (H0, H) family pair at each of the census's ``values``, the
+    stationary pair at eta = 0, each family carrying the transverse
+    index given for its value."""
+    families = []
+    for (eta, _, m), cz in zip(values, transverse):
+        if eta == 0.0:
+            families += (OrbitFamily(0.0, H.k, 2 * H.k - 1, "sigma0", "H0", H.n, H.k, cz),
+                         OrbitFamily(0.0, H.n, 2 * H.n - 1, "sigma", "H", H.n, H.k, cz))
+        else:
+            families += (OrbitFamily(eta, m, 2 * m - 1, "sphere", side, H.n, H.k, cz)
+                         for side in ("H0", "H"))
+    return tuple(families)

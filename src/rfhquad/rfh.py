@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .czindex import HalfInt, grading, sigma_index
 from .errors import Inconsistent, InputError, InternalError, Underdetermined
-from .orbits import ActionWindow, OrbitFamily, _census
+from .orbits import ActionWindow, OrbitFamily, _census, _families
 from .symlin import DEFAULT_TOL, Tolerances
 from .tentacular import QuadraticHamiltonian
 
@@ -49,10 +49,6 @@ class GradedZ2Space:
 
     def dim(self, degree: int) -> int:
         return self._dims.get(int(degree), 0)
-
-    @property
-    def support(self) -> tuple:
-        return tuple(sorted(self._dims))
 
     @property
     def total_dim(self) -> int:
@@ -103,30 +99,30 @@ class Generator:
 
 def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
                      tol: Tolerances = DEFAULT_TOL) -> list:
-    """All generators with action in the window, two per orbit family.
+    """All generators with action in the window, two per orbit family, by
+    action, then side (H before H0), then pole (max before min).
 
     The census enumerates the crossings of exp(t J A0) once, over the
-    window's |eta| span; the transverse index is read off that same
-    enumeration in closed form once per distinct |eta| and negated for
-    eta < 0, so the cost follows the window's width, not its distance
-    from 0.
+    window's |eta| span.  The transverse index is read off that same
+    enumeration in closed form once, at the first critical value, then
+    summed along the crossings of the span (``_Crossings.indices``) and
+    negated for eta < 0, so the cost follows the window's width, not its
+    distance from 0.
     """
-    families, crossings = _census(H, window, tol)
-    index_at = {0.0: 0}  # |eta| -> doubled transverse index at |eta|
+    values, crossings = _census(H, window, tol)
+    asked = [g for _, g, _ in values if g is not None]
+    index = crossings.indices(asked) if asked else {}
+    transverse = [HalfInt(0 if g is None else index[g] if eta > 0 else -index[g])
+                  for eta, g, _ in values]
+    families = _families(H, values, transverse)
     out = []
-    for fam in families:
-        eta = abs(fam.eta)
-        if eta not in index_at:
-            index_at[eta] = crossings.index(eta).doubled
-        cz = HalfInt(index_at[eta] if fam.eta >= 0 else -index_at[eta])
-        fam = OrbitFamily(fam.eta, fam.m, fam.family_dim, fam.topology, fam.side,
-                          fam.n, fam.k, cz_transverse=cz)
-        for pole in ("min", "max"):
-            g = grading(fam, pole)
-            if not isinstance(g, HalfInt) or not g.is_integer:
-                raise InternalError(f"non-integer grading {g} for {fam} at {pole}")
-            out.append(Generator(fam, pole, g))
-    out.sort(key=lambda g: (g.family.eta, g.family.side, g.pole))
+    for h0, h in zip(families[::2], families[1::2]):
+        for fam in (h, h0):
+            for pole in ("max", "min"):
+                g = grading(fam, pole)
+                if not isinstance(g, HalfInt) or not g.is_integer:
+                    raise InternalError(f"non-integer grading {g} for {fam} at {pole}")
+                out.append(Generator(fam, pole, g))
     return out
 
 

@@ -178,27 +178,33 @@ def _single_linkage(points, radius):
     return list(groups.values())
 
 
-def _nullity_chain(M, lam, tol):
-    """Nullities of (M - lam I)^j, j = 1, 2, ..., until they stabilize."""
+def _nullity_chains(M, centers, tol) -> list:
+    """For each center lam, the nullities of (M - lam I)^j, j = 1, 2, ...,
+    until they stabilize: one stacked product and one batched SVD per
+    power over the centers whose chain is still growing."""
     n = M.shape[0]
-    base = M.astype(complex) - complex(lam) * np.eye(n)
-    nullities = []
-    P = np.eye(n, dtype=complex)
-    prev = 0
+    base = M.astype(complex) - np.asarray(centers, dtype=complex)[:, None, None] * np.eye(n)
+    P = np.broadcast_to(np.eye(n, dtype=complex), base.shape)
+    chains = [[] for _ in centers]
+    live = list(range(len(centers)))
     for _ in range(n):
         P = P @ base
         sv = np.linalg.svd(P, compute_uv=False)
-        smax = float(sv[0]) if sv.size else 0.0
-        if smax == 0.0:
-            nu = n
-        else:
-            nu = int(np.count_nonzero(sv < tol.rank_cut * smax))
-            P = P / smax
-        nullities.append(nu)
-        if nu == prev or nu >= n:
+        smax = sv[:, 0]
+        nonzero = smax != 0.0
+        nus = np.where(nonzero, np.count_nonzero(sv < tol.rank_cut * smax[:, None], axis=1), n)
+        P /= np.where(nonzero, smax, 1.0)[:, None, None]
+        still = []
+        for row, (i, nu) in enumerate(zip(live, nus.tolist())):
+            prev = chains[i][-1] if chains[i] else 0
+            chains[i].append(nu)
+            if nu != prev and nu < n:
+                still.append(row)
+        if not still:
             break
-        prev = nu
-    return nullities
+        if len(still) < len(live):
+            P, base, live = P[still], base[still], [live[row] for row in still]
+    return chains
 
 
 def _block_sizes_from_chain(nullities):
@@ -245,7 +251,7 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
 
     for _ in range(len(eigs) + 1):
         centers = [complex(np.mean(c)) for c in clusters]
-        sizes_list = [_block_sizes_from_chain(_nullity_chain(M, z, tol)) for z in centers]
+        sizes_list = [_block_sizes_from_chain(c) for c in _nullity_chains(M, centers, tol)]
         bad = [i for i, c in enumerate(clusters) if sum(sizes_list[i]) != len(c)]
         if not bad:
             items = tuple(

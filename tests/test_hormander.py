@@ -13,9 +13,15 @@ from rfhquad import (
     standard_J,
     symplectic_direct_sum,
 )
-from rfhquad.errors import ClusterAmbiguous, GammaUndetermined, IncompatibleEigenvalue, InputError
+from rfhquad.errors import (
+    ClusterAmbiguous,
+    GammaUndetermined,
+    IncompatibleEigenvalue,
+    InputError,
+    InternalError,
+)
 from rfhquad.hormander import assemble
-from rfhquad.samples import random_orthosymplectic
+from rfhquad.samples import random_orthosymplectic, random_symplectic
 
 
 def test_build_real_pair_block():
@@ -136,6 +142,27 @@ def test_classify_signature_additivity(rng):
     p, q = total
     assert p - q == signature(A)
     assert p + q == A.shape[0]
+
+
+@pytest.mark.parametrize("conjugation", ["orthosymplectic", "symplectic"])
+def test_conjugated_jordan_two_block_is_refused_not_split(conjugation):
+    """A conjugated ('a', 2, 1.5) block's computed eigenvalues split into a
+    ring of radius about 1.5e-8, wider than the cluster radius, so the
+    first spectrum reads two size-1 clusters.  The second spectrum, of the
+    assembled normal form, must turn that into a refusal: classify returns
+    the one m = 2 block or raises, never two m = 1 blocks."""
+    rng = np.random.default_rng(15)
+    A = build_block("a", 2, 1.5).matrix
+    for _ in range(30):
+        if conjugation == "orthosymplectic":
+            P = random_orthosymplectic(rng, 2)
+        else:
+            P = random_symplectic(rng, 2, magnitude=0.1)
+        try:
+            nf = classify(P.T @ A @ P)
+        except (ClusterAmbiguous, InternalError):
+            continue
+        assert [(b.kind, b.m) for b in nf.blocks] == [("a", 2)]
 
 
 def test_classify_gamma_undetermined_for_defective_imaginary():

@@ -34,7 +34,7 @@ TWO_PI = 2 * np.pi
 class TestGradedSpace:
     def test_zero_dims_dropped(self):
         V = GradedZ2Space({0: 1, 3: 0, -2: 2})
-        assert V.support == (-2, 0)
+        assert list(V.as_dict()) == [-2, 0]
         assert V.dim(3) == 0 and V.dim(-2) == 2
         assert V.total_dim == 3
 
@@ -268,14 +268,49 @@ class TestCensusEquivalence:
         w = 50 * TWO_PI + 1e-6
         _assert_census_matches_reference(h42, ActionWindow(-w, w))
 
+    def test_far_asymmetric_windows(self, h42):
+        """Near 1e3, on either side of 0 and across the resonance at
+        320 pi, where the sum runs up from the window's first critical
+        value or down from its last."""
+        _assert_census_matches_reference(h42, ActionWindow(1e3 - 4.0, 1e3 + 9.0))
+        _assert_census_matches_reference(h42, ActionWindow(-1e3 - 9.0, -1e3 + 2.0))
+
+    def test_far_windows_follow_longs_closed_form(self, h42):
+        """Near 1e5 a pass from 0 would sign about 3.7e4 crossings per eta,
+        so the reference is Long's closed form, computed here."""
+        for window in (ActionWindow(1e5 - 3.0, 1e5 + 12.0), ActionWindow(-1e5 - 12.0, -1e5 + 3.0)):
+            gens = generator_census(h42, window)
+            assert len(gens) >= 12, window
+            for g in gens:
+                _assert_longs_closed_form(h42, g)
+
+
+def _assert_longs_closed_form(H, g):
+    """The grading of a generator of H, with distinct Williamson
+    frequencies mu, is Long's closed form: the transverse index at
+    eta > 0 is cz = k + sum over mu of 2 #{2 pi j / mu < eta} +
+    #{2 pi j / mu = eta}, negated for eta < 0, and the grading adds the
+    signature index and 1/2.  The mu are those the census reads, not the
+    declared frequencies, which differ from them by round-off."""
+    eta, m = abs(g.family.eta), g.family.m
+    cz = H.k
+    for mu in williamson_frequencies(H.a0):
+        j = int(eta * mu / TWO_PI)  # 2 pi (j - 1) / mu < eta < 2 pi (j + 2) / mu
+        times = [TWO_PI * i / mu for i in (j, j + 1)]
+        cz += 2 * (j - 1 + sum(t < eta for t in times)) + sum(t == eta for t in times)
+    if g.family.eta < 0:
+        cz = -cz
+    assert g.grading.as_int() == (cz - m + 1 if g.pole == "min" else cz + m), g.label
+
 
 def test_census_enumerates_each_crossing_once(h42, monkeypatch):
     """The generator census builds one crossing enumeration, takes no
-    Jordan spectrum, and signs each frequency once: 1.0 and 1.3, also
-    where they cross together, on a 50x, a 100x and a 1000x window.  A census
-    that signs every crossing grows linearly with the window, one that
-    recomputes the index per eta quadratically."""
-    calls = {"spectrum": 0, "signature": 0, "crossings": 0}
+    Jordan spectrum, signs each frequency once: 1.0 and 1.3, also where
+    they cross together, and reads one index in closed form, on a 50x, a
+    100x and a 1000x window.  A census that signs every crossing grows
+    linearly with the window, one that recomputes the index per eta
+    quadratically."""
+    calls = {"spectrum": 0, "signature": 0, "crossings": 0, "index": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -289,11 +324,12 @@ def test_census_enumerates_each_crossing_once(h42, monkeypatch):
                         counting("signature", czindex.restricted_signature))
     monkeypatch.setattr(czindex._Crossings, "__init__",
                         counting("crossings", czindex._Crossings.__init__))
+    monkeypatch.setattr(czindex._Crossings, "index", counting("index", czindex._Crossings.index))
     for mult, crossings in ((50, 50 + 65 - 5), (100, 100 + 130 - 10), (1000, 1000 + 1300 - 100)):
         w = mult * TWO_PI + 1e-6
-        calls.update(spectrum=0, signature=0, crossings=0)
+        calls.update(spectrum=0, signature=0, crossings=0, index=0)
         gens = generator_census(h42, ActionWindow(-w, w))
-        assert calls == {"spectrum": 0, "signature": 2, "crossings": 1}
+        assert calls == {"spectrum": 0, "signature": 2, "crossings": 1, "index": 1}
         # distinct positive crossing times; 1.0 and 1.3 share those at 20 pi j
         horizon = max(abs(g.action) for g in gens)
         assert len(critical_values(h42, ActionWindow(1e-6, horizon))) == crossings
@@ -316,13 +352,7 @@ def test_census_far_from_zero_enumerates_its_window(h42, monkeypatch):
     assert len(built) == 1 and len(built[0].events) <= 6
     assert len(gens) == 4
     for g in gens:
-        eta, m = g.family.eta, g.family.m
-        cz = h42.k
-        for mu in h42.frequencies:
-            j = int(eta * mu / TWO_PI)  # 2 pi (j - 1) / mu < eta < 2 pi (j + 2) / mu
-            times = [TWO_PI * i / mu for i in (j, j + 1)]
-            cz += 2 * (j - 1 + sum(t < eta for t in times)) + sum(t == eta for t in times)
-        assert g.grading.as_int() == (cz - m + 1 if g.pole == "min" else cz + m), g.label
+        _assert_longs_closed_form(h42, g)
 
 
 def _h0_gradings(H, window):
