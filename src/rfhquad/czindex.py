@@ -15,15 +15,14 @@ contribute no crossings at all.
 The crossings are enumerated in one pass over a window of times, from a
 list of frequencies with multiplicities: the Jordan spectrum of J S for a
 general form, the Williamson frequencies of A0 for the orbit census, which
-takes its critical values and resonance counts from the same enumeration
-that grades them.  The kernel at t = 2 pi j / mu is the sum of the mu i
-eigenspaces of J S over the frequencies resonant there, which are
-S-orthogonal (Robbin-Salamon 1993), so each frequency is signed once, when
-an index is first asked for, and its crossings below T are counted by
-arithmetic (Long 2002): the index at T needs only the crossing at T from
-the enumeration.  Between consecutive crossings the index changes only by
-their signatures, so a census reads the closed form once and sums from
-there.
+takes its critical values and resonance counts from the same enumeration.
+The kernel at t = 2 pi j / mu is the sum of the mu i eigenspaces of J S
+over the frequencies resonant there, which are S-orthogonal
+(Robbin-Salamon 1993), so ``cz_index_data`` signs each frequency once.
+A positive definite S, as A0 is, makes every crossing form positive
+definite, so its index is a plain crossing count (Long 2002): the census
+grades each crossing by arithmetic on the event times
+(``_positive_index``) and signs nothing.
 
 Half-integers are kept exact as doubled integers; no index or grading is
 ever computed in floating point.
@@ -31,7 +30,6 @@ ever computed in floating point.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -243,6 +241,20 @@ def _count_before(mu: float, t: float) -> int:
     return j
 
 
+def _positive_index(path: _Crossings, g: int, m: int) -> int:
+    """The doubled index at T = times[g] of a path whose S is positive
+    definite, m the summed multiplicity of crossing g.
+
+    Every crossing form is S on the kernel, positive definite, so each
+    crossing weighs the kernel's dimension (Robbin-Salamon 1993; Long
+    2002): dim S at the start, 2 m at the endpoint and, twice, the
+    2 * multiplicity of each crossing of each frequency before T.
+    """
+    t = path.times[g]
+    return (path.S.shape[0] + 2 * m
+            + 4 * sum(mult * _count_before(mu, t) for mu, mult in path.multiplicities.items()))
+
+
 class _Crossings:
     """The crossings of exp(t J S) on (0, horizon], enumerated once.
 
@@ -253,23 +265,21 @@ class _Crossings:
     coincident times (within tol.crossing) are merged into a single
     crossing with the combined kernel and the summed multiplicity.
 
-    Nothing is signed until an index is asked for, then each frequency
-    once: the crossing form splits over the S-orthogonal eigenspaces of
-    J S, so a merged crossing's signature is the sum over its events.  The
-    index on [0, T] is sgn(S) plus, for each frequency, its signature times
-    twice its crossings before the endpoint crossing and once its events in it.
-    ``indices`` reads that closed form once, then sums the index along a run
-    of merged crossings, each signed once.
+    Nothing is signed until crossing data is asked for, then each
+    frequency once: the crossing form splits over the S-orthogonal
+    eigenspaces of J S, so a merged crossing's signature is the sum over
+    its events.
 
     A query at T sees exactly what a pass with horizon T sees: the events
     up to T + tol.crossing, merged as they would be on their own.  Only
     the last merged crossing before that cut can lose members to it; it
     starts within tol.crossing of T, so it is never interior, and as the
-    endpoint it is signed on the frequencies of the events it keeps.
+    endpoint it is signed on the frequencies of the events it keeps.  Two
+    merged crossings within tol.crossing of T cannot both be the endpoint,
+    and the query raises.
 
     With ``start`` > 0 the crossings before ``start`` may be left out;
-    those kept are merged exactly as a pass from 0 merges them, and the
-    index at each of them is that of a pass from 0.
+    those kept are merged exactly as a pass from 0 merges them.
     """
 
     def __init__(self, S, frequencies, horizon: float, tol: Tolerances, start: float = 0.0):
@@ -360,45 +370,11 @@ class _Crossings:
         last = bisect_right(self.starts, cut - 1)
         stop = bisect_left(self.times, True, 0, last, key=lambda t: t - T >= -tol)
         end = bisect_left(self.times, True, stop, last, key=lambda t: t - T > tol)
+        if end - stop > 1:
+            raise CrossingDegenerate(
+                f"crossings at t = {self.times[stop]} and t = {self.times[stop + 1]} "
+                f"are both within {tol} of T = {T}")
         return stop, (end - 1 if end > stop else None), cut
-
-    def index(self, T: float) -> HalfInt:
-        stop, end, cut = self._split(T)
-        # the interior crossings are made of the events before crossing stop
-        edge = (self.times[stop] if stop < len(self.times)
-                else math.nextafter(self.horizon + self.tol.crossing, math.inf))
-        doubled = self.sgn_start
-        for mu in self.multiplicities:
-            n = _count_before(mu, edge)
-            if n:
-                doubled += 2 * n * self._frequency_signature(mu, TWO_PI / mu)
-        if end is not None:
-            doubled += self._crossing_signature(end, cut)
-        return HalfInt(doubled)
-
-    def indices(self, asked) -> dict:
-        """g -> the doubled index at T = times[g], for every merged crossing
-        from the least to the greatest of ``asked``: in closed form at the
-        first asked, then by a running sum along the crossings.
-
-        At T = times[g] all of crossing g is the endpoint and the events
-        before it are those of the crossings before g, so from g to g + 1
-        the index gains crossing g's signature once more (now interior)
-        and crossing g + 1's once (the new endpoint).  The frequencies are
-        signed in the order an index query at each asked crossing, in
-        turn, would sign them.
-        """
-        first, lo, hi = asked[0], min(asked), max(asked)
-        doubled = {first: self.index(self.times[first]).doubled}
-        sig = {}
-        for g in range(first, hi + 1):
-            sig[g] = self._crossing_signature(g, len(self.events))
-            if g > first:
-                doubled[g] = doubled[g - 1] + sig[g - 1] + sig[g]
-        for g in range(first - 1, lo - 1, -1):
-            sig[g] = self._crossing_signature(g, len(self.events))
-            doubled[g] = doubled[g + 1] - sig[g + 1] - sig[g]
-        return doubled
 
     def data(self, T: float) -> CzPathData:
         sgn_start = self.sgn_start

@@ -13,9 +13,9 @@ themselves as stationary families.
 The critical values are the crossing times of exp(t J A0), so the census
 reads each |eta| and its m off the crossing enumeration of the index layer
 (``czindex._Crossings``) at the Williamson frequencies of A0, over the
-|eta| span of its window only: the generator census grades the families
-from that same enumeration, and no second rule decides which frequencies
-resonate.
+|eta| span of its window only, and grades each from the same crossing by
+a crossing count (``czindex._positive_index``): no second rule decides
+which frequencies resonate.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .czindex import _Crossings, _merged_frequencies
+from .czindex import HalfInt, _Crossings, _merged_frequencies, _positive_index
 from .errors import (
     CensusOverflow,
     InputError,
@@ -117,16 +117,17 @@ def census(H: QuadraticHamiltonian, window: ActionWindow,
     numerical kernel of exp(eta J A0) - Id, all eta at once; disagreement
     is an internal error, not a user error.
     """
-    values, _ = _census(H, window, tol)
-    return _families(H, values, [None] * len(values))
+    return _families(H, _census(H, window, tol), graded=False)
 
 
 def _census(H: QuadraticHamiltonian, window: ActionWindow, tol: Tolerances) -> tuple:
-    """(values, crossings): (eta, g, m) for each critical value in the
-    window, ascending, with g the merged crossing at |eta| (None at
-    eta = 0), and the enumeration it was read off, over the |eta| span of
-    the window only; the generator census grades the values from the same
-    enumeration."""
+    """(eta, m, cz) for each critical value in the window, ascending, with
+    cz the doubled transverse index (m None and cz 0 at eta = 0), read off
+    one crossing enumeration over the |eta| span of the window only.
+
+    A0 is positive definite (``validate``), so cz at eta = +-t is +- the
+    crossing count of ``_positive_index``; the kernel cross-check at
+    every eta confirms the m it counts."""
     report = validate(H, tol)
     if not report.all_ok:
         raise InputError(f"Hamiltonian fails validation: {report.offending}")
@@ -143,27 +144,32 @@ def _census(H: QuadraticHamiltonian, window: ActionWindow, tol: Tolerances) -> t
     def span(t_lo, t_hi):  # the merged crossings with t_lo <= t <= t_hi
         return range(bisect_left(path.times, t_lo), bisect_right(path.times, t_hi))
 
-    negative = [(-path.times[g], g, path.multiplicity(g)) for g in reversed(span(-hi, -lo))]
-    positive = [(path.times[g], g, path.multiplicity(g)) for g in span(lo, hi)]
-    values = negative + [(0.0, None, None)] * (0.0 in window) + positive
+    def value(g, sign):
+        m = path.multiplicity(g)
+        return sign * path.times[g], m, sign * _positive_index(path, g, m)
+
+    negative = [value(g, -1) for g in reversed(span(-hi, -lo))]
+    positive = [value(g, 1) for g in span(lo, hi)]
+    values = negative + [(0.0, None, 0)] * (0.0 in window) + positive
     if 2 * len(values) > DEFAULT_CENSUS_CAP:
         raise CensusOverflow(
             f"window yields up to {2 * len(values)} families, cap is {DEFAULT_CENSUS_CAP}")
     nonzero = negative + positive
     flows = ExpEvaluator(path.JS).at([eta for eta, _, _ in nonzero])
-    for (eta, _, m), m_num in zip(nonzero, kernel_dim(flows - np.eye(2 * H.k), tol)):
+    for (eta, m, _), m_num in zip(nonzero, kernel_dim(flows - np.eye(2 * H.k), tol)):
         if m_num != 2 * m:
             raise ResonanceMismatch(
                 f"kernel dimension {m_num} != 2 * resonance count {m} at eta = {eta}")
-    return values, path
+    return values
 
 
-def _families(H: QuadraticHamiltonian, values, transverse) -> tuple:
+def _families(H: QuadraticHamiltonian, values, graded: bool) -> tuple:
     """The (H0, H) family pair at each of the census's ``values``, the
     stationary pair at eta = 0, each family carrying the transverse
-    index given for its value."""
+    index of its value when ``graded``."""
     families = []
-    for (eta, _, m), cz in zip(values, transverse):
+    for eta, m, cz in values:
+        cz = HalfInt(cz) if graded else None
         if eta == 0.0:
             families += (OrbitFamily(0.0, H.k, 2 * H.k - 1, "sigma0", "H0", H.n, H.k, cz),
                          OrbitFamily(0.0, H.n, 2 * H.n - 1, "sigma", "H", H.n, H.k, cz))

@@ -103,18 +103,11 @@ def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
     action, then side (H before H0), then pole (max before min).
 
     The census enumerates the crossings of exp(t J A0) once, over the
-    window's |eta| span.  The transverse index is read off that same
-    enumeration in closed form once, at the first critical value, then
-    summed along the crossings of the span (``_Crossings.indices``) and
-    negated for eta < 0, so the cost follows the window's width, not its
-    distance from 0.
+    window's |eta| span, and grades each critical value by counting the
+    crossings up to it, negated for eta < 0, so the cost follows the
+    window's width, not its distance from 0.
     """
-    values, crossings = _census(H, window, tol)
-    asked = [g for _, g, _ in values if g is not None]
-    index = crossings.indices(asked) if asked else {}
-    transverse = [HalfInt(0 if g is None else index[g] if eta > 0 else -index[g])
-                  for eta, g, _ in values]
-    families = _families(H, values, transverse)
+    families = _families(H, _census(H, window, tol), graded=True)
     out = []
     for h0, h in zip(families[::2], families[1::2]):
         for fam in (h, h0):

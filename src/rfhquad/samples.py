@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hormander import HormanderBlock, NormalForm, build_block, normal_form
-from .symlin import DEFAULT_TOL, TWO_PI, ExpEvaluator, standard_J, symplectic_direct_sum
+from .symlin import TWO_PI, ExpEvaluator, standard_J, symplectic_direct_sum
 from .tentacular import QuadraticHamiltonian
 
 __all__ = [

@@ -287,7 +287,10 @@ class ExpEvaluator:
     """exp(t M) for a stack of times t, the package's one matrix exponential.
 
     One eigendecomposition M = V diag(w) V^-1 serves every t when it
-    reproduces M to 1e-10 * max(|M|_2, 1); each point is then the product
+    reproduces M to |R|_F <= 1e-10 * max(1, |M|_F / sqrt(n)), R the
+    residual and n the order of M: never looser than the spectral-norm
+    test |R|_2 <= 1e-10 * max(1, |M|_2), as |R|_2 <= |R|_F and
+    |M|_F / sqrt(n) <= |M|_2, and no SVD.  Each point is then the product
     (V * exp(t w)) @ V^-1.  Otherwise (a defective M, such as a Jordan
     block) each point falls back to scaling-and-squaring Pade.  A point's
     value does not depend on the other points asked for with it.
@@ -298,8 +301,9 @@ class ExpEvaluator:
         self.w, self.V = np.linalg.eig(self.M)
         try:
             self.Vi = np.linalg.inv(self.V)
-            resid = np.linalg.norm(self.V @ np.diag(self.w) @ self.Vi - self.M, 2)
-            self.fast = bool(resid <= 1e-10 * max(1.0, np.linalg.norm(self.M, 2)))
+            resid = np.linalg.norm(self.V @ np.diag(self.w) @ self.Vi - self.M)
+            scale = np.linalg.norm(self.M) / np.sqrt(max(1, self.M.shape[0]))
+            self.fast = bool(resid <= 1e-10 * max(1.0, scale))
         except np.linalg.LinAlgError:
             self.fast = False
 

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, settings
 
 from rfhquad import ActionWindow, QuadraticHamiltonian, build_block, census, symplectic_direct_sum
 from rfhquad.czindex import CzPathData, _imaginary_frequencies
+from rfhquad.errors import CrossingDegenerate
 from rfhquad.symlin import (
     TWO_PI,
     imaginary_eigenspace_basis,
@@ -26,7 +27,8 @@ def per_horizon_data(S, T, tol):
     """The crossing data of exp(t J S) on [0, T] from a pass that stops at
     T, merging the crossings it meets on its own and signing each one
     afresh, with no cache: the reference the one-pass enumeration and the
-    census must reproduce exactly."""
+    census must reproduce exactly.  Two merged crossings within
+    tol.crossing of T cannot both be the endpoint, and it raises."""
     S = sym_matrix(S)
     sgn_s = signature(S, tol)
     JS = standard_J(S.shape[0] // 2) @ S
@@ -50,6 +52,9 @@ def per_horizon_data(S, T, tol):
         B = np.hstack([imaginary_eigenspace_basis(JS, mu, tol) for mu in group])
         sig = restricted_signature(S, B, tol)
         if abs(t - T) <= tol.crossing:
+            if endpoint is not None:
+                raise CrossingDegenerate(f"crossings at t = {endpoint[0]} and t = {t} "
+                                         f"are both within {tol.crossing} of T = {T}")
             endpoint = (t, sig)
         elif t < T:
             interior.append((t, sig))

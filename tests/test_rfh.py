@@ -1,3 +1,6 @@
+import itertools
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,7 +25,7 @@ from rfhquad import (
     solve_exact_sequence,
     williamson_frequencies,
 )
-from rfhquad import czindex
+from rfhquad import czindex, symlin
 from rfhquad.errors import Inconsistent, InputError, ResonanceMismatch, Underdetermined
 from rfhquad.samples import random_hamiltonian, random_hyperbolic_blocks, random_orthosymplectic
 from rfhquad.selftest import criterion_grid
@@ -303,14 +306,17 @@ def _assert_longs_closed_form(H, g):
     assert g.grading.as_int() == (cz - m + 1 if g.pole == "min" else cz + m), g.label
 
 
+SIGNERS = ("restricted_signature", "imaginary_eigenspace_basis", "signature",
+           "spectrum_with_jordan")
+
+
 def test_census_enumerates_each_crossing_once(h42, monkeypatch):
-    """The generator census builds one crossing enumeration, takes no
-    Jordan spectrum, signs each frequency once: 1.0 and 1.3, also where
-    they cross together, and reads one index in closed form, on a 50x, a
-    100x and a 1000x window.  A census that signs every crossing grows
-    linearly with the window, one that recomputes the index per eta
-    quadratically."""
-    calls = {"spectrum": 0, "signature": 0, "crossings": 0, "index": 0}
+    """The census and the generator census build one crossing enumeration
+    and sign nothing, on a 50x, a 100x and a 1000x window: A0 is positive
+    definite, so its index counts crossings, also where 1.0 and 1.3 cross
+    together.  No Jordan spectrum, eigenspace basis or signature is taken,
+    through any module of the package."""
+    calls = dict.fromkeys(SIGNERS + ("crossings",), 0)
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -318,21 +324,21 @@ def test_census_enumerates_each_crossing_once(h42, monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(czindex, "spectrum_with_jordan",
-                        counting("spectrum", czindex.spectrum_with_jordan))
-    monkeypatch.setattr(czindex, "restricted_signature",
-                        counting("signature", czindex.restricted_signature))
+    originals = {name: getattr(symlin, name) for name in SIGNERS}
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "rfhquad"]
+    for mod, name in itertools.product(modules, SIGNERS):
+        if getattr(mod, name, None) is originals[name]:
+            monkeypatch.setattr(mod, name, counting(name, originals[name]))
     monkeypatch.setattr(czindex._Crossings, "__init__",
                         counting("crossings", czindex._Crossings.__init__))
-    monkeypatch.setattr(czindex._Crossings, "index", counting("index", czindex._Crossings.index))
     for mult, crossings in ((50, 50 + 65 - 5), (100, 100 + 130 - 10), (1000, 1000 + 1300 - 100)):
-        w = mult * TWO_PI + 1e-6
-        calls.update(spectrum=0, signature=0, crossings=0, index=0)
-        gens = generator_census(h42, ActionWindow(-w, w))
-        assert calls == {"spectrum": 0, "signature": 2, "crossings": 1, "index": 1}
+        window = ActionWindow(-mult * TWO_PI - 1e-6, mult * TWO_PI + 1e-6)
+        for run in (census, generator_census):
+            calls.update(dict.fromkeys(calls, 0))
+            run(h42, window)
+            assert calls == {**dict.fromkeys(SIGNERS, 0), "crossings": 1}, run
         # distinct positive crossing times; 1.0 and 1.3 share those at 20 pi j
-        horizon = max(abs(g.action) for g in gens)
-        assert len(critical_values(h42, ActionWindow(1e-6, horizon))) == crossings
+        assert len(critical_values(h42, ActionWindow(1e-6, window.hi))) == crossings
 
 
 def test_census_far_from_zero_enumerates_its_window(h42, monkeypatch):
