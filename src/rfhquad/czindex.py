@@ -85,6 +85,8 @@ class HalfInt:
 
     @classmethod
     def from_int(cls, n: int) -> "HalfInt":
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise InputError(f"HalfInt.from_int needs an integer, got {n!r}")
         return cls(2 * int(n))
 
     @property
@@ -423,6 +425,17 @@ def crossing_times(S, T: float, tol: Tolerances = DEFAULT_TOL) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _sigma_doubled(family: OrbitFamily, pole: str) -> int:
+    """Twice the signature index of the extremum ``pole`` on the family."""
+    if pole not in ("min", "max"):
+        raise InputError(f"pole must be 'min' or 'max', got {pole!r}")
+    if family.topology in ("sphere", "sigma0"):
+        return -(2 * family.m - 1) if pole == "min" else 2 * family.m - 1
+    if family.topology == "sigma":
+        return -(2 * family.n - 1) if pole == "min" else 2 * family.k - 1
+    raise InputError(f"unknown topology {family.topology!r}")
+
+
 def sigma_index(family: OrbitFamily, pole: str) -> HalfInt:
     """Signature index of the Morse-Bott extremum on the family.
 
@@ -431,16 +444,7 @@ def sigma_index(family: OrbitFamily, pole: str) -> HalfInt:
     m = k; the stationary noncompact family has -(n - 1/2) at the minimum
     and k - 1/2 at the maximum.
     """
-    if pole not in ("min", "max"):
-        raise InputError(f"pole must be 'min' or 'max', got {pole!r}")
-    if family.topology in ("sphere", "sigma0"):
-        m = family.m
-        return HalfInt(-(2 * m - 1)) if pole == "min" else HalfInt(2 * m - 1)
-    if family.topology == "sigma":
-        if pole == "min":
-            return HalfInt(-(2 * family.n - 1))
-        return HalfInt(2 * family.k - 1)
-    raise InputError(f"unknown topology {family.topology!r}")
+    return HalfInt(_sigma_doubled(family, pole))
 
 
 def grading(family: OrbitFamily, pole: str) -> HalfInt:
@@ -457,4 +461,4 @@ def grading(family: OrbitFamily, pole: str) -> HalfInt:
                          "grade it through generator_census")
     else:
         cz = family.cz_transverse.doubled
-    return HalfInt(cz + sigma_index(family, pole).doubled + 1)
+    return HalfInt(cz + _sigma_doubled(family, pole) + 1)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .czindex import HalfInt, _Crossings, _merged_frequencies, _positive_index
+from .czindex import _Crossings, _merged_frequencies, _positive_index
 from .errors import (
     CensusOverflow,
     InputError,
@@ -38,7 +38,7 @@ from .symlin import (
     Tolerances,
     kernel_dim,
 )
-from .tentacular import QuadraticHamiltonian, validate, williamson_frequencies
+from .tentacular import QuadraticHamiltonian, _symplectic_eigenvalues, _validate
 
 __all__ = [
     "ActionWindow",
@@ -84,6 +84,16 @@ class OrbitFamily:
     k: int
     cz_transverse: object | None = None  # HalfInt, filled by the index layer
 
+    @classmethod
+    def _new(cls, eta, m, family_dim, topology, side, n, k, cz_transverse) -> "OrbitFamily":
+        """The family ``OrbitFamily(...)`` builds from these fields, set in
+        one update of its __dict__: the frozen __init__ makes one
+        object.__setattr__ call per field, and a census builds thousands."""
+        fam = object.__new__(cls)
+        fam.__dict__.update(eta=eta, m=m, family_dim=family_dim, topology=topology,
+                            side=side, n=n, k=k, cz_transverse=cz_transverse)
+        return fam
+
     @property
     def topology_name(self) -> str:
         if self.topology == "sphere":
@@ -117,7 +127,8 @@ def census(H: QuadraticHamiltonian, window: ActionWindow,
     numerical kernel of exp(eta J A0) - Id, all eta at once; disagreement
     is an internal error, not a user error.
     """
-    return _families(H, _census(H, window, tol), graded=False)
+    return tuple(fam for eta, m, _ in _census(H, window, tol)
+                 for fam in _families(H, eta, m, None))
 
 
 def _census(H: QuadraticHamiltonian, window: ActionWindow, tol: Tolerances) -> tuple:
@@ -127,11 +138,15 @@ def _census(H: QuadraticHamiltonian, window: ActionWindow, tol: Tolerances) -> t
 
     A0 is positive definite (``validate``), so cz at eta = +-t is +- the
     crossing count of ``_positive_index``; the kernel cross-check at
-    every eta confirms the m it counts."""
-    report = validate(H, tol)
+    every eta confirms the m it counts.  A0's spectrum is read once per
+    call: validation's eigvalsh checks definiteness, and the Williamson
+    frequencies are those validation read to check the declared ones, or
+    else one eigvals of J A0 here."""
+    report, mus = _validate(H, tol)
     if not report.all_ok:
         raise InputError(f"Hamiltonian fails validation: {report.offending}")
-    mus = williamson_frequencies(H.a0, tol)
+    if mus is None:
+        mus = _symplectic_eigenvalues(H.a0)
     freqs = _merged_frequencies([(mu, 1) for mu in mus], max(1.0, mus[-1]), tol)
     least = 2 * _lower_bound(freqs, window)
     if least > DEFAULT_CENSUS_CAP:
@@ -163,17 +178,12 @@ def _census(H: QuadraticHamiltonian, window: ActionWindow, tol: Tolerances) -> t
     return values
 
 
-def _families(H: QuadraticHamiltonian, values, graded: bool) -> tuple:
-    """The (H0, H) family pair at each of the census's ``values``, the
-    stationary pair at eta = 0, each family carrying the transverse
-    index of its value when ``graded``."""
-    families = []
-    for eta, m, cz in values:
-        cz = HalfInt(cz) if graded else None
-        if eta == 0.0:
-            families += (OrbitFamily(0.0, H.k, 2 * H.k - 1, "sigma0", "H0", H.n, H.k, cz),
-                         OrbitFamily(0.0, H.n, 2 * H.n - 1, "sigma", "H", H.n, H.k, cz))
-        else:
-            families += (OrbitFamily(eta, m, 2 * m - 1, "sphere", side, H.n, H.k, cz)
-                         for side in ("H0", "H"))
-    return tuple(families)
+def _families(H: QuadraticHamiltonian, eta: float, m, cz) -> tuple:
+    """The (H0, H) families at one critical value of the census, each
+    carrying the transverse index ``cz`` (a HalfInt, or None): the
+    stationary pair at eta = 0, a pair of equal spheres elsewhere."""
+    if eta == 0.0:
+        return (OrbitFamily._new(0.0, H.k, 2 * H.k - 1, "sigma0", "H0", H.n, H.k, cz),
+                OrbitFamily._new(0.0, H.n, 2 * H.n - 1, "sigma", "H", H.n, H.k, cz))
+    return (OrbitFamily._new(eta, m, 2 * m - 1, "sphere", "H0", H.n, H.k, cz),
+            OrbitFamily._new(eta, m, 2 * m - 1, "sphere", "H", H.n, H.k, cz))

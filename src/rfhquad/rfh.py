@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .czindex import HalfInt, grading, sigma_index
+from .czindex import HalfInt, _sigma_doubled, sigma_index
 from .errors import Inconsistent, InputError, InternalError, Underdetermined
 from .orbits import ActionWindow, OrbitFamily, _census, _families
 from .symlin import DEFAULT_TOL, Tolerances
@@ -83,6 +83,14 @@ class Generator:
     pole: str
     grading: HalfInt
 
+    @classmethod
+    def _new(cls, family: OrbitFamily, pole: str, grading: HalfInt) -> "Generator":
+        """The generator ``Generator(family, pole, grading)`` builds, set in
+        one update of its __dict__ (see ``OrbitFamily._new``)."""
+        gen = object.__new__(cls)
+        gen.__dict__.update(family=family, pole=pole, grading=grading)
+        return gen
+
     @property
     def action(self) -> float:
         return self.family.eta
@@ -105,17 +113,23 @@ def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
     The census enumerates the crossings of exp(t J A0) once, over the
     window's |eta| span, and grades each critical value by counting the
     crossings up to it, negated for eta < 0, so the cost follows the
-    window's width, not its distance from 0.
+    window's width, not its distance from 0.  Each value's doubled
+    gradings, transverse index + signature index + 1/2, are summed once
+    as integers and shared by its two sphere families (the stationary
+    pair at eta = 0 differs); all four have the parity of the transverse
+    index, which is checked once per value.
     """
-    families = _families(H, _census(H, window, tol), graded=True)
     out = []
-    for h0, h in zip(families[::2], families[1::2]):
-        for fam in (h, h0):
-            for pole in ("max", "min"):
-                g = grading(fam, pole)
-                if not isinstance(g, HalfInt) or not g.is_integer:
-                    raise InternalError(f"non-integer grading {g} for {fam} at {pole}")
-                out.append(Generator(fam, pole, g))
+    for eta, m, cz in _census(H, window, tol):
+        h0, h = _families(H, eta, m, HalfInt(cz))
+        top, bottom = (cz + _sigma_doubled(h, pole) + 1 for pole in ("max", "min"))
+        if top % 2:
+            raise InternalError(f"non-integer grading {HalfInt(top)} for {h} at max")
+        top, bottom = HalfInt(top), HalfInt(bottom)
+        out += (Generator._new(h, "max", top), Generator._new(h, "min", bottom))
+        if eta == 0.0:
+            top, bottom = (HalfInt(cz + _sigma_doubled(h0, pole) + 1) for pole in ("max", "min"))
+        out += (Generator._new(h0, "max", top), Generator._new(h0, "min", bottom))
     return out
 
 

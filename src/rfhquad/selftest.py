@@ -12,7 +12,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -103,7 +102,6 @@ def _separated_hamiltonian(rng, n, k):
     raise RuntimeError(f"could not draw a separated instance for n={n}, k={k}")
 
 
-@lru_cache(maxsize=4)
 def criterion_grid(seed: int = BASE_SEED) -> tuple:
     """The (n, k) grid 2 <= n <= 6, 1 <= k <= n-1, one instance each."""
     rng = np.random.default_rng(seed)
@@ -118,7 +116,7 @@ def criterion_grid(seed: int = BASE_SEED) -> tuple:
 
 def criterion_1(seed: int = BASE_SEED) -> CriterionResult:
     """Full homology on the whole grid: Z/2 at degrees 1-n and -k."""
-    grid = criterion_grid(seed)  # cached; instance generation is not timed
+    grid = criterion_grid(seed)  # instance generation is not timed
     t0 = time.perf_counter()
     failures = []
     for H in grid:

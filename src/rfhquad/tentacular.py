@@ -107,6 +107,24 @@ class ValidationReport:
         )
 
 
+def _nonpositive(a0: np.ndarray, tol: Tolerances) -> list:
+    """The eigenvalues of a nonempty A0 at or below the rank cutoff."""
+    w = np.linalg.eigvalsh(a0)
+    cut = tol.rank_cut * float(np.abs(w).max())
+    return [float(x) for x in w if x <= cut]
+
+
+def _symplectic_eigenvalues(a0: np.ndarray) -> tuple:
+    """The positive imaginary parts of the eigenvalues of J A0, ascending,
+    for a nonempty positive definite A0."""
+    k = a0.shape[0] // 2
+    ev = np.linalg.eigvals(standard_J(k) @ a0)
+    mus = sorted(float(z.imag) for z in ev if z.imag > 0)
+    if len(mus) != k:
+        raise InternalError("eigenvalues of J A0 did not split into k conjugate pairs")
+    return tuple(mus)
+
+
 def williamson_frequencies(a0, tol: Tolerances = DEFAULT_TOL) -> tuple:
     """Symplectic eigenvalues of a positive definite form, ascending.
 
@@ -116,15 +134,9 @@ def williamson_frequencies(a0, tol: Tolerances = DEFAULT_TOL) -> tuple:
     a0 = sym_matrix(a0, "A0")
     if a0.size == 0:
         return ()
-    w = np.linalg.eigvalsh(a0)
-    if w.min() <= tol.rank_cut * float(np.abs(w).max()):
+    if _nonpositive(a0, tol):
         raise NotPositiveDefinite("A0 is not positive definite")
-    k = a0.shape[0] // 2
-    ev = np.linalg.eigvals(standard_J(k) @ a0)
-    mus = sorted(float(z.imag) for z in ev if z.imag > 0)
-    if len(mus) != k:
-        raise InternalError("eigenvalues of J A0 did not split into k conjugate pairs")
-    return tuple(mus)
+    return _symplectic_eigenvalues(a0)
 
 
 def validate(H: QuadraticHamiltonian, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
@@ -134,17 +146,19 @@ def validate(H: QuadraticHamiltonian, tol: Tolerances = DEFAULT_TOL) -> Validati
     hyperbolic        : no eigenvalue of J A1 with |Re| <= eig_cluster * |A1|
     k_in_range        : 1 <= k <= n - 1
     """
+    return _validate(H, tol)[0]
+
+
+def _validate(H: QuadraticHamiltonian, tol: Tolerances) -> tuple:
+    """``validate``'s report, with the Williamson frequencies of A0 it read
+    to check the declared ones (None when it read none): one eigvalsh and
+    at most one eigvals on A0, so the census reads A0's spectrum once."""
     offending: dict = {}
 
-    if H.a0.size:
-        w = np.linalg.eigvalsh(H.a0)
-        cut = tol.rank_cut * float(np.abs(w).max())
-        bad = [float(x) for x in w if x <= cut]
-        pos = not bad
-        if bad:
-            offending["a0_eigenvalues"] = bad
-    else:
-        pos = True
+    bad = _nonpositive(H.a0, tol) if H.a0.size else []
+    pos = not bad
+    if bad:
+        offending["a0_eigenvalues"] = bad
 
     if H.a1.size:
         ev = np.linalg.eigvals(standard_J(H.n - H.k) @ H.a1)
@@ -160,9 +174,9 @@ def validate(H: QuadraticHamiltonian, tol: Tolerances = DEFAULT_TOL) -> Validati
     if not k_ok:
         offending["k"] = [H.k]
 
-    freq_ok = None
+    actual = freq_ok = None
     if H.frequencies is not None and H.k >= 1 and pos:
-        actual = williamson_frequencies(H.a0, tol)
+        actual = _symplectic_eigenvalues(H.a0)
         freq_ok = len(actual) == len(H.frequencies) and all(
             abs(a - b) <= 1e-8 * max(1.0, abs(b))
             for a, b in zip(actual, H.frequencies)
@@ -170,7 +184,7 @@ def validate(H: QuadraticHamiltonian, tol: Tolerances = DEFAULT_TOL) -> Validati
         if not freq_ok:
             offending["frequencies"] = list(actual)
 
-    return ValidationReport(pos, hyp, k_ok, offending, freq_ok)
+    return ValidationReport(pos, hyp, k_ok, offending, freq_ok), actual
 
 
 @dataclass(frozen=True)

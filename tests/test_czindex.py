@@ -52,6 +52,17 @@ class TestHalfInt:
         with pytest.raises(InputError):
             HalfInt(True)
 
+    def test_from_int_checks_like_the_constructor(self):
+        """from_int refuses what HalfInt refuses, instead of truncating
+        2.5 to 2 and reading True as 1; numpy integers stay accepted."""
+        for bad in (2.5, 2.0, True, False, "2"):
+            with pytest.raises(InputError):
+                HalfInt.from_int(bad)
+        for good in (np.int64(3), np.int32(3), np.uint8(3)):
+            half = HalfInt.from_int(good)
+            assert half == HalfInt(6) and type(half.doubled) is int
+        assert HalfInt.from_int(-2) == HalfInt(-4)
+
     def test_integrality(self):
         assert HalfInt(4).is_integer
         assert not HalfInt(3).is_integer

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,13 +12,16 @@ from conftest import critical_values, per_horizon_data
 from rfhquad import (
     ActionWindow,
     ExactSequenceProblem,
+    Generator,
     GradedZ2Space,
     HalfInt,
+    OrbitFamily,
     QuadraticHamiltonian,
     alternating_sum,
     build_block,
     census,
     generator_census,
+    grading,
     rfh_geq0,
     rfh_pm_compact,
     rfh_report,
@@ -25,8 +30,14 @@ from rfhquad import (
     solve_exact_sequence,
     williamson_frequencies,
 )
-from rfhquad import czindex, symlin
-from rfhquad.errors import Inconsistent, InputError, ResonanceMismatch, Underdetermined
+from rfhquad import czindex, orbits, symlin
+from rfhquad.errors import (
+    Inconsistent,
+    InputError,
+    InternalError,
+    ResonanceMismatch,
+    Underdetermined,
+)
 from rfhquad.samples import random_hamiltonian, random_hyperbolic_blocks, random_orthosymplectic
 from rfhquad.selftest import criterion_grid
 from rfhquad.symlin import DEFAULT_TOL
@@ -359,6 +370,107 @@ def test_census_far_from_zero_enumerates_its_window(h42, monkeypatch):
     assert len(gens) == 4
     for g in gens:
         _assert_longs_closed_form(h42, g)
+
+
+def _assert_one_formula(gens):
+    """Each generator's grading is its transverse index (0 at eta = 0)
+    plus its signature index plus 1/2, as ``grading`` computes it."""
+    for g in gens:
+        cz = HalfInt(0) if g.family.eta == 0.0 else g.family.cz_transverse
+        assert g.grading == cz + g.sigma_index + HalfInt(1), g.label
+        assert g.grading == grading(g.family, g.pole), g.label
+
+
+class TestGradedOncePerValue:
+    """generator_census sums each critical value's gradings once and
+    shares them between its two sphere families; every generator still
+    carries the one formula."""
+
+    @pytest.mark.parametrize("lo, hi", [(-20.0, 20.0), (0.0, 9.0), (-9.0, 0.0),
+                                        (-40.0, -0.5), (0.5, 40.0)])
+    def test_near_windows(self, h31, h32, lo, hi):
+        for H in (h31, h32):
+            gens = generator_census(H, ActionWindow(lo, hi))
+            stationary = [g for g in gens if g.family.eta == 0.0]
+            assert len(stationary) == 4 * (lo <= 0.0 <= hi) and len(gens) > 4
+            _assert_one_formula(gens)
+            # on the stationary pair alone the sides' gradings differ (n != k)
+            by_side = {side: sorted(g.grading for g in stationary if g.family.side == side)
+                       for side in ("H", "H0")}
+            assert not stationary or by_side["H"] != by_side["H0"]
+
+    def test_far_windows(self, h42):
+        for window in (ActionWindow(1e3 - 4.0, 1e3 + 9.0), ActionWindow(-1e3 - 9.0, -1e3 + 2.0)):
+            gens = generator_census(h42, window)
+            assert len(gens) >= 12, window
+            _assert_one_formula(gens)
+
+    def test_odd_transverse_index_is_an_internal_error(self, h32, monkeypatch):
+        """Half-integer gradings name the first generator they reach, the
+        H-side maximum of the lowest critical value."""
+        index = czindex._positive_index
+        monkeypatch.setattr(orbits, "_positive_index", lambda *args: index(*args) + 1)
+        with pytest.raises(InternalError,
+                           match=r"non-integer grading -?\d+/2 for OrbitFamily\(eta=-.*"
+                                 r"side='H'.* at max$"):
+            generator_census(h32, ActionWindow(-8.0, 8.0))
+
+
+def test_census_reads_a0_spectrum_once(rng, monkeypatch):
+    """Each census and generator census decomposes A0 once with eigvalsh
+    (definiteness) and once with eigvals (its Williamson frequencies),
+    whether the frequencies are declared, and so checked, or not; k = 1
+    and n - k = 3 tell A0's calls from A1's, which stay one of each."""
+    calls = Counter()
+    modules = [np.linalg] + [mod for name, mod in sys.modules.items()
+                             if name.split(".")[0] == "rfhquad"]
+    for name in ("eigvals", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _original=original, **kwargs):
+            calls[_name, np.shape(a)] += 1
+            return _original(a, *args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    declared = QuadraticHamiltonian.from_frequencies(
+        4, 1, [1.3], random_hyperbolic_blocks(rng, 3).matrix)
+    window = ActionWindow(-20.0, 20.0)
+    for H in (declared, _conjugated(declared, rng)):
+        for run in (census, generator_census):
+            calls.clear()
+            run(H, window)
+            assert calls == {("eigvalsh", (2, 2)): 1, ("eigvals", (2, 2)): 1,
+                             ("eigvalsh", (6, 6)): 1, ("eigvals", (6, 6)): 1}, (run, H.frequencies)
+
+
+def _assert_like_its_twin(obj, twin):
+    """obj, built by a census, is the frozen dataclass its public
+    constructor builds from the same fields."""
+    assert obj == twin and twin == obj and hash(obj) == hash(twin) and repr(obj) == repr(twin)
+    assert vars(obj) == vars(twin) and list(vars(obj)) == list(vars(twin))
+    assert dataclasses.asdict(obj) == dataclasses.asdict(twin)
+    assert dataclasses.replace(obj) == twin
+    name = dataclasses.fields(obj)[0].name
+    assert dataclasses.replace(obj, **{name: object()}) != obj
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(obj, name)
+
+
+def test_census_objects_are_what_the_constructors_build(h32):
+    window = ActionWindow(-8.0, 8.0)
+    gens = generator_census(h32, window)
+    fams = census(h32, window)
+    assert {f.topology for f in fams} == {"sigma0", "sigma", "sphere"}
+    for fam in fams + tuple(g.family for g in gens):
+        _assert_like_its_twin(fam, OrbitFamily(*(getattr(fam, f.name)
+                                                 for f in dataclasses.fields(OrbitFamily))))
+    for g in gens:
+        _assert_like_its_twin(g, Generator(g.family, g.pole, g.grading))
+    assert len(set(gens)) == len(gens) and len(set(fams)) == len(fams)
 
 
 def _h0_gradings(H, window):
