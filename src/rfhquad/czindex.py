@@ -85,9 +85,9 @@ class HalfInt:
 
     @classmethod
     def from_int(cls, n: int) -> "HalfInt":
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        if isinstance(n, bool):  # 2 * True is 2; __post_init__ checks the rest
             raise InputError(f"HalfInt.from_int needs an integer, got {n!r}")
-        return cls(2 * int(n))
+        return cls(2 * n)
 
     @property
     def is_integer(self) -> bool:

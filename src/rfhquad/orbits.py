@@ -66,7 +66,7 @@ class ActionWindow:
         return self.lo <= x <= self.hi  # endpoints inclusive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OrbitFamily:
     """One Morse-Bott family of closed orbits at action eta.
 
@@ -84,15 +84,11 @@ class OrbitFamily:
     k: int
     cz_transverse: object | None = None  # HalfInt, filled by the index layer
 
-    @classmethod
-    def _new(cls, eta, m, family_dim, topology, side, n, k, cz_transverse) -> "OrbitFamily":
-        """The family ``OrbitFamily(...)`` builds from these fields, set in
-        one update of its __dict__: the frozen __init__ makes one
-        object.__setattr__ call per field, and a census builds thousands."""
-        fam = object.__new__(cls)
-        fam.__dict__.update(eta=eta, m=m, family_dim=family_dim, topology=topology,
-                            side=side, n=n, k=k, cz_transverse=cz_transverse)
-        return fam
+    def __init__(self, eta, m, family_dim, topology, side, n, k, cz_transverse=None):
+        # One update of __dict__: the generated frozen __init__ makes one
+        # object.__setattr__ call per field, and a census builds thousands.
+        self.__dict__.update(eta=eta, m=m, family_dim=family_dim, topology=topology,
+                             side=side, n=n, k=k, cz_transverse=cz_transverse)
 
     @property
     def topology_name(self) -> str:
@@ -183,7 +179,7 @@ def _families(H: QuadraticHamiltonian, eta: float, m, cz) -> tuple:
     carrying the transverse index ``cz`` (a HalfInt, or None): the
     stationary pair at eta = 0, a pair of equal spheres elsewhere."""
     if eta == 0.0:
-        return (OrbitFamily._new(0.0, H.k, 2 * H.k - 1, "sigma0", "H0", H.n, H.k, cz),
-                OrbitFamily._new(0.0, H.n, 2 * H.n - 1, "sigma", "H", H.n, H.k, cz))
-    return (OrbitFamily._new(eta, m, 2 * m - 1, "sphere", "H0", H.n, H.k, cz),
-            OrbitFamily._new(eta, m, 2 * m - 1, "sphere", "H", H.n, H.k, cz))
+        return (OrbitFamily(0.0, H.k, 2 * H.k - 1, "sigma0", "H0", H.n, H.k, cz),
+                OrbitFamily(0.0, H.n, 2 * H.n - 1, "sigma", "H", H.n, H.k, cz))
+    return (OrbitFamily(eta, m, 2 * m - 1, "sphere", "H0", H.n, H.k, cz),
+            OrbitFamily(eta, m, 2 * m - 1, "sphere", "H", H.n, H.k, cz))

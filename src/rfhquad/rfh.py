@@ -75,7 +75,7 @@ class GradedZ2Space:
         return f"GradedZ2Space({{{inner}}})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Generator:
     """One Morse-Bott generator: an orbit family capped at one extremum."""
 
@@ -83,13 +83,8 @@ class Generator:
     pole: str
     grading: HalfInt
 
-    @classmethod
-    def _new(cls, family: OrbitFamily, pole: str, grading: HalfInt) -> "Generator":
-        """The generator ``Generator(family, pole, grading)`` builds, set in
-        one update of its __dict__ (see ``OrbitFamily._new``)."""
-        gen = object.__new__(cls)
-        gen.__dict__.update(family=family, pole=pole, grading=grading)
-        return gen
+    def __init__(self, family: OrbitFamily, pole: str, grading: HalfInt):
+        self.__dict__.update(family=family, pole=pole, grading=grading)  # see OrbitFamily
 
     @property
     def action(self) -> float:
@@ -126,10 +121,10 @@ def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
         if top % 2:
             raise InternalError(f"non-integer grading {HalfInt(top)} for {h} at max")
         top, bottom = HalfInt(top), HalfInt(bottom)
-        out += (Generator._new(h, "max", top), Generator._new(h, "min", bottom))
+        out += (Generator(h, "max", top), Generator(h, "min", bottom))
         if eta == 0.0:
             top, bottom = (HalfInt(cz + _sigma_doubled(h0, pole) + 1) for pole in ("max", "min"))
-        out += (Generator._new(h0, "max", top), Generator._new(h0, "min", bottom))
+        out += (Generator(h0, "max", top), Generator(h0, "min", bottom))
     return out
 
 
