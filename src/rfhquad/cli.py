@@ -155,7 +155,7 @@ def _parse_spec(doc: dict) -> _ParsedSpec:
         a1 = np.zeros((0, 0))
         echo_a1 = {"matrix": []}
     elif block_args is not None:
-        nf1 = normal_form([build_block(kind, m, lam, gamma=gamma, tol=tol)
+        nf1 = normal_form([build_block(kind, m, lam, gamma=gamma)
                            for kind, m, lam, gamma in block_args])
         if nf1.total_dim != 2 * (n - k):
             raise InputError(

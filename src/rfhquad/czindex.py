@@ -16,9 +16,11 @@ The crossings are enumerated in one pass over a window of times, from a
 list of frequencies with multiplicities: the Jordan spectrum of J S for a
 general form, the Williamson frequencies of A0 for the orbit census, which
 takes its critical values and resonance counts from the same enumeration.
-The kernel at t = 2 pi j / mu is the sum of the mu i eigenspaces of J S
-over the frequencies resonant there, which are S-orthogonal
-(Robbin-Salamon 1993), so ``cz_index_data`` signs each frequency once.
+A pass answers at its own horizon only: each call of ``cz_index_data``
+or ``crossing_times`` enumerates up to its T.  The kernel at
+t = 2 pi j / mu is the sum of the mu i eigenspaces of J S over the
+frequencies resonant there, which are S-orthogonal (Robbin-Salamon
+1993), so ``cz_index_data`` signs each frequency once.
 A positive definite S, as A0 is, makes every crossing form positive
 definite, so its index is a plain crossing count (Long 2002): the census
 grades each crossing by arithmetic on the event times
@@ -30,10 +32,9 @@ ever computed in floating point.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -258,27 +259,24 @@ def _positive_index(path: _Crossings, g: int, m: int) -> int:
 
 
 class _Crossings:
-    """The crossings of exp(t J S) on (0, horizon], enumerated once.
+    """The crossings of exp(t J S) on (0, horizon], enumerated once and
+    answered at the horizon.
 
     ``frequencies`` lists (mu, multiplicity) for the distinct frequencies
     of the imaginary eigenvalues of J S; the caller supplies them (the
     Jordan spectrum of J S in ``_form_crossings``, the Williamson
-    frequencies of A0 in the census).  Crossing times are 2 pi j / mu;
-    coincident times (within tol.crossing) are merged into a single
-    crossing with the combined kernel and the summed multiplicity.
+    frequencies of A0 in the census).  Crossing times are 2 pi j / mu,
+    listed in ``events`` up to horizon + tol.crossing; an event within
+    tol.crossing of the first event of a merged crossing joins it, with
+    its kernel and multiplicity.  ``times`` holds each merged crossing's
+    first time and ``members`` its frequencies.
 
     Nothing is signed until crossing data is asked for, then each
-    frequency once: the crossing form splits over the S-orthogonal
-    eigenspaces of J S, so a merged crossing's signature is the sum over
-    its events.
-
-    A query at T sees exactly what a pass with horizon T sees: the events
-    up to T + tol.crossing, merged as they would be on their own.  Only
-    the last merged crossing before that cut can lose members to it; it
-    starts within tol.crossing of T, so it is never interior, and as the
-    endpoint it is signed on the frequencies of the events it keeps.  Two
-    merged crossings within tol.crossing of T cannot both be the endpoint,
-    and the query raises.
+    frequency once per call: the crossing form splits over the
+    S-orthogonal eigenspaces of J S, so a merged crossing's signature is
+    the sum over its members.  A merged crossing within tol.crossing of
+    the horizon is the endpoint; two there cannot both be, and the
+    query raises.
 
     With ``start`` > 0 the crossings before ``start`` may be left out;
     those kept are merged exactly as a pass from 0 merges them.
@@ -313,80 +311,63 @@ class _Crossings:
         if events is None:
             events = _events(mus, 0.0, end)
         self.events = events
-        self.event_times = [t for t, _ in events]
-        self.event_mus = [mu for _, mu in events]
-        self.starts = []  # index of the first event of each merged crossing
-        anchor = -np.inf
-        for i, t in enumerate(self.event_times):
-            if t - anchor > tol.crossing:
-                self.starts.append(i)
-                anchor = t
-        self.times = [self.event_times[i] for i in self.starts]
-        self.frequency_signatures = {}  # mu -> signature of S on the mu i eigenspace
-
-    def _stop(self, g: int) -> int:
-        return self.starts[g + 1] if g + 1 < len(self.starts) else len(self.events)
+        self.times, self.members = [], []  # per merged crossing: first time, frequencies
+        for t, mu in events:
+            if self.times and t - self.times[-1] <= tol.crossing:
+                self.members[-1].append(mu)
+            else:
+                self.times.append(t)
+                self.members.append([mu])
 
     def multiplicity(self, g: int) -> int:
         """Summed multiplicity of the frequencies resonant at merged crossing g."""
-        return sum(self.multiplicities[mu] for mu in self.event_mus[self.starts[g]:self._stop(g)])
-
-    @cached_property
-    def sgn_start(self) -> int:
-        return signature(self.S, self.tol) if self.S.size else 0
+        return sum(self.multiplicities[mu] for mu in self.members[g])
 
     def _frequency_signature(self, mu: float, t: float) -> int:
-        """Signature of S on the mu i eigenspace of J S, memoized.
+        """Signature of S on the mu i eigenspace of J S.
 
         The eigenspace must have dimension 2 * multiplicity, or the
         frequencies were misread.  A degenerate form raises, naming the
-        crossing time t that met it, every time it is met, and is never
-        cached.
+        crossing time t that met it.
         """
-        sig = self.frequency_signatures.get(mu)
-        if sig is None:
-            basis = imaginary_eigenspace_basis(self.JS, mu, self.tol)
-            if basis.shape[1] != 2 * self.multiplicities[mu]:
-                raise ClusterAmbiguous(
-                    f"eigenspace of {mu}i has dimension {basis.shape[1]}, "
-                    f"not 2 * multiplicity {self.multiplicities[mu]}")
-            try:
-                sig = restricted_signature(self.S, basis, self.tol)
-            except DegenerateRestriction as exc:
-                raise CrossingDegenerate(f"degenerate crossing form at t = {t}: {exc}") from exc
-            self.frequency_signatures[mu] = sig
-        return sig
+        basis = imaginary_eigenspace_basis(self.JS, mu, self.tol)
+        if basis.shape[1] != 2 * self.multiplicities[mu]:
+            raise ClusterAmbiguous(
+                f"eigenspace of {mu}i has dimension {basis.shape[1]}, "
+                f"not 2 * multiplicity {self.multiplicities[mu]}")
+        try:
+            return restricted_signature(self.S, basis, self.tol)
+        except DegenerateRestriction as exc:
+            raise CrossingDegenerate(f"degenerate crossing form at t = {t}: {exc}") from exc
 
-    def _crossing_signature(self, g: int, cut: int) -> int:
-        """Signature of S on the kernel at merged crossing g, made of its
-        events before index ``cut``."""
-        return sum(self._frequency_signature(mu, self.times[g])
-                   for mu in self.event_mus[self.starts[g]:min(self._stop(g), cut)])
-
-    def _split(self, T: float) -> tuple:
-        """(stop, end, cut) for the path on [0, T]: merged crossings before
-        ``stop`` are interior, crossing ``end`` (or None) is the endpoint,
-        and the path sees the events before index ``cut``."""
-        tol = self.tol.crossing
-        cut = bisect_right(self.event_times, T + tol)
-        last = bisect_right(self.starts, cut - 1)
-        stop = bisect_left(self.times, True, 0, last, key=lambda t: t - T >= -tol)
-        end = bisect_left(self.times, True, stop, last, key=lambda t: t - T > tol)
+    def _split(self) -> tuple:
+        """(stop, end) at the horizon T: merged crossings before ``stop``
+        are interior, and crossing ``end`` (or None) is the endpoint."""
+        T, tol = self.horizon, self.tol.crossing
+        stop = bisect_left(self.times, True, key=lambda t: t - T >= -tol)
+        end = bisect_left(self.times, True, stop, key=lambda t: t - T > tol)
         if end - stop > 1:
             raise CrossingDegenerate(
                 f"crossings at t = {self.times[stop]} and t = {self.times[stop + 1]} "
                 f"are both within {tol} of T = {T}")
-        return stop, (end - 1 if end > stop else None), cut
+        return stop, (end - 1 if end > stop else None)
 
-    def data(self, T: float) -> CzPathData:
-        sgn_start = self.sgn_start
-        stop, end, cut = self._split(T)
-        interior = tuple((self.times[g], self._crossing_signature(g, cut)) for g in range(stop))
-        endpoint = None if end is None else (self.times[end], self._crossing_signature(end, cut))
-        return CzPathData(sgn_start, interior, endpoint)
+    def data(self) -> CzPathData:
+        sgn_start = signature(self.S, self.tol) if self.S.size else 0
+        stop, end = self._split()
+        signatures = {}  # mu -> signature of S on the mu i eigenspace
 
-    def crossing_times(self, T: float) -> tuple:
-        stop, end, _ = self._split(T)
+        def signed(g):
+            for mu in self.members[g]:
+                if mu not in signatures:
+                    signatures[mu] = self._frequency_signature(mu, self.times[g])
+            return self.times[g], sum(signatures[mu] for mu in self.members[g])
+
+        interior = tuple(signed(g) for g in range(stop))
+        return CzPathData(sgn_start, interior, None if end is None else signed(end))
+
+    def crossing_times(self) -> tuple:
+        stop, end = self._split()
         return tuple(self.times[:stop]) + (() if end is None else (self.times[end],))
 
 
@@ -402,8 +383,7 @@ def _form_crossings(S, T: float, tol: Tolerances) -> _Crossings:
 
 def cz_index_data(S, T: float, tol: Tolerances = DEFAULT_TOL) -> CzPathData:
     """Crossing data of the path exp(t J S) on [0, T], T > 0."""
-    path = _form_crossings(S, T, tol)
-    return path.data(path.horizon)
+    return _form_crossings(S, T, tol).data()
 
 
 def cz_index_path(S, T: float, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
@@ -416,8 +396,7 @@ def crossing_times(S, T: float, tol: Tolerances = DEFAULT_TOL) -> tuple:
 
     Only locates the crossings; no signature is computed.
     """
-    path = _form_crossings(S, T, tol)
-    return path.crossing_times(path.horizon)
+    return _form_crossings(S, T, tol).crossing_times()
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,7 @@ def _matrix_c(m, im, gamma):
     return A
 
 
-def build_block(kind: str, m: int, lam: complex, gamma: int | None = None,
-                tol: Tolerances = DEFAULT_TOL) -> HormanderBlock:
+def build_block(kind: str, m: int, lam: complex, gamma: int | None = None) -> HormanderBlock:
     """Canonical block for the given kind, Jordan size and eigenvalue.
 
     The eigenvalue is canonicalized to Re >= 0, Im >= 0; gamma is required
@@ -287,7 +286,7 @@ def classify(A, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
                 raise ClusterAmbiguous(f"negation partner of {lam} missing or mismatched")
             used[j] = True
             for size in it["sizes"]:
-                blocks.append(build_block("a", size, abs(lam.real), tol=tol))
+                blocks.append(build_block("a", size, abs(lam.real)))
         elif re_zero:  # kind 'c'
             j = _take_partner(items, used, -lam, match_tol)
             if j is None or items[j]["sizes"] != it["sizes"]:
@@ -300,20 +299,17 @@ def classify(A, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
             p = len(it["sizes"])
             p_plus, p_minus = _krein_split(A, J, mu, p, tol)
             for _ in range(p_plus):
-                blocks.append(build_block("c", 1, 1j * mu, gamma=1, tol=tol))
+                blocks.append(build_block("c", 1, 1j * mu, gamma=1))
             for _ in range(p_minus):
-                blocks.append(build_block("c", 1, 1j * mu, gamma=-1, tol=tol))
+                blocks.append(build_block("c", 1, 1j * mu, gamma=-1))
         else:  # kind 'b'
-            partners = []
             for target in (np.conj(lam), -lam, -np.conj(lam)):
                 j = _take_partner(items, used, complex(target), match_tol)
                 if j is None or items[j]["sizes"] != it["sizes"]:
                     raise ClusterAmbiguous(f"orbit of {lam} incomplete or mismatched")
                 used[j] = True
-                partners.append(j)
             for size in it["sizes"]:
-                blocks.append(
-                    build_block("b", size, complex(abs(lam.real), abs(lam.imag)), tol=tol))
+                blocks.append(build_block("b", size, complex(abs(lam.real), abs(lam.imag))))
 
     nf = NormalForm(_sort_blocks(blocks), n2)
     if sum(b.dim for b in nf.blocks) != n2:

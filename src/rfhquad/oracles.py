@@ -42,7 +42,7 @@ import numpy as np
 
 from .czindex import HalfInt
 from .errors import InputError
-from .symlin import DEFAULT_TOL, ExpEvaluator, Tolerances, signature, standard_J, sym_matrix
+from .symlin import DEFAULT_TOL, ExpEvaluator, signature, standard_J, sym_matrix
 
 __all__ = ["OracleCz", "oracle_cz"]
 
@@ -134,8 +134,7 @@ def _screened_scan(ev: ExpEvaluator, ts) -> np.ndarray:
     return F
 
 
-def oracle_cz(S, T: float, grid: int = 20000,
-              tol: Tolerances = DEFAULT_TOL) -> OracleCz:
+def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
     """Crossing times and index of t |-> exp(t J S) on [0, T] by dense
     scanning.  Needs crossings separated by at least ~8 grid steps.
 
@@ -178,7 +177,7 @@ def oracle_cz(S, T: float, grid: int = 20000,
 
     t_star, val = _golden_lockstep(fmin, ts[merged - 1], ts[np.minimum(merged + 1, grid)])
     t_star = t_star[val <= _ACCEPT]
-    doubled = signature(S, tol)
+    doubled = signature(S, DEFAULT_TOL)
     times = []
     endpoint_hit = False
     for t, M in zip(t_star.tolist(), ev.at(t_star) - eye):

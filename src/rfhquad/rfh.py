@@ -159,9 +159,9 @@ class ExactSequenceProblem:
     """A bounded long exact sequence of Z/2 spaces.
 
     terms: tuple of (label, dim or None); None marks an unknown.
-    maps: annotations for the arrows term[i] -> term[i+1], each one of
-    'unknown', 'zero', 'iso', or an integer rank.  The sequence must be
-    closed off by zero terms at both ends.
+    maps: annotations for the arrows term[i] -> term[i+1], each
+    'unknown' or 'iso'.  The sequence must be closed off by zero terms at
+    both ends.
     """
 
     terms: tuple
@@ -174,9 +174,7 @@ class ExactSequenceProblem:
         if len(maps) != len(self.terms) - 1:
             raise InputError("need exactly one map annotation per arrow")
         for ann in maps:
-            if ann in ("unknown", "zero", "iso"):
-                continue
-            if isinstance(ann, bool) or not isinstance(ann, int) or ann < 0:
+            if ann not in ("unknown", "iso"):
                 raise InputError(f"bad map annotation {ann!r}")
         first, last = self.terms[0][1], self.terms[-1][1]
         if first != 0 or last != 0:
@@ -217,20 +215,13 @@ def _intervals_step(lo, hi, rlo, rhi, maps, n):
     for i in range(n - 1):
         # rank bounds from the two adjacent terms
         set_hi(rhi, i, min(hi[i], hi[i + 1]))
-        ann = maps[i]
-        if ann == "zero":
-            set_hi(rhi, i, 0)
-        elif ann == "iso":
+        if maps[i] == "iso":
             set_lo(rlo, i, max(lo[i], lo[i + 1]))
-            set_hi(rhi, i, min(hi[i], hi[i + 1]))
             # iso forces equal dims
             set_lo(lo, i, lo[i + 1])
             set_lo(lo, i + 1, lo[i])
             set_hi(hi, i, hi[i + 1])
             set_hi(hi, i + 1, hi[i])
-        elif isinstance(ann, int):
-            set_lo(rlo, i, ann)
-            set_hi(rhi, i, ann)
     for i in range(n):
         # exactness at interior term i: dim = rank(in) + rank(out)
         rin_lo = rlo[i - 1] if i > 0 else 0
@@ -245,10 +236,6 @@ def _intervals_step(lo, hi, rlo, rhi, maps, n):
         if i < n - 1:
             set_lo(rlo, i, lo[i] - rin_hi)
             set_hi(rhi, i, hi[i] - rin_lo)
-    # iso annotations force equal dims; propagate once more through ranks
-    for i in range(n - 1):
-        if maps[i] == "iso":
-            set_lo(rlo, i, max(lo[i], lo[i + 1]))
     return changed
 
 

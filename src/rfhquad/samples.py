@@ -2,10 +2,7 @@
 
 All sampling keeps the exponentials well conditioned: real parts of
 hyperbolic eigenvalues stay small enough that exp(eta J A) does not swamp
-the kernel-rank cutoffs used downstream.  Deeper Jordan blocks, whose
-sufficient bounds force large real parts, are only emitted when heavy
-blocks are explicitly requested (they are fine for purely algebraic
-checks but not inside exponentials over long windows).
+the kernel-rank cutoffs used downstream.
 """
 
 from __future__ import annotations
@@ -26,8 +23,7 @@ __all__ = [
 ]
 
 
-def random_passing_block(rng: np.random.Generator, dof: int,
-                         allow_heavy: bool = False) -> HormanderBlock:
+def random_passing_block(rng: np.random.Generator, dof: int) -> HormanderBlock:
     """One hyperbolic block of the given dof that meets the sufficient
     spectral bounds, with eigenvalue real parts kept exponent-friendly."""
     if dof == 1:
@@ -38,22 +34,16 @@ def random_passing_block(rng: np.random.Generator, dof: int,
             im = rng.uniform(0.3, 2.0)
             return build_block("b", 1, complex(re, im))
         return build_block("a", 2, complex(rng.uniform(0.75, 1.2), 0.0))
-    if dof == 3 and allow_heavy:
-        return build_block("a", 3, complex(rng.uniform(2.05, 2.4), 0.0))
-    raise ValueError(f"no generator for dof={dof}, allow_heavy={allow_heavy}")
+    raise ValueError(f"no generator for dof={dof}")
 
 
-def random_hyperbolic_blocks(rng: np.random.Generator, dof: int,
-                             allow_heavy: bool = False) -> NormalForm:
+def random_hyperbolic_blocks(rng: np.random.Generator, dof: int) -> NormalForm:
     """A normal form with the requested total dof, random block partition."""
     blocks = []
     left = dof
     while left > 0:
-        choices = [1] if left == 1 else [1, 2]
-        if allow_heavy and left >= 3:
-            choices.append(3)
-        size = int(rng.choice(choices))
-        blocks.append(random_passing_block(rng, size, allow_heavy))
+        size = int(rng.choice([1] if left == 1 else [1, 2]))
+        blocks.append(random_passing_block(rng, size))
         left -= size
     return normal_form(blocks)
 

@@ -412,9 +412,6 @@ def imaginary_eigenspace_basis(M, mu: float, tol: Tolerances = DEFAULT_TOL) -> n
         raise DegenerateInput("matrix is a multiple of i*mu*Id")
     null_rows = np.nonzero(sv < tol.rank_cut * smax * 1e2)[0]
     if null_rows.size == 0:
-        # fall back to the plain cutoff before giving up
-        null_rows = np.nonzero(sv < tol.rank_cut * smax)[0]
-    if null_rows.size == 0:
         raise ClusterAmbiguous(f"no eigenvector found for eigenvalue {mu}i")
     V = vh[null_rows].conj().T  # complex eigenvector columns
     R = np.hstack([V.real, V.imag])

@@ -150,7 +150,8 @@ class TestCzPath:
 
     def test_degenerate_crossing_form_never_cached(self, monkeypatch):
         """The crossings at 2 pi and 4 pi share one frequency; a degenerate
-        form is re-signed, and raises, at each of them."""
+        form raises at 2 pi, and is signed afresh, and raises again, when
+        the data is asked for again."""
         calls = []
 
         def counting(*args, **kwargs):
@@ -160,14 +161,12 @@ class TestCzPath:
         monkeypatch.setattr(czindex, "restricted_signature", counting)
         S = build_block("c", 2, 1.0j, gamma=1).matrix
         path = _form_crossings(S, 5 * np.pi, DEFAULT_TOL)
-        assert len(path.times) == 2
-        assert not calls  # construction signs nothing
-        (mu,) = path.multiplicities
-        for t in path.times:
-            with pytest.raises(CrossingDegenerate, match=f"t = {t}"):
-                path._frequency_signature(mu, t)
+        assert path.crossing_times() == (pytest.approx(TWO_PI), pytest.approx(2 * TWO_PI))
+        assert not calls  # construction and crossing_times sign nothing
+        for _ in range(2):
+            with pytest.raises(CrossingDegenerate, match=f"t = {path.times[0]}"):
+                path.data()
         assert len(calls) == 2
-        assert not path.frequency_signatures
 
 
 def census_transverse(H, eta):
@@ -280,25 +279,19 @@ def forms_and_horizons(draw):
 @given(forms_and_horizons())
 def test_one_pass_matches_per_horizon_pass(case):
     S, tol, horizons = case
-    unsigned = _form_crossings(S, max(horizons), tol)
-    signed = _form_crossings(S, max(horizons), tol)
     for T in horizons:
         try:
             want = per_horizon_data(S, T, tol)
         except CrossingDegenerate:  # two crossings claim the endpoint
-            for ask in (unsigned.crossing_times, signed.data, lambda T: crossing_times(S, T, tol),
-                        lambda T: cz_index_data(S, T, tol)):
+            for ask in (crossing_times, cz_index_data, cz_index_path):
                 with pytest.raises(CrossingDegenerate):
-                    ask(T)
+                    ask(S, T, tol)
             continue
         want_times = tuple(t for t, _ in want.interior) + (
             (want.endpoint[0],) if want.endpoint else ())
-        assert unsigned.crossing_times(T) == want_times
-        assert signed.data(T) == want
         assert cz_index_data(S, T, tol) == want
         assert cz_index_path(S, T, tol).doubled == want.index.doubled
         assert crossing_times(S, T, tol) == want_times
-    assert not unsigned.frequency_signatures  # construction and crossing_times sign nothing
 
 
 def test_cut_merged_crossing_at_endpoint():
@@ -309,8 +302,8 @@ def test_cut_merged_crossing_at_endpoint():
     T = t_a - WIDE.crossing + 0.5 * (t_b - t_a)
     want = per_horizon_data(S, T, WIDE)
     assert want.endpoint == (pytest.approx(t_a), -2)
-    assert _form_crossings(S, 3 * TWO_PI, WIDE).data(T) == want
-    assert _form_crossings(S, 3 * TWO_PI, WIDE).data(t_b) == per_horizon_data(S, t_b, WIDE)
+    assert cz_index_data(S, T, WIDE) == want
+    assert cz_index_data(S, t_b, WIDE) == per_horizon_data(S, t_b, WIDE)
 
 
 def test_basis_of_the_wrong_dimension_is_ambiguous():
@@ -320,7 +313,7 @@ def test_basis_of_the_wrong_dimension_is_ambiguous():
     path = _Crossings(np.eye(2), ((1.0, 2),), 7.0, DEFAULT_TOL)
     assert path.multiplicity(0) == 2
     with pytest.raises(ClusterAmbiguous, match="dimension 2"):
-        path.data(7.0)
+        path.data()
 
 
 def test_two_crossings_at_the_endpoint_are_refused():

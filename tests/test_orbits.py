@@ -286,7 +286,7 @@ def test_late_start_merges_as_a_pass_from_zero():
     S = np.diag(mus * 2)
     freqs = tuple((mu, 1) for mu in mus)
     full = czindex._Crossings(S, freqs, 80.0, wide)
-    starts = sorted({t + f for t in full.event_times for f in (-0.1, 0.0)})
+    starts = sorted({t + f for t, _ in full.events for f in (-0.1, 0.0)})
     late_starts = 0
     for start in starts:
         late = czindex._Crossings(S, freqs, 80.0, wide, start)
@@ -295,5 +295,5 @@ def test_late_start_merges_as_a_pass_from_zero():
         want = [(t, full.multiplicity(g)) for g, t in enumerate(full.times)
                 if t >= late.times[0]]
         assert [(t, late.multiplicity(g)) for g, t in enumerate(late.times)] == want, start
-        late_starts += late.event_times[0] >= start - TWO_PI / mus[-1]
+        late_starts += late.events[0][0] >= start - TWO_PI / mus[-1]
     assert 0 < late_starts < len(starts)  # both ways are taken

@@ -100,11 +100,13 @@ class TestSequenceSolver:
         assert solved.dim_of("X") == 0
         assert solved.dim_of("Y") == 0
 
-    def test_rank_annotation_pins_dims(self):
-        prob = ExactSequenceProblem(
-            terms=(("0", 0), ("A", 3), ("B", None), ("0'", 0)),
-            maps=("unknown", 3, "unknown"))
-        assert solve_exact_sequence(prob).dim_of("B") == 3
+    def test_rank_annotation_is_refused(self):
+        """An arrow is annotated 'unknown' or 'iso' only; an integer rank
+        (or 'zero') is refused, not taken as a bound."""
+        for ann in (3, 0, "zero"):
+            with pytest.raises(InputError, match=f"bad map annotation {ann!r}"):
+                ExactSequenceProblem(terms=(("0", 0), ("A", 3), ("B", None), ("0'", 0)),
+                                     maps=("unknown", ann, "unknown"))
 
     def test_underdetermined_named(self):
         prob = ExactSequenceProblem(
@@ -134,6 +136,43 @@ class TestSequenceSolver:
             terms=(("0", 0), ("A", 2), ("B", None), ("C", 1), ("0'", 0)))
         solved = solve_exact_sequence(prob)
         assert alternating_sum(d for _, d in solved.dims) == 0
+
+
+def _exact_solutions(terms, maps, top=8):
+    """Every (dims, ranks) that makes the sequence exact with each 'iso'
+    arrow an isomorphism, each unknown dim tried from 0 to ``top``."""
+    unknown = [i for i, (_, d) in enumerate(terms) if d is None]
+    found = []
+    for guess in itertools.product(range(top + 1), repeat=len(unknown)):
+        dims = [d for _, d in terms]
+        for i, d in zip(unknown, guess):
+            dims[i] = d
+        ranks = [dims[0]]  # exactness at each term fixes the rank out of it
+        for d in dims[1:-1]:
+            ranks.append(d - ranks[-1])
+        arrows = list(zip(ranks, dims, dims[1:], maps))
+        if ranks[-1] == dims[-1] and all(
+                0 <= r <= min(a, b) and (ann != "iso" or r == a == b) for r, a, b, ann in arrows):
+            found.append((tuple((lab, d) for (lab, _), d in zip(terms, dims)), tuple(ranks)))
+    return found
+
+
+@given(st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=1, max_size=5), st.data())
+def test_solver_is_sound_against_brute_force(inner, data):
+    """What the solver returns is the one solution a brute-force search
+    finds, and it finds none where the solver says Inconsistent."""
+    terms = (("0", 0), *((f"T{i}", d) for i, d in enumerate(inner)), ("0'", 0))
+    maps = tuple(data.draw(st.lists(st.sampled_from(["unknown", "iso"]),
+                                    min_size=len(terms) - 1, max_size=len(terms) - 1)))
+    found = _exact_solutions(terms, maps)
+    try:
+        solved = solve_exact_sequence(ExactSequenceProblem(terms, maps))
+    except Inconsistent:
+        assert found == []
+    except Underdetermined:
+        pass
+    else:
+        assert found == [(solved.dims, solved.ranks)]
 
 
 class TestHomology:

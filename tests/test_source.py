@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import rfhquad
+from rfhquad import selftest
 
 MODULES = sorted(path for path in Path(rfhquad.__file__).parent.glob("*.py")
                  if path.name != "__init__.py")
@@ -76,3 +77,40 @@ def test_a_memo_is_found():
                      "class A:\n    @c\n    def g(self): pass\n"
                      "h = ft.cache(len)\n@functools.cached_property\ndef i(): pass\n")
     assert _memoized(tree) == ["f", "g", 9]
+
+
+def _unread_parameters(tree) -> list:
+    """(function, parameter) for each parameter of each function or lambda
+    that its body never reads; ``self`` and ``cls`` are exempt."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                  + [args.vararg, args.kwarg] if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        unread += [(getattr(node, "name", "<lambda>"), p) for p in params
+                   if p not in read and p not in ("self", "cls")]
+    return unread
+
+
+def test_every_parameter_is_read():
+    """A parameter no body reads does nothing for its caller.  The one
+    exemption is the seed every self-test criterion takes, since
+    ``run_all`` calls each as ``fn(seed)``."""
+    criteria = {fn.__name__ for fn in selftest.CRITERIA.values()}
+    found = {path.name: [(fn, p) for fn, p in _unread_parameters(ast.parse(path.read_text()))
+                         if not (path.name == "selftest.py" and fn in criteria and p == "seed")]
+             for path in MODULES}
+    assert {name: unread for name, unread in found.items() if unread} == {}
+
+
+def test_an_unread_parameter_is_found():
+    tree = ast.parse("def f(a, b, *c, d=1, **e):\n    return a + d\n"
+                     "class A:\n    def g(self, x):\n        return lambda y, z: y\n"
+                     "    @classmethod\n    def h(cls, w):\n        def inner():\n"
+                     "            return w\n        return inner\n")
+    assert _unread_parameters(tree) == [("f", "b"), ("f", "c"), ("f", "e"), ("g", "x"),
+                                        ("<lambda>", "z")]
