@@ -3,9 +3,10 @@
 The analytic path locates crossings from eigenvalue arithmetic.  The
 oracle here knows nothing about eigenvalue frequencies: it scans
 sigma_min(exp(t J S) - Id) on a dense grid, brackets the dips, and
-refines each by golden-section search.  Near a crossing sigma_min decays
-linearly in |t - t*|, so the refined minimizer localizes the crossing
-far more sharply than the quadratic touch of the determinant would.
+refines each by a safeguarded Newton search.  Near a crossing sigma_min
+is a V whose arms are analytic and fall linearly in |t - t*| (Robbin &
+Salamon, Topology 32, 1993), so its minimizer localizes the crossing far
+more sharply than the quadratic touch of the determinant would.
 exp(t J S) comes from symlin.ExpEvaluator, which the analytic path in
 czindex never uses.
 
@@ -25,9 +26,12 @@ Each level is one batched evaluation.  Elsewhere no dip can hide, and the
 scan finds the same dips as a full-grid scan.  The bound uses no
 eigenvalue frequencies and holds on the evaluator's Pade fallback too.
 
-All brackets are refined together: the golden-section searches advance in
-lockstep, one batched evaluation per step, each bracket stopping at its
-own width.  Every bracket sees the arithmetic of a search run on it alone.
+Each bracket is refined from its grid minimum.  The slope of a simple
+singular value is u^T (dE/dt) v for its singular pair (u, v) (Stewart &
+Sun, Matrix Perturbation Theory, 1990), with dE/dt = J S E, so Newton's
+step on the V lands on its vertex up to the curvature: three or four
+evaluations take a bracket from a grid step to 1e-11.  All brackets are
+refined together, one batched evaluation per step.
 
 Intended for test suites; cost linear in the grid size, with a small
 constant away from crossings.
@@ -52,8 +56,7 @@ _KERNEL_CUT = 1e-6
 _ENDPOINT = 1e-6
 _STRIDES = (256, 64, 16, 4, 1)  # cell widths of the screen's levels; each divides the one before
 _SLACK = 1e-8  # rounding allowance on the screen, relative to |E(t_c)|_2
-_WIDTH = 1e-11  # golden-section stops once a bracket is this narrow
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_WIDTH = 1e-11  # a refinement stops at a step or a bracket this narrow
 
 
 @dataclass(frozen=True)
@@ -63,31 +66,51 @@ class OracleCz:
     endpoint_hit: bool
 
 
-def _golden_lockstep(f, a, b):
-    """Golden-section minima of f on the brackets [a[j], b[j]], all
-    searched together.
+def _newton_lockstep(ev: ExpEvaluator, a, b, x):
+    """Minima of sigma(t) = sigma_min(exp(t J S) - Id) on the brackets
+    [a[j], b[j]], searched together from the points x[j] in them.
 
-    f maps an array of times to the array of its values; each step calls
-    it once, on the brackets still wider than _WIDTH.  Bracket j ends as
-    a search on it alone would.  Returns the minimizers and their values."""
+    Each step makes one batched evaluation, on the brackets still live.
+    At a point it reads sigma and its slope u^T (J S E) v, with E = exp(t J S)
+    and (u, v) the singular pair of sigma.  The slope's sign moves one end
+    of the bracket to the point, and the next point is the Newton step
+    t - sigma / slope, or the bracket's midpoint where that step is not
+    finite or leaves the open bracket.  A bracket stops after it evaluates
+    a point that a step of at most _WIDTH reached, once it is at most
+    _WIDTH wide, when sigma did not decrease, or after as many evaluations
+    as bisection needs to narrow it to _WIDTH.  Bracket j ends as a search
+    on it alone would.  Returns the point of least sigma each bracket
+    evaluated, and that sigma."""
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = np.split(f(np.concatenate([x1, x2])), 2)
-    live = np.flatnonzero(b - a > _WIDTH)
+    x = np.array(x, dtype=float)
+    best = x.copy()
+    val = np.full(x.size, np.inf)
+    left = 1 + np.ceil(np.log2(np.maximum(b - a, _WIDTH) / _WIDTH))  # evaluations allowed
+    near = np.zeros(x.size, dtype=bool)  # x[j] lies a step of at most _WIDTH away
+    eye = np.eye(ev.M.shape[0])
+    live = np.arange(x.size)
     while live.size:
-        left = f1[live] <= f2[live]
-        lo, hi = live[left], live[~left]
-        b[lo], x2[lo], f2[lo] = x2[lo], x1[lo], f1[lo]
-        x1[lo] = b[lo] - _INVPHI * (b[lo] - a[lo])
-        a[hi], x1[hi], f1[hi] = x1[hi], x2[hi], f2[hi]
-        x2[hi] = a[hi] + _INVPHI * (b[hi] - a[hi])
-        fx = f(np.where(left, x1[live], x2[live]))
-        f1[lo], f2[hi] = fx[left], fx[~left]
-        live = live[b[live] - a[live] > _WIDTH]
-    first = f1 <= f2
-    return np.where(first, x1, x2), np.where(first, f1, f2)
+        t = x[live]
+        E = ev.at(t)
+        U, s, Vt = np.linalg.svd(E - eye)
+        sigma = s[:, -1]
+        slope = np.sum(U[:, :, -1] * (ev.M @ E @ Vt[:, -1, :, None])[:, :, 0], axis=1)
+        fell = sigma < val[live]
+        best[live[fell]], val[live[fell]] = t[fell], sigma[fell]
+        rising = slope > 0
+        b[live[rising]] = t[rising]
+        a[live[~rising]] = t[~rising]
+        lo, hi = a[live], b[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t - sigma / slope
+        step = np.where((lo < step) & (step < hi), step, (lo + hi) / 2)
+        left[live] -= 1
+        stop = near[live] | ~fell | (hi - lo <= _WIDTH) | (left[live] <= 0)
+        near[live] = np.abs(step - t) <= _WIDTH
+        x[live] = step
+        live = live[~stop]
+    return best, val
 
 
 def _kernel_cols(M):
@@ -138,9 +161,15 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
     """Crossing times and index of t |-> exp(t J S) on [0, T] by dense
     scanning.  Needs crossings separated by at least ~8 grid steps.
 
+    The grid must also keep |J S|_2 * T / grid below 2 * _BRACKET.  When
+    J S is normal, sigma_min at the sample nearest a crossing is then at
+    most about |J S|_2 * step / 2 < _BRACKET, so every dip is bracketed.
+    The rule is necessary but not sufficient for non-normal J S, whose
+    |exp(t J S)|_2 > 1 can lift that sample above _BRACKET.
+
     Raises InputError unless S acts on an even-dimensional space, and
     ValueError unless T is finite and positive and ``grid`` is an integer
-    of at least 1."""
+    of at least 1 that meets the rule above."""
     S = sym_matrix(S)
     if S.shape[0] % 2:
         raise InputError("S must act on an even-dimensional space")
@@ -153,6 +182,10 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
         return OracleCz((), HalfInt(0), False)
     dof = S.shape[0] // 2
     ev = ExpEvaluator(standard_J(dof) @ S)
+    reach = np.linalg.norm(ev.M, 2) * T / grid
+    if reach >= 2 * _BRACKET:
+        raise ValueError(f"grid {grid} cannot resolve crossings on [0, {T:g}]: "
+                         f"|J S|_2 * T / grid = {reach:.3g} is not below {2 * _BRACKET:g}")
     eye = np.eye(2 * dof)
     ts = np.linspace(0.0, T, grid + 1)
     # Points the screen skips read +inf: they are only compared against
@@ -172,10 +205,8 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
         merged.append(i)
     merged = np.array(merged, dtype=int)
 
-    def fmin(t):
-        return np.linalg.svd(ev.at(t) - eye, compute_uv=False)[:, -1]
-
-    t_star, val = _golden_lockstep(fmin, ts[merged - 1], ts[np.minimum(merged + 1, grid)])
+    t_star, val = _newton_lockstep(ev, ts[merged - 1], ts[np.minimum(merged + 1, grid)],
+                                   ts[merged])
     t_star = t_star[val <= _ACCEPT]
     doubled = signature(S, DEFAULT_TOL)
     times = []

@@ -197,20 +197,23 @@ class SolvedSequence:
 
 
 def _intervals_step(lo, hi, rlo, rhi, maps, n):
-    """One monotone tightening pass; returns True if anything moved."""
-    changed = False
+    """One monotone tightening pass; returns True if a bound moved and no
+    bound crossed its partner (a crossed bound admits no solution)."""
+    changed = crossed = False
 
     def set_lo(arr, i, v):
-        nonlocal changed
+        nonlocal changed, crossed
         if v > arr[i]:
             arr[i] = v
             changed = True
+            crossed = crossed or v > (hi if arr is lo else rhi)[i]
 
     def set_hi(arr, i, v):
-        nonlocal changed
+        nonlocal changed, crossed
         if v < arr[i]:
             arr[i] = v
             changed = True
+            crossed = crossed or v < (lo if arr is hi else rlo)[i]
 
     for i in range(n - 1):
         # rank bounds from the two adjacent terms
@@ -236,7 +239,7 @@ def _intervals_step(lo, hi, rlo, rhi, maps, n):
         if i < n - 1:
             set_lo(rlo, i, lo[i] - rin_hi)
             set_hi(rhi, i, hi[i] - rin_lo)
-    return changed
+    return changed and not crossed
 
 
 BIG = 10**9

@@ -23,8 +23,8 @@ from rfhquad.oracles import (
     _ENDPOINT,
     _WIDTH,
     _form_signature,
-    _golden_lockstep,
     _kernel_cols,
+    _newton_lockstep,
     _screened_scan,
 )
 from rfhquad.samples import random_elliptic_form
@@ -45,26 +45,39 @@ def _at(ev, t):
     return expm(t * ev.M)
 
 
-def _fmin(ev, t):
-    return float(np.linalg.svd(_at(ev, t) - np.eye(ev.M.shape[0]), compute_uv=False)[-1])
-
-
-def _golden_min(f, a, b, width=_WIDTH):
-    """Scalar golden-section search, one evaluation of f per step."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > width:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
+def _newton_min(ev, a, b, x):
+    """Scalar Newton search for the least sigma_min(exp(t J S) - Id) on
+    [a, b] from x, one 2-D evaluation per step, with the oracle's safeguard
+    and stopping rules: the slope u^T (J S E) v moves one end to the point,
+    a step that is not finite or leaves the open bracket is replaced by the
+    midpoint, and the search stops after a point reached by a step of at
+    most _WIDTH, at width _WIDTH, when sigma did not fall, or after as many
+    evaluations as bisection needs."""
+    eye = np.eye(ev.M.shape[0])
+    best, val = x, math.inf
+    left = 1 + math.ceil(math.log2(max(b - a, _WIDTH) / _WIDTH))
+    near = False
+    while True:
+        E = _at(ev, x)
+        U, s, Vt = np.linalg.svd(E - eye)
+        sigma = s[-1]
+        slope = np.sum(U[:, -1] * (ev.M @ E @ Vt[-1, :, None])[:, 0])
+        fell = sigma < val
+        if fell:
+            best, val = x, sigma
+        if slope > 0:
+            b = x
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return ((x1, f1) if f1 <= f2 else (x2, f2))
+            a = x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - sigma / slope
+        if not a < step < b:
+            step = (a + b) / 2
+        left -= 1
+        if near or not fell or b - a <= _WIDTH or left <= 0:
+            return best, val
+        near = abs(step - x) <= _WIDTH
+        x = step
 
 
 def _reference_oracle(S, T, grid=20000, tol=DEFAULT_TOL):
@@ -98,9 +111,7 @@ def _reference_oracle(S, T, grid=20000, tol=DEFAULT_TOL):
     times = []
     endpoint_hit = False
     for i in merged:
-        a = ts[max(i - 1, 0)]
-        b = ts[min(i + 1, grid)]
-        t_star, val = _golden_min(lambda t: _fmin(ev, t), a, b)
+        t_star, val = _newton_min(ev, ts[i - 1], ts[min(i + 1, grid)], ts[i])
         if val > _ACCEPT:
             continue
         B = _kernel_cols(_at(ev, t_star) - eye)
@@ -127,6 +138,19 @@ def _assert_matches_reference(S, T, grid):
     return got
 
 
+def _assert_screen_matches_full_scan(ev, ts):
+    """The screened scan takes sigma_min exactly where it can fall below
+    _BRACKET, and skips only points where the full scan is not below it."""
+    F, ref = _screened_scan(ev, ts), _full_scan(ev, ts)
+    seen = np.isfinite(F)
+    assert np.array_equal(F[seen], ref[seen])
+    assert (ref[~seen] >= _BRACKET).all()
+
+
+def _too_coarse(S, T, grid):
+    return np.linalg.norm(standard_J(S.shape[0] // 2) @ S, 2) * T / grid >= 2 * _BRACKET
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     dof=st.integers(1, 3),
@@ -136,6 +160,8 @@ def _assert_matches_reference(S, T, grid):
     pick=st.integers(0, 50),
 )
 def test_screened_oracle_matches_full_scan(seed, dof, grid, where, offset, pick):
+    """The oracle matches the full-scan reference on every grid fine enough
+    for |J S|_2, and refuses, naming the grid, every other one."""
     rng = np.random.default_rng(seed)
     T = float(rng.uniform(0.5, 4 * math.pi))
     S = random_elliptic_form(rng, dof, horizon=T + 0.1)
@@ -143,14 +169,13 @@ def test_screened_oracle_matches_full_scan(seed, dof, grid, where, offset, pick)
     if where != "random" and crossings:
         t = crossings[pick % len(crossings)]
         T = {"on": t, "before": t - offset, "after": t + offset}[where]
-    _assert_matches_reference(S, T, grid)
-
+    if _too_coarse(S, T, grid):
+        with pytest.raises(ValueError, match=f"grid {grid} cannot resolve"):
+            oracle_cz(S, T, grid)
+    else:
+        _assert_matches_reference(S, T, grid)
     ev = ExpEvaluator(standard_J(dof) @ sym_matrix(S))
-    ts = np.linspace(0.0, T, grid + 1)
-    F, ref = _screened_scan(ev, ts), _full_scan(ev, ts)
-    seen = np.isfinite(F)
-    assert np.array_equal(F[seen], ref[seen])
-    assert (ref[~seen] >= _BRACKET).all()
+    _assert_screen_matches_full_scan(ev, np.linspace(0.0, T, grid + 1))
 
 
 def test_fallback_without_eigenbasis():
@@ -162,8 +187,21 @@ def test_fallback_without_eigenbasis():
 
 @pytest.mark.parametrize("T, grid", [(100.0, 1), (300.0, 7), (2000.0, 300)])
 def test_coarse_grid_opens_every_cell(T, grid):
-    """Cells far wider than 1 / |J S| must open, not overflow the bound."""
-    _assert_matches_reference(np.eye(2), T, grid)
+    """Cells far wider than 1 / |J S| must open, not overflow the bound;
+    the oracle refuses such a grid."""
+    _assert_screen_matches_full_scan(ExpEvaluator(standard_J(1)), np.linspace(0.0, T, grid + 1))
+    with pytest.raises(ValueError, match=f"grid {grid} cannot resolve"):
+        oracle_cz(np.eye(2), T, grid)
+
+
+def test_refuses_an_under_resolved_grid():
+    """On a step of 0.015, sigma_min at the sample nearest a crossing of
+    50 I_2 is about 0.37, above the bracketing level: the grid is refused
+    rather than answered with a few of the 238 crossings (index 477)."""
+    assert cz_index_data(50 * np.eye(2), 30.0).index == HalfInt(2 * 477)
+    with pytest.raises(ValueError, match="grid 2000 cannot resolve"):
+        oracle_cz(50 * np.eye(2), 30.0, 2000)
+    assert len(oracle_cz(50 * np.eye(2), 30.0, 40000).times) == 238
 
 
 def test_rotation_crosses_at_two_pi():
@@ -226,11 +264,13 @@ def test_scan_evaluates_a_fraction_of_the_grid(monkeypatch):
 
 
 def test_refinement_is_batched(monkeypatch):
-    """Guard against a return to point-by-point refinement, about 41
-    evaluations per crossing: the lockstep search makes one batched
-    evaluation per step for all brackets."""
+    """Guard against a return to point-by-point refinement or to golden
+    section (about 40 batched steps): the lockstep Newton search makes one
+    batched evaluation per step for all brackets, and a few steps take
+    each bracket from a grid step to _WIDTH.  One more call reads the
+    kernels."""
     _, rest = _guard_case_calls(monkeypatch)
-    assert len(rest) <= 50
+    assert len(rest) <= 6
 
 
 @pytest.mark.parametrize("blocks, fast", [
@@ -258,39 +298,48 @@ def test_points_match_single_point_product(blocks, fast, rng):
     grid=st.sampled_from([40, 1000, 20000]),
     widths=st.lists(st.sampled_from([0.0, 1e-13, 5e-12, _WIDTH, 2e-11, 1e-6, 1e-2]),
                     max_size=4),
-    step=st.sampled_from([None, 1e-12, 1e-9, 1e-6]),
 )
-def test_lockstep_refinement_matches_scalar_search(seed, dof, grid, widths, step):
+def test_lockstep_refinement_matches_scalar_search(seed, dof, grid, widths):
     """Every bracket of the lockstep search ends exactly where a scalar
     search on it alone ends: brackets around the crossings, the one-step
     bracket at the grid's end, and brackets of mixed widths, some already
-    narrower than the stopping width.  With ``step``, sigma_min is rounded
-    down to a multiple of it, so the searches meet ties."""
+    narrower than the stopping width."""
     rng = np.random.default_rng(seed)
     T = float(rng.uniform(0.5, 4 * math.pi))
     S = random_elliptic_form(rng, dof, horizon=T + 0.1)
     ev = ExpEvaluator(standard_J(dof) @ sym_matrix(S))
-    eye = np.eye(2 * dof)
     ts = np.linspace(0.0, T, grid + 1)
     near = [min(max(int(round(t / T * grid)), 1), grid) for t in crossing_times(S, T)]
     a = [ts[i - 1] for i in near] + [ts[grid - 1]]
     b = [ts[min(i + 1, grid)] for i in near] + [ts[grid]]
+    x = [ts[i] for i in near] + [ts[grid]]
     for k, w in enumerate(widths):
         lo = float(rng.uniform(0.0, T)) if k else 0.0
         a.append(lo)
         b.append(lo + w)
+        x.append(lo + w * float(rng.uniform()))
 
-    def fbatch(t):
-        s = np.linalg.svd(ev.at(t) - eye, compute_uv=False)[:, -1]
-        return s if step is None else np.floor(s / step)
+    t_star, val = _newton_lockstep(ev, a, b, x)
+    for j, (aj, bj, xj) in enumerate(zip(a, b, x)):
+        assert (t_star[j], val[j]) == _newton_min(ev, aj, bj, xj)
 
-    def fscalar(t):
-        s = _fmin(ev, t)
-        return s if step is None else float(math.floor(s / step))
 
-    t_star, val = _golden_lockstep(fbatch, a, b)
-    for j, (aj, bj) in enumerate(zip(a, b)):
-        assert (t_star[j], val[j]) == _golden_min(fscalar, aj, bj)
+def test_oracle_times_match_crossing_times():
+    """On 30 elliptic forms the refined crossings lie within 1e-12 of the
+    analytic ones (golden section stopped at about 1.7e-12)."""
+    rng = np.random.default_rng(15)
+    gaps = []
+    for trial in range(30):
+        dof = 1 + trial % 3
+        T = float(rng.uniform(2.0, 4 * math.pi))
+        S = random_elliptic_form(rng, dof, horizon=T + 0.1)
+        while any(abs(t - T) < 1e-3 for t in crossing_times(S, T + 0.02)):
+            T += 7e-3
+        got, ref = oracle_cz(S, T).times, crossing_times(S, T)
+        assert len(got) == len(ref)
+        gaps += [abs(g - r) for g, r in zip(sorted(got), sorted(ref))]
+    assert len(gaps) > 30
+    assert max(gaps) <= 1e-12
 
 
 def test_rejects_odd_dimension():

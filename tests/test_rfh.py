@@ -29,7 +29,7 @@ from rfhquad import (
     solve_exact_sequence,
     williamson_frequencies,
 )
-from rfhquad import czindex, orbits, symlin
+from rfhquad import czindex, orbits, rfh, symlin
 from rfhquad.errors import (
     Inconsistent,
     InputError,
@@ -119,6 +119,23 @@ class TestSequenceSolver:
         prob = ExactSequenceProblem(terms=(("0", 0), ("A", 1), ("0'", 0)))
         with pytest.raises(Inconsistent):
             solve_exact_sequence(prob)
+
+    def test_inconsistent_stops_at_the_first_crossed_bound(self, monkeypatch):
+        """A crossed bound admits no solution, so the solver stops there
+        instead of moving the crossed bounds until its pass cap (256 passes
+        on this problem)."""
+        calls = []
+        step = rfh._intervals_step
+
+        def counting(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(rfh, "_intervals_step", counting)
+        prob = ExactSequenceProblem(terms=(("0", 0), ("A", 1), ("0'", 0)))
+        with pytest.raises(Inconsistent, match="no consistent"):
+            solve_exact_sequence(prob)
+        assert len(calls) <= 2
 
     def test_must_close_with_zeros(self):
         with pytest.raises(InputError):

@@ -114,3 +114,44 @@ def test_an_unread_parameter_is_found():
                      "            return w\n        return inner\n")
     assert _unread_parameters(tree) == [("f", "b"), ("f", "c"), ("f", "e"), ("g", "x"),
                                         ("<lambda>", "z")]
+
+
+def _unread_private_names(sources) -> list:
+    """(module, line, name) for each private name a module binds at its top
+    level (a function, class or assigned name with one leading underscore)
+    that no module of ``sources``, a map of module name to source, reads as
+    a name or an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            else:
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                bound = [n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name)]
+            unread += [(module, node.lineno, name) for name in bound
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return unread
+
+
+def test_every_private_name_is_read():
+    """A private module-level name that no module of the package reads is
+    dead code, or code kept only for the tests: reads in tests do not count."""
+    sources = {path.name: path.read_text()
+               for path in sorted(Path(rfhquad.__file__).parent.glob("*.py"))}
+    assert _unread_private_names(sources) == []
+
+
+def test_an_unread_private_name_is_found():
+    sources = {"a.py": "_A = 1\n_B, c = 2, 3\n__all__ = []\ndef _f():\n    return _A\n"
+                       "class _C:\n    pass\n_d: int = 4\n_g = _h = 5\n",
+               "b.py": "from .a import _g\nimport a\nprint(_g, a._d)\n"}
+    assert _unread_private_names(sources) == [("a.py", 2, "_B"), ("a.py", 4, "_f"),
+                                              ("a.py", 6, "_C"), ("a.py", 9, "_h")]
