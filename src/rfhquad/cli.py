@@ -34,16 +34,15 @@ from .errors import (
     Underdetermined,
 )
 from .hormander import NormalForm, block_signature, build_block, classify, normal_form
-from .orbits import ActionWindow, census
-from .rfh import generator_census, rfh_report
+from .orbits import ActionWindow, _census, _orbit_families
+from .rfh import _generators, rfh_report
 from .selftest import BASE_SEED, run_all
-from .symlin import DEFAULT_TOL, TWO_PI, Tolerances
+from .symlin import DEFAULT_TOL, Tolerances
 from .tentacular import (
     QuadraticHamiltonian,
     TentacularVerdict,
     tentacular_check,
     validate,
-    williamson_frequencies,
 )
 
 TOL_ENV = "RFHQUAD_TOLERANCES"
@@ -291,27 +290,17 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _default_window(spec: _ParsedSpec) -> ActionWindow:
-    freqs = (spec.H.frequencies if spec.H.frequencies is not None
-             else williamson_frequencies(spec.H.a0, spec.tol))
-    if not freqs:
-        raise InputError("no frequencies: the action window must be given explicitly")
-    w = 4 * TWO_PI / (2 * min(freqs)) + 1e-6  # 4 pi / mu_min + epsilon
-    return ActionWindow(-w, w)
-
-
-def _window(args, spec) -> ActionWindow:
+def _window(args) -> ActionWindow | None:
+    """The window --lo and --hi give, or None for the census's default."""
     if (args.lo is None) != (args.hi is None):
         raise InputError("--lo and --hi must be given together")
-    if args.lo is None:
-        return _default_window(spec)
-    return ActionWindow(args.lo, args.hi)
+    return None if args.lo is None else ActionWindow(args.lo, args.hi)
 
 
 def _cmd_orbits(args) -> int:
     spec = _parse_spec(_read_doc(args.spec))
-    w = _window(args, spec)
-    fams = census(spec.H, w, spec.tol)
+    w, values = _census(spec.H, _window(args), spec.tol)
+    fams = _orbit_families(spec.H, values)
 
     def table():
         yield f"orbit families with action in [{w.lo:.9g}, {w.hi:.9g}]: {len(fams)}"
@@ -328,8 +317,8 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_census(args) -> int:
     spec = _parse_spec(_read_doc(args.spec))
-    w = _window(args, spec)
-    gens = generator_census(spec.H, w, spec.tol)
+    w, values = _census(spec.H, _window(args), spec.tol)
+    gens = _generators(spec.H, values)
 
     def table():
         yield f"generators with action in [{w.lo:.9g}, {w.hi:.9g}]: {len(gens)}"

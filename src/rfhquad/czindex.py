@@ -23,8 +23,8 @@ frequencies resonant there, which are S-orthogonal (Robbin-Salamon
 1993), so ``cz_index_data`` signs each frequency once.
 A positive definite S, as A0 is, makes every crossing form positive
 definite, so its index is a plain crossing count (Long 2002): the census
-grades each crossing by arithmetic on the event times
-(``_positive_index``) and signs nothing.
+grades every crossing of its pass by one running sum over the event
+times (``_positive_indices``) and signs nothing.
 
 Half-integers are kept exact as doubled integers; no index or grading is
 ever computed in floating point.
@@ -35,6 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -244,18 +245,21 @@ def _count_before(mu: float, t: float) -> int:
     return j
 
 
-def _positive_index(path: _Crossings, g: int, m: int) -> int:
-    """The doubled index at T = times[g] of a path whose S is positive
-    definite, m the summed multiplicity of crossing g.
+def _positive_indices(path: _Crossings) -> list:
+    """(m, doubled index) at each merged crossing time of a path whose S is
+    positive definite, m the summed multiplicity of the crossing.
 
     Every crossing form is S on the kernel, positive definite, so each
     crossing weighs the kernel's dimension (Robbin-Salamon 1993; Long
-    2002): dim S at the start, 2 m at the endpoint and, twice, the
-    2 * multiplicity of each crossing of each frequency before T.
+    2002): dim S at the start, 2 m at the endpoint and, twice, 2 * m' for
+    each crossing before it, summed as the pass goes from the count of
+    ``_count_before`` at its first crossing, one call per frequency.
     """
-    t = path.times[g]
-    return (path.S.shape[0] + 2 * m
-            + 4 * sum(mult * _count_before(mu, t) for mu, mult in path.multiplicities.items()))
+    first = sum(mult * _count_before(mu, path.times[0])
+                for mu, mult in path.multiplicities.items()) if path.times else 0
+    ms = [path.multiplicity(g) for g in range(len(path.times))]
+    return [(m, path.S.shape[0] + 2 * m + 4 * before)
+            for m, before in zip(ms, accumulate(ms, initial=first))]
 
 
 class _Crossings:
@@ -287,7 +291,6 @@ class _Crossings:
         if not (np.isfinite(horizon) and horizon > 0):
             raise InputError(f"path length T must be positive, got {horizon!r}")
         self.S, self.horizon, self.tol = S, horizon, tol
-        self.JS = standard_J(S.shape[0] // 2) @ S
         self.multiplicities = dict(frequencies)  # mu -> number of i mu eigenvectors
         mus, end = list(self.multiplicities), horizon + tol.crossing
         if mus and TWO_PI / max(mus) <= tol.crossing:
@@ -330,7 +333,8 @@ class _Crossings:
         frequencies were misread.  A degenerate form raises, naming the
         crossing time t that met it.
         """
-        basis = imaginary_eigenspace_basis(self.JS, mu, self.tol)
+        JS = standard_J(self.S.shape[0] // 2) @ self.S
+        basis = imaginary_eigenspace_basis(JS, mu, self.tol)
         if basis.shape[1] != 2 * self.multiplicities[mu]:
             raise ClusterAmbiguous(
                 f"eigenspace of {mu}i has dimension {basis.shape[1]}, "

@@ -60,7 +60,7 @@ class SignatureMismatch(InternalError):
 
 
 class ResonanceMismatch(InternalError):
-    """Resonance count and numerical kernel dimension disagree."""
+    """Resonance count and the frequencies resonant by their phases disagree."""
 
 
 class NonIntegerResult(InternalError):

@@ -13,9 +13,9 @@ themselves as stationary families.
 The critical values are the crossing times of exp(t J A0), so the census
 reads each |eta| and its m off the crossing enumeration of the index layer
 (``czindex._Crossings``) at the Williamson frequencies of A0, over the
-|eta| span of its window only, and grades each from the same crossing by
-a crossing count (``czindex._positive_index``): no second rule decides
-which frequencies resonate.
+|eta| span of its window only, grades them all by one running crossing
+count (``czindex._positive_indices``), and checks each m by the phases
+eta * mu of the unmerged frequencies, with no matrix exponential.
 """
 
 from __future__ import annotations
@@ -25,20 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .czindex import _Crossings, _merged_frequencies, _positive_index
-from .errors import (
-    CensusOverflow,
-    InputError,
-    ResonanceMismatch,
-)
-from .symlin import (
-    DEFAULT_TOL,
-    TWO_PI,
-    ExpEvaluator,
-    Tolerances,
-    kernel_dim,
-)
-from .tentacular import QuadraticHamiltonian, _symplectic_eigenvalues, _validate
+from .czindex import _Crossings, _merged_frequencies, _positive_indices
+from .errors import CensusOverflow, InputError, ResonanceMismatch
+from .symlin import DEFAULT_TOL, TWO_PI, Tolerances
+from .tentacular import QuadraticHamiltonian, _validate
 
 __all__ = [
     "ActionWindow",
@@ -119,31 +109,34 @@ def census(H: QuadraticHamiltonian, window: ActionWindow,
 
     The values are eta = +-t over the merged crossings t of exp(t J A0)
     at the Williamson frequencies of A0, and m is the summed multiplicity
-    of the frequencies resonant at t.  Each m is cross-checked against the
-    numerical kernel of exp(eta J A0) - Id, all eta at once; disagreement
-    is an internal error, not a user error.
+    of the frequencies resonant at t.  Each m is checked against the count
+    of frequencies whose phase t * mu is 0 modulo 2 pi, all t at once; a
+    disagreement is an internal error, not a user error.
     """
-    return tuple(fam for eta, m, _ in _census(H, window, tol)
-                 for fam in _families(H, eta, m, None))
+    return _orbit_families(H, _census(H, window, tol)[1])
 
 
-def _census(H: QuadraticHamiltonian, window: ActionWindow, tol: Tolerances) -> tuple:
-    """(eta, m, cz) for each critical value in the window, ascending, with
-    cz the doubled transverse index (m None and cz 0 at eta = 0), read off
-    one crossing enumeration over the |eta| span of the window only.
+def _orbit_families(H: QuadraticHamiltonian, values) -> tuple:
+    """The families of the census values ``_census`` returns, ungraded."""
+    return tuple(fam for eta, m, _ in values for fam in _families(H, eta, m, None))
 
-    A0 is positive definite (``validate``), so cz at eta = +-t is +- the
-    crossing count of ``_positive_index``; the kernel cross-check at
-    every eta confirms the m it counts.  A0's spectrum is read once per
-    call: validation's eigvalsh checks definiteness, and the Williamson
-    frequencies are those validation read to check the declared ones, or
-    else one eigvals of J A0 here."""
-    report, mus = _validate(H, tol)
+
+def _census(H: QuadraticHamiltonian, window, tol: Tolerances) -> tuple:
+    """(window, values): (eta, m, cz) for each critical value in the window,
+    ascending, cz the doubled transverse index (m None and cz 0 at eta = 0),
+    off one crossing enumeration over the window's |eta| span.  A window of
+    None is +-(4 pi / mu_min + 1e-6), mu_min the least declared frequency,
+    or else the least of A0's, which ``_validate`` reads once for all.
+
+    A0 is positive definite, so cz at eta = +-t is +- the crossing count of
+    ``_positive_indices``, and ``_check_resonance`` confirms each m."""
+    report, mus, dmus = _validate(H, tol)
     if not report.all_ok:
         raise InputError(f"Hamiltonian fails validation: {report.offending}")
-    if mus is None:
-        mus = _symplectic_eigenvalues(H.a0)
-    freqs = _merged_frequencies([(mu, 1) for mu in mus], max(1.0, mus[-1]), tol)
+    if window is None:
+        w = 2 * TWO_PI / min(H.frequencies or mus) + 1e-6
+        window = ActionWindow(-w, w)
+    freqs = _merged_frequencies([(mu, 1) for mu in mus.tolist()], max(1.0, mus[-1]), tol)
     least = 2 * _lower_bound(freqs, window)
     if least > DEFAULT_CENSUS_CAP:
         raise CensusOverflow(
@@ -151,27 +144,39 @@ def _census(H: QuadraticHamiltonian, window: ActionWindow, tol: Tolerances) -> t
     lo, hi = window.lo, window.hi
     start = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
     path = _Crossings(H.a0, freqs, max(-lo, hi), tol, start)
+    graded = _positive_indices(path)
 
     def span(t_lo, t_hi):  # the merged crossings with t_lo <= t <= t_hi
         return range(bisect_left(path.times, t_lo), bisect_right(path.times, t_hi))
 
-    def value(g, sign):
-        m = path.multiplicity(g)
-        return sign * path.times[g], m, sign * _positive_index(path, g, m)
-
-    negative = [value(g, -1) for g in reversed(span(-hi, -lo))]
-    positive = [value(g, 1) for g in span(lo, hi)]
+    below, above = span(-hi, -lo), span(lo, hi)
+    negative = [(-path.times[g], graded[g][0], -graded[g][1]) for g in reversed(below)]
+    positive = [(path.times[g], *graded[g]) for g in above]
     values = negative + [(0.0, None, 0)] * (0.0 in window) + positive
     if 2 * len(values) > DEFAULT_CENSUS_CAP:
         raise CensusOverflow(
             f"window yields up to {2 * len(values)} families, cap is {DEFAULT_CENSUS_CAP}")
-    nonzero = negative + positive
-    flows = ExpEvaluator(path.JS).at([eta for eta, _, _ in nonzero])
-    for (eta, m, _), m_num in zip(nonzero, kernel_dim(flows - np.eye(2 * H.k), tol)):
-        if m_num != 2 * m:
-            raise ResonanceMismatch(
-                f"kernel dimension {m_num} != 2 * resonance count {m} at eta = {eta}")
-    return values
+    c = max(below, above, key=len)  # holds the other: it is empty or starts at 0 too
+    _check_resonance(path.times[c.start:c.stop], graded[c.start:c.stop], mus, dmus, tol)
+    return window, values
+
+
+def _check_resonance(times, graded, mus, dmus, tol: Tolerances) -> None:
+    """Raise unless at each crossing time t, graded (m, cz), exactly m unmerged
+    frequencies resonate, 2 |sin(t mu_j / 2)| < rank_cut * max(1, max_j
+    2 |sin(t mu_j / 2)|) + t dmus_j: the singular values of exp(t K) - Id,
+    similar through L to exp(t J A0) - Id (``tentacular._williamson``),
+    at kernel_dim's cut widened by how far dmus_j can move a phase."""
+    times = np.asarray(times)
+    phases = 2 * np.abs(np.sin(np.multiply.outer(times, mus) / 2))
+    cuts = tol.rank_cut * np.maximum(phases.max(axis=1, keepdims=True), 1.0)
+    counts = np.count_nonzero(phases < cuts + np.multiply.outer(times, dmus), axis=1)
+    ms = [m for m, _ in graded]
+    bad = np.flatnonzero(counts != ms)
+    if bad.size:
+        g = bad[0]
+        raise ResonanceMismatch(f"{counts[g]} frequencies resonant != resonance count "
+                                f"{ms[g]} at eta = +-{times[g]}")
 
 
 def _families(H: QuadraticHamiltonian, eta: float, m, cz) -> tuple:

@@ -105,17 +105,21 @@ def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
     """All generators with action in the window, two per orbit family, by
     action, then side (H before H0), then pole (max before min).
 
-    The census enumerates the crossings of exp(t J A0) once, over the
-    window's |eta| span, and grades each critical value by counting the
-    crossings up to it, negated for eta < 0, so the cost follows the
-    window's width, not its distance from 0.  Each value's doubled
-    gradings, transverse index + signature index + 1/2, are summed once
-    as integers and shared by its two sphere families (the stationary
-    pair at eta = 0 differs); all four have the parity of the transverse
-    index, which is checked once per value.
+    One crossing enumeration over the window's |eta| span grades every
+    critical value by a running crossing count, negated for eta < 0, so
+    the cost follows the window's width, not its distance from 0.  Each
+    value's doubled gradings, transverse index + signature index + 1/2,
+    are summed once as integers and shared by its two sphere families
+    (the stationary pair at eta = 0 differs); all four have the parity of
+    the transverse index, checked once per value.
     """
+    return _generators(H, _census(H, window, tol)[1])
+
+
+def _generators(H: QuadraticHamiltonian, values) -> list:
+    """The generators of the census values ``_census`` returns."""
     out = []
-    for eta, m, cz in _census(H, window, tol):
+    for eta, m, cz in values:
         h0, h = _families(H, eta, m, HalfInt(cz))
         top, bottom = (cz + _sigma_doubled(h, pole) + 1 for pole in ("max", "min"))
         if top % 2:

@@ -107,22 +107,27 @@ class ValidationReport:
         )
 
 
-def _nonpositive(a0: np.ndarray, tol: Tolerances) -> list:
-    """The eigenvalues of a nonempty A0 at or below the rank cutoff."""
-    w = np.linalg.eigvalsh(a0)
-    cut = tol.rank_cut * float(np.abs(w).max())
-    return [float(x) for x in w if x <= cut]
+def _williamson(a0: np.ndarray, tol: Tolerances) -> tuple:
+    """(offending, mus, dmus) of a nonempty A0 by one eigh, A0 = Q diag(w) Q^T.
 
-
-def _symplectic_eigenvalues(a0: np.ndarray) -> tuple:
-    """The positive imaginary parts of the eigenvalues of J A0, ascending,
-    for a nonempty positive definite A0."""
-    k = a0.shape[0] // 2
-    ev = np.linalg.eigvals(standard_J(k) @ a0)
-    mus = sorted(float(z.imag) for z in ev if z.imag > 0)
-    if len(mus) != k:
+    offending lists the w at or below rank_cut * max|w|.  When none is,
+    mus are the Williamson frequencies, the upper k eigenvalues of the
+    Hermitian i K, K = L^T J L with L = Q diag(sqrt w), and dmus bound
+    their errors: L L^T = A0 + E, and mu_j is monotone in the Loewner order
+    and homogeneous (Bhatia & Jain 2015), so E moves it by at most
+    mu_j |E|_2 |A0^-1|_2; forming K and its eigvalsh add a few eps max w.
+    """
+    w, Q = np.linalg.eigh(a0)
+    bad = [float(x) for x in w if x <= tol.rank_cut * float(np.abs(w).max())]
+    if bad:
+        return bad, None, None
+    k = len(w) // 2
+    L = Q * np.sqrt(w)
+    mus = np.linalg.eigvalsh(1j * (L.T @ np.concatenate([L[k:], -L[:k]])))[k:]
+    if mus[0] <= 0:
         raise InternalError("eigenvalues of J A0 did not split into k conjugate pairs")
-    return tuple(mus)
+    slack = 4 * len(w) * np.finfo(float).eps * w[-1]
+    return bad, mus, mus * ((np.linalg.norm(L @ L.T - a0) + slack) / w[0]) + slack
 
 
 def williamson_frequencies(a0, tol: Tolerances = DEFAULT_TOL) -> tuple:
@@ -134,9 +139,10 @@ def williamson_frequencies(a0, tol: Tolerances = DEFAULT_TOL) -> tuple:
     a0 = sym_matrix(a0, "A0")
     if a0.size == 0:
         return ()
-    if _nonpositive(a0, tol):
+    bad, mus, _ = _williamson(a0, tol)
+    if bad:
         raise NotPositiveDefinite("A0 is not positive definite")
-    return _symplectic_eigenvalues(a0)
+    return tuple(mus.tolist())
 
 
 def validate(H: QuadraticHamiltonian, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
@@ -150,41 +156,33 @@ def validate(H: QuadraticHamiltonian, tol: Tolerances = DEFAULT_TOL) -> Validati
 
 
 def _validate(H: QuadraticHamiltonian, tol: Tolerances) -> tuple:
-    """``validate``'s report, with the Williamson frequencies of A0 it read
-    to check the declared ones (None when it read none): one eigvalsh and
-    at most one eigvals on A0, so the census reads A0's spectrum once."""
+    """``validate``'s report, with the Williamson frequencies of A0 and
+    their error bounds from ``_williamson`` (None, None when A0 is empty
+    or not positive definite): one eigh and one eigvalsh read A0 for
+    validate, the census and the CLI's default window alike."""
     offending: dict = {}
 
-    bad = _nonpositive(H.a0, tol) if H.a0.size else []
-    pos = not bad
+    bad, mus, dmus = _williamson(H.a0, tol) if H.a0.size else ([], None, None)
     if bad:
         offending["a0_eigenvalues"] = bad
-
     if H.a1.size:
         ev = np.linalg.eigvals(standard_J(H.n - H.k) @ H.a1)
         margin = tol.eig_cluster * max(1.0, float(np.abs(np.linalg.eigvalsh(H.a1)).max()))
-        bad = [complex(z) for z in ev if abs(z.real) <= margin]
-        hyp = not bad
-        if bad:
-            offending["a1_flow_eigenvalues"] = bad
-    else:
-        hyp = True
-
-    k_ok = 1 <= H.k <= H.n - 1
-    if not k_ok:
+        if on_axis := [complex(z) for z in ev if abs(z.real) <= margin]:
+            offending["a1_flow_eigenvalues"] = on_axis
+    if not 1 <= H.k <= H.n - 1:
         offending["k"] = [H.k]
 
-    actual = freq_ok = None
-    if H.frequencies is not None and H.k >= 1 and pos:
-        actual = _symplectic_eigenvalues(H.a0)
-        freq_ok = len(actual) == len(H.frequencies) and all(
-            abs(a - b) <= 1e-8 * max(1.0, abs(b))
-            for a, b in zip(actual, H.frequencies)
-        )
+    freq_ok = None
+    if H.frequencies is not None and mus is not None:
+        freq_ok = all(abs(a - b) <= 1e-8 * max(1.0, abs(b))
+                      for a, b in zip(mus.tolist(), H.frequencies))
         if not freq_ok:
-            offending["frequencies"] = list(actual)
+            offending["frequencies"] = mus.tolist()
 
-    return ValidationReport(pos, hyp, k_ok, offending, freq_ok), actual
+    report = ValidationReport(not bad, "a1_flow_eigenvalues" not in offending,
+                              "k" not in offending, offending, freq_ok)
+    return report, mus, dmus
 
 
 @dataclass(frozen=True)

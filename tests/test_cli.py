@@ -3,8 +3,10 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rfhquad
@@ -286,3 +288,30 @@ def test_random_spec_script_feeds_the_cli():
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert "RFH    :" in out.stdout
+
+
+@pytest.mark.parametrize("sub", ["census", "orbits"])
+def test_default_window_reads_a0_once(sub, capsys, monkeypatch):
+    """On a matrix document with no window, the default window comes from
+    the census's own frequencies: A0 (2x2; A1 is 6x6) is decomposed by one
+    eigh and one complex eigvalsh, and by no eigvals, in the whole call."""
+    calls = Counter()
+    for name in ("eigvals", "eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _original=original, **kwargs):
+            if np.shape(a) == (2, 2):
+                calls[_name, np.asarray(a).dtype.kind] += 1
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    a0 = [[1.2, 0.3], [0.3, 0.9]]  # frequency sqrt(1.2 * 0.9 - 0.09)
+    d, zero = np.diag([1.0, 0.7, 0.4]), np.zeros((3, 3))
+    a1 = np.block([[zero, d], [d, zero]])  # J A1 = diag(d, -d)
+    doc = {"n": 4, "k": 1, "a0": {"matrix": a0}, "a1": {"matrix": a1.tolist()}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main([sub, "-", "--json"]) == 0
+    assert calls == {("eigh", "f"): 1, ("eigvalsh", "c"): 1}
+    out = json.loads(capsys.readouterr().out)
+    w = 4 * np.pi / np.sqrt(1.2 * 0.9 - 0.09) + 1e-6
+    assert out["window"] == pytest.approx([-w, w], rel=1e-14)

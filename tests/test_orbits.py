@@ -25,7 +25,7 @@ from rfhquad.errors import (
     NotPositiveDefinite,
     ResonanceMismatch,
 )
-from rfhquad.samples import random_hyperbolic_blocks, random_orthosymplectic
+from rfhquad.samples import random_hyperbolic_blocks, random_orthosymplectic, random_symplectic
 
 TWO_PI = 2 * np.pi
 
@@ -157,7 +157,8 @@ def test_kernel_dim_matches_family(h32, family):
 
 def test_census_raises_on_resonance_mismatch(h32, monkeypatch):
     """A resonance count that disagrees with the kernel of
-    exp(eta J A0) - Id is an internal error."""
+    exp(eta J A0) - Id, read as the frequencies whose phase eta * mu
+    vanishes modulo 2 pi, is an internal error."""
     count = czindex._Crossings.multiplicity
     monkeypatch.setattr(czindex._Crossings, "multiplicity", lambda *args: count(*args) + 1)
     with pytest.raises(ResonanceMismatch):
@@ -177,6 +178,8 @@ def _reference_kernels(A, etas):
 
 
 def _assert_census_kernels_match_reference(H, window):
+    """The census's m at every eta is half the kernel dimension of
+    exp(eta J A0) - Id, read densely both ways."""
     fams = [f for f in census(H, window) if f.side == "H0" and f.topology == "sphere"]
     etas = [f.eta for f in fams]
     assert etas
@@ -184,8 +187,11 @@ def _assert_census_kernels_match_reference(H, window):
     assert got.tolist() == _reference_kernels(H.a0, etas) == [2 * f.m for f in fams]
 
 
-def _conjugated(H, rng):
-    U = random_orthosymplectic(rng, H.k)
+def _conjugated(H, rng, magnitude=None):
+    """H with A0 conjugated by an orthosymplectic map, or by
+    random_symplectic(magnitude) when one is given."""
+    U = (random_orthosymplectic(rng, H.k) if magnitude is None
+         else random_symplectic(rng, H.k, magnitude).T)
     a0 = U @ H.a0 @ U.T
     return QuadraticHamiltonian(H.n, H.k, (a0 + a0.T) / 2, H.a1)
 
@@ -194,7 +200,8 @@ def _conjugated(H, rng):
 def test_census_kernels_match_reference_on_wide_windows(seed):
     """Hamiltonians shaped as the census_wide benchmark's (frequencies in
     [1, 1.1] kept apart, windows of 1, 10 and 30 periods), as given and
-    with A0 conjugated by an orthosymplectic map."""
+    with A0 conjugated by an orthosymplectic map and by a symplectic one
+    that is not orthogonal, random_symplectic(magnitude=0.5)."""
     rng = np.random.default_rng(seed)
     for n, k, mult in ((3, 2, 1), (4, 3, 1), (5, 4, 1), (6, 5, 1),
                        (3, 2, 10), (4, 2, 10), (5, 2, 10), (6, 2, 10),
@@ -204,7 +211,7 @@ def test_census_kernels_match_reference_on_wide_windows(seed):
         H = QuadraticHamiltonian.from_frequencies(
             n, k, freqs, random_hyperbolic_blocks(rng, n - k).matrix)
         w = mult * TWO_PI / min(freqs) + 1e-6
-        for ham in (H, _conjugated(H, rng)):
+        for ham in (H, _conjugated(H, rng), _conjugated(H, rng, 0.5)):
             _assert_census_kernels_match_reference(ham, ActionWindow(-w, w))
 
 

@@ -350,26 +350,62 @@ class TestCensusEquivalence:
         for window in (ActionWindow(1e5 - 3.0, 1e5 + 12.0), ActionWindow(-1e5 - 12.0, -1e5 + 3.0)):
             gens = generator_census(h42, window)
             assert len(gens) >= 12, window
-            for g in gens:
-                _assert_longs_closed_form(h42, g)
+            _assert_longs_closed_form(h42, gens)
+
+    def test_far_resonance_is_never_split(self, h42):
+        """1.0 and 1.3 cross together at 20 pi j.  Near 1e6 the event times
+        2 pi j / mu carry more round-off than the merge radius, so the
+        enumeration may list two crossings of m = 1 there.  The census
+        then refuses, since both frequencies resonate at each, or reads
+        one family of m = 2; never two of m = 1."""
+        t = 20 * np.pi * 15915
+        try:
+            fams = census(h42, ActionWindow(t - 0.5, t + 0.5))
+        except ResonanceMismatch:
+            return
+        assert [f.m for f in fams if f.side == "H0"] == [2]
+
+    def test_far_non_resonant_window(self, h42):
+        """Near 1e6 and away from every resonance: five families of m = 1,
+        graded by Long's closed form, although one ulp of eta moves a
+        phase eta * mu past kernel_dim's cut."""
+        gens = generator_census(h42, ActionWindow(1e6 - 3.0, 1e6 + 12.0))
+        assert [g.family.m for g in gens if g.family.side == "H0" and g.pole == "max"] == [1] * 5
+        _assert_longs_closed_form(h42, gens)
+
+    def test_forty_eight_frequencies(self):
+        """k = 48 frequencies in [1, 1.1], kept apart, one hyperbolic pair,
+        on +-3 periods of the slowest: every generator as Long's closed
+        form grades it."""
+        rng = np.random.default_rng(48)
+        k = 48
+        freqs = [1.0 + 0.1 / k * (j + 0.1 + 0.8 * rng.random()) for j in range(k)]
+        H = QuadraticHamiltonian.from_frequencies(
+            k + 1, k, freqs, build_block("a", 1, 1.0).matrix)
+        w = 3 * TWO_PI / min(freqs)
+        gens = generator_census(H, ActionWindow(-w, w))
+        assert len(gens) == 4 * (2 * 3 * k + 1)
+        _assert_longs_closed_form(H, [g for g in gens if g.family.eta != 0.0])
 
 
-def _assert_longs_closed_form(H, g):
-    """The grading of a generator of H, with distinct Williamson
+def _assert_longs_closed_form(H, gens):
+    """The grading of each generator of H, with distinct Williamson
     frequencies mu, is Long's closed form: the transverse index at
     eta > 0 is cz = k + sum over mu of 2 #{2 pi j / mu < eta} +
     #{2 pi j / mu = eta}, negated for eta < 0, and the grading adds the
     signature index and 1/2.  The mu are those the census reads, not the
     declared frequencies, which differ from them by round-off."""
-    eta, m = abs(g.family.eta), g.family.m
-    cz = H.k
-    for mu in williamson_frequencies(H.a0):
-        j = int(eta * mu / TWO_PI)  # 2 pi (j - 1) / mu < eta < 2 pi (j + 2) / mu
-        times = [TWO_PI * i / mu for i in (j, j + 1)]
-        cz += 2 * (j - 1 + sum(t < eta for t in times)) + sum(t == eta for t in times)
-    if g.family.eta < 0:
-        cz = -cz
-    assert g.grading.as_int() == (cz - m + 1 if g.pole == "min" else cz + m), g.label
+    mus = williamson_frequencies(H.a0)
+    for g in gens:
+        eta, m = abs(g.family.eta), g.family.m
+        cz = H.k
+        for mu in mus:
+            j = int(eta * mu / TWO_PI)  # 2 pi (j - 1) / mu < eta < 2 pi (j + 2) / mu
+            times = [TWO_PI * i / mu for i in (j, j + 1)]
+            cz += 2 * (j - 1 + sum(t < eta for t in times)) + sum(t == eta for t in times)
+        if g.family.eta < 0:
+            cz = -cz
+        assert g.grading.as_int() == (cz - m + 1 if g.pole == "min" else cz + m), g.label
 
 
 SIGNERS = ("restricted_signature", "imaginary_eigenspace_basis", "signature",
@@ -423,8 +459,7 @@ def test_census_far_from_zero_enumerates_its_window(h42, monkeypatch):
     gens = generator_census(h42, ActionWindow(1e6, 1e6 + 1.0))
     assert len(built) == 1 and len(built[0].events) <= 6
     assert len(gens) == 4
-    for g in gens:
-        _assert_longs_closed_form(h42, g)
+    _assert_longs_closed_form(h42, gens)
 
 
 def _assert_one_formula(gens):
@@ -463,8 +498,9 @@ class TestGradedOncePerValue:
     def test_odd_transverse_index_is_an_internal_error(self, h32, monkeypatch):
         """Half-integer gradings name the first generator they reach, the
         H-side maximum of the lowest critical value."""
-        index = czindex._positive_index
-        monkeypatch.setattr(orbits, "_positive_index", lambda *args: index(*args) + 1)
+        indices = czindex._positive_indices
+        monkeypatch.setattr(orbits, "_positive_indices",
+                            lambda path: [(m, cz + 1) for m, cz in indices(path)])
         with pytest.raises(InternalError,
                            match=r"non-integer grading -?\d+/2 for OrbitFamily\(eta=-.*"
                                  r"side='H'.* at max$"):
@@ -472,18 +508,20 @@ class TestGradedOncePerValue:
 
 
 def test_census_reads_a0_spectrum_once(rng, monkeypatch):
-    """Each census and generator census decomposes A0 once with eigvalsh
-    (definiteness) and once with eigvals (its Williamson frequencies),
-    whether the frequencies are declared, and so checked, or not; k = 1
-    and n - k = 3 tell A0's calls from A1's, which stay one of each."""
+    """Each census and generator census decomposes A0 once with eigh, for
+    definiteness and its factor L, and reads its Williamson frequencies
+    with one eigvalsh of the complex i L^T J L, whether the frequencies
+    are declared, and so checked, or not; no eigvals touches A0.  k = 1
+    and n - k = 3 tell A0's calls from A1's, which stay one eigvals and
+    one real eigvalsh."""
     calls = Counter()
     modules = [np.linalg] + [mod for name, mod in sys.modules.items()
                              if name.split(".")[0] == "rfhquad"]
-    for name in ("eigvals", "eigvalsh"):
+    for name in ("eigvals", "eigvalsh", "eigh"):
         original = getattr(np.linalg, name)
 
         def counting(a, *args, _name=name, _original=original, **kwargs):
-            calls[_name, np.shape(a)] += 1
+            calls[_name, np.shape(a), np.asarray(a).dtype.kind] += 1
             return _original(a, *args, **kwargs)
 
         for mod in modules:
@@ -496,8 +534,35 @@ def test_census_reads_a0_spectrum_once(rng, monkeypatch):
         for run in (census, generator_census):
             calls.clear()
             run(H, window)
-            assert calls == {("eigvalsh", (2, 2)): 1, ("eigvals", (2, 2)): 1,
-                             ("eigvalsh", (6, 6)): 1, ("eigvals", (6, 6)): 1}, (run, H.frequencies)
+            assert calls == {("eigh", (2, 2), "f"): 1, ("eigvalsh", (2, 2), "c"): 1,
+                             ("eigvalsh", (6, 6), "f"): 1, ("eigvals", (6, 6), "f"): 1}, \
+                (run, H.frequencies)
+
+
+def test_census_makes_no_dense_kernel_check(h42, monkeypatch):
+    """The census and the generator census take no SVD and no matrix
+    exponential, and count the crossings below their pass with at most
+    one ``_count_before`` per frequency, on windows around 0, far from it
+    and over k = 6 frequencies."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(symlin.ExpEvaluator, "at", counting("at", symlin.ExpEvaluator.at))
+    monkeypatch.setattr(czindex, "_count_before", counting("count", czindex._count_before))
+    h62 = QuadraticHamiltonian.from_frequencies(
+        7, 6, [1.0, 1.02, 1.05, 1.07, 1.08, 1.1], build_block("a", 1, 1.0).matrix)
+    for H, window in ((h42, ActionWindow(-60.0, 60.0)), (h42, ActionWindow(1e3, 1e3 + 30.0)),
+                      (h42, ActionWindow(-1e5 - 20.0, -1e5)), (h62, ActionWindow(-30.0, 40.0))):
+        for run in (census, generator_census):
+            calls.clear()
+            assert run(H, window), window
+            assert calls["svd"] == calls["at"] == 0 and calls["count"] <= H.k, (window, calls)
 
 
 def _assert_frozen_value(obj):
