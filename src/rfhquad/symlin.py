@@ -133,18 +133,10 @@ class SpectrumItem:
     eigenvalue: complex
     block_sizes: tuple  # Jordan block sizes, descending
 
-    @property
-    def multiplicity(self) -> int:
-        return int(sum(self.block_sizes))
-
 
 @dataclass(frozen=True)
 class Spectrum:
     items: tuple  # tuple[SpectrumItem], sorted by (Re, Im)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(it.multiplicity for it in self.items)
 
     def key(self, ndigits: int = 6):
         """Rounded multiset representation, for comparisons in tests."""
@@ -156,55 +148,10 @@ class Spectrum:
         )
 
 
-def _single_linkage(points, radius):
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(points[i])
-    return list(groups.values())
-
-
-def _nullity_chains(M, centers, tol) -> list:
-    """For each center lam, the nullities of (M - lam I)^j, j = 1, 2, ...,
-    until they stabilize: one stacked product and one batched SVD per
-    power over the centers whose chain is still growing."""
-    n = M.shape[0]
-    base = M.astype(complex) - np.asarray(centers, dtype=complex)[:, None, None] * np.eye(n)
-    P = np.broadcast_to(np.eye(n, dtype=complex), base.shape)
-    chains = [[] for _ in centers]
-    live = list(range(len(centers)))
-    for _ in range(n):
-        P = P @ base
-        sv = np.linalg.svd(P, compute_uv=False)
-        smax = sv[:, 0]
-        nonzero = smax != 0.0
-        nus = np.where(nonzero, np.count_nonzero(sv < tol.rank_cut * smax[:, None], axis=1), n)
-        P /= np.where(nonzero, smax, 1.0)[:, None, None]
-        still = []
-        for row, (i, nu) in enumerate(zip(live, nus.tolist())):
-            prev = chains[i][-1] if chains[i] else 0
-            chains[i].append(nu)
-            if nu != prev and nu < n:
-                still.append(row)
-        if not still:
-            break
-        if len(still) < len(live):
-            P, base, live = P[still], base[still], [live[row] for row in still]
-    return chains
+# Cap on the condition-number term of a cluster radius, relative to the
+# spectral scale.  It must cover the eps^(1/3) spread of the computed
+# eigenvalues of a size-3 Jordan block; a cap of 1e-6 loses them.
+_RING = 1e-4
 
 
 def _block_sizes_from_chain(nullities):
@@ -229,53 +176,84 @@ def _block_sizes_from_chain(nullities):
 
 
 def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
-    """Eigenvalues of M with Jordan block sizes, recovered numerically.
+    """Eigenvalues of M with Jordan block sizes, recovered numerically in
+    one pass: one eigendecomposition, one clustering, and rank decisions
+    only on the Schur block of each cluster of two or more eigenvalues.
 
-    Eigenvalues are clustered at relative radius ``tol.eig_cluster``; block
-    sizes come from the rank chain of (M - lambda I)^j at each cluster
-    center.  Computed eigenvalues of a defective eigenvalue split into a
-    ring of radius roughly eps^(1/m), far wider than the cluster radius, so
-    clusters are enlarged adaptively: whenever a cluster's rank-chain
-    multiplicity disagrees with its eigenvalue count it is merged with the
-    nearest cluster and re-validated.  If no merge sequence reconciles the
-    two counts the input is rejected as ClusterAmbiguous.
+    Radius rule: with scale = max(1, max|lambda|) and kappa_i the norm of
+    row i of V^-1 (V's columns have unit norm, so kappa_i is the condition
+    number of lambda_i), eigenvalue i gets the radius
+    tol.eig_cluster * scale + min(100 eps kappa_i, _RING) * scale, and
+    eigenvalues i, j join (single linkage) when |lambda_i - lambda_j| is at
+    most the larger of their radii.  The computed eigenvalues of a
+    defective eigenvalue split into a ring of radius about eps^(1/m), and
+    exactly such ill-conditioned points get the wide radius that joins
+    them; simple eigenvalues keep the radius tol.eig_cluster * scale.
+
+    A singleton cluster is one block of size 1, with no rank decision;
+    if its condition-number term reached the _RING cap it is too
+    ill-conditioned to place and found no partner, and ClusterAmbiguous
+    is raised.
+
+    A cluster of p >= 2 eigenvalues with mean c is moved to the leading
+    p x p block T11 of one complex Schur form of M.  The nullities of
+    (T11 - c I)^j, counted at the cut tol.rank_cut * max(1, |M|_2)^j
+    until they stop changing, give the block sizes.  ClusterAmbiguous is
+    raised when the Schur diagonal near c does not hold exactly the p
+    eigenvalues or when the sizes do not add up to p.
     """
     M = _as_square(M)
     n = M.shape[0]
     if n == 0:
         return Spectrum(())
-    eigs = list(np.linalg.eigvals(M))
-    scale = max(1.0, float(np.abs(eigs).max()))
-    radius = tol.eig_cluster * scale
-    clusters = _single_linkage(eigs, radius)
+    w, V = np.linalg.eig(M)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow means kappa = inf
+            kappa = np.nan_to_num(np.linalg.norm(np.linalg.inv(V), axis=1), nan=np.inf)
+    except np.linalg.LinAlgError:
+        kappa = np.full(n, np.inf)
+    scale = max(1.0, float(np.abs(w).max()))
+    ring = 100.0 * np.finfo(float).eps * kappa
+    radius = (tol.eig_cluster + np.minimum(ring, _RING)) * scale
+    near = np.abs(w[:, None] - w) <= np.maximum.outer(radius, radius)
+    labels = np.arange(n)
+    while True:  # single linkage: each label falls to the lowest index of its cluster
+        lower = np.where(near, labels, n).min(axis=1)
+        if np.array_equal(lower, labels):
+            break
+        labels = lower
 
-    for _ in range(len(eigs) + 1):
-        centers = [complex(np.mean(c)) for c in clusters]
-        sizes_list = [_block_sizes_from_chain(c) for c in _nullity_chains(M, centers, tol)]
-        bad = [i for i, c in enumerate(clusters) if sum(sizes_list[i]) != len(c)]
-        if not bad:
-            items = tuple(
-                sorted(
-                    (SpectrumItem(z, tuple(s)) for z, s in zip(centers, sizes_list)),
-                    key=lambda it: (it.eigenvalue.real, it.eigenvalue.imag),
-                )
-            )
-            spec = Spectrum(items)
-            if spec.total_dim != n:
-                raise ClusterAmbiguous("cluster multiplicities do not add up to the dimension")
-            return spec
-        if len(clusters) == 1:
+    items = []
+    T = None
+    for first in np.unique(labels):
+        members = np.flatnonzero(labels == first)
+        p = members.size
+        if p == 1:
+            if ring[first] >= _RING:
+                raise ClusterAmbiguous(
+                    f"eigenvalue {complex(w[first])} is too ill-conditioned to place and has no partner")
+            items.append(SpectrumItem(complex(w[first]), (1,)))
+            continue
+        c = complex(np.mean(w[members]))
+        if T is None:
+            T, Z = scipy.linalg.schur(M, output="complex")
+            norm = max(1.0, float(np.linalg.norm(M, 2)))
+        reach = float(np.abs(w[members] - c).max() + radius[members].max())
+        select = np.abs(np.diag(T) - c) <= reach
+        if np.count_nonzero(select) != p:
+            raise ClusterAmbiguous(f"the Schur form does not isolate the cluster at {c}")
+        N = scipy.linalg.lapack.ztrsen(select, T, Z, job="N", wantq=0)[0][:p, :p] - c * np.eye(p)
+        chain, P = [0], np.eye(p)  # nullities of N^j until they reach p or stop growing
+        while chain[-1] < p and (len(chain) < 2 or chain[-1] > chain[-2]):
+            P = P @ N
+            sv = np.linalg.svd(P, compute_uv=False)
+            chain.append(int(np.count_nonzero(sv < tol.rank_cut * norm ** len(chain))))
+        sizes = _block_sizes_from_chain(chain[1:])
+        if sum(sizes) != p:
             raise ClusterAmbiguous(
-                "eigenvalue clusters cannot be reconciled with rank data; input is ill-conditioned"
-            )
-        i = bad[0]
-        dists = [
-            (abs(centers[i] - centers[j]), j) for j in range(len(clusters)) if j != i
-        ]
-        _, j = min(dists)
-        merged = clusters[i] + clusters[j]
-        clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)] + [merged]
-    raise ClusterAmbiguous("eigenvalue clustering did not converge")
+                f"rank data at {c} give Jordan sizes {sizes} for {p} eigenvalues")
+        items.append(SpectrumItem(c, tuple(sizes)))
+    return Spectrum(tuple(sorted(items, key=lambda it: (it.eigenvalue.real, it.eigenvalue.imag))))
 
 
 # ---------------------------------------------------------------------------

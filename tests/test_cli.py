@@ -11,6 +11,7 @@ import pytest
 
 import rfhquad
 from rfhquad.cli import main
+from rfhquad.samples import random_orthosymplectic, random_symplectic
 
 SPEC31 = {
     "n": 3,
@@ -166,6 +167,25 @@ def test_non_finite_input_is_input_error(tmp_path, capsys, cmd, a0, a1):
     doc = {"n": 2, "k": 1, "a0": a0, "a1": a1}
     assert main([cmd[0], write_spec(tmp_path, doc), *cmd[1:]]) == 1
     assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("conjugation", ["orthosymplectic", "symplectic"])
+def test_check_json_conjugated_jordan_two_matrix(tmp_path, capsys, conjugation):
+    """An m = 2 hyperbolic block given as a conjugated matrix is classified
+    as built, so check answers with the m = 2 threshold."""
+    rng = np.random.default_rng(3)
+    A = rfhquad.build_block("a", 2, 1.0).matrix
+    for draw in range(10):
+        if conjugation == "orthosymplectic":
+            P = random_orthosymplectic(rng, 2)
+        else:
+            P = random_symplectic(rng, 2, magnitude=0.1)
+        doc = {"n": 3, "k": 1, "a0": {"frequencies": [1.0]},
+               "a1": {"matrix": (P.T @ A @ P).tolist()}}
+        assert main(["check", write_spec(tmp_path, doc), "--json"]) == 0, draw
+        out = json.loads(capsys.readouterr().out)
+        (block,) = out["tentacular"]["trace"]
+        assert (block["m"], block["case"]) == (2, "m=2"), draw
 
 
 COLLIDING = {

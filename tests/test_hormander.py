@@ -18,10 +18,14 @@ from rfhquad.errors import (
     GammaUndetermined,
     IncompatibleEigenvalue,
     InputError,
-    InternalError,
 )
 from rfhquad.hormander import assemble
-from rfhquad.samples import random_orthosymplectic, random_symplectic
+from rfhquad.samples import (
+    random_hamiltonian,
+    random_hyperbolic_blocks,
+    random_orthosymplectic,
+    random_symplectic,
+)
 
 
 def test_build_real_pair_block():
@@ -145,24 +149,43 @@ def test_classify_signature_additivity(rng):
 
 
 @pytest.mark.parametrize("conjugation", ["orthosymplectic", "symplectic"])
-def test_conjugated_jordan_two_block_is_refused_not_split(conjugation):
-    """A conjugated ('a', 2, 1.5) block's computed eigenvalues split into a
-    ring of radius about 1.5e-8, wider than the cluster radius, so the
-    first spectrum reads two size-1 clusters.  The second spectrum, of the
-    assembled normal form, must turn that into a refusal: classify returns
-    the one m = 2 block or raises, never two m = 1 blocks."""
+@pytest.mark.parametrize("blocks", [
+    [("a", 2, 1.5, None)],
+    [("a", 3, 2.5, None)],
+    [("b", 2, 1 + 0.7j, None)],
+    [("a", 2, 1.0, None), ("a", 1, 0.5, None), ("c", 1, 1.3j, 1)],
+], ids=["a2", "a3", "b2", "mix"])
+def test_conjugated_jordan_block_is_recovered(blocks, conjugation):
+    """The computed eigenvalues of a conjugated defective block split into
+    a ring of radius about eps^(1/m), far wider than the cluster radius;
+    their condition numbers join them, and classify returns the blocks as
+    built on every draw."""
     rng = np.random.default_rng(15)
-    A = build_block("a", 2, 1.5).matrix
+    built = [build_block(k, m, lam, g) for k, m, lam, g in blocks]
+    A = normal_form(built).matrix
+    dof = A.shape[0] // 2
+    want = sorted(b.key(6) for b in built)
     for _ in range(30):
         if conjugation == "orthosymplectic":
-            P = random_orthosymplectic(rng, 2)
+            P = random_orthosymplectic(rng, dof)
         else:
-            P = random_symplectic(rng, 2, magnitude=0.1)
-        try:
-            nf = classify(P.T @ A @ P)
-        except (ClusterAmbiguous, InternalError):
-            continue
-        assert [(b.kind, b.m) for b in nf.blocks] == [("a", 2)]
+            P = random_symplectic(rng, dof, magnitude=0.1)
+        assert sorted(b.key(6) for b in classify(P.T @ A @ P).blocks) == want
+
+
+@pytest.mark.parametrize("n, seed", [(20, 0), (20, 1), (30, 1), (30, 4)])
+def test_classify_large_random_hamiltonian(n, seed):
+    """Large sampled Hamiltonians carry many Jordan-size-2 hyperbolic
+    blocks; classify returns the elliptic blocks at the frequencies and
+    the hyperbolic blocks the sampler built, replayed from the same rng."""
+    H = random_hamiltonian(np.random.default_rng(seed), n, n // 3)
+    rng = np.random.default_rng(seed)
+    k = n // 3
+    freqs = np.sort(rng.uniform(0.5, 5.0, size=k))
+    built = [build_block("c", 1, 1j * mu, 1) for mu in freqs]
+    built += list(random_hyperbolic_blocks(rng, n - k).blocks)
+    got = sorted(b.key(6) for b in classify(H.full_matrix).blocks)
+    assert got == sorted(b.key(6) for b in built)
 
 
 def test_classify_gamma_undetermined_for_defective_imaginary():

@@ -11,14 +11,18 @@ import rfhquad
 from rfhquad import (
     ExpEvaluator,
     Tolerances,
+    build_block,
     kernel_dim,
+    normal_form,
     restricted_signature,
     signature,
     spectrum_with_jordan,
     standard_J,
     symplectic_direct_sum,
 )
-from rfhquad.errors import DegenerateInput, DegenerateRestriction, InputError
+from rfhquad import symlin
+from rfhquad.errors import ClusterAmbiguous, DegenerateInput, DegenerateRestriction, InputError
+from rfhquad.samples import random_orthosymplectic
 from rfhquad.symlin import inertia, sym_matrix
 
 
@@ -79,6 +83,54 @@ def test_spectrum_of_js_is_symmetric(rng):
         ev = np.linalg.eigvals(standard_J(dof) @ S)
         for lam in ev:
             assert min(abs(ev + lam)) < 1e-8 * max(1.0, abs(lam))
+
+
+def _count_calls(monkeypatch):
+    """Count the Schur forms and SVDs that symlin takes."""
+    calls = {"schur": 0, "svd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(symlin.scipy.linalg, "schur", counted("schur", symlin.scipy.linalg.schur))
+    monkeypatch.setattr(symlin.np.linalg, "svd", counted("svd", symlin.np.linalg.svd))
+    return calls
+
+
+def test_spectrum_of_simple_eigenvalues_takes_no_rank_decision(rng, monkeypatch):
+    """Separated frequencies and Jordan-size-1 hyperbolic blocks, conjugated:
+    every cluster is a singleton, so no Schur form and no SVD is taken."""
+    blocks = [build_block("c", 1, 1j * mu, 1) for mu in (1.1, 1.4, 1.8)]
+    blocks += [build_block("a", 1, 0.7), build_block("b", 1, 0.5 + 1.2j)]
+    A = normal_form(blocks).matrix
+    U = random_orthosymplectic(rng, A.shape[0] // 2)
+    calls = _count_calls(monkeypatch)
+    spec = spectrum_with_jordan(standard_J(6) @ (U @ A @ U.T))
+    assert calls == {"schur": 0, "svd": 0}
+    assert len(spec.items) == 12
+    assert all(it.block_sizes == (1,) for it in spec.items)
+
+
+def test_spectrum_of_conjugated_jordan_block_takes_one_schur_form(rng, monkeypatch):
+    """The two rings (+1.5 and -1.5) of a conjugated ('a', 2) block share
+    one Schur form, each read off its own reordered leading block."""
+    A = build_block("a", 2, 1.5).matrix
+    U = random_orthosymplectic(rng, 2)
+    calls = _count_calls(monkeypatch)
+    spec = spectrum_with_jordan(standard_J(2) @ (U @ A @ U.T))
+    assert calls["schur"] == 1
+    assert spec.key() == ((-1.5, 0.0, (2,)), (1.5, 0.0, (2,)))
+
+
+def test_spectrum_refuses_ill_conditioned_singleton():
+    """An eigenvalue whose condition number reaches the ring cap and that
+    found no partner is refused, not placed as a simple eigenvalue."""
+    M = np.array([[1.0, 1e12], [0.0, 1.0 + 1e-3]])
+    with pytest.raises(ClusterAmbiguous, match="ill-conditioned"):
+        spectrum_with_jordan(M)
 
 
 def _exp(M, t):
