@@ -33,7 +33,7 @@ from rfhquad.errors import (
     InputError,
     NonIntegerResult,
 )
-from rfhquad.samples import random_elliptic_form, random_orthosymplectic
+from rfhquad.samples import random_elliptic_form, random_orthosymplectic, random_symplectic
 from rfhquad.symlin import DEFAULT_TOL, Tolerances, restricted_signature, standard_J
 
 TWO_PI = 2 * np.pi
@@ -147,6 +147,17 @@ class TestCzPath:
         S = build_block("c", 2, 1.0j, gamma=1).matrix
         with pytest.raises(CrossingDegenerate):
             cz_index_path(S, 3 * np.pi)
+
+    def test_conjugated_degenerate_crossing_form_reported(self):
+        """A symplectic change of coordinates splits the defective pair's
+        eigenvalues into rings; they still cluster into one size-2 block,
+        and its vanishing crossing form is still reported."""
+        rng = np.random.default_rng(7)
+        S = build_block("c", 2, 1.0j, gamma=1).matrix
+        for _ in range(10):
+            P = random_symplectic(rng, 2, magnitude=0.3)
+            with pytest.raises(CrossingDegenerate):
+                cz_index_path(P.T @ S @ P, 3 * np.pi)
 
     def test_degenerate_crossing_form_never_cached(self, monkeypatch):
         """The crossings at 2 pi and 4 pi share one frequency; a degenerate
