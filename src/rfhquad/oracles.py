@@ -10,21 +10,32 @@ more sharply than the quadratic touch of the determinant would.
 exp(t J S) comes from symlin.ExpEvaluator, which the analytic path in
 czindex never uses.
 
-The scan is screened.  With E(t) = exp(t J S), E(t) = E(t_c) exp((t - t_c) J S)
-and Weyl's inequality give
+The scan is screened.  With E(t) = exp(t J S), Weyl's inequality bounds
+the change of sigma_min(E(t) - Id) between a point t_c and any t by
+|E(t) - E(t_c)|_2, which is at most size_c * expm1(|t - t_c| * |J S|_2)
+for either of two sizes:
 
-    |sigma_min(E(t) - Id) - sigma_min(E(t_c) - Id)|
-        <= |E(t_c)|_2 * expm1(|t - t_c| * |J S|_2),
     |E(t_c)|_2 <= sigma_max(E(t_c) - Id) + 1,
+        as E(t) - E(t_c) = E(t_c) (exp((t - t_c) J S) - Id);
+    kappa * exp(t_c * max(0, max_j Re w_j)),
+        as E(t) - E(t_c) = V diag(exp(t_c w) expm1((t - t_c) w)) V^-1
+        on the evaluator's eigenbasis J S = V diag(w) V^-1, with
+        kappa = |V|_2 |V^-1|_2 and max_j |w_j| <= |J S|_2
+        (kappa = +inf on the Pade fallback).
 
-so full singular values at the two ends of a cell of the grid bound
-sigma_min on the points inside it.  The screen works in levels, cells of
-_STRIDES[0] grid steps first: a cell is split into cells of the next
-stride only where the lower bound at either end can fall below the
-bracketing level, and at stride 1 every point of such a cell is taken.
-Each level is one batched evaluation.  Elsewhere no dip can hide, and the
-scan finds the same dips as a full-grid scan.  The bound uses no
-eigenvalue frequencies and holds on the evaluator's Pade fallback too.
+The smaller size holds, so each evaluated point proves sigma_min at least
+_BRACKET out to a radius of floor(log1p(room / size_c) / (|J S|_2 h))
+grid steps of width h, where room is its sigma_min less _BRACKET and a
+rounding allowance _SLACK * (sigma_max + 1), and the radius is 0 when
+room is not positive (Lipschitz exclusion: Shubert, SIAM J. Numer. Anal.
+9, 1972; Rump, Acta Numerica 19, 2010).  The screen works in levels,
+cells of _STRIDES[0] grid steps first, each level one batched evaluation
+of the cells' ends.  A cell passes to the next level only the cells of
+the next stride that hold points neither end's radius reaches, and at
+stride 1 every such point is taken.  Elsewhere no dip can hide, and the
+scan finds the same dips, at the same values, as a full-grid scan.  The
+bound reads no crossing frequencies, and its first size holds on the
+Pade fallback too.
 
 Each bracket is refined from its grid minimum.  The slope of a simple
 singular value is u^T (dE/dt) v for its singular pair (u, v) (Stewart &
@@ -54,8 +65,8 @@ _BRACKET = 2e-2  # sampled dip must fall below this to be refined
 _ACCEPT = 1e-7  # refined minimum below this counts as a crossing
 _KERNEL_CUT = 1e-6
 _ENDPOINT = 1e-6
-_STRIDES = (256, 64, 16, 4, 1)  # cell widths of the screen's levels; each divides the one before
-_SLACK = 1e-8  # rounding allowance on the screen, relative to |E(t_c)|_2
+_STRIDES = (1024, 256, 64, 16, 4, 1)  # cell widths of the screen's levels; each divides the one before
+_SLACK = 1e-8  # rounding allowance on the screen, relative to sigma_max + 1
 _WIDTH = 1e-11  # a refinement stops at a step or a bracket this narrow
 
 
@@ -134,32 +145,37 @@ def _screened_scan(ev: ExpEvaluator, ts) -> np.ndarray:
     grid = len(ts) - 1
     eye = np.eye(ev.M.shape[0])
     F = np.full(grid + 1, np.inf)
-    top = np.full(grid + 1, np.nan)  # sigma_max where taken
-    step_norm = ts[-1] / grid * np.linalg.norm(ev.M, 2)
+    radius = np.full(grid + 1, -1)  # in grid steps; -1 where not taken
+    kappa = np.linalg.norm(ev.V, 2) * np.linalg.norm(ev.Vi, 2) if ev.fast else np.inf
+    growth = max(0.0, float(ev.w.real.max()))
+    step_norm = ts[-1] / grid * ev.norm
     lo = np.arange(0, grid, _STRIDES[0])  # left ends of the cells to take
     for level, stride in enumerate(_STRIDES):
         hi = np.minimum(lo + stride, grid)
         ends = np.union1d(lo, hi)
-        fresh = ends[np.isnan(top[ends])]
+        fresh = ends[radius[ends] < 0]
         s = np.linalg.svd(ev.at(ts[fresh]) - eye, compute_uv=False)
-        F[fresh], top[fresh] = s[:, -1], s[:, 0]
+        F[fresh] = s[:, -1]
+        size = np.minimum(s[:, 0] + 1.0, kappa * np.exp(ts[fresh] * growth))
+        room = np.maximum(F[fresh] - _BRACKET - _SLACK * (s[:, 0] + 1.0), 0.0)
+        radius[fresh] = np.minimum(np.floor(np.log1p(room / size) / step_norm), grid)
         if stride == 1:
             break
-        # Every point of a cell is within stride / 2 steps of one end; a
-        # cell is split if either end's bound is open.  A reach above 1
-        # opens every end (sigma_min <= sigma_max), so the exponent is capped.
-        reach = math.expm1(min(stride / 2 * step_norm, 1.0)) + _SLACK
-        is_open = np.zeros(grid + 1, dtype=bool)
-        is_open[ends] = F[ends] - (top[ends] + 1.0) * reach < _BRACKET
-        split = lo[is_open[lo] | is_open[hi]]
-        lo = (split[:, None] + np.arange(0, stride, _STRIDES[level + 1])).ravel()
-        lo = lo[lo < grid]
+        # The points from a to b of a cell are out of both ends' reach.
+        # Take each cell of the next stride that holds one of them, by its
+        # inside or by its left end (a = b on a cell boundary).
+        a = (lo + radius[lo] + 1)[:, None]
+        b = (hi - radius[hi] - 1)[:, None]
+        sub = _STRIDES[level + 1]
+        x = lo[:, None] + np.arange(0, stride, sub)
+        lo = x[(a <= b) & (x + sub > a) & ((x < b) | (x == a))]
     return F
 
 
 def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
     """Crossing times and index of t |-> exp(t J S) on [0, T] by dense
-    scanning.  Needs crossings separated by at least ~8 grid steps.
+    scanning.  Crossings whose grid minima lie at most 3 grid steps apart
+    fall into one candidate and count as one crossing, silently.
 
     The grid must also keep |J S|_2 * T / grid below 2 * _BRACKET.  When
     J S is normal, sigma_min at the sample nearest a crossing is then at
@@ -167,9 +183,15 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
     The rule is necessary but not sufficient for non-normal J S, whose
     |exp(t J S)|_2 > 1 can lift that sample above _BRACKET.
 
-    Raises InputError unless S acts on an even-dimensional space, and
-    ValueError unless T is finite and positive and ``grid`` is an integer
-    of at least 1 that meets the rule above."""
+    The scan evaluates a point only where the screen (see the module
+    docstring) cannot prove sigma_min at least _BRACKET from a point it
+    evaluated; that proof takes the smaller of the Weyl size
+    sigma_max + 1 and the eigenbasis size kappa * exp(t * max Re w).
+
+    Raises InputError unless S acts on an even-dimensional space,
+    DegenerateInput when S has a numerical kernel (before any scanning),
+    and ValueError unless T is finite and positive and ``grid`` is an
+    integer of at least 1 that meets the rule above."""
     S = sym_matrix(S)
     if S.shape[0] % 2:
         raise InputError("S must act on an even-dimensional space")
@@ -180,9 +202,10 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
         raise ValueError("grid must be an integer of at least 1")
     if not S.size:
         return OracleCz((), HalfInt(0), False)
+    doubled = signature(S, DEFAULT_TOL)  # refuses a degenerate S; so |J S|_2 > 0
     dof = S.shape[0] // 2
     ev = ExpEvaluator(standard_J(dof) @ S)
-    reach = np.linalg.norm(ev.M, 2) * T / grid
+    reach = ev.norm * T / grid
     if reach >= 2 * _BRACKET:
         raise ValueError(f"grid {grid} cannot resolve crossings on [0, {T:g}]: "
                          f"|J S|_2 * T / grid = {reach:.3g} is not below {2 * _BRACKET:g}")
@@ -208,7 +231,6 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
     t_star, val = _newton_lockstep(ev, ts[merged - 1], ts[np.minimum(merged + 1, grid)],
                                    ts[merged])
     t_star = t_star[val <= _ACCEPT]
-    doubled = signature(S, DEFAULT_TOL)
     times = []
     endpoint_hit = False
     for t, M in zip(t_star.tolist(), ev.at(t_star) - eye):

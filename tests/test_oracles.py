@@ -16,7 +16,7 @@ from rfhquad import (
     normal_form,
     oracle_cz,
 )
-from rfhquad.errors import InputError
+from rfhquad.errors import DegenerateInput, InputError
 from rfhquad.oracles import (
     _ACCEPT,
     _BRACKET,
@@ -27,7 +27,7 @@ from rfhquad.oracles import (
     _newton_lockstep,
     _screened_scan,
 )
-from rfhquad.samples import random_elliptic_form
+from rfhquad.samples import random_elliptic_form, random_symplectic
 from rfhquad.symlin import DEFAULT_TOL, ExpEvaluator, signature, standard_J, sym_matrix
 
 TWO_PI = 2 * np.pi
@@ -178,11 +178,81 @@ def test_screened_oracle_matches_full_scan(seed, dof, grid, where, offset, pick)
     _assert_screen_matches_full_scan(ev, np.linspace(0.0, T, grid + 1))
 
 
+def _kappa(ev):
+    return np.linalg.norm(ev.V, 2) * np.linalg.norm(ev.Vi, 2)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dof=st.integers(1, 3),
+    magnitude=st.floats(0.1, 1.0),
+    grid=st.sampled_from([40, 97, 1000, 4000, 8001, 20000]),
+)
+def test_screen_holds_on_a_skew_eigenbasis(seed, dof, magnitude, grid):
+    """Elliptic forms conjugated by a symplectic, not orthogonal, map, so
+    that kappa(V) > 1 (1.1 to 5.8 over 200 draws at these magnitudes) and
+    the screen's eigenbasis size kappa * exp(t max Re w) is the smaller
+    one at most points.  The oracle still matches the full-scan reference
+    and the screen skips no point below _BRACKET."""
+    rng = np.random.default_rng(seed)
+    T = float(rng.uniform(0.5, 4 * math.pi))
+    G = random_symplectic(rng, dof, magnitude)
+    S = sym_matrix(G.T @ random_elliptic_form(rng, dof, horizon=T + 0.1) @ G)
+    ev = ExpEvaluator(standard_J(dof) @ S)
+    assert ev.fast
+    if _too_coarse(S, T, grid):
+        with pytest.raises(ValueError, match=f"grid {grid} cannot resolve"):
+            oracle_cz(S, T, grid)
+    else:
+        _assert_matches_reference(S, T, grid)
+    _assert_screen_matches_full_scan(ev, np.linspace(0.0, T, grid + 1))
+
+
+@pytest.mark.parametrize("blocks, T, grid", [
+    ([build_block("a", 1, 0.8), build_block("c", 1, 1.3j, gamma=-1)], 9.0, 4000),
+    ([build_block("c", 1, 1.0j, gamma=1), build_block("a", 1, 0.3),
+      build_block("c", 1, 1.7j, gamma=-1)], 4 * math.pi, 20000),
+])
+@pytest.mark.parametrize("magnitude", [0.0, 0.5])
+def test_screen_holds_beside_a_hyperbolic_block(blocks, T, grid, magnitude):
+    """A hyperbolic block beside elliptic ones: Re w != 0, so the
+    eigenbasis size grows as exp(t max Re w); conjugated by a symplectic
+    map, kappa(V) > 1 as well."""
+    S = normal_form(blocks).matrix
+    dof = S.shape[0] // 2
+    if magnitude:
+        G = random_symplectic(np.random.default_rng(18), dof, magnitude)
+        S = sym_matrix(G.T @ S @ G)
+    ev = ExpEvaluator(standard_J(dof) @ S)
+    assert ev.fast and ev.w.real.max() > 0.25
+    assert (_kappa(ev) > 1.05) == bool(magnitude)
+    assert _assert_matches_reference(S, T, grid).times
+    _assert_screen_matches_full_scan(ev, np.linspace(0.0, T, grid + 1))
+
+
 def test_fallback_without_eigenbasis():
     S = normal_form([build_block("c", 2, 1j, gamma=1)]).matrix
-    assert not ExpEvaluator(standard_J(2) @ S).fast
+    ev = ExpEvaluator(standard_J(2) @ S)
+    assert not ev.fast
     got = _assert_matches_reference(S, 9.0, 4000)
     assert got.times
+    _assert_screen_matches_full_scan(ev, np.linspace(0.0, 9.0, 4001))
+
+
+def test_degenerate_form_is_refused_before_scanning(monkeypatch):
+    """sigma_min vanishes on the whole grid when S has a kernel; the
+    oracle refuses S before it builds any exp(t J S)."""
+    calls = []
+    original_at = ExpEvaluator.at
+
+    def counting(self, ts):
+        calls.append(len(ts))
+        return original_at(self, ts)
+
+    monkeypatch.setattr(ExpEvaluator, "at", counting)
+    with pytest.raises(DegenerateInput):
+        oracle_cz(np.diag([1.0, 0.0]), 7.0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("T, grid", [(100.0, 1), (300.0, 7), (2000.0, 300)])
@@ -257,10 +327,10 @@ def _guard_case_calls(monkeypatch):
 
 
 def test_scan_evaluates_a_fraction_of_the_grid(monkeypatch):
-    """Guard against a return to a full-grid or single-level scan: count
-    the matrices exp(t J S) the scan builds."""
+    """Guard against a return to a full-grid or single-level scan, or to
+    splitting whole cells: count the matrices exp(t J S) the scan builds."""
     scan, _ = _guard_case_calls(monkeypatch)
-    assert sum(scan) <= 20000 / 16
+    assert sum(scan) <= 20000 / 32
 
 
 def test_refinement_is_batched(monkeypatch):
