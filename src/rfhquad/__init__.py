@@ -71,10 +71,9 @@ from .symlin import (
     Spectrum,
     SpectrumItem,
     Tolerances,
-    imaginary_eigenspace_basis,
     inertia,
     kernel_dim,
-    restricted_signature,
+    krein_signature,
     signature,
     spectrum_with_jordan,
     standard_J,

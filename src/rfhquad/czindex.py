@@ -20,7 +20,8 @@ A pass answers at its own horizon only: each call of ``cz_index_data``
 or ``crossing_times`` enumerates up to its T.  The kernel at
 t = 2 pi j / mu is the sum of the mu i eigenspaces of J S over the
 frequencies resonant there, which are S-orthogonal (Robbin-Salamon
-1993), so ``cz_index_data`` signs each frequency once.
+1993), so ``cz_index_data`` signs each frequency once, on the eigenvectors
+its Jordan spectrum item carries.
 A positive definite S, as A0 is, makes every crossing form positive
 definite, so its index is a plain crossing count (Long 2002): the census
 grades every crossing of its pass by one running sum over the event
@@ -41,7 +42,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
-    ClusterAmbiguous,
     CrossingDegenerate,
     DegenerateRestriction,
     InputError,
@@ -51,8 +51,7 @@ from .symlin import (
     DEFAULT_TOL,
     TWO_PI,
     Tolerances,
-    imaginary_eigenspace_basis,
-    restricted_signature,
+    krein_signature,
     signature,
     spectrum_with_jordan,
     standard_J,
@@ -202,8 +201,9 @@ def _merged_frequencies(pairs, scale: float, tol: Tolerances) -> tuple:
 
 
 def _imaginary_frequencies(JS, tol) -> tuple:
-    """(mu, multiplicity) for the distinct positive imaginary parts mu of
-    the imaginary eigenvalues of JS, counting the eigenvectors of i mu.
+    """(mu, vectors) for each imaginary eigenvalue i mu of JS with mu > 0,
+    vectors its orthonormal eigenvectors, one per Jordan block: their
+    count is the multiplicity of mu.
 
     Works from the clustered Jordan spectrum rather than raw eigenvalues:
     a defective imaginary pair scatters raw eigenvalues onto a ring of
@@ -213,9 +213,8 @@ def _imaginary_frequencies(JS, tol) -> tuple:
     items = spectrum_with_jordan(JS, tol).items
     scale = max([1.0] + [abs(it.eigenvalue) for it in items])
     radius = tol.eig_cluster * scale
-    pairs = sorted((it.eigenvalue.imag, len(it.block_sizes)) for it in items
-                   if abs(it.eigenvalue.real) <= radius and it.eigenvalue.imag > radius)
-    return _merged_frequencies(pairs, scale, tol)
+    return tuple((it.eigenvalue.imag, it.vectors) for it in items
+                 if abs(it.eigenvalue.real) <= radius and it.eigenvalue.imag > radius)
 
 
 def _events(mus, lo: float, hi: float) -> list:
@@ -269,7 +268,9 @@ class _Crossings:
     ``frequencies`` lists (mu, multiplicity) for the distinct frequencies
     of the imaginary eigenvalues of J S; the caller supplies them (the
     Jordan spectrum of J S in ``_form_crossings``, the Williamson
-    frequencies of A0 in the census).  Crossing times are 2 pi j / mu,
+    frequencies of A0 in the census).  ``vectors`` maps each mu to its
+    orthonormal mu i eigenvectors of J S, which signing reads; the census
+    signs nothing and gives none.  Crossing times are 2 pi j / mu,
     listed in ``events`` up to horizon + tol.crossing; an event within
     tol.crossing of the first event of a merged crossing joins it, with
     its kernel and multiplicity.  ``times`` holds each merged crossing's
@@ -286,11 +287,12 @@ class _Crossings:
     those kept are merged exactly as a pass from 0 merges them.
     """
 
-    def __init__(self, S, frequencies, horizon: float, tol: Tolerances, start: float = 0.0):
+    def __init__(self, S, frequencies, horizon: float, tol: Tolerances, start: float = 0.0,
+                 vectors=None):
         horizon = float(horizon)
         if not (np.isfinite(horizon) and horizon > 0):
             raise InputError(f"path length T must be positive, got {horizon!r}")
-        self.S, self.horizon, self.tol = S, horizon, tol
+        self.S, self.horizon, self.tol, self.vectors = S, horizon, tol, vectors
         self.multiplicities = dict(frequencies)  # mu -> number of i mu eigenvectors
         mus, end = list(self.multiplicities), horizon + tol.crossing
         if mus and TWO_PI / max(mus) <= tol.crossing:
@@ -327,20 +329,12 @@ class _Crossings:
         return sum(self.multiplicities[mu] for mu in self.members[g])
 
     def _frequency_signature(self, mu: float, t: float) -> int:
-        """Signature of S on the mu i eigenspace of J S.
-
-        The eigenspace must have dimension 2 * multiplicity, or the
-        frequencies were misread.  A degenerate form raises, naming the
-        crossing time t that met it.
+        """Signature of S on the mu i eigenspace of J S, from its
+        eigenvectors.  A degenerate form raises, naming the crossing time t
+        that met it.
         """
-        JS = standard_J(self.S.shape[0] // 2) @ self.S
-        basis = imaginary_eigenspace_basis(JS, mu, self.tol)
-        if basis.shape[1] != 2 * self.multiplicities[mu]:
-            raise ClusterAmbiguous(
-                f"eigenspace of {mu}i has dimension {basis.shape[1]}, "
-                f"not 2 * multiplicity {self.multiplicities[mu]}")
         try:
-            return restricted_signature(self.S, basis, self.tol)
+            return krein_signature(self.S, self.vectors[mu], self.tol)
         except DegenerateRestriction as exc:
             raise CrossingDegenerate(f"degenerate crossing form at t = {t}: {exc}") from exc
 
@@ -381,8 +375,8 @@ def _form_crossings(S, T: float, tol: Tolerances) -> _Crossings:
     S = sym_matrix(S)
     if S.shape[0] % 2 != 0:
         raise InputError("S must act on an even-dimensional space")
-    JS = standard_J(S.shape[0] // 2) @ S
-    return _Crossings(S, _imaginary_frequencies(JS, tol), T, tol)
+    freqs = _imaginary_frequencies(standard_J(S.shape[0] // 2) @ S, tol)
+    return _Crossings(S, [(mu, V.shape[1]) for mu, V in freqs], T, tol, vectors=dict(freqs))
 
 
 def cz_index_data(S, T: float, tol: Tolerances = DEFAULT_TOL) -> CzPathData:

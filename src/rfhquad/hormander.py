@@ -38,9 +38,8 @@ from .errors import (
 from .symlin import (
     DEFAULT_TOL,
     Tolerances,
-    imaginary_eigenspace_basis,
     inertia,
-    restricted_signature,
+    krein_signature,
     spectrum_with_jordan,
     standard_J,
     sym_matrix,
@@ -231,17 +230,11 @@ def _take_partner(items, used, target, match_tol):
     return None if best is None else best[1]
 
 
-def _krein_split(A, J, mu, p, tol):
-    """Split a multiplicity-p semisimple imaginary eigenvalue by Krein sign."""
-    basis = imaginary_eigenspace_basis(J @ A, mu, tol)
-    if basis.shape[1] != 2 * p:
-        raise ClusterAmbiguous(
-            f"eigenspace of {mu}i has dimension {basis.shape[1]}, expected {2 * p}")
-    s = restricted_signature(A, basis, tol)
-    if s % 2 != 0 or (p + s // 2) % 2 != 0 or abs(s) > 2 * p:
-        raise GammaUndetermined(
-            f"Krein data at eigenvalue {mu}i is not a valid sign vector")
-    p_plus = (p + s // 2) // 2
+def _krein_split(A, V, tol):
+    """(p_plus, p_minus) Krein signs of a semisimple imaginary eigenvalue
+    with the orthonormal eigenvectors V, one per block."""
+    p = V.shape[1]
+    p_plus = (p + krein_signature(A, V, tol) // 2) // 2
     return p_plus, p - p_plus
 
 
@@ -265,7 +258,8 @@ def classify(A, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     J = standard_J(n2 // 2)
     spec = spectrum_with_jordan(J @ A, tol)
 
-    items = [{"center": it.eigenvalue, "sizes": it.block_sizes} for it in spec.items]
+    items = [{"center": it.eigenvalue, "sizes": it.block_sizes, "vectors": it.vectors}
+             for it in spec.items]
     used = [False] * len(items)
     scale = max(1.0, max(abs(it["center"]) for it in items))
     match_tol = max(100.0 * tol.eig_cluster, 1e-6) * scale
@@ -296,8 +290,7 @@ def classify(A, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
             if any(s > 1 for s in it["sizes"]):
                 raise GammaUndetermined(
                     f"imaginary eigenvalue {mu}i has a Jordan block of size > 1")
-            p = len(it["sizes"])
-            p_plus, p_minus = _krein_split(A, J, mu, p, tol)
+            p_plus, p_minus = _krein_split(A, it["vectors"], tol)
             for _ in range(p_plus):
                 blocks.append(build_block("c", 1, 1j * mu, gamma=1))
             for _ in range(p_minus):

@@ -9,7 +9,7 @@ linearized flow is t |-> exp(t J A).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -34,8 +34,7 @@ __all__ = [
     "kernel_dim",
     "inertia",
     "signature",
-    "restricted_signature",
-    "imaginary_eigenspace_basis",
+    "krein_signature",
 ]
 
 
@@ -133,6 +132,8 @@ def symplectic_direct_sum(*parts) -> np.ndarray:
 class SpectrumItem:
     eigenvalue: complex
     block_sizes: tuple  # Jordan block sizes, descending
+    # orthonormal eigenvectors as columns, one per Jordan block
+    vectors: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -202,6 +203,10 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     until they stop changing, give the block sizes.  ClusterAmbiguous is
     raised when the Schur diagonal near c does not hold exactly the p
     eigenvalues or when the sizes do not add up to p.
+
+    Each item carries orthonormal eigenvectors, one per Jordan block: a
+    singleton its column of V, a cluster the kernel of T11 - c I from the
+    first rank step, mapped back through the reordered Schur vectors.
     """
     M = _as_square(M)
     n = M.shape[0]
@@ -233,7 +238,7 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
             if ring[first] >= _RING:
                 raise ClusterAmbiguous(
                     f"eigenvalue {complex(w[first])} is too ill-conditioned to place and has no partner")
-            items.append(SpectrumItem(complex(w[first]), (1,)))
+            items.append(SpectrumItem(complex(w[first]), (1,), V[:, [first]]))
             continue
         c = complex(np.mean(w[members]))
         if T is None:
@@ -243,9 +248,12 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
         select = np.abs(np.diag(T) - c) <= reach
         if np.count_nonzero(select) != p:
             raise ClusterAmbiguous(f"the Schur form does not isolate the cluster at {c}")
-        N = scipy.linalg.lapack.ztrsen(select, T, Z, job="N", wantq=0)[0][:p, :p] - c * np.eye(p)
-        chain, P = [0], np.eye(p)  # nullities of N^j until they reach p or stop growing
-        while chain[-1] < p and (len(chain) < 2 or chain[-1] > chain[-2]):
+        Ts, Zs = scipy.linalg.lapack.ztrsen(select, T, Z, job="N")[:2]
+        N = Ts[:p, :p] - c * np.eye(p)
+        _, sv, vh = np.linalg.svd(N)
+        # nullities of N^j until they reach p or stop growing
+        chain, P = [0, int(np.count_nonzero(sv < tol.rank_cut * norm))], N
+        while chain[-1] < p and chain[-1] > chain[-2]:
             P = P @ N
             sv = np.linalg.svd(P, compute_uv=False)
             chain.append(int(np.count_nonzero(sv < tol.rank_cut * norm ** len(chain))))
@@ -253,7 +261,7 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
         if sum(sizes) != p:
             raise ClusterAmbiguous(
                 f"rank data at {c} give Jordan sizes {sizes} for {p} eigenvalues")
-        items.append(SpectrumItem(c, tuple(sizes)))
+        items.append(SpectrumItem(c, tuple(sizes), Zs[:, :p] @ vh[p - chain[1]:].conj().T))
     return Spectrum(tuple(sorted(items, key=lambda it: (it.eigenvalue.real, it.eigenvalue.imag))))
 
 
@@ -345,62 +353,20 @@ def signature(S, tol: Tolerances = DEFAULT_TOL) -> int:
     return p - q
 
 
-def restricted_signature(S, basis, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Signature of x^T S x restricted to span(basis).
+def krein_signature(S, V, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Signature of x^T S x on the real span of Re v, Im v over the columns
+    v of V, orthonormal eigenvectors of J S at one eigenvalue i mu, mu != 0:
+    2 sgn(V^H S V).
 
-    basis : matrix whose columns span the subspace, or a sequence of
-        vectors; the columns must be linearly independent.
-    Raises DegenerateRestriction when the restricted form has a numerical
-    kernel (it is reported, never silently dropped).
+    That eigenspace is S-isotropic (v^T S v = 0), so the real form is the
+    realification of the Hermitian form V^H S V, of twice its signature
+    (Robbin-Salamon 1993).  Raises DegenerateRestriction when an eigenvalue
+    of V^H S V is within rank_cut * max(max |eigenvalue|, |S|_2) of zero:
+    a form that vanishes on the eigenspace comes back as pure roundoff, and
+    its own largest eigenvalue is no yardstick.
     """
-    S = sym_matrix(S)
-    B = np.asarray(basis, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    elif B.ndim == 2 and B.shape[0] != S.shape[0] and B.shape[1] == S.shape[0]:
-        B = B.T  # sequence of row vectors
-    if B.ndim != 2 or B.shape[0] != S.shape[0]:
-        raise InputError("basis shape incompatible with the form")
-    if B.shape[1] == 0:
-        return 0
-    sv = np.linalg.svd(B, compute_uv=False)
-    if sv.size and sv[-1] <= tol.rank_cut * sv[0]:
-        raise InputError("basis vectors are not linearly independent")
-    G = B.T @ S @ B
-    G = (G + G.T) / 2.0
-    w = np.linalg.eigvalsh(G)
-    amax = float(np.abs(w).max())
-    # degeneracy is judged against the ambient scale |B|^2 |S|, not against
-    # the restricted form itself: a form that vanishes on the subspace comes
-    # back as pure roundoff, and its own max eigenvalue is no yardstick
-    scale = float(sv[0]) ** 2 * float(np.linalg.norm(S, 2)) if sv.size else 1.0
-    cut = tol.rank_cut * max(amax, scale, 1e-300)
+    w = np.linalg.eigvalsh(V.conj().T @ S @ V)
+    cut = tol.rank_cut * max(float(np.abs(w).max()), float(np.linalg.norm(S, 2)))
     if np.any(np.abs(w) <= cut):
         raise DegenerateRestriction("restricted form has a numerical kernel")
-    return int(np.count_nonzero(w > 0) - np.count_nonzero(w < 0))
-
-
-def imaginary_eigenspace_basis(M, mu: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the real invariant plane span{Re v, Im v} over
-    the complex eigenvectors v of M with eigenvalue i*mu (mu > 0).
-
-    Only genuine eigenvectors enter, so for a defective imaginary
-    eigenvalue this is the kernel of exp(t M) - Id at resonance.
-    """
-    M = _as_square(M)
-    n = M.shape[0]
-    C = M.astype(complex) - 1j * float(mu) * np.eye(n)
-    _, sv, vh = np.linalg.svd(C)
-    smax = float(sv[0]) if sv.size else 0.0
-    if smax == 0.0:
-        raise DegenerateInput("matrix is a multiple of i*mu*Id")
-    null_rows = np.nonzero(sv < tol.rank_cut * smax * 1e2)[0]
-    if null_rows.size == 0:
-        raise ClusterAmbiguous(f"no eigenvector found for eigenvalue {mu}i")
-    V = vh[null_rows].conj().T  # complex eigenvector columns
-    R = np.hstack([V.real, V.imag])
-    u, sv2, _ = np.linalg.svd(R, full_matrices=False)
-    rank = int(np.count_nonzero(sv2 > tol.rank_cut * sv2[0] * 1e2)) if sv2.size else 0
-    if rank != 2 * V.shape[1]:
-        raise ClusterAmbiguous("realified eigenspace has unexpected dimension")
-    return u[:, :rank]
+    return 2 * int(np.count_nonzero(w > 0) - np.count_nonzero(w < 0))

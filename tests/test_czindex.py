@@ -11,30 +11,31 @@ from rfhquad import (
     HalfInt,
     QuadraticHamiltonian,
     build_block,
+    classify,
     crossing_times,
     cz_index_data,
     cz_index_path,
     generator_census,
     grading,
+    normal_form,
+    oracle_cz,
     sigma_index,
     symplectic_direct_sum,
 )
 from rfhquad import czindex
 from rfhquad.czindex import (
-    _Crossings,
     _form_crossings,
     _imaginary_frequencies,
     _merged_frequencies,
 )
 from rfhquad.errors import (
-    ClusterAmbiguous,
     CrossingDegenerate,
     DegenerateInput,
     InputError,
     NonIntegerResult,
 )
 from rfhquad.samples import random_elliptic_form, random_orthosymplectic, random_symplectic
-from rfhquad.symlin import DEFAULT_TOL, Tolerances, restricted_signature, standard_J
+from rfhquad.symlin import DEFAULT_TOL, Tolerances, krein_signature, standard_J, sym_matrix
 
 TWO_PI = 2 * np.pi
 
@@ -167,9 +168,9 @@ class TestCzPath:
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return restricted_signature(*args, **kwargs)
+            return krein_signature(*args, **kwargs)
 
-        monkeypatch.setattr(czindex, "restricted_signature", counting)
+        monkeypatch.setattr(czindex, "krein_signature", counting)
         S = build_block("c", 2, 1.0j, gamma=1).matrix
         path = _form_crossings(S, 5 * np.pi, DEFAULT_TOL)
         assert path.crossing_times() == (pytest.approx(TWO_PI), pytest.approx(2 * TWO_PI))
@@ -317,16 +318,6 @@ def test_cut_merged_crossing_at_endpoint():
     assert cz_index_data(S, t_b, WIDE) == per_horizon_data(S, t_b, WIDE)
 
 
-def test_basis_of_the_wrong_dimension_is_ambiguous():
-    """A frequency whose eigenspace is smaller than its multiplicity says
-    is refused when the crossing is signed, never signed on the smaller
-    space."""
-    path = _Crossings(np.eye(2), ((1.0, 2),), 7.0, DEFAULT_TOL)
-    assert path.multiplicity(0) == 2
-    with pytest.raises(ClusterAmbiguous, match="dimension 2"):
-        path.data()
-
-
 def test_two_crossings_at_the_endpoint_are_refused():
     """Crossings of 8 at 0.785 and 1.571 are both within a crossing
     tolerance of 0.7 of T = 1: neither is dropped nor taken for the other;
@@ -348,11 +339,57 @@ def test_frequency_faster_than_the_crossing_tolerance_is_refused():
 
 
 def test_frequencies_closer_than_the_cluster_radius_merge():
-    """One helper merges the census's Williamson frequencies and the
-    index's Jordan frequencies: the lowest of a run within
-    eig_cluster * scale stays, with the summed multiplicity."""
+    """The census's Williamson frequencies merge by one helper: the lowest
+    of a run within eig_cluster * scale stays, with the summed
+    multiplicity.  The index's Jordan frequencies merge in the clustering
+    of the Jordan spectrum: one frequency, with one eigenvector per
+    block."""
     pairs = [(1.0, 1), (1.0 + 5e-10, 1), (1.0 + 1.4e-9, 2), (2.0, 1)]
     assert _merged_frequencies(pairs, 1.0, DEFAULT_TOL) == ((1.0, 2), (1.0 + 1.4e-9, 2), (2.0, 1))
     S = np.diag([1.0, 1.0 + 1e-13, 1.0, 1.0 + 1e-13])
-    assert _imaginary_frequencies(standard_J(2) @ S, DEFAULT_TOL) == (
-        (pytest.approx(1.0), 2),)
+    ((mu, vectors),) = _imaginary_frequencies(standard_J(2) @ S, DEFAULT_TOL)
+    assert mu == pytest.approx(1.0)
+    assert vectors.shape == (4, 2)
+
+
+def test_signing_reads_the_jordan_spectrum_eigenvectors(monkeypatch):
+    """Crossing forms and Krein splits are signed on the eigenvectors the
+    Jordan spectrum computed: on three simple frequencies cz_index_data
+    calls np.linalg.svd never and classify only for its degeneracy check
+    (the signer's |S|_2 is numpy's own, inside np.linalg.norm), and
+    neither takes an eigendecomposition beyond its Jordan spectra."""
+    A = normal_form([build_block("c", 1, 1.0j, 1), build_block("c", 1, 1.3j, -1),
+                     build_block("c", 1, 1.7j, 1)]).matrix
+    P = random_symplectic(np.random.default_rng(0), 3, magnitude=0.4)
+    S = P.T @ A @ P
+    calls = dict.fromkeys(("svd", "eig"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    for run, want in ((lambda: cz_index_data(S, 9.0), {"svd": 0, "eig": 1}),
+                      (lambda: classify(S), {"svd": 1, "eig": 2})):
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        assert calls == want
+
+
+@pytest.mark.parametrize("gamma", [1, -1])
+def test_shared_frequency_signed_on_its_schur_kernel(gamma):
+    """Two blocks of opposite Krein sign at one frequency cluster into one
+    item, whose two eigenvectors come from the kernel of its Schur block;
+    the Krein split recovers the blocks as built, and the crossing forms
+    signed on them give the dense-scan oracle's index, on every draw."""
+    rng = np.random.default_rng(19)
+    built = [build_block("c", 1, 1.0j, 1), build_block("c", 1, 1.0j, -1),
+             build_block("c", 1, 1.6j, gamma)]
+    A = normal_form(built).matrix
+    want = sorted(b.key(6) for b in built)
+    for _ in range(30):
+        P = random_symplectic(rng, 3, magnitude=0.4)
+        S = P.T @ A @ P
+        freqs = _imaginary_frequencies(standard_J(3) @ sym_matrix(S), DEFAULT_TOL)
+        assert sorted(V.shape[1] for _, V in freqs) == [1, 2]
+        assert sorted(b.key(6) for b in classify(S).blocks) == want
+        assert cz_index_data(S, 9.0).index == oracle_cz(S, 9.0).index

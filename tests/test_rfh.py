@@ -408,15 +408,14 @@ def _assert_longs_closed_form(H, gens):
         assert g.grading.as_int() == (cz - m + 1 if g.pole == "min" else cz + m), g.label
 
 
-SIGNERS = ("restricted_signature", "imaginary_eigenspace_basis", "signature",
-           "spectrum_with_jordan")
+SIGNERS = ("krein_signature", "signature", "spectrum_with_jordan")
 
 
 def test_census_enumerates_each_crossing_once(h42, monkeypatch):
     """The census and the generator census build one crossing enumeration
     and sign nothing, on a 50x, a 100x and a 1000x window: A0 is positive
     definite, so its index counts crossings, also where 1.0 and 1.3 cross
-    together.  No Jordan spectrum, eigenspace basis or signature is taken,
+    together.  No Jordan spectrum, Krein signature or signature is taken,
     through any module of the package."""
     calls = dict.fromkeys(SIGNERS + ("crossings",), 0)
 

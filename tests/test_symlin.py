@@ -13,8 +13,8 @@ from rfhquad import (
     Tolerances,
     build_block,
     kernel_dim,
+    krein_signature,
     normal_form,
-    restricted_signature,
     signature,
     spectrum_with_jordan,
     standard_J,
@@ -187,19 +187,22 @@ def test_expm_only_in_the_evaluator():
     assert all(name == "symlin.py" and ev.lineno <= no <= ev.end_lineno for name, no in hits), hits
 
 
-def test_restricted_signature_only_in_the_frequency_signer():
-    """One signing path for the index: czindex names restricted_signature
-    only inside _Crossings's per-frequency signer."""
-    tree = ast.parse((Path(rfhquad.__file__).parent / "czindex.py").read_text())
-    (cls,) = [node for node in tree.body
-              if isinstance(node, ast.ClassDef) and node.name == "_Crossings"]
-    (signer,) = [node for node in cls.body
-                 if isinstance(node, ast.FunctionDef) and node.name == "_frequency_signature"]
-    uses = [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id == "restricted_signature"
-            or isinstance(node, ast.Attribute) and node.attr == "restricted_signature"]
-    assert uses
-    assert all(signer.lineno <= no <= signer.end_lineno for no in uses), uses
+def test_krein_signature_only_in_the_two_signers():
+    """One signer for crossing forms and Krein splits: the package names
+    krein_signature only inside _Crossings's per-frequency signer and
+    hormander's Krein split, each on its own item's eigenvectors."""
+    signers = {"czindex.py": "_frequency_signature", "hormander.py": "_krein_split"}
+    uses = []
+    for path in sorted(Path(rfhquad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        spans = [(node.lineno, node.end_lineno) for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == signers.get(path.name)]
+        uses += [(path.name, any(lo <= node.lineno <= hi for lo, hi in spans))
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and node.id == "krein_signature"
+                 or isinstance(node, ast.Attribute) and node.attr == "krein_signature"]
+    assert {name for name, _ in uses} == set(signers)
+    assert all(inside for _, inside in uses), uses
 
 
 def test_kernel_dim_zero_matrix():
@@ -236,38 +239,34 @@ def test_signature_degenerate_raises():
         signature(np.diag([1.0, 0.0]))
 
 
-def test_restricted_signature_examples():
-    assert restricted_signature(np.eye(2), np.eye(2)) == 2
-    assert restricted_signature(np.diag([1.0, -1.0]), np.eye(2)) == 0
-    S = np.diag([1.0, 1.0, 2.0, 2.0])
-    B = np.zeros((4, 2))
-    B[1, 0] = 1.0
-    B[3, 1] = 1.0
-    assert restricted_signature(S, B) == 2
+def _eigenvectors(S, mu):
+    """The eigenvectors the Jordan spectrum of J S gives its item at i mu."""
+    (item,) = [it for it in spectrum_with_jordan(standard_J(len(S) // 2) @ S).items
+               if abs(it.eigenvalue - 1j * mu) < 1e-6]
+    return item.vectors
 
 
-def test_restricted_signature_basis_invariance(rng):
-    S = rng.normal(size=(6, 6))
-    S = (S + S.T) / 2 + 6 * np.eye(6)
-    B = rng.normal(size=(6, 3))
-    G = rng.normal(size=(3, 3)) + 3 * np.eye(3)
-    assert restricted_signature(S, B) == restricted_signature(S, B @ G)
+def test_krein_signature_examples():
+    """2 sgn(V^H S V): +-2 for each eigenvector by its Krein sign, summed
+    over a frequency that two blocks share."""
+    assert krein_signature(np.eye(2), _eigenvectors(np.eye(2), 1.0)) == 2
+    S = np.diag([1.0, -2.0, 1.0, -2.0])
+    assert krein_signature(S, _eigenvectors(S, 1.0)) == 2
+    assert krein_signature(S, _eigenvectors(S, 2.0)) == -2
+    S = np.diag([1.0, -1.0, 1.0, -1.0])
+    assert _eigenvectors(S, 1.0).shape == (4, 2)
+    assert krein_signature(S, _eigenvectors(S, 1.0)) == 0
+    assert krein_signature(np.eye(4), _eigenvectors(np.eye(4), 1.0)) == 4
 
 
-def test_restricted_signature_vanishing_form_raises():
-    # the plane span(e1, e2) is isotropic for this form
-    S = np.zeros((4, 4))
-    S[0, 2] = S[2, 0] = 1.0
-    S[1, 3] = S[3, 1] = 1.0
-    B = np.eye(4)[:, :2]
+def test_krein_signature_vanishing_form_raises():
+    """The eigenvector of a (c, 2) block is S-null: the form vanishes on
+    its eigenspace, and comes back as roundoff that the signer refuses."""
+    S = build_block("c", 2, 1.0j, gamma=1).matrix
+    V = _eigenvectors(S, 1.0)
+    assert V.shape == (4, 1)
     with pytest.raises(DegenerateRestriction):
-        restricted_signature(S, B)
-
-
-def test_restricted_signature_dependent_basis_raises():
-    B = np.ones((4, 2))
-    with pytest.raises(InputError):
-        restricted_signature(np.eye(4), B)
+        krein_signature(S, V)
 
 
 def test_symplectic_direct_sum_interleaves():
