@@ -51,6 +51,7 @@ from .symlin import (
     DEFAULT_TOL,
     TWO_PI,
     Tolerances,
+    hamiltonian_orbits,
     krein_signature,
     signature,
     spectrum_with_jordan,
@@ -203,18 +204,14 @@ def _merged_frequencies(pairs, scale: float, tol: Tolerances) -> tuple:
 def _imaginary_frequencies(JS, tol) -> tuple:
     """(mu, vectors) for each imaginary eigenvalue i mu of JS with mu > 0,
     vectors its orthonormal eigenvectors, one per Jordan block: their
-    count is the multiplicity of mu.
-
-    Works from the clustered Jordan spectrum rather than raw eigenvalues:
-    a defective imaginary pair scatters raw eigenvalues onto a ring of
-    radius ~eps^(1/m), which a plain real-part filter misreads as
-    off-axis, silently dropping the crossing.
+    count is the multiplicity of mu.  These are the kind 'c' orbits of the
+    clustered Jordan spectrum, each read off its item at -i mu; a raw
+    real-part filter misreads the scatter of a defective or ill-conditioned
+    imaginary pair as off the axis, silently dropping its crossings.
     """
-    items = spectrum_with_jordan(JS, tol).items
-    scale = max([1.0] + [abs(it.eigenvalue) for it in items])
-    radius = tol.eig_cluster * scale
-    return tuple((it.eigenvalue.imag, it.vectors) for it in items
-                 if abs(it.eigenvalue.real) <= radius and it.eigenvalue.imag > radius)
+    return tuple((-it.eigenvalue.imag, it.vectors.conj())
+                 for kind, it in hamiltonian_orbits(spectrum_with_jordan(JS, tol), tol)
+                 if kind == "c")
 
 
 def _events(mus, lo: float, hi: float) -> list:

@@ -38,6 +38,7 @@ from .errors import (
 from .symlin import (
     DEFAULT_TOL,
     Tolerances,
+    hamiltonian_orbits,
     inertia,
     krein_signature,
     spectrum_with_jordan,
@@ -219,17 +220,6 @@ def normal_form(blocks) -> NormalForm:
     return NormalForm(blocks, sum(b.dim for b in blocks))
 
 
-def _take_partner(items, used, target, match_tol):
-    best = None
-    for idx, it in enumerate(items):
-        if used[idx]:
-            continue
-        d = abs(it["center"] - target)
-        if d <= match_tol and (best is None or d < best[0]):
-            best = (d, idx)
-    return None if best is None else best[1]
-
-
 def _krein_split(A, V, tol):
     """(p_plus, p_minus) Krein signs of a semisimple imaginary eigenvalue
     with the orthonormal eigenvectors V, one per block."""
@@ -241,10 +231,12 @@ def _krein_split(A, V, tol):
 def classify(A, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     """Normal form of a nondegenerate symmetric A from the Jordan data of J A.
 
-    One block is emitted per conjugation/negation orbit of eigenvalues and
-    per Jordan size.  Purely imaginary eigenvalues with any Jordan block of
-    size > 1 raise GammaUndetermined (their sign invariant is not extracted
-    here); imaginary semisimple eigenvalues are split by Krein sign.
+    One block is emitted per conjugation/negation orbit of eigenvalues
+    (``symlin.hamiltonian_orbits``) and per Jordan size; a spectrum not
+    closed under both raises ClusterAmbiguous.  Purely imaginary
+    eigenvalues with any Jordan block of size > 1 raise GammaUndetermined
+    (their sign invariant is not extracted here); imaginary semisimple
+    eigenvalues are split by Krein sign.
     """
     A = sym_matrix(A)
     n2 = A.shape[0]
@@ -255,60 +247,32 @@ def classify(A, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] <= tol.rank_cut * sv[0]:
         raise DegenerateInput("form is degenerate; no normal form")
-    J = standard_J(n2 // 2)
-    spec = spectrum_with_jordan(J @ A, tol)
-
-    items = [{"center": it.eigenvalue, "sizes": it.block_sizes, "vectors": it.vectors}
-             for it in spec.items]
-    used = [False] * len(items)
-    scale = max(1.0, max(abs(it["center"]) for it in items))
-    match_tol = max(100.0 * tol.eig_cluster, 1e-6) * scale
+    spec = spectrum_with_jordan(standard_J(n2 // 2) @ A, tol)
+    key = spec.key()
+    if any(key != tuple(sorted((sign * re, -im, sizes) for re, im, sizes in key))
+           for sign in (1, -1)):
+        raise ClusterAmbiguous("spectrum of J A is not closed under negation and conjugation")
 
     blocks = []
-    for idx, it in enumerate(items):
-        if used[idx]:
-            continue
-        lam = it["center"]
-        re_zero = abs(lam.real) <= match_tol
-        im_zero = abs(lam.imag) <= match_tol
-        if re_zero and im_zero:
+    for kind, it in hamiltonian_orbits(spec, tol):
+        lam = it.eigenvalue
+        if kind == "zero":
             raise DegenerateInput("zero eigenvalue of the flow; form is degenerate")
-        used[idx] = True
-        if im_zero:  # kind 'a'
-            j = _take_partner(items, used, -lam, match_tol)
-            if j is None or items[j]["sizes"] != it["sizes"]:
-                raise ClusterAmbiguous(f"negation partner of {lam} missing or mismatched")
-            used[j] = True
-            for size in it["sizes"]:
-                blocks.append(build_block("a", size, abs(lam.real)))
-        elif re_zero:  # kind 'c'
-            j = _take_partner(items, used, -lam, match_tol)
-            if j is None or items[j]["sizes"] != it["sizes"]:
-                raise ClusterAmbiguous(f"conjugate partner of {lam} missing or mismatched")
-            used[j] = True
-            mu = abs(lam.imag)
-            if any(s > 1 for s in it["sizes"]):
-                raise GammaUndetermined(
-                    f"imaginary eigenvalue {mu}i has a Jordan block of size > 1")
-            p_plus, p_minus = _krein_split(A, it["vectors"], tol)
-            for _ in range(p_plus):
-                blocks.append(build_block("c", 1, 1j * mu, gamma=1))
-            for _ in range(p_minus):
-                blocks.append(build_block("c", 1, 1j * mu, gamma=-1))
-        else:  # kind 'b'
-            for target in (np.conj(lam), -lam, -np.conj(lam)):
-                j = _take_partner(items, used, complex(target), match_tol)
-                if j is None or items[j]["sizes"] != it["sizes"]:
-                    raise ClusterAmbiguous(f"orbit of {lam} incomplete or mismatched")
-                used[j] = True
-            for size in it["sizes"]:
-                blocks.append(build_block("b", size, complex(abs(lam.real), abs(lam.imag))))
+        if kind != "c":  # build_block takes |Re| and |Im|
+            blocks += [build_block(kind, size, lam.real if kind == "a" else lam)
+                       for size in it.block_sizes]
+            continue
+        mu = abs(lam.imag)
+        if any(s > 1 for s in it.block_sizes):
+            raise GammaUndetermined(
+                f"imaginary eigenvalue {mu}i has a Jordan block of size > 1")
+        p_plus, p_minus = _krein_split(A, it.vectors, tol)
+        blocks += [build_block("c", 1, 1j * mu, gamma=gamma)
+                   for gamma in [1] * p_plus + [-1] * p_minus]
 
     nf = NormalForm(_sort_blocks(blocks), n2)
-    if sum(b.dim for b in nf.blocks) != n2:
-        raise InternalError("normal form dimensions do not add up")
     # the assembled normal form must reproduce the observed Jordan data
     re_spec = spectrum_with_jordan(standard_J(n2 // 2) @ nf.matrix, tol)
-    if re_spec.key() != spec.key():
+    if re_spec.key() != key:
         raise InternalError("assembled normal form has different Jordan data")
     return nf

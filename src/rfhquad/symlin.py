@@ -30,6 +30,7 @@ __all__ = [
     "symplectic_direct_sum",
     "sym_matrix",
     "spectrum_with_jordan",
+    "hamiltonian_orbits",
     "ExpEvaluator",
     "kernel_dim",
     "inertia",
@@ -263,6 +264,30 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
                 f"rank data at {c} give Jordan sizes {sizes} for {p} eigenvalues")
         items.append(SpectrumItem(c, tuple(sizes), Zs[:, :p] @ vh[p - chain[1]:].conj().T))
     return Spectrum(tuple(sorted(items, key=lambda it: (it.eigenvalue.real, it.eigenvalue.imag))))
+
+
+def hamiltonian_orbits(spec: Spectrum, tol: Tolerances = DEFAULT_TOL) -> tuple:
+    """(kind, item) for each orbit {lambda, -lambda, conj lambda, -conj lambda}
+    of the Jordan spectrum of a real Hamiltonian matrix, closed under
+    lambda -> -lambda and lambda -> conj lambda (Laub & Meyer 1974); the
+    caller checks the closure.  The orbit's item is the one whose real and
+    imaginary parts are both at most the axis band; its mirrors are
+    skipped.  kind is 'a' on the real axis, 'c' on the imaginary axis,
+    'b' off both and 'zero' on both.
+    """
+    scale = max([1.0] + [abs(it.eigenvalue) for it in spec.items])
+    # A singleton is placed only while 100 eps kappa < _RING, so it lies
+    # within _RING / 100 * scale of the true eigenvalue, and a cluster's
+    # center, the mean of its members, is better conditioned than they are.
+    band = max(100.0 * tol.eig_cluster, _RING / 100.0) * scale
+    orbits = []
+    for it in spec.items:
+        re, im = it.eigenvalue.real, it.eigenvalue.imag
+        if re <= band and im <= band:
+            on_real, on_imag = -im <= band, -re <= band
+            kind = "zero" if on_real and on_imag else "a" if on_real else "c" if on_imag else "b"
+            orbits.append((kind, it))
+    return tuple(orbits)
 
 
 # ---------------------------------------------------------------------------

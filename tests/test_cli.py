@@ -188,6 +188,18 @@ def test_check_json_conjugated_jordan_two_matrix(tmp_path, capsys, conjugation):
         assert (block["m"], block["case"]) == (2, "m=2"), draw
 
 
+def test_rfh_refuses_a_conjugated_defective_imaginary_a1(tmp_path, capsys):
+    """J A1 with an imaginary Jordan block of size 2, given as a conjugated
+    matrix, is not hyperbolic: rfh --json exits 1 and names the flow
+    eigenvalues."""
+    U = random_orthosymplectic(np.random.default_rng(0), 2)
+    A1 = U @ rfhquad.build_block("c", 2, 1j, 1).matrix @ U.T
+    doc = {"n": 3, "k": 1, "a0": {"matrix": np.eye(2).tolist()},
+           "a1": {"matrix": A1.tolist()}}
+    assert main(["rfh", write_spec(tmp_path, doc), "--json"]) == 1
+    assert "a1_flow_eigenvalues" in capsys.readouterr().err
+
+
 COLLIDING = {
     "n": 3, "k": 1,
     "a0": {"frequencies": [1.0]},

@@ -17,12 +17,14 @@ from rfhquad import (
     cz_index_path,
     generator_census,
     grading,
+    Spectrum,
     normal_form,
     oracle_cz,
     sigma_index,
+    spectrum_with_jordan,
     symplectic_direct_sum,
 )
-from rfhquad import czindex
+from rfhquad import czindex, hormander
 from rfhquad.czindex import (
     _form_crossings,
     _imaginary_frequencies,
@@ -373,6 +375,56 @@ def test_signing_reads_the_jordan_spectrum_eigenvectors(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         run()
         assert calls == want
+
+
+def test_ill_conditioned_frequencies_keep_their_crossings():
+    """Conjugated by a symplectic map of magnitude 10, the imaginary
+    eigenvalues of J S come out about 3e-9 off the axis, past
+    eig_cluster * scale but inside the axis band: they still cross, so
+    the index is the unconjugated form's, -2, and classify reads the
+    same two elliptic blocks; the crossings are signed on the mu i
+    eigenvectors."""
+    built = [build_block("c", 1, 1.0j, 1), build_block("c", 1, 1.7j, -1)]
+    S0 = normal_form(built).matrix
+    G = random_symplectic(np.random.default_rng(24), 2, 10)
+    S = G.T @ S0 @ G
+    assert cz_index_path(S, 9.0) == cz_index_path(S0, 9.0) == HalfInt.from_int(-2)
+    assert sorted(b.key(6) for b in classify(S).blocks) == sorted(b.key(6) for b in built)
+    JS = standard_J(2) @ sym_matrix(S)
+    freqs = _imaginary_frequencies(JS, DEFAULT_TOL)
+    assert sorted(mu for mu, _ in freqs) == pytest.approx([1.0, 1.7])
+    for mu, V in freqs:  # the mu i eigenvectors, not their conjugates
+        assert np.linalg.norm(JS @ V - 1j * mu * V) < 1e-6 * np.linalg.norm(JS)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_index_and_classify_share_the_axis_band(monkeypatch, sign):
+    """With every imaginary item of the Jordan spectrum moved 5e-9 * scale
+    off the axis, past eig_cluster * scale and inside the band of
+    symlin.hamiltonian_orbits, cz_index_data's index and crossing times
+    and classify's blocks do not change: the index and the normal form
+    read the axis by one rule."""
+    built = [build_block("c", 1, 1.0j, 1), build_block("c", 1, 1.3j, -1),
+             build_block("a", 1, 0.6)]
+    P = random_symplectic(np.random.default_rng(5), 3, magnitude=0.4)
+    S = P.T @ normal_form(built).matrix @ P
+
+    def read():
+        return cz_index_data(S, 9.0), crossing_times(S, 9.0), classify(S).blocks
+
+    def shifted(M, tol):
+        items = spectrum_with_jordan(M, tol).items
+        scale = max(1.0, max(abs(it.eigenvalue) for it in items))
+        items = [replace(it, eigenvalue=complex(sign * 5e-9 * scale, it.eigenvalue.imag))
+                 if abs(it.eigenvalue.real) <= 1e-9 * scale else it for it in items]
+        return Spectrum(tuple(sorted(items, key=lambda it: (it.eigenvalue.real,
+                                                            it.eigenvalue.imag))))
+
+    want = read()
+    assert len(want[1]) == 2  # at 2 pi / 1.3 and 2 pi
+    for mod in (czindex, hormander):
+        monkeypatch.setattr(mod, "spectrum_with_jordan", shifted)
+    assert read() == want
 
 
 @pytest.mark.parametrize("gamma", [1, -1])

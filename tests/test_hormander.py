@@ -1,20 +1,27 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rfhquad import (
+    Spectrum,
     Tolerances,
     block_signature,
     build_block,
     classify,
     normal_form,
     signature,
+    spectrum_with_jordan,
     standard_J,
     symplectic_direct_sum,
 )
+from rfhquad import hormander
+from rfhquad.cli import main
 from rfhquad.errors import (
     ClusterAmbiguous,
+    DegenerateInput,
     GammaUndetermined,
     IncompatibleEigenvalue,
     InputError,
@@ -199,6 +206,38 @@ def test_classify_cluster_collision_reported():
         build_block("a", 1, 1.0).matrix, build_block("a", 1, 1.3).matrix)
     with pytest.raises(ClusterAmbiguous):
         classify(A, Tolerances(eig_cluster=0.5))
+
+
+def test_classify_refuses_a_frequency_within_the_axis_band_of_zero():
+    """A form the SVD test passes (condition 1e8) whose flow has the
+    eigenvalues +-1e-8 i, within the axis band of 0, is refused as
+    degenerate: the orbit reader cannot tell them from a real pair."""
+    with pytest.raises(DegenerateInput, match="zero eigenvalue"):
+        classify(np.diag([1.0, 1e-8, 1.0, 1e-8]))
+
+
+def test_classify_refuses_a_spectrum_missing_a_partner(tmp_path, monkeypatch):
+    """A Jordan spectrum of J A with any one item removed is not closed
+    under negation and conjugation: classify refuses it as
+    ClusterAmbiguous, exit 2 on the CLI, never as InternalError."""
+    doc = {"n": 4, "k": 1, "a0": {"frequencies": [1.3]},
+           "a1": {"blocks": [{"kind": "a", "m": 1, "re": 0.8},
+                             {"kind": "b", "m": 1, "re": 0.4, "im": 0.9}]}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    A = normal_form([build_block("c", 1, 1.3j, 1), build_block("a", 1, 0.8),
+                     build_block("b", 1, 0.4 + 0.9j)]).matrix
+    full = spectrum_with_jordan(standard_J(4) @ A)
+    assert len(full.items) == 8
+    for drop in range(8):
+        def missing(M, tol, _drop=drop):
+            items = spectrum_with_jordan(M, tol).items
+            return Spectrum(items[:_drop] + items[_drop + 1:])
+
+        monkeypatch.setattr(hormander, "spectrum_with_jordan", missing)
+        with pytest.raises(ClusterAmbiguous, match="not closed"):
+            classify(A)
+        assert main(["classify", str(path)]) == 2, drop
 
 
 def test_assemble_and_normal_form_blocks_sorted():

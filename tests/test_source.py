@@ -155,3 +155,25 @@ def test_an_unread_private_name_is_found():
                "b.py": "from .a import _g\nimport a\nprint(_g, a._d)\n"}
     assert _unread_private_names(sources) == [("a.py", 2, "_B"), ("a.py", 4, "_f"),
                                               ("a.py", 6, "_C"), ("a.py", 9, "_h")]
+
+
+def _uncalled_items(tree) -> list:
+    """The line of each ``items`` attribute that is read but not called: a
+    Spectrum's items, where a dict's are a call."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "items"
+                  and id(node) not in called)
+
+
+def test_only_symlin_reads_spectrum_items():
+    """Every other module reads a Jordan spectrum through
+    ``symlin.hamiltonian_orbits``, so whether an eigenvalue lies on an
+    axis is decided by one band, not once per caller."""
+    found = {path.name: _uncalled_items(ast.parse(path.read_text())) for path in MODULES}
+    assert {name for name, lines in found.items() if lines} == {"symlin.py"}
+
+
+def test_an_uncalled_items_attribute_is_found():
+    tree = ast.parse("spec.items\nd.items()\nfor it in s.items:\n    f(a.items, b.items())\n")
+    assert _uncalled_items(tree) == [1, 3, 4]

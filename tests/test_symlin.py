@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import rfhquad
 from rfhquad import (
     ExpEvaluator,
+    Spectrum,
+    SpectrumItem,
     Tolerances,
     build_block,
     kernel_dim,
@@ -23,7 +25,7 @@ from rfhquad import (
 from rfhquad import symlin
 from rfhquad.errors import ClusterAmbiguous, DegenerateInput, DegenerateRestriction, InputError
 from rfhquad.samples import random_orthosymplectic
-from rfhquad.symlin import inertia, sym_matrix
+from rfhquad.symlin import hamiltonian_orbits, inertia, sym_matrix
 
 
 def test_standard_j_one_dof():
@@ -131,6 +133,31 @@ def test_spectrum_refuses_ill_conditioned_singleton():
     M = np.array([[1.0, 1e12], [0.0, 1.0 + 1e-3]])
     with pytest.raises(ClusterAmbiguous, match="ill-conditioned"):
         spectrum_with_jordan(M)
+
+
+def _spectrum(*eigenvalues) -> Spectrum:
+    """A spectrum of simple items at the given eigenvalues, in (Re, Im) order."""
+    items = [SpectrumItem(complex(z), (1,), None) for z in eigenvalues]
+    return Spectrum(tuple(sorted(items, key=lambda it: (it.eigenvalue.real, it.eigenvalue.imag))))
+
+
+def test_hamiltonian_orbits_reads_one_item_per_orbit():
+    """One (kind, item) per orbit, in the spectrum's order: the item with
+    Re and Im both at most the axis band, 1e-6 * 1.4 here; its mirrors
+    are skipped.  Items 3e-7 and 5e-7 off an axis lie on it, items 5e-6
+    off the imaginary axis do so only once eig_cluster widens the band
+    past them, and a zero item is reported."""
+    b = 0.3 + 0.7j
+    spec = _spectrum(0.5, -0.5, 0.9 + 3e-7j, -0.9 + 3e-7j, b, -b, b.conjugate(), -b.conjugate(),
+                     5e-7 + 1.2j, 5e-7 - 1.2j, 5e-6 + 1.4j, 5e-6 - 1.4j, -5e-6 + 1.4j,
+                     -5e-6 - 1.4j, 0.0)
+    orbits = [(kind, it.eigenvalue) for kind, it in hamiltonian_orbits(spec)]
+    assert orbits == [("a", -0.9 + 3e-7j), ("a", -0.5), ("b", -b), ("b", -5e-6 - 1.4j),
+                      ("zero", 0.0), ("c", 5e-7 - 1.2j)]
+    pair = _spectrum(5e-6 + 1.4j, 5e-6 - 1.4j)
+    ((kind, it),) = hamiltonian_orbits(pair, Tolerances(eig_cluster=1e-7))
+    assert (kind, it.eigenvalue) == ("c", 5e-6 - 1.4j)
+    assert hamiltonian_orbits(Spectrum(())) == ()
 
 
 def _exp(M, t):

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from rfhquad import (
+    ActionWindow,
     QuadraticHamiltonian,
+    Tolerances,
     build_block,
     classify,
+    generator_census,
     normal_form,
     rfh_report,
     tentacular_check,
     validate,
 )
 from rfhquad.errors import InputError
-from rfhquad.samples import random_orthosymplectic
+from rfhquad.samples import random_orthosymplectic, random_symplectic
 
 
 def test_validate_passes(h21):
@@ -28,6 +31,40 @@ def test_validate_detects_nonhyperbolic_a1():
     assert not report.all_ok
     assert not report.hyperbolic
     assert "a1_flow_eigenvalues" in report.offending
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("conjugation", ["orthosymplectic", "symplectic"])
+def test_validate_detects_a_conjugated_defective_imaginary_a1(m, conjugation):
+    """A conjugated imaginary block of Jordan size m scatters the raw
+    eigenvalues of J A1 about eps^(1/m) off the axis, past the
+    eig_cluster margin: the Jordan spectrum of J A1 still finds them on
+    it, so A1 is not hyperbolic and the census refuses H, on every draw."""
+    B = build_block("c", m, 1j, 1).matrix
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        if conjugation == "orthosymplectic":
+            U = random_orthosymplectic(rng, m)
+            A1 = U @ B @ U.T
+        else:
+            P = random_symplectic(rng, m, magnitude=0.4)
+            A1 = P.T @ B @ P
+        H = QuadraticHamiltonian(m + 1, 1, np.eye(2), (A1 + A1.T) / 2)
+        report = validate(H)
+        assert not report.hyperbolic, seed
+        assert all(abs(abs(z) - 1.0) < 1e-4 and abs(z.real) < 1e-4
+                   for z in report.offending["a1_flow_eigenvalues"]), seed
+        with pytest.raises(InputError, match="fails validation"):
+            generator_census(H, ActionWindow(-10.0, 10.0))
+
+
+def test_validate_margin_follows_eig_cluster():
+    """A quadruple 5e-4 off the imaginary axis is hyperbolic at the default
+    tolerances, and on the axis once eig_cluster = 1e-3 sets the margin,
+    which lies beyond the reach of the Jordan-spectrum fallback."""
+    H = QuadraticHamiltonian(3, 1, np.eye(2), build_block("b", 1, 5e-4 + 1j).matrix)
+    assert validate(H).hyperbolic
+    assert not validate(H, Tolerances(eig_cluster=1e-3)).hyperbolic
 
 
 def test_validate_detects_k_out_of_range():
