@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import (
     CrossingDegenerate,
+    DegenerateInput,
     DegenerateRestriction,
     InputError,
     NonIntegerResult,
@@ -207,11 +208,13 @@ def _imaginary_frequencies(JS, tol) -> tuple:
     count is the multiplicity of mu.  These are the kind 'c' orbits of the
     clustered Jordan spectrum, each read off its item at -i mu; a raw
     real-part filter misreads the scatter of a defective or ill-conditioned
-    imaginary pair as off the axis, silently dropping its crossings.
+    imaginary pair as off the axis, silently dropping its crossings.  An
+    orbit of kind 'zero' may or may not cross, so it raises, as in classify.
     """
-    return tuple((-it.eigenvalue.imag, it.vectors.conj())
-                 for kind, it in hamiltonian_orbits(spectrum_with_jordan(JS, tol), tol)
-                 if kind == "c")
+    orbits = hamiltonian_orbits(spectrum_with_jordan(JS, tol), tol)
+    if any(kind == "zero" for kind, _ in orbits):
+        raise DegenerateInput("eigenvalue of J S within the axis band of 0; form is degenerate")
+    return tuple((-it.eigenvalue.imag, it.vectors.conj()) for kind, it in orbits if kind == "c")
 
 
 def _events(mus, lo: float, hi: float) -> list:

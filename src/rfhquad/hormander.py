@@ -204,19 +204,10 @@ class NormalForm:
         return assemble(self.blocks)
 
 
-def _sort_blocks(blocks):
-    return tuple(
-        sorted(
-            blocks,
-            key=lambda b: (b.kind, abs(b.lam.real), abs(b.lam.imag), b.m,
-                           -(b.gamma or 0)),
-        )
-    )
-
-
 def normal_form(blocks) -> NormalForm:
     """Wrap freshly built blocks in a canonically ordered NormalForm."""
-    blocks = _sort_blocks(blocks)
+    blocks = tuple(sorted(blocks, key=lambda b: (b.kind, abs(b.lam.real), abs(b.lam.imag), b.m,
+                                                 -(b.gamma or 0))))
     return NormalForm(blocks, sum(b.dim for b in blocks))
 
 
@@ -270,8 +261,8 @@ def classify(A, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
         blocks += [build_block("c", 1, 1j * mu, gamma=gamma)
                    for gamma in [1] * p_plus + [-1] * p_minus]
 
-    nf = NormalForm(_sort_blocks(blocks), n2)
-    # the assembled normal form must reproduce the observed Jordan data
+    nf = normal_form(blocks)
+    # the assembled normal form must reproduce the observed Jordan data, its dimension too
     re_spec = spectrum_with_jordan(standard_J(n2 // 2) @ nf.matrix, tol)
     if re_spec.key() != key:
         raise InternalError("assembled normal form has different Jordan data")

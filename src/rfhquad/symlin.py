@@ -31,6 +31,7 @@ __all__ = [
     "sym_matrix",
     "spectrum_with_jordan",
     "hamiltonian_orbits",
+    "imaginary_axis_eigenvalues",
     "ExpEvaluator",
     "kernel_dim",
     "inertia",
@@ -288,6 +289,26 @@ def hamiltonian_orbits(spec: Spectrum, tol: Tolerances = DEFAULT_TOL) -> tuple:
             kind = "zero" if on_real and on_imag else "a" if on_real else "c" if on_imag else "b"
             orbits.append((kind, it))
     return tuple(orbits)
+
+
+def imaginary_axis_eigenvalues(A, tol: Tolerances = DEFAULT_TOL) -> list:
+    """The eigenvalues of J A, A real symmetric, on the imaginary axis: the
+    raw ones within eig_cluster * max(1, |A|_2) of it.  A size-m imaginary
+    Jordan block scatters them eps^(1/m) off it; a Jordan spectrum joins a
+    scatter up to _RING.  So when none is that close but some lie within
+    _RING, the Jordan spectrum decides (orbits of kind 'c' or 'zero'), and
+    where it cannot place them (ClusterAmbiguous) those within _RING are."""
+    JA = standard_J(A.shape[0] // 2) @ A
+    scale = max(1.0, float(np.abs(np.linalg.eigvalsh(A)).max()))
+    reach, margin = max(_RING, tol.eig_cluster) * scale, tol.eig_cluster * scale
+    near = [complex(z) for z in np.linalg.eigvals(JA) if abs(z.real) <= reach]
+    if not near or any(abs(z.real) <= margin for z in near):
+        return [z for z in near if abs(z.real) <= margin]
+    try:
+        return [it.eigenvalue for kind, it in hamiltonian_orbits(spectrum_with_jordan(JA, tol), tol)
+                if kind in ("c", "zero")]
+    except ClusterAmbiguous:
+        return near
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,9 @@ import numpy as np
 from .errors import InputError, InternalError, NotPositiveDefinite
 from .hormander import NormalForm
 from .symlin import (
-    _RING,
     DEFAULT_TOL,
     Tolerances,
-    hamiltonian_orbits,
-    spectrum_with_jordan,
-    standard_J,
+    imaginary_axis_eigenvalues,
     sym_matrix,
     symplectic_direct_sum,
 )
@@ -152,10 +149,8 @@ def validate(H: QuadraticHamiltonian, tol: Tolerances = DEFAULT_TOL) -> Validati
     """Check the three defining conditions, reporting offenders.
 
     positive_definite : all eigenvalues of A0 above the rank cutoff
-    hyperbolic        : no eigenvalue of J A1 with |Re| <= eig_cluster * |A1|;
-                        if one is within _RING * |A1| (a defective imaginary
-                        eigenvalue scatters eps^(1/m) off the axis), no orbit
-                        of kind 'c' or 'zero' in its Jordan spectrum
+    hyperbolic        : no eigenvalue of J A1 on the imaginary axis
+                        (symlin.imaginary_axis_eigenvalues)
     k_in_range        : 1 <= k <= n - 1
     """
     return _validate(H, tol)[0]
@@ -171,18 +166,8 @@ def _validate(H: QuadraticHamiltonian, tol: Tolerances) -> tuple:
     bad, mus, dmus = _williamson(H.a0, tol) if H.a0.size else ([], None, None)
     if bad:
         offending["a0_eigenvalues"] = bad
-    if H.a1.size:
-        JA1 = standard_J(H.n - H.k) @ H.a1
-        ev = np.linalg.eigvals(JA1)
-        scale = max(1.0, float(np.abs(np.linalg.eigvalsh(H.a1)).max()))
-        reach = max(_RING, tol.eig_cluster) * scale
-        near = [complex(z) for z in ev if abs(z.real) <= reach]
-        on_axis = [z for z in near if abs(z.real) <= tol.eig_cluster * scale]
-        if near and not on_axis:
-            on_axis = [it.eigenvalue for kind, it in hamiltonian_orbits(
-                spectrum_with_jordan(JA1, tol), tol) if kind in ("c", "zero")]
-        if on_axis:
-            offending["a1_flow_eigenvalues"] = on_axis
+    if H.a1.size and (on_axis := imaginary_axis_eigenvalues(H.a1, tol)):
+        offending["a1_flow_eigenvalues"] = on_axis
     if not 1 <= H.k <= H.n - 1:
         offending["k"] = [H.k]
 

@@ -397,6 +397,25 @@ def test_ill_conditioned_frequencies_keep_their_crossings():
         assert np.linalg.norm(JS @ V - 1j * mu * V) < 1e-6 * np.linalg.norm(JS)
 
 
+def test_a_frequency_within_the_axis_band_of_zero_is_refused():
+    """mu = 1e-5 lies within the axis band of 0 (1e-6 * 30), so the Jordan
+    spectrum cannot place it on the imaginary axis or off it.  The index
+    and the crossing times refuse S at every horizon, as classify does,
+    rather than answer without mu's crossings (the index at T = 7e5 would
+    read 6684508 in place of 6684510).  Alone, mu = 1e-5 lies far outside
+    its own band of 1e-6 and is placed."""
+    fast, slow = 30.0 * np.eye(2), 1e-5 * np.eye(2)
+    S = symplectic_direct_sum(fast, slow)
+    for horizon in (1.0, 7e5):
+        for ask in (crossing_times, cz_index_data, cz_index_path):
+            with pytest.raises(DegenerateInput, match="axis band of 0"):
+                ask(S, horizon)
+    with pytest.raises(DegenerateInput):
+        classify(S)
+    assert cz_index_path(slow, 7e5) == HalfInt.from_int(3)
+    assert crossing_times(slow, 7e5) == (pytest.approx(TWO_PI * 1e5),)
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_index_and_classify_share_the_axis_band(monkeypatch, sign):
     """With every imaginary item of the Jordan spectrum moved 5e-9 * scale

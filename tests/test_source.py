@@ -177,3 +177,14 @@ def test_only_symlin_reads_spectrum_items():
 def test_an_uncalled_items_attribute_is_found():
     tree = ast.parse("spec.items\nd.items()\nfor it in s.items:\n    f(a.items, b.items())\n")
     assert _uncalled_items(tree) == [1, 3, 4]
+
+
+def test_only_symlin_names_the_ring_cap():
+    """How far off the imaginary axis a defective eigenvalue may scatter is
+    read from ``_RING`` in symlin alone, next to the axis band: every
+    other module asks ``symlin.imaginary_axis_eigenvalues``."""
+    found = {path.name for path in MODULES
+             if any(isinstance(node, ast.Name) and node.id == "_RING"
+                    or isinstance(node, ast.alias) and node.name == "_RING"
+                    for node in ast.walk(ast.parse(path.read_text())))}
+    assert found == {"symlin.py"}

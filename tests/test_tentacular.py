@@ -10,11 +10,13 @@ from rfhquad import (
     generator_census,
     normal_form,
     rfh_report,
+    spectrum_with_jordan,
     tentacular_check,
     validate,
 )
-from rfhquad.errors import InputError
+from rfhquad.errors import ClusterAmbiguous, InputError
 from rfhquad.samples import random_orthosymplectic, random_symplectic
+from rfhquad.symlin import standard_J
 
 
 def test_validate_passes(h21):
@@ -53,6 +55,35 @@ def test_validate_detects_a_conjugated_defective_imaginary_a1(m, conjugation):
         report = validate(H)
         assert not report.hyperbolic, seed
         assert all(abs(abs(z) - 1.0) < 1e-4 and abs(z.real) < 1e-4
+                   for z in report.offending["a1_flow_eigenvalues"]), seed
+        with pytest.raises(InputError, match="fails validation"):
+            generator_census(H, ActionWindow(-10.0, 10.0))
+
+
+@pytest.mark.parametrize("conjugation", ["orthosymplectic", "symplectic"])
+def test_validate_reports_a_ring_too_wide_to_place(conjugation):
+    """A conjugated imaginary block of Jordan size 4 scatters the raw
+    eigenvalues of J A1 about eps^(1/4) ~ 1.2e-4 off the axis, wider than
+    the Jordan spectrum joins: it raises ClusterAmbiguous, and validate
+    reports the raw eigenvalues near the axis instead, so A1 is not
+    hyperbolic and the census refuses H, on every draw."""
+    B = build_block("c", 4, 1j, 1).matrix
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        if conjugation == "orthosymplectic":
+            U = random_orthosymplectic(rng, 4)
+            A1 = U @ B @ U.T
+        else:
+            P = random_symplectic(rng, 4, magnitude=0.4)
+            A1 = P.T @ B @ P
+        A1 = (A1 + A1.T) / 2
+        with pytest.raises(ClusterAmbiguous):
+            spectrum_with_jordan(standard_J(4) @ A1)
+        H = QuadraticHamiltonian(5, 1, np.eye(2), A1)
+        report = validate(H)
+        reach = 1e-4 * np.linalg.norm(A1, 2)
+        assert not report.hyperbolic, seed
+        assert all(abs(abs(z) - 1.0) < 1e-3 and abs(z.real) <= reach
                    for z in report.offending["a1_flow_eigenvalues"]), seed
         with pytest.raises(InputError, match="fails validation"):
             generator_census(H, ActionWindow(-10.0, 10.0))
