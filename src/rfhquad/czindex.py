@@ -205,15 +205,12 @@ def _merged_frequencies(pairs, scale: float, tol: Tolerances) -> tuple:
 def _imaginary_frequencies(JS, tol) -> tuple:
     """(mu, vectors) for each imaginary eigenvalue i mu of JS with mu > 0,
     vectors its orthonormal eigenvectors, one per Jordan block: their
-    count is the multiplicity of mu.  These are the kind 'c' orbits of the
-    clustered Jordan spectrum, each read off its item at -i mu; a raw
-    real-part filter misreads the scatter of a defective or ill-conditioned
-    imaginary pair as off the axis, silently dropping its crossings.  An
-    orbit of kind 'zero' may or may not cross, so it raises, as in classify.
-    """
-    orbits = hamiltonian_orbits(spectrum_with_jordan(JS, tol), tol)
+    count is the multiplicity of mu: the kind 'c' orbits of the Jordan
+    spectrum, each read off its item at -i mu.  An orbit of kind 'zero' may
+    or may not cross, so it raises, as in classify."""
+    orbits = hamiltonian_orbits(JS, spectrum_with_jordan(JS, tol), tol)
     if any(kind == "zero" for kind, _ in orbits):
-        raise DegenerateInput("eigenvalue of J S within the axis band of 0; form is degenerate")
+        raise DegenerateInput("eigenvalue of J S within backward error of 0; form is degenerate")
     return tuple((-it.eigenvalue.imag, it.vectors.conj()) for kind, it in orbits if kind == "c")
 
 

@@ -238,14 +238,14 @@ def classify(A, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] <= tol.rank_cut * sv[0]:
         raise DegenerateInput("form is degenerate; no normal form")
-    spec = spectrum_with_jordan(standard_J(n2 // 2) @ A, tol)
+    spec = spectrum_with_jordan(JA := standard_J(n2 // 2) @ A, tol)
     key = spec.key()
     if any(key != tuple(sorted((sign * re, -im, sizes) for re, im, sizes in key))
            for sign in (1, -1)):
         raise ClusterAmbiguous("spectrum of J A is not closed under negation and conjugation")
 
     blocks = []
-    for kind, it in hamiltonian_orbits(spec, tol):
+    for kind, it in hamiltonian_orbits(JA, spec, tol):
         lam = it.eigenvalue
         if kind == "zero":
             raise DegenerateInput("zero eigenvalue of the flow; form is degenerate")

@@ -47,7 +47,7 @@ TWO_PI = 2.0 * np.pi
 class Tolerances:
     """Numerical tolerances shared by every routine in the package.
 
-    eig_cluster : relative radius used to cluster eigenvalues
+    eig_cluster : relative clustering radius and axis backward-error cut
     rank_cut    : relative singular-value cutoff for numerical rank
     crossing    : absolute tolerance for crossing/resonance times
     """
@@ -152,9 +152,8 @@ class Spectrum:
         )
 
 
-# Cap on the condition-number term of a cluster radius, relative to the
-# spectral scale.  It must cover the eps^(1/3) spread of the computed
-# eigenvalues of a size-3 Jordan block; a cap of 1e-6 loses them.
+# spectrum_with_jordan's cap on the kappa term of a cluster radius, relative:
+# it must cover the eps^(1/3) spread of a size-3 Jordan block; 1e-6 loses it.
 _RING = 1e-4
 
 
@@ -194,10 +193,9 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     exactly such ill-conditioned points get the wide radius that joins
     them; simple eigenvalues keep the radius tol.eig_cluster * scale.
 
-    A singleton cluster is one block of size 1, with no rank decision;
-    if its condition-number term reached the _RING cap it is too
-    ill-conditioned to place and found no partner, and ClusterAmbiguous
-    is raised.
+    A singleton cluster is one block of size 1, with no rank decision; one
+    whose condition-number term reached the _RING cap found no partner and
+    is too ill-conditioned to place: ClusterAmbiguous is raised.
 
     A cluster of p >= 2 eigenvalues with mean c is moved to the leading
     p x p block T11 of one complex Schur form of M.  The nullities of
@@ -267,48 +265,53 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     return Spectrum(tuple(sorted(items, key=lambda it: (it.eigenvalue.real, it.eigenvalue.imag))))
 
 
-def hamiltonian_orbits(spec: Spectrum, tol: Tolerances = DEFAULT_TOL) -> tuple:
+# Cost bound, not a tolerance: no SVD past this distance from an axis point,
+# relative; above a size-6 imaginary Jordan block's 1.1e-3, below sampler A1's 0.16.
+_REACH = 1e-2
+
+
+def _on_axis(M, shift, offset: float, cut: float, reach: float) -> bool:
+    """sigma_min(M - shift I) <= cut: M is within backward error cut of a
+    matrix, Hamiltonian if M is (Alam, Bora, Karow, Mehrmann & Moro 2011),
+    with the eigenvalue shift, whatever its Jordan size.  offset >= sigma_min,
+    a computed eigenvalue's distance from shift, decides at most cut or past reach."""
+    if offset <= cut or offset > reach:
+        return offset <= cut
+    return bool(np.linalg.svd(M - shift * np.eye(M.shape[0]), compute_uv=False)[-1] <= cut)
+
+
+def hamiltonian_orbits(M, spec: Spectrum, tol: Tolerances = DEFAULT_TOL) -> tuple:
     """(kind, item) for each orbit {lambda, -lambda, conj lambda, -conj lambda}
-    of the Jordan spectrum of a real Hamiltonian matrix, closed under
-    lambda -> -lambda and lambda -> conj lambda (Laub & Meyer 1974); the
-    caller checks the closure.  The orbit's item is the one whose real and
-    imaginary parts are both at most the axis band; its mirrors are
-    skipped.  kind is 'a' on the real axis, 'c' on the imaginary axis,
-    'b' off both and 'zero' on both.
-    """
+    of spec, the Jordan spectrum of the real Hamiltonian matrix M (closed under
+    both maps, Laub & Meyer 1974; the caller checks).  kind is 'a' when
+    ``_on_axis`` places Re lambda in M's spectrum at the cut eig_cluster *
+    max(1, max |lambda|), 'c' when it places i Im lambda, 'zero' when both
+    (one orbit for all such items) and 'b' when neither.  The item has
+    Re <= 0 unless on the imaginary axis, Im <= 0 unless on the real one."""
     scale = max([1.0] + [abs(it.eigenvalue) for it in spec.items])
-    # A singleton is placed only while 100 eps kappa < _RING, so it lies
-    # within _RING / 100 * scale of the true eigenvalue, and a cluster's
-    # center, the mean of its members, is better conditioned than they are.
-    band = max(100.0 * tol.eig_cluster, _RING / 100.0) * scale
+    cut, reach = tol.eig_cluster * scale, _REACH * scale
     orbits = []
     for it in spec.items:
         re, im = it.eigenvalue.real, it.eigenvalue.imag
-        if re <= band and im <= band:
-            on_real, on_imag = -im <= band, -re <= band
+        on_imag = _on_axis(M, 1j * im, abs(re), cut, reach)
+        on_real = _on_axis(M, re, abs(im), cut, reach)
+        if (re <= 0 or on_imag) and (im <= 0 or on_real):
             kind = "zero" if on_real and on_imag else "a" if on_real else "c" if on_imag else "b"
-            orbits.append((kind, it))
+            if kind != "zero" or all(k != "zero" for k, _ in orbits):
+                orbits.append((kind, it))
     return tuple(orbits)
 
 
 def imaginary_axis_eigenvalues(A, tol: Tolerances = DEFAULT_TOL) -> list:
-    """The eigenvalues of J A, A real symmetric, on the imaginary axis: the
-    raw ones within eig_cluster * max(1, |A|_2) of it.  A size-m imaginary
-    Jordan block scatters them eps^(1/m) off it; a Jordan spectrum joins a
-    scatter up to _RING.  So when none is that close but some lie within
-    _RING, the Jordan spectrum decides (orbits of kind 'c' or 'zero'), and
-    where it cannot place them (ClusterAmbiguous) those within _RING are."""
+    """The eigenvalues lambda of J A, A real symmetric, where ``_on_axis``
+    places i Im lambda in the spectrum at the cut eig_cluster * max(1, |A|_2):
+    an imaginary Jordan block scatters them eps^(1/m) off the axis, but not
+    its backward error."""
     JA = standard_J(A.shape[0] // 2) @ A
     scale = max(1.0, float(np.abs(np.linalg.eigvalsh(A)).max()))
-    reach, margin = max(_RING, tol.eig_cluster) * scale, tol.eig_cluster * scale
-    near = [complex(z) for z in np.linalg.eigvals(JA) if abs(z.real) <= reach]
-    if not near or any(abs(z.real) <= margin for z in near):
-        return [z for z in near if abs(z.real) <= margin]
-    try:
-        return [it.eigenvalue for kind, it in hamiltonian_orbits(spectrum_with_jordan(JA, tol), tol)
-                if kind in ("c", "zero")]
-    except ClusterAmbiguous:
-        return near
+    cut, reach = tol.eig_cluster * scale, _REACH * scale
+    return [complex(z) for z in np.linalg.eigvals(JA)
+            if _on_axis(JA, 1j * z.imag, abs(z.real), cut, reach)]
 
 
 # ---------------------------------------------------------------------------

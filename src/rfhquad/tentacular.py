@@ -149,8 +149,8 @@ def validate(H: QuadraticHamiltonian, tol: Tolerances = DEFAULT_TOL) -> Validati
     """Check the three defining conditions, reporting offenders.
 
     positive_definite : all eigenvalues of A0 above the rank cutoff
-    hyperbolic        : no eigenvalue of J A1 on the imaginary axis
-                        (symlin.imaginary_axis_eigenvalues)
+    hyperbolic        : no eigenvalue of J A1 on the imaginary axis by
+                        backward error (symlin.imaginary_axis_eigenvalues)
     k_in_range        : 1 <= k <= n - 1
     """
     return _validate(H, tol)[0]

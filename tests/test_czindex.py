@@ -379,8 +379,8 @@ def test_signing_reads_the_jordan_spectrum_eigenvectors(monkeypatch):
 
 def test_ill_conditioned_frequencies_keep_their_crossings():
     """Conjugated by a symplectic map of magnitude 10, the imaginary
-    eigenvalues of J S come out about 3e-9 off the axis, past
-    eig_cluster * scale but inside the axis band: they still cross, so
+    eigenvalues of J S come out about 7e-9 off the axis, past
+    eig_cluster * scale but within backward error of it: they still cross, so
     the index is the unconjugated form's, -2, and classify reads the
     same two elliptic blocks; the crossings are signed on the mu i
     eigenvectors."""
@@ -397,32 +397,47 @@ def test_ill_conditioned_frequencies_keep_their_crossings():
         assert np.linalg.norm(JS @ V - 1j * mu * V) < 1e-6 * np.linalg.norm(JS)
 
 
-def test_a_frequency_within_the_axis_band_of_zero_is_refused():
-    """mu = 1e-5 lies within the axis band of 0 (1e-6 * 30), so the Jordan
-    spectrum cannot place it on the imaginary axis or off it.  The index
-    and the crossing times refuse S at every horizon, as classify does,
-    rather than answer without mu's crossings (the index at T = 7e5 would
-    read 6684508 in place of 6684510).  Alone, mu = 1e-5 lies far outside
-    its own band of 1e-6 and is placed."""
+def _long_index(mus, T) -> HalfInt:
+    """Long's closed form for a positive definite S with the simple
+    frequencies mus, T off every crossing: sum of 2 floor(T mu / 2 pi) + 1."""
+    return HalfInt.from_int(sum(2 * int(T * mu / TWO_PI) + 1 for mu in mus))
+
+
+def test_a_slow_frequency_beside_a_fast_one_is_placed():
+    """J S lies 1e-5 in backward error from a matrix with the eigenvalue 0,
+    far above the cut eig_cluster * 30, so mu = 1e-5 is on the imaginary
+    axis and off 0, and is crossed (at T = 7e5 the index is 6684510 by
+    the closed form; its 3.3 million crossings are too many to enumerate
+    here).  The same geometry at eig_cluster = 1e-4, mu = 0.1 beside 30,
+    shows the slow frequency's crossing within a short path.  A frequency
+    of 5e-10 lies within the cut of 0 and is refused, as classify refuses
+    it.  Alone, mu = 1e-5 is placed and crossed too."""
     fast, slow = 30.0 * np.eye(2), 1e-5 * np.eye(2)
     S = symplectic_direct_sum(fast, slow)
-    for horizon in (1.0, 7e5):
-        for ask in (crossing_times, cz_index_data, cz_index_path):
-            with pytest.raises(DegenerateInput, match="axis band of 0"):
-                ask(S, horizon)
+    assert sorted(mu for mu, _ in _imaginary_frequencies(standard_J(2) @ S, DEFAULT_TOL)) == \
+        pytest.approx([1e-5, 30.0])
+    assert cz_index_path(S, 1.0) == _long_index([30.0, 1e-5], 1.0) == HalfInt.from_int(10)
+    assert crossing_times(S, 1.0) == pytest.approx([TWO_PI * j / 30.0 for j in (1, 2, 3, 4)])
+    wide = Tolerances(eig_cluster=1e-4)
+    S = symplectic_direct_sum(fast, 0.1 * np.eye(2))
+    assert cz_index_path(S, 70.0, wide) == _long_index([30.0, 0.1], 70.0) == HalfInt.from_int(672)
+    assert TWO_PI / 0.1 in crossing_times(S, 70.0, wide)
+    S = symplectic_direct_sum(fast, 5e-10 * np.eye(2))
+    with pytest.raises(DegenerateInput, match="backward error of 0"):
+        cz_index_data(S, 1.0)
     with pytest.raises(DegenerateInput):
         classify(S)
-    assert cz_index_path(slow, 7e5) == HalfInt.from_int(3)
+    assert cz_index_path(slow, 7e5) == _long_index([1e-5], 7e5) == HalfInt.from_int(3)
     assert crossing_times(slow, 7e5) == (pytest.approx(TWO_PI * 1e5),)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_index_and_classify_share_the_axis_band(monkeypatch, sign):
     """With every imaginary item of the Jordan spectrum moved 5e-9 * scale
-    off the axis, past eig_cluster * scale and inside the band of
-    symlin.hamiltonian_orbits, cz_index_data's index and crossing times
-    and classify's blocks do not change: the index and the normal form
-    read the axis by one rule."""
+    off the axis, past eig_cluster * scale, the backward-error test of
+    symlin.hamiltonian_orbits still places it on the axis: cz_index_data's
+    index and crossing times and classify's blocks do not change, as the
+    index and the normal form read the axis by one rule."""
     built = [build_block("c", 1, 1.0j, 1), build_block("c", 1, 1.3j, -1),
              build_block("a", 1, 0.6)]
     P = random_symplectic(np.random.default_rng(5), 3, magnitude=0.4)

@@ -208,12 +208,15 @@ def test_classify_cluster_collision_reported():
         classify(A, Tolerances(eig_cluster=0.5))
 
 
-def test_classify_refuses_a_frequency_within_the_axis_band_of_zero():
+def test_classify_places_a_slow_frequency():
     """A form the SVD test passes (condition 1e8) whose flow has the
-    eigenvalues +-1e-8 i, within the axis band of 0, is refused as
-    degenerate: the orbit reader cannot tell them from a real pair."""
-    with pytest.raises(DegenerateInput, match="zero eigenvalue"):
-        classify(np.diag([1.0, 1e-8, 1.0, 1e-8]))
+    eigenvalues +-1e-8 i: J A lies 1e-8 in backward error from a matrix
+    with the eigenvalue 0, past the cut eig_cluster * 1, so they are an
+    imaginary pair off 0, an elliptic block of Krein sign +1 beside the
+    one at i."""
+    blocks = classify(np.diag([1.0, 1e-8, 1.0, 1e-8])).blocks
+    assert [(b.kind, b.m, b.gamma) for b in blocks] == [("c", 1, 1), ("c", 1, 1)]
+    assert [b.lam for b in blocks] == pytest.approx([1e-8j, 1j], rel=1e-12)
 
 
 def test_classify_refuses_a_spectrum_missing_a_partner(tmp_path, monkeypatch):

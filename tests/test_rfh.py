@@ -512,11 +512,12 @@ def test_census_reads_a0_spectrum_once(rng, monkeypatch):
     with one eigvalsh of the complex i L^T J L, whether the frequencies
     are declared, and so checked, or not; no eigvals touches A0.  k = 1
     and n - k = 3 tell A0's calls from A1's, which stay one eigvals and
-    one real eigvalsh."""
+    one real eigvalsh: the sampler's hyperbolic A1 lie beyond the reach
+    of the imaginary-axis test, so it takes no SVD."""
     calls = Counter()
     modules = [np.linalg] + [mod for name, mod in sys.modules.items()
                              if name.split(".")[0] == "rfhquad"]
-    for name in ("eigvals", "eigvalsh", "eigh"):
+    for name in ("eigvals", "eigvalsh", "eigh", "svd"):
         original = getattr(np.linalg, name)
 
         def counting(a, *args, _name=name, _original=original, **kwargs):

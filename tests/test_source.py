@@ -169,7 +169,7 @@ def _uncalled_items(tree) -> list:
 def test_only_symlin_reads_spectrum_items():
     """Every other module reads a Jordan spectrum through
     ``symlin.hamiltonian_orbits``, so whether an eigenvalue lies on an
-    axis is decided by one band, not once per caller."""
+    axis is decided by one backward-error test, not once per caller."""
     found = {path.name: _uncalled_items(ast.parse(path.read_text())) for path in MODULES}
     assert {name for name, lines in found.items() if lines} == {"symlin.py"}
 
@@ -179,12 +179,20 @@ def test_an_uncalled_items_attribute_is_found():
     assert _uncalled_items(tree) == [1, 3, 4]
 
 
+def _names_ring(node) -> bool:
+    return any(isinstance(sub, ast.Name) and sub.id == "_RING"
+               or isinstance(sub, ast.alias) and sub.name == "_RING" for sub in ast.walk(node))
+
+
 def test_only_symlin_names_the_ring_cap():
-    """How far off the imaginary axis a defective eigenvalue may scatter is
-    read from ``_RING`` in symlin alone, next to the axis band: every
-    other module asks ``symlin.imaginary_axis_eigenvalues``."""
-    found = {path.name for path in MODULES
-             if any(isinstance(node, ast.Name) and node.id == "_RING"
-                    or isinstance(node, ast.alias) and node.name == "_RING"
-                    for node in ast.walk(ast.parse(path.read_text())))}
+    """The ring cap ``_RING`` bounds how far apart spectrum_with_jordan
+    joins the scattered eigenvalues of a defective eigenvalue, and that is
+    its one use: it is named in symlin alone, read there only by
+    ``spectrum_with_jordan``, and no axis decision reads it, as every
+    caller asks symlin's one backward-error test."""
+    found = {path.name for path in MODULES if _names_ring(ast.parse(path.read_text()))}
     assert found == {"symlin.py"}
+    tree = ast.parse(Path(rfhquad.symlin.__file__).read_text())
+    readers = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef | ast.ClassDef) and _names_ring(node)}
+    assert readers == {"spectrum_with_jordan"}

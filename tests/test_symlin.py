@@ -11,7 +11,6 @@ import rfhquad
 from rfhquad import (
     ExpEvaluator,
     Spectrum,
-    SpectrumItem,
     Tolerances,
     build_block,
     kernel_dim,
@@ -135,29 +134,35 @@ def test_spectrum_refuses_ill_conditioned_singleton():
         spectrum_with_jordan(M)
 
 
-def _spectrum(*eigenvalues) -> Spectrum:
-    """A spectrum of simple items at the given eigenvalues, in (Re, Im) order."""
-    items = [SpectrumItem(complex(z), (1,), None) for z in eigenvalues]
-    return Spectrum(tuple(sorted(items, key=lambda it: (it.eigenvalue.real, it.eigenvalue.imag))))
+def _orbits(M, tol=Tolerances()) -> list:
+    """(kind, eigenvalue) of each orbit of the Jordan spectrum of M."""
+    return [(kind, it.eigenvalue) for kind, it in hamiltonian_orbits(M, spectrum_with_jordan(M), tol)]
 
 
 def test_hamiltonian_orbits_reads_one_item_per_orbit():
     """One (kind, item) per orbit, in the spectrum's order: the item with
-    Re and Im both at most the axis band, 1e-6 * 1.4 here; its mirrors
-    are skipped.  Items 3e-7 and 5e-7 off an axis lie on it, items 5e-6
-    off the imaginary axis do so only once eig_cluster widens the band
-    past them, and a zero item is reported."""
+    Re <= 0 unless it is on the imaginary axis and Im <= 0 unless it is on
+    the real axis; its mirrors are skipped.  An item is on an axis when M
+    lies within backward error eig_cluster * 1.4 of a matrix with that
+    axis point as an eigenvalue.  At the default cut the quadruple 5e-6
+    off the imaginary axis is 'b' and the pair +-1e-6 is 'a'; read at
+    eig_cluster = 1e-5 (the spectrum clustered at the default), the
+    quadruple is two 'c' items at -1.4 i and the pair one 'zero' orbit.  The pair +-1e-9 i lies on both axes at the
+    default cut and is one 'zero' orbit too."""
     b = 0.3 + 0.7j
-    spec = _spectrum(0.5, -0.5, 0.9 + 3e-7j, -0.9 + 3e-7j, b, -b, b.conjugate(), -b.conjugate(),
-                     5e-7 + 1.2j, 5e-7 - 1.2j, 5e-6 + 1.4j, 5e-6 - 1.4j, -5e-6 + 1.4j,
-                     -5e-6 - 1.4j, 0.0)
-    orbits = [(kind, it.eigenvalue) for kind, it in hamiltonian_orbits(spec)]
-    assert orbits == [("a", -0.9 + 3e-7j), ("a", -0.5), ("b", -b), ("b", -5e-6 - 1.4j),
-                      ("zero", 0.0), ("c", 5e-7 - 1.2j)]
-    pair = _spectrum(5e-6 + 1.4j, 5e-6 - 1.4j)
-    ((kind, it),) = hamiltonian_orbits(pair, Tolerances(eig_cluster=1e-7))
-    assert (kind, it.eigenvalue) == ("c", 5e-6 - 1.4j)
-    assert hamiltonian_orbits(Spectrum(())) == ()
+    blocks = [build_block("a", 1, 0.5), build_block("b", 1, b), build_block("c", 1, 1.2j, 1),
+              build_block("b", 1, 5e-6 + 1.4j), build_block("a", 1, 1e-6)]
+    M = standard_J(7) @ normal_form(blocks).matrix
+    want = [("a", -0.5), ("b", -b), ("b", -5e-6 - 1.4j), ("a", -1e-6), ("c", -1.2j)]
+    assert _orbits(M) == [(kind, pytest.approx(lam, abs=1e-12)) for kind, lam in want]
+    want = [("a", -0.5), ("b", -b), ("c", -5e-6 - 1.4j), ("zero", -1e-6), ("c", -1.2j),
+            ("c", 5e-6 - 1.4j)]
+    assert _orbits(M, Tolerances(eig_cluster=1e-5)) == [
+        (kind, pytest.approx(lam, abs=1e-12)) for kind, lam in want]
+    M = standard_J(2) @ normal_form([build_block("c", 1, 1.4j, 1),
+                                     build_block("c", 1, 1e-9j, 1)]).matrix
+    assert _orbits(M) == [("c", pytest.approx(-1.4j)), ("zero", pytest.approx(-1e-9j, abs=1e-20))]
+    assert hamiltonian_orbits(np.zeros((0, 0)), Spectrum(())) == ()
 
 
 def _exp(M, t):

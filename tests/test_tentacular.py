@@ -35,64 +35,46 @@ def test_validate_detects_nonhyperbolic_a1():
     assert "a1_flow_eigenvalues" in report.offending
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("conjugation", ["orthosymplectic", "symplectic"])
 def test_validate_detects_a_conjugated_defective_imaginary_a1(m, conjugation):
     """A conjugated imaginary block of Jordan size m scatters the raw
-    eigenvalues of J A1 about eps^(1/m) off the axis, past the
-    eig_cluster margin: the Jordan spectrum of J A1 still finds them on
-    it, so A1 is not hyperbolic and the census refuses H, on every draw."""
+    eigenvalues of J A1 about eps^(1/m) off the axis, past the cut
+    eig_cluster * |A1|_2 (within 10 eps^(1/m) here), but J A1 stays within
+    roundoff in backward error of a matrix with each eigenvalue's
+    imaginary part as an eigenvalue: all 2m are on the axis, so A1 is not
+    hyperbolic and the census refuses H, on every draw.  At m = 4 the
+    scatter is already wider than the Jordan spectrum joins (it raises
+    ClusterAmbiguous), and validate does not read it."""
     B = build_block("c", m, 1j, 1).matrix
-    for seed in range(5):
+    scatter = 10 * np.finfo(float).eps ** (1 / m)
+    for seed in range(10):
         rng = np.random.default_rng(seed)
         if conjugation == "orthosymplectic":
             U = random_orthosymplectic(rng, m)
-            A1 = U @ B @ U.T
+            A1 = U.T @ B @ U
         else:
             P = random_symplectic(rng, m, magnitude=0.4)
             A1 = P.T @ B @ P
-        H = QuadraticHamiltonian(m + 1, 1, np.eye(2), (A1 + A1.T) / 2)
+        H = QuadraticHamiltonian(m + 1, 1, np.eye(2), A1)
+        if m == 4:
+            with pytest.raises(ClusterAmbiguous):
+                spectrum_with_jordan(standard_J(m) @ H.a1)
         report = validate(H)
         assert not report.hyperbolic, seed
-        assert all(abs(abs(z) - 1.0) < 1e-4 and abs(z.real) < 1e-4
-                   for z in report.offending["a1_flow_eigenvalues"]), seed
-        with pytest.raises(InputError, match="fails validation"):
-            generator_census(H, ActionWindow(-10.0, 10.0))
-
-
-@pytest.mark.parametrize("conjugation", ["orthosymplectic", "symplectic"])
-def test_validate_reports_a_ring_too_wide_to_place(conjugation):
-    """A conjugated imaginary block of Jordan size 4 scatters the raw
-    eigenvalues of J A1 about eps^(1/4) ~ 1.2e-4 off the axis, wider than
-    the Jordan spectrum joins: it raises ClusterAmbiguous, and validate
-    reports the raw eigenvalues near the axis instead, so A1 is not
-    hyperbolic and the census refuses H, on every draw."""
-    B = build_block("c", 4, 1j, 1).matrix
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        if conjugation == "orthosymplectic":
-            U = random_orthosymplectic(rng, 4)
-            A1 = U @ B @ U.T
-        else:
-            P = random_symplectic(rng, 4, magnitude=0.4)
-            A1 = P.T @ B @ P
-        A1 = (A1 + A1.T) / 2
-        with pytest.raises(ClusterAmbiguous):
-            spectrum_with_jordan(standard_J(4) @ A1)
-        H = QuadraticHamiltonian(5, 1, np.eye(2), A1)
-        report = validate(H)
-        reach = 1e-4 * np.linalg.norm(A1, 2)
-        assert not report.hyperbolic, seed
-        assert all(abs(abs(z) - 1.0) < 1e-3 and abs(z.real) <= reach
-                   for z in report.offending["a1_flow_eigenvalues"]), seed
+        on_axis = report.offending["a1_flow_eigenvalues"]
+        assert len(on_axis) == 2 * m, seed
+        assert all(abs(abs(z) - 1.0) < scatter and abs(z.real) < scatter for z in on_axis), seed
         with pytest.raises(InputError, match="fails validation"):
             generator_census(H, ActionWindow(-10.0, 10.0))
 
 
 def test_validate_margin_follows_eig_cluster():
     """A quadruple 5e-4 off the imaginary axis is hyperbolic at the default
-    tolerances, and on the axis once eig_cluster = 1e-3 sets the margin,
-    which lies beyond the reach of the Jordan-spectrum fallback."""
+    tolerances, where J A1 lies 5e-4 in backward error from a
+    matrix with an eigenvalue on the axis, and on it once eig_cluster =
+    1e-3 sets the cut, which the eigenvalue's own distance 5e-4 from the
+    axis meets without an SVD."""
     H = QuadraticHamiltonian(3, 1, np.eye(2), build_block("b", 1, 5e-4 + 1j).matrix)
     assert validate(H).hyperbolic
     assert not validate(H, Tolerances(eig_cluster=1e-3)).hyperbolic
