@@ -265,17 +265,19 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     return Spectrum(tuple(sorted(items, key=lambda it: (it.eigenvalue.real, it.eigenvalue.imag))))
 
 
-# Cost bound, not a tolerance: no SVD past this distance from an axis point,
-# relative; above a size-6 imaginary Jordan block's 1.1e-3, below sampler A1's 0.16.
+# Bound on the SVD's cost, relative: past it an eigenvalue is off the axis
+# unread.  Conjugated imaginary Jordan blocks of size 6 and 9 scatter 1.1e-3
+# and 9.5e-3; from size 10 on, some of the 2m lie past it.  Sampler A1: 0.16.
 _REACH = 1e-2
 
 
-def _on_axis(M, shift, offset: float, cut: float, reach: float) -> bool:
-    """sigma_min(M - shift I) <= cut: M is within backward error cut of a
-    matrix, Hamiltonian if M is (Alam, Bora, Karow, Mehrmann & Moro 2011),
-    with the eigenvalue shift, whatever its Jordan size.  offset >= sigma_min,
-    a computed eigenvalue's distance from shift, decides at most cut or past reach."""
-    if offset <= cut or offset > reach:
+def _on_axis(M, shift, offset: float, scale: float, tol: Tolerances) -> bool:
+    """sigma_min(M - shift I) <= cut = eig_cluster * scale: M is within backward
+    error cut of a matrix, Hamiltonian if M is (Alam, Bora, Karow, Mehrmann &
+    Moro 2011), with the eigenvalue shift.  offset >= sigma_min, a computed
+    eigenvalue's distance from shift, decides at most cut or past _REACH * scale."""
+    cut = tol.eig_cluster * scale
+    if offset <= cut or offset > _REACH * scale:
         return offset <= cut
     return bool(np.linalg.svd(M - shift * np.eye(M.shape[0]), compute_uv=False)[-1] <= cut)
 
@@ -289,12 +291,11 @@ def hamiltonian_orbits(M, spec: Spectrum, tol: Tolerances = DEFAULT_TOL) -> tupl
     (one orbit for all such items) and 'b' when neither.  The item has
     Re <= 0 unless on the imaginary axis, Im <= 0 unless on the real one."""
     scale = max([1.0] + [abs(it.eigenvalue) for it in spec.items])
-    cut, reach = tol.eig_cluster * scale, _REACH * scale
     orbits = []
     for it in spec.items:
         re, im = it.eigenvalue.real, it.eigenvalue.imag
-        on_imag = _on_axis(M, 1j * im, abs(re), cut, reach)
-        on_real = _on_axis(M, re, abs(im), cut, reach)
+        on_imag = _on_axis(M, 1j * im, abs(re), scale, tol)
+        on_real = _on_axis(M, re, abs(im), scale, tol)
         if (re <= 0 or on_imag) and (im <= 0 or on_real):
             kind = "zero" if on_real and on_imag else "a" if on_real else "c" if on_imag else "b"
             if kind != "zero" or all(k != "zero" for k, _ in orbits):
@@ -305,13 +306,12 @@ def hamiltonian_orbits(M, spec: Spectrum, tol: Tolerances = DEFAULT_TOL) -> tupl
 def imaginary_axis_eigenvalues(A, tol: Tolerances = DEFAULT_TOL) -> list:
     """The eigenvalues lambda of J A, A real symmetric, where ``_on_axis``
     places i Im lambda in the spectrum at the cut eig_cluster * max(1, |A|_2):
-    an imaginary Jordan block scatters them eps^(1/m) off the axis, but not
-    its backward error."""
+    a size-m imaginary Jordan block scatters them eps^(1/m) off the axis, but
+    not its backward error; all 2m are found while they lie within _REACH."""
     JA = standard_J(A.shape[0] // 2) @ A
     scale = max(1.0, float(np.abs(np.linalg.eigvalsh(A)).max()))
-    cut, reach = tol.eig_cluster * scale, _REACH * scale
     return [complex(z) for z in np.linalg.eigvals(JA)
-            if _on_axis(JA, 1j * z.imag, abs(z.real), cut, reach)]
+            if _on_axis(JA, 1j * z.imag, abs(z.real), scale, tol)]
 
 
 # ---------------------------------------------------------------------------

@@ -190,12 +190,13 @@ def test_check_json_conjugated_jordan_two_matrix(tmp_path, capsys, conjugation):
 
 def test_rfh_refuses_a_conjugated_defective_imaginary_a1(tmp_path, capsys):
     """J A1 with an imaginary Jordan block of size 2 or 5, given as a
-    conjugated matrix, is not hyperbolic: rfh --json exits 1 and names the
-    flow eigenvalues.  The size-5 draw scatters them up to 2e-4 off the
-    axis, where a rule by distance called A1 hyperbolic."""
+    conjugated matrix (U B U^T and U^T B U), is not hyperbolic: rfh --json
+    exits 1 and names the flow eigenvalues.  The size-5 draw scatters them
+    up to 2e-4 off the axis, where a rule by distance called A1 hyperbolic."""
     for m, seed in ((2, 0), (5, 2)):
         U = random_orthosymplectic(np.random.default_rng(seed), m)
-        A1 = U.T @ rfhquad.build_block("c", m, 1j, 1).matrix @ U
+        B = rfhquad.build_block("c", m, 1j, 1).matrix
+        A1 = U @ B @ U.T if m == 2 else U.T @ B @ U
         doc = {"n": m + 1, "k": 1, "a0": {"matrix": np.eye(2).tolist()},
                "a1": {"matrix": A1.tolist()}}
         assert main(["rfh", write_spec(tmp_path, doc), "--json"]) == 1, m

@@ -406,18 +406,24 @@ def _long_index(mus, T) -> HalfInt:
 def test_a_slow_frequency_beside_a_fast_one_is_placed():
     """J S lies 1e-5 in backward error from a matrix with the eigenvalue 0,
     far above the cut eig_cluster * 30, so mu = 1e-5 is on the imaginary
-    axis and off 0, and is crossed (at T = 7e5 the index is 6684510 by
-    the closed form; its 3.3 million crossings are too many to enumerate
-    here).  The same geometry at eig_cluster = 1e-4, mu = 0.1 beside 30,
-    shows the slow frequency's crossing within a short path.  A frequency
+    axis and off 0, and is crossed at 2 pi / 1e-5, with the 3 millionth
+    crossing of mu = 30, both signed +2 (read from one period early: at
+    T = 7e5 the index is 6684510 by the closed form, but a pass from 0
+    enumerates 3.3 million crossings).  The same geometry at eig_cluster =
+    1e-4, mu = 0.1 beside 30, shows the slow frequency's crossing within a
+    short path and in the index.  A frequency
     of 5e-10 lies within the cut of 0 and is refused, as classify refuses
     it.  Alone, mu = 1e-5 is placed and crossed too."""
     fast, slow = 30.0 * np.eye(2), 1e-5 * np.eye(2)
     S = symplectic_direct_sum(fast, slow)
-    assert sorted(mu for mu, _ in _imaginary_frequencies(standard_J(2) @ S, DEFAULT_TOL)) == \
-        pytest.approx([1e-5, 30.0])
+    freqs = _imaginary_frequencies(standard_J(2) @ S, DEFAULT_TOL)
+    assert sorted(mu for mu, _ in freqs) == pytest.approx([1e-5, 30.0])
     assert cz_index_path(S, 1.0) == _long_index([30.0, 1e-5], 1.0) == HalfInt.from_int(10)
     assert crossing_times(S, 1.0) == pytest.approx([TWO_PI * j / 30.0 for j in (1, 2, 3, 4)])
+    late = czindex._Crossings(S, [(mu, V.shape[1]) for mu, V in freqs], TWO_PI / 1e-5 + 1.0,
+                              DEFAULT_TOL, start=TWO_PI / 1e-5 - 1.0, vectors=dict(freqs))
+    near = [(t, w) for t, w in late.data().interior if abs(t - TWO_PI / 1e-5) < 0.1]
+    assert near == [(pytest.approx(TWO_PI / 1e-5), 4)]
     wide = Tolerances(eig_cluster=1e-4)
     S = symplectic_direct_sum(fast, 0.1 * np.eye(2))
     assert cz_index_path(S, 70.0, wide) == _long_index([30.0, 0.1], 70.0) == HalfInt.from_int(672)
