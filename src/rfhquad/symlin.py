@@ -4,6 +4,10 @@ Conventions used everywhere in the package: the standard symplectic matrix
 on R^(2m) is J = [[0, Id], [-Id, 0]] in coordinates (q_1..q_m, p_1..p_m),
 a quadratic Hamiltonian is H(x) = x^T A x / 2 with A symmetric, and its
 linearized flow is t |-> exp(t J A).
+
+scipy.linalg is imported on first use, by the Schur form of a cluster of
+two or more eigenvalues and by ExpEvaluator's Pade fallback, so a call
+whose spectra are all simple never loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ClusterAmbiguous,
@@ -242,6 +245,7 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
             continue
         c = complex(np.mean(w[members]))
         if T is None:
+            import scipy.linalg
             T, Z = scipy.linalg.schur(M, output="complex")
             norm = max(1.0, float(np.linalg.norm(M, 2)))
         reach = float(np.abs(w[members] - c).max() + radius[members].max())
@@ -354,6 +358,7 @@ class ExpEvaluator:
         if ts.ndim != 1 or np.count_nonzero(np.isfinite(ts)) != ts.size:
             raise InputError("times must be a 1-D sequence of finite numbers")
         if not self.fast:
+            import scipy.linalg
             return np.reshape([scipy.linalg.expm(t * self.M) for t in ts],
                               ts.shape + self.M.shape)
         E = np.exp(np.multiply.outer(ts, self.w))

@@ -325,6 +325,50 @@ def test_random_spec_script_feeds_the_cli():
     assert "RFH    :" in out.stdout
 
 
+COLD_START = """
+import contextlib, io, json, sys
+import numpy as np
+from rfhquad import ExpEvaluator, build_block, classify
+from rfhquad.cli import main
+from rfhquad.samples import random_orthosymplectic
+
+codes = []
+for path in sys.argv[1:]:
+    for sub in ("check", "classify", "orbits", "census", "rfh"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(main([sub, path, "--json"]))
+loaded = ["scipy" in sys.modules]
+U = random_orthosymplectic(np.random.default_rng(0), 2)
+nf = classify(U @ build_block("a", 2, 1.5).matrix @ U.T)
+loaded.append("scipy" in sys.modules)
+E = ExpEvaluator(np.array([[0.0, 1.0], [0.0, 0.0]])).at([2.0])[0]
+print(json.dumps({"codes": codes, "loaded": loaded, "exp": E.tolist(),
+                  "blocks": [[b.kind, b.m, b.lam.real] for b in nf.blocks]}))
+"""
+
+
+def test_cli_cold_start_leaves_scipy_unloaded(tmp_path):
+    """A fresh interpreter runs every --json subcommand on a block document
+    and on a conjugated-matrix one without loading scipy (conftest has it
+    loaded here).  A conjugated ('a', 2) block's Schur form and the Pade
+    exponential of a Jordan block then load it where they need it."""
+    U = random_orthosymplectic(np.random.default_rng(1), 2)
+    a1 = rfhquad.normal_form([rfhquad.build_block("a", 1, 1.0),
+                              rfhquad.build_block("a", 1, 0.7)]).matrix
+    conjugated = {"n": 3, "k": 1, "a0": {"matrix": [[1.2, 0.3], [0.3, 0.9]]},
+                  "a1": {"matrix": (U @ a1 @ U.T).tolist()}}
+    paths = [write_spec(tmp_path, SPEC31, "blocks.json"),
+             write_spec(tmp_path, conjugated, "matrices.json")]
+    out = subprocess.run([sys.executable, "-c", COLD_START, *paths],
+                         capture_output=True, text=True, env=_script_env(), timeout=120)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["codes"] == [0] * 10
+    assert doc["loaded"] == [False, True]
+    assert doc["blocks"] == [["a", 2, pytest.approx(1.5, abs=1e-9)]]
+    assert np.allclose(doc["exp"], [[1.0, 2.0], [0.0, 1.0]], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("sub", ["census", "orbits"])
 def test_default_window_reads_a0_once(sub, capsys, monkeypatch):
     """On a matrix document with no window, the default window comes from

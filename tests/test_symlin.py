@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -96,7 +97,9 @@ def _count_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(symlin.scipy.linalg, "schur", counted("schur", symlin.scipy.linalg.schur))
+    # symlin imports scipy.linalg where it takes its first Schur form and
+    # reads schur off the module then, so the patch goes on scipy itself
+    monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
     monkeypatch.setattr(symlin.np.linalg, "svd", counted("svd", symlin.np.linalg.svd))
     return calls
 
