@@ -37,7 +37,6 @@ from .errors import (
 from .hormander import (
     HormanderBlock,
     NormalForm,
-    assemble,
     block_signature,
     build_block,
     classify,

@@ -358,8 +358,8 @@ def test_signing_reads_the_jordan_spectrum_eigenvectors(monkeypatch):
     """Crossing forms and Krein splits are signed on the eigenvectors the
     Jordan spectrum computed: on three simple frequencies cz_index_data
     calls np.linalg.svd never and classify only for its degeneracy check
-    (the signer's |S|_2 is numpy's own, inside np.linalg.norm), and
-    neither takes an eigendecomposition beyond its Jordan spectra."""
+    (the signer's |S|_2 is numpy's own, inside np.linalg.norm), and each
+    takes one eigendecomposition, that of its one Jordan spectrum."""
     A = normal_form([build_block("c", 1, 1.0j, 1), build_block("c", 1, 1.3j, -1),
                      build_block("c", 1, 1.7j, 1)]).matrix
     P = random_symplectic(np.random.default_rng(0), 3, magnitude=0.4)
@@ -371,7 +371,7 @@ def test_signing_reads_the_jordan_spectrum_eigenvectors(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
     for run, want in ((lambda: cz_index_data(S, 9.0), {"svd": 0, "eig": 1}),
-                      (lambda: classify(S), {"svd": 1, "eig": 2})):
+                      (lambda: classify(S), {"svd": 1, "eig": 1})):
         calls.update(dict.fromkeys(calls, 0))
         run()
         assert calls == want

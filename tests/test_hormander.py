@@ -25,8 +25,8 @@ from rfhquad.errors import (
     GammaUndetermined,
     IncompatibleEigenvalue,
     InputError,
+    InternalError,
 )
-from rfhquad.hormander import assemble
 from rfhquad.samples import (
     random_hamiltonian,
     random_hyperbolic_blocks,
@@ -243,11 +243,100 @@ def test_classify_refuses_a_spectrum_missing_a_partner(tmp_path, monkeypatch):
         assert main(["classify", str(path)]) == 2, drop
 
 
+CLOSE_PAIRS = {
+    "a2+a2": [("a", 2, 0.9), ("a", 2, 0.9 + 1e-4)],
+    "a2+a1": [("a", 2, 0.9), ("a", 1, 0.90001)],
+    "b2+b1": [("b", 2, 0.5 + 0.8j), ("b", 1, 0.50001 + 0.8j)],
+}
+
+
+def _write_a1_doc(tmp_path, a1):
+    doc = {"n": a1.shape[0] // 2 + 1, "k": 1, "a0": {"frequencies": [1.3]},
+           "a1": {"matrix": a1.tolist()}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("pair", CLOSE_PAIRS.values(), ids=CLOSE_PAIRS.keys())
+def test_a_conjugated_close_pair_returns_its_blocks(pair, tmp_path):
+    """Two Jordan blocks at eigenvalues 1e-4 or 1e-5 apart, conjugated by
+    an orthosymplectic map: classify returns the blocks as built, and
+    classify and check answer on the CLI with the pair as a1."""
+    built = [build_block(kind, m, lam) for kind, m, lam in pair]
+    A = normal_form(built).matrix
+    U = random_orthosymplectic(np.random.default_rng(0), A.shape[0] // 2)
+    A = U @ A @ U.T
+    assert sorted(b.key(6) for b in classify(A).blocks) == sorted(b.key(6) for b in built)
+    path = _write_a1_doc(tmp_path, A)
+    assert main(["classify", path]) == 0
+    assert main(["check", path]) == 0
+
+
+def test_a_close_pair_at_the_scatter_scale_is_refused():
+    """At a gap of 1e-8, the eps^(1/2) scatter of a Jordan-size-2 block,
+    the two blocks cannot be told apart: the pair is refused."""
+    A = normal_form([build_block("a", 2, 0.9), build_block("a", 2, 0.9 + 1e-8)]).matrix
+    U = random_orthosymplectic(np.random.default_rng(0), 4)
+    with pytest.raises(ClusterAmbiguous):
+        classify(U @ A @ U.T)
+
+
+def _drop_first(orbits):
+    return orbits[1:]
+
+
+def _repeat_first(orbits):
+    return orbits + orbits[:1]
+
+
+@pytest.mark.parametrize("fault", [_drop_first, _repeat_first, "grow"],
+                         ids=["drop-orbit", "duplicate-orbit", "grow-block"])
+def test_classify_refuses_blocks_that_miss_the_dimension(fault, tmp_path, monkeypatch):
+    """An orbit dropped or counted twice, or a kind 'a' block built one
+    size too large, leaves blocks that do not span the form: classify
+    raises InternalError, exit 3 on the CLI."""
+    if fault == "grow":
+        build = hormander.build_block
+
+        def grown(kind, m, lam, gamma=None):
+            return build(kind, m + (kind == "a"), lam, gamma)
+
+        monkeypatch.setattr(hormander, "build_block", grown)
+    else:
+        orbits = hormander.hamiltonian_orbits
+        monkeypatch.setattr(hormander, "hamiltonian_orbits",
+                            lambda M, spec, tol: fault(orbits(M, spec, tol)))
+    A = normal_form([build_block("a", 1, 0.8), build_block("b", 1, 0.4 + 0.9j)]).matrix
+    with pytest.raises(InternalError, match="dimension"):
+        classify(A)
+    assert main(["classify", _write_a1_doc(tmp_path, A)]) == 3
+
+
+def _rotated(diagonal, seed):
+    Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(diagonal),) * 2))[0]
+    return Q @ np.diag(diagonal) @ Q.T
+
+
+@pytest.mark.parametrize("A", [
+    np.diag([1.0, 0.0, 1.0, 1.0]),
+    _rotated([5e-10, 2.5e-10, 1.0, -1.5, 2.0, 3.0], 1),
+    _rotated([5e-10, 2.5e-10, 1.0, -1.5, 2.0, 3.0], 4),
+], ids=["zero", "near-singular-1", "near-singular-4"])
+def test_classify_refuses_a_degenerate_form(A):
+    """A form whose smallest singular value is at most rank_cut of its
+    largest has no normal form; the SVD check refuses it before J A is
+    decomposed (without it, both near-singular draws read as
+    ClusterAmbiguous)."""
+    with pytest.raises(DegenerateInput, match="degenerate"):
+        classify(A)
+
+
 def test_assemble_and_normal_form_blocks_sorted():
     blocks = [build_block("c", 1, 1.5j, 1), build_block("a", 1, 0.5)]
     nf = normal_form(blocks)
     assert nf.matrix.shape == (4, 4)
-    assert np.array_equal(nf.matrix, assemble(nf.blocks))
+    assert np.array_equal(nf.matrix, symplectic_direct_sum(*[b.matrix for b in nf.blocks]))
     # order must not depend on input order
     nf2 = normal_form(blocks[::-1])
     assert np.array_equal(nf.matrix, nf2.matrix)

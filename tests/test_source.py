@@ -8,6 +8,8 @@ from rfhquad import selftest
 
 MODULES = sorted(path for path in Path(rfhquad.__file__).parent.glob("*.py")
                  if path.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+TESTS_AND_SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
 
 
 def _unused_imports(tree) -> list:
@@ -20,10 +22,11 @@ def _unused_imports(tree) -> list:
     return [(no, name) for no, name in bound if name not in read]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + TESTS_AND_SCRIPTS, ids=lambda path: (
+    path.name if path in MODULES else str(path.relative_to(ROOT))))
 def test_no_unused_imports(path):
-    """Every name a module imports is read somewhere in it (the package
-    re-exports only from __init__.py)."""
+    """Every name a module, test or script imports is read somewhere in it
+    (the package re-exports only from __init__.py)."""
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 
