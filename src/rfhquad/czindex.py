@@ -52,8 +52,8 @@ from .symlin import (
     DEFAULT_TOL,
     TWO_PI,
     Tolerances,
+    _krein_signature,
     hamiltonian_orbits,
-    krein_signature,
     signature,
     spectrum_with_jordan,
     standard_J,
@@ -73,22 +73,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class HalfInt:
-    """Exact element of (1/2) Z, stored as the doubled integer."""
+    """Exact element of (1/2) Z, stored as the doubled integer.
+
+    A slotted record: ``__init__`` checks the integer, then stores it
+    through the slot's own setter, bound once below, which bypasses the
+    frozen class's ``__setattr__``."""
 
     doubled: int
 
-    def __post_init__(self):
-        if type(self.doubled) is int:  # the common case, already normalized
-            return
-        if isinstance(self.doubled, bool) or not isinstance(self.doubled, (int, np.integer)):
-            raise InputError(f"HalfInt needs an integer, got {self.doubled!r}")
-        object.__setattr__(self, "doubled", int(self.doubled))
+    def __init__(self, doubled: int):
+        if type(doubled) is not int:  # the common case is already normalized
+            if isinstance(doubled, bool) or not isinstance(doubled, (int, np.integer)):
+                raise InputError(f"HalfInt needs an integer, got {doubled!r}")
+            doubled = int(doubled)
+        _set_doubled(self, doubled)
 
     @classmethod
     def from_int(cls, n: int) -> "HalfInt":
-        if isinstance(n, bool):  # 2 * True is 2; __post_init__ checks the rest
+        if isinstance(n, bool):  # 2 * True is 2; __init__ checks the rest
             raise InputError(f"HalfInt.from_int needs an integer, got {n!r}")
         return cls(2 * n)
 
@@ -168,6 +172,9 @@ class HalfInt:
 
     def __repr__(self):
         return f"HalfInt({self})"
+
+
+_set_doubled = HalfInt.doubled.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +281,8 @@ class _Crossings:
     first time and ``members`` its frequencies.
 
     Nothing is signed until crossing data is asked for, then each
-    frequency once per call: the crossing form splits over the
+    frequency once per call, against one |S|_2 taken for the call (when
+    anything is signed): the crossing form splits over the
     S-orthogonal eigenspaces of J S, so a merged crossing's signature is
     the sum over its members.  A merged crossing within tol.crossing of
     the horizon is the endpoint; two there cannot both be, and the
@@ -325,13 +333,13 @@ class _Crossings:
         """Summed multiplicity of the frequencies resonant at merged crossing g."""
         return sum(self.multiplicities[mu] for mu in self.members[g])
 
-    def _frequency_signature(self, mu: float, t: float) -> int:
+    def _frequency_signature(self, mu: float, t: float, s_norm: float) -> int:
         """Signature of S on the mu i eigenspace of J S, from its
-        eigenvectors.  A degenerate form raises, naming the crossing time t
-        that met it.
+        eigenvectors, s_norm being |S|_2.  A degenerate form raises, naming
+        the crossing time t that met it.
         """
         try:
-            return krein_signature(self.S, self.vectors[mu], self.tol)
+            return _krein_signature(self.S, self.vectors[mu], s_norm, self.tol)
         except DegenerateRestriction as exc:
             raise CrossingDegenerate(f"degenerate crossing form at t = {t}: {exc}") from exc
 
@@ -351,11 +359,12 @@ class _Crossings:
         sgn_start = signature(self.S, self.tol) if self.S.size else 0
         stop, end = self._split()
         signatures = {}  # mu -> signature of S on the mu i eigenspace
+        s_norm = float(np.linalg.norm(self.S, 2)) if stop or end is not None else 0.0
 
         def signed(g):
             for mu in self.members[g]:
                 if mu not in signatures:
-                    signatures[mu] = self._frequency_signature(mu, self.times[g])
+                    signatures[mu] = self._frequency_signature(mu, self.times[g], s_norm)
             return self.times[g], sum(signatures[mu] for mu in self.members[g])
 
         interior = tuple(signed(g) for g in range(stop))

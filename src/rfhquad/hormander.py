@@ -38,9 +38,9 @@ from .errors import (
 from .symlin import (
     DEFAULT_TOL,
     Tolerances,
+    _krein_signature,
     hamiltonian_orbits,
     inertia,
-    krein_signature,
     spectrum_with_jordan,
     standard_J,
     sym_matrix,
@@ -204,11 +204,11 @@ def normal_form(blocks) -> NormalForm:
     return NormalForm(blocks, sum(b.dim for b in blocks))
 
 
-def _krein_split(A, V, tol):
+def _krein_split(A, V, a_norm, tol):
     """(p_plus, p_minus) Krein signs of a semisimple imaginary eigenvalue
-    with the orthonormal eigenvectors V, one per block."""
+    with the orthonormal eigenvectors V, one per block; a_norm is |A|_2."""
     p = V.shape[1]
-    p_plus = (p + krein_signature(A, V, tol) // 2) // 2
+    p_plus = (p + _krein_signature(A, V, a_norm, tol) // 2) // 2
     return p_plus, p - p_plus
 
 
@@ -253,7 +253,7 @@ def classify(A, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
         if any(s > 1 for s in it.block_sizes):
             raise GammaUndetermined(
                 f"imaginary eigenvalue {mu}i has a Jordan block of size > 1")
-        p_plus, p_minus = _krein_split(A, it.vectors, tol)
+        p_plus, p_minus = _krein_split(A, it.vectors, float(sv[0]), tol)  # sv[0] = |A|_2
         blocks += [build_block("c", 1, 1j * mu, gamma=gamma)
                    for gamma in [1] * p_plus + [-1] * p_minus]
 

@@ -138,6 +138,16 @@ def _form_signature(S, B) -> int:
     return int((w > c).sum()) - int((w < -c).sum())
 
 
+def _screen_size(ev: ExpEvaluator):
+    """The screen's size, as a function of the points t_c and sigma_max of
+    E(t_c) - Id at each: the smaller of sigma_max + 1 and the eigenbasis
+    size kappa * exp(t_c * max(0, max Re w)) (module docstring), so that
+    |E(t) - E(t_c)|_2 <= size * expm1(|t - t_c| * |J S|_2) for all t."""
+    kappa = np.linalg.norm(ev.V, 2) * np.linalg.norm(ev.Vi, 2) if ev.fast else np.inf
+    growth = max(0.0, float(ev.w.real.max()))
+    return lambda t_c, sigma_max: np.minimum(sigma_max + 1.0, kappa * np.exp(t_c * growth))
+
+
 def _screened_scan(ev: ExpEvaluator, ts) -> np.ndarray:
     """sigma_min(exp(t J S) - Id) at each of the equally spaced ``ts``
     where it can fall below _BRACKET, and +inf where the screen rules
@@ -146,8 +156,7 @@ def _screened_scan(ev: ExpEvaluator, ts) -> np.ndarray:
     eye = np.eye(ev.M.shape[0])
     F = np.full(grid + 1, np.inf)
     radius = np.full(grid + 1, -1)  # in grid steps; -1 where not taken
-    kappa = np.linalg.norm(ev.V, 2) * np.linalg.norm(ev.Vi, 2) if ev.fast else np.inf
-    growth = max(0.0, float(ev.w.real.max()))
+    screen_size = _screen_size(ev)
     step_norm = ts[-1] / grid * ev.norm
     lo = np.arange(0, grid, _STRIDES[0])  # left ends of the cells to take
     for level, stride in enumerate(_STRIDES):
@@ -156,7 +165,7 @@ def _screened_scan(ev: ExpEvaluator, ts) -> np.ndarray:
         fresh = ends[radius[ends] < 0]
         s = np.linalg.svd(ev.at(ts[fresh]) - eye, compute_uv=False)
         F[fresh] = s[:, -1]
-        size = np.minimum(s[:, 0] + 1.0, kappa * np.exp(ts[fresh] * growth))
+        size = screen_size(ts[fresh], s[:, 0])
         room = np.maximum(F[fresh] - _BRACKET - _SLACK * (s[:, 0] + 1.0), 0.0)
         radius[fresh] = np.minimum(np.floor(np.log1p(room / size) / step_norm), grid)
         if stride == 1:

@@ -56,7 +56,7 @@ class ActionWindow:
         return self.lo <= x <= self.hi  # endpoints inclusive
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class OrbitFamily:
     """One Morse-Bott family of closed orbits at action eta.
 
@@ -75,10 +75,17 @@ class OrbitFamily:
     cz_transverse: object | None = None  # HalfInt, filled by the index layer
 
     def __init__(self, eta, m, family_dim, topology, side, n, k, cz_transverse=None):
-        # One update of __dict__: the generated frozen __init__ makes one
-        # object.__setattr__ call per field, and a census builds thousands.
-        self.__dict__.update(eta=eta, m=m, family_dim=family_dim, topology=topology,
-                             side=side, n=n, k=k, cz_transverse=cz_transverse)
+        # One slot setter call per field, each bound once below: the
+        # generated frozen __init__ makes one object.__setattr__ call per
+        # field, and a census builds thousands of families.
+        _set_eta(self, eta)
+        _set_m(self, m)
+        _set_family_dim(self, family_dim)
+        _set_topology(self, topology)
+        _set_side(self, side)
+        _set_n(self, n)
+        _set_k(self, k)
+        _set_cz_transverse(self, cz_transverse)
 
     @property
     def topology_name(self) -> str:
@@ -87,6 +94,16 @@ class OrbitFamily:
         if self.topology == "sigma0":
             return f"S^{2 * self.k - 1}"
         return f"S^{self.n + self.k - 1} x R^{self.n - self.k}"
+
+
+_set_eta = OrbitFamily.eta.__set__
+_set_m = OrbitFamily.m.__set__
+_set_family_dim = OrbitFamily.family_dim.__set__
+_set_topology = OrbitFamily.topology.__set__
+_set_side = OrbitFamily.side.__set__
+_set_n = OrbitFamily.n.__set__
+_set_k = OrbitFamily.k.__set__
+_set_cz_transverse = OrbitFamily.cz_transverse.__set__
 
 
 def _lower_bound(freqs, window: ActionWindow) -> float:

@@ -75,7 +75,7 @@ class GradedZ2Space:
         return f"GradedZ2Space({{{inner}}})"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Generator:
     """One Morse-Bott generator: an orbit family capped at one extremum."""
 
@@ -84,7 +84,9 @@ class Generator:
     grading: HalfInt
 
     def __init__(self, family: OrbitFamily, pole: str, grading: HalfInt):
-        self.__dict__.update(family=family, pole=pole, grading=grading)  # see OrbitFamily
+        _set_family(self, family)  # one slot setter call per field, as in OrbitFamily
+        _set_pole(self, pole)
+        _set_grading(self, grading)
 
     @property
     def action(self) -> float:
@@ -98,6 +100,11 @@ class Generator:
     def label(self) -> str:
         side = "stationary" if self.family.eta == 0.0 else f"eta={self.family.eta:.6g}"
         return f"{self.family.side}/{side}/{self.pole}"
+
+
+_set_family = Generator.family.__set__
+_set_pole = Generator.pole.__set__
+_set_grading = Generator.grading.__set__
 
 
 def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
@@ -121,13 +128,14 @@ def _generators(H: QuadraticHamiltonian, values) -> list:
     out = []
     for eta, m, cz in values:
         h0, h = _families(H, eta, m, HalfInt(cz))
-        top, bottom = (cz + _sigma_doubled(h, pole) + 1 for pole in ("max", "min"))
+        top = cz + _sigma_doubled(h, "max") + 1
         if top % 2:
             raise InternalError(f"non-integer grading {HalfInt(top)} for {h} at max")
-        top, bottom = HalfInt(top), HalfInt(bottom)
+        top, bottom = HalfInt(top), HalfInt(cz + _sigma_doubled(h, "min") + 1)
         out += (Generator(h, "max", top), Generator(h, "min", bottom))
         if eta == 0.0:
-            top, bottom = (HalfInt(cz + _sigma_doubled(h0, pole) + 1) for pole in ("max", "min"))
+            top = HalfInt(cz + _sigma_doubled(h0, "max") + 1)
+            bottom = HalfInt(cz + _sigma_doubled(h0, "min") + 1)
         out += (Generator(h0, "max", top), Generator(h0, "min", bottom))
     return out
 

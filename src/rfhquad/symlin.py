@@ -419,8 +419,14 @@ def krein_signature(S, V, tol: Tolerances = DEFAULT_TOL) -> int:
     a form that vanishes on the eigenspace comes back as pure roundoff, and
     its own largest eigenvalue is no yardstick.
     """
+    return _krein_signature(S, V, float(np.linalg.norm(S, 2)), tol)
+
+
+def _krein_signature(S, V, s_norm: float, tol: Tolerances) -> int:
+    """``krein_signature`` with |S|_2 given as ``s_norm``, taken once by a
+    caller that signs several eigenspaces of one S or holds its SVD."""
     w = np.linalg.eigvalsh(V.conj().T @ S @ V)
-    cut = tol.rank_cut * max(float(np.abs(w).max()), float(np.linalg.norm(S, 2)))
+    cut = tol.rank_cut * max(float(np.abs(w).max()), s_norm)
     if np.any(np.abs(w) <= cut):
         raise DegenerateRestriction("restricted form has a numerical kernel")
     return 2 * int(np.count_nonzero(w > 0) - np.count_nonzero(w < 0))

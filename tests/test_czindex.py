@@ -37,7 +37,7 @@ from rfhquad.errors import (
     NonIntegerResult,
 )
 from rfhquad.samples import random_elliptic_form, random_orthosymplectic, random_symplectic
-from rfhquad.symlin import DEFAULT_TOL, Tolerances, krein_signature, standard_J, sym_matrix
+from rfhquad.symlin import DEFAULT_TOL, Tolerances, _krein_signature, standard_J, sym_matrix
 
 TWO_PI = 2 * np.pi
 
@@ -50,10 +50,18 @@ class TestHalfInt:
         assert HalfInt.from_int(2) == HalfInt(4)
 
     def test_rejects_non_integers(self):
-        with pytest.raises(InputError):
-            HalfInt(1.5)
-        with pytest.raises(InputError):
-            HalfInt(True)
+        for bad in (1.5, 2.0, True, False, np.bool_(True), "2", None):
+            with pytest.raises(InputError):
+                HalfInt(bad)
+
+    def test_normalizes_numpy_integers(self):
+        """A numpy integer is stored as a Python int, so records hash and
+        print alike whichever integer built them."""
+        for good in (np.int64(3), np.int32(3), np.uint8(3)):
+            half = HalfInt(good)
+            assert type(half.doubled) is int and half.doubled == 3
+            assert half == HalfInt(3) and repr(half) == "HalfInt(3/2)"
+        assert type(replace(HalfInt(4), doubled=np.int64(5)).doubled) is int
 
     def test_from_int_checks_like_the_constructor(self):
         """from_int refuses what HalfInt refuses, instead of truncating
@@ -170,9 +178,9 @@ class TestCzPath:
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return krein_signature(*args, **kwargs)
+            return _krein_signature(*args, **kwargs)
 
-        monkeypatch.setattr(czindex, "krein_signature", counting)
+        monkeypatch.setattr(czindex, "_krein_signature", counting)
         S = build_block("c", 2, 1.0j, gamma=1).matrix
         path = _form_crossings(S, 5 * np.pi, DEFAULT_TOL)
         assert path.crossing_times() == (pytest.approx(TWO_PI), pytest.approx(2 * TWO_PI))
@@ -357,21 +365,24 @@ def test_frequencies_closer_than_the_cluster_radius_merge():
 def test_signing_reads_the_jordan_spectrum_eigenvectors(monkeypatch):
     """Crossing forms and Krein splits are signed on the eigenvectors the
     Jordan spectrum computed: on three simple frequencies cz_index_data
-    calls np.linalg.svd never and classify only for its degeneracy check
-    (the signer's |S|_2 is numpy's own, inside np.linalg.norm), and each
-    takes one eigendecomposition, that of its one Jordan spectrum."""
+    calls np.linalg.svd never and classify only for its degeneracy check,
+    and each takes one eigendecomposition, that of its one Jordan
+    spectrum.  The signer's |S|_2, numpy's own np.linalg.norm(S, 2), is
+    taken once for cz_index_data's three frequencies, and classify reuses
+    the largest singular value of its degeneracy check."""
     A = normal_form([build_block("c", 1, 1.0j, 1), build_block("c", 1, 1.3j, -1),
                      build_block("c", 1, 1.7j, 1)]).matrix
     P = random_symplectic(np.random.default_rng(0), 3, magnitude=0.4)
     S = P.T @ A @ P
-    calls = dict.fromkeys(("svd", "eig"), 0)
+    calls = dict.fromkeys(("svd", "eig", "norm"), 0)
     for name in calls:
         def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
+            if _name != "norm" or args[1:2] == (2,):
+                calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
-    for run, want in ((lambda: cz_index_data(S, 9.0), {"svd": 0, "eig": 1}),
-                      (lambda: classify(S), {"svd": 1, "eig": 1})):
+    for run, want in ((lambda: cz_index_data(S, 9.0), {"svd": 0, "eig": 1, "norm": 1}),
+                      (lambda: classify(S), {"svd": 1, "eig": 1, "norm": 0})):
         calls.update(dict.fromkeys(calls, 0))
         run()
         assert calls == want

@@ -21,10 +21,12 @@ from rfhquad.oracles import (
     _ACCEPT,
     _BRACKET,
     _ENDPOINT,
+    _SLACK,
     _WIDTH,
     _form_signature,
     _kernel_cols,
     _newton_lockstep,
+    _screen_size,
     _screened_scan,
 )
 from rfhquad.samples import random_elliptic_form, random_symplectic
@@ -228,6 +230,52 @@ def test_screen_holds_beside_a_hyperbolic_block(blocks, T, grid, magnitude):
     assert (_kappa(ev) > 1.05) == bool(magnitude)
     assert _assert_matches_reference(S, T, grid).times
     _assert_screen_matches_full_scan(ev, np.linspace(0.0, T, grid + 1))
+
+
+def _c2(eps):
+    """The imaginary Jordan block (c, 2) at i plus eps * Id: a Krein
+    collision, J S with eigenvalues +-sqrt(2 eps) +- i, kappa(V) about
+    sqrt(2 / eps); at eps = 0 the evaluator falls back to Pade."""
+    return build_block("c", 2, 1j, gamma=1).matrix + eps * np.eye(4)
+
+
+def _conjugated(S, seed, magnitude):
+    G = random_symplectic(np.random.default_rng(seed), S.shape[0] // 2, magnitude)
+    return sym_matrix(G.T @ S @ G)
+
+
+_ELLIPTIC = normal_form([build_block("c", 1, 1.0j, gamma=1),
+                         build_block("c", 1, 1.7j, gamma=-1)]).matrix
+_BESIDE_HYPERBOLIC = normal_form([build_block("a", 1, 0.3),
+                                  build_block("c", 1, 1.3j, gamma=-1)]).matrix
+
+
+@pytest.mark.parametrize("S", [
+    _c2(1e-2), _c2(1e-4), _c2(0.0), _conjugated(_c2(1e-3), 0, 0.3),
+    _conjugated(_ELLIPTIC, 1, 1.0), _conjugated(_BESIDE_HYPERBOLIC, 2, 0.3),
+    _conjugated(_BESIDE_HYPERBOLIC, 3, 1.0),
+], ids=["c2+1e-2", "c2+1e-4", "c2-pade", "c2+1e-3-conjugated", "elliptic-conjugated",
+        "hyperbolic-0.3", "hyperbolic-1.0"])
+def test_screen_size_bounds_the_step(S):
+    """|E(t) - E(t_c)|_2 <= size_c * expm1(|t - t_c| |J S|_2), size_c the
+    screen's size at t_c, checked directly on the evaluator's own values
+    for t_c over [0, 4 pi] and steps from 1e-3 to 0.5 either way.  The
+    stated slack is the rounding allowance the screen itself subtracts,
+    _SLACK * (sigma_max + 1).  Without the factor kappa the size fails on
+    the (c, 2) forms and the conjugated elliptic one, and without
+    exp(t_c max Re w) beside the hyperbolic block and on (c, 2) + 1e-2 Id."""
+    dof = S.shape[0] // 2
+    ev = ExpEvaluator(standard_J(dof) @ S)
+    size = _screen_size(ev)
+    centers = np.linspace(0.0, 4 * math.pi, 41)
+    E_c = ev.at(centers)
+    sigma_max = np.linalg.svd(E_c - np.eye(2 * dof), compute_uv=False)[:, 0]
+    size_c = size(centers, sigma_max)
+    for step in (-0.5, -0.1, -1e-2, -1e-3, 1e-3, 1e-2, 0.1, 0.5):
+        keep = centers + step >= 0.0
+        moved = np.linalg.norm(ev.at(centers[keep] + step) - E_c[keep], 2, axis=(1, 2))
+        bound = size_c[keep] * np.expm1(abs(step) * ev.norm) + _SLACK * (sigma_max[keep] + 1.0)
+        assert (moved <= bound).all(), (step, float((moved / bound).max()))
 
 
 def test_fallback_without_eigenbasis():

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import sys
 from collections import Counter
 
@@ -408,7 +410,7 @@ def _assert_longs_closed_form(H, gens):
         assert g.grading.as_int() == (cz - m + 1 if g.pole == "min" else cz + m), g.label
 
 
-SIGNERS = ("krein_signature", "signature", "spectrum_with_jordan")
+SIGNERS = ("krein_signature", "_krein_signature", "signature", "spectrum_with_jordan")
 
 
 def test_census_enumerates_each_crossing_once(h42, monkeypatch):
@@ -581,6 +583,9 @@ def _assert_frozen_value(obj):
 
 
 def test_census_objects_are_frozen_values(h32):
+    """Every family, generator and HalfInt a census builds is a slotted
+    record, with no instance __dict__, that pickle and deepcopy rebuild
+    equal, hashed alike and of its own type."""
     window = ActionWindow(-8.0, 8.0)
     gens = generator_census(h32, window)
     fams = census(h32, window)
@@ -589,6 +594,13 @@ def test_census_objects_are_frozen_values(h32):
         _assert_frozen_value(obj)
     assert len(set(gens)) == len(gens) and len(set(fams)) == len(fams)
     assert OrbitFamily(1.0, 1, 1, "sphere", "H", 3, 2).cz_transverse is None
+    halves = [h for g in gens for h in (g.grading, g.family.cz_transverse)]
+    assert len(halves) == 2 * len(gens) and all(type(h) is HalfInt for h in halves)
+    for obj in fams + tuple(g.family for g in gens) + tuple(gens) + tuple(halves):
+        assert not hasattr(obj, "__dict__"), obj
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert type(twin) is type(obj) and twin == obj and hash(twin) == hash(obj)
+            assert repr(twin) == repr(obj)
 
 
 def _h0_gradings(H, window):

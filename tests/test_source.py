@@ -82,6 +82,31 @@ def test_a_memo_is_found():
     assert _memoized(tree) == ["f", "g", 9]
 
 
+def _instance_dict_uses(tree) -> list:
+    """The line of each ``__dict__`` attribute, read or written, and of
+    each call of ``vars``, which reads one."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                  or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "vars")
+
+
+def test_no_instance_dict_access():
+    """The census records (HalfInt, OrbitFamily, Generator) are slotted,
+    each field stored by its slot's own setter, and have no __dict__: no
+    module of the package reads or writes one, which on those records
+    would raise, and on a new record would bring the per-object dict back."""
+    found = {path.name: _instance_dict_uses(ast.parse(path.read_text()))
+             for path in sorted(Path(rfhquad.__file__).parent.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_an_instance_dict_use_is_found():
+    tree = ast.parse("class A:\n    def __init__(self, x):\n        self.__dict__.update(x=x)\n"
+                     "a.__dict__['y'] = 1\nprint(vars(a), type(a).__dict__, d.dict, dict(a))\n")
+    assert _instance_dict_uses(tree) == [3, 4, 5, 5]
+
+
 def _unread_parameters(tree) -> list:
     """(function, parameter) for each parameter of each function or lambda
     that its body never reads; ``self`` and ``cls`` are exempt."""

@@ -224,9 +224,12 @@ def test_expm_only_in_the_evaluator():
 
 def test_krein_signature_only_in_the_two_signers():
     """One signer for crossing forms and Krein splits: the package names
-    krein_signature only inside _Crossings's per-frequency signer and
-    hormander's Krein split, each on its own item's eigenvectors."""
-    signers = {"czindex.py": "_frequency_signature", "hormander.py": "_krein_split"}
+    krein_signature, or its core _krein_signature that takes |S|_2, only
+    inside _Crossings's per-frequency signer and hormander's Krein split,
+    each on its own item's eigenvectors, and inside the public wrapper."""
+    signers = {"czindex.py": "_frequency_signature", "hormander.py": "_krein_split",
+               "symlin.py": "krein_signature"}
+    names = ("krein_signature", "_krein_signature")
     uses = []
     for path in sorted(Path(rfhquad.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -234,8 +237,8 @@ def test_krein_signature_only_in_the_two_signers():
                  if isinstance(node, ast.FunctionDef) and node.name == signers.get(path.name)]
         uses += [(path.name, any(lo <= node.lineno <= hi for lo, hi in spans))
                  for node in ast.walk(tree)
-                 if isinstance(node, ast.Name) and node.id == "krein_signature"
-                 or isinstance(node, ast.Attribute) and node.attr == "krein_signature"]
+                 if isinstance(node, ast.Name) and node.id in names
+                 or isinstance(node, ast.Attribute) and node.attr in names]
     assert {name for name, _ in uses} == set(signers)
     assert all(inside for _, inside in uses), uses
 
