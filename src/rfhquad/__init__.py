@@ -72,7 +72,6 @@ from .symlin import (
     Tolerances,
     inertia,
     kernel_dim,
-    krein_signature,
     signature,
     spectrum_with_jordan,
     standard_J,

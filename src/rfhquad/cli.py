@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+from itertools import chain, repeat
 import json
 import os
 import sys
@@ -217,8 +218,113 @@ def _num(h):
     return h
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _holds_no_container(values) -> bool:
+    return not any(map(isinstance, values, repeat(_CONTAINERS)))
+
+
+def _flat(o) -> bool:
+    """Whether o is a dict, list or tuple of exact type holding no container."""
+    t = type(o)
+    if t is dict:
+        return _holds_no_container(o.values())
+    return (t is list or t is tuple) and _holds_no_container(o)
+
+
+def _rows(o) -> bool:
+    """Whether o is a list or tuple of exact type holding only non-empty
+    flat containers, all dicts or all lists and tuples."""
+    if type(o) is not list and type(o) is not tuple:
+        return False
+    kinds = set(map(type, o))
+    if kinds == {dict}:
+        values = chain.from_iterable(map(dict.values, o))
+    elif kinds <= {list, tuple}:
+        values = chain.from_iterable(o)
+    else:
+        return False
+    return all(o) and _holds_no_container(values)
+
+
+def _indented_json(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, at the speed of json's
+    C encoder, which on its own serves only ``indent=None``.
+
+    Python walks only the containers that hold containers.  A flat one (a
+    dict, list or tuple of exact type holding no container) is one call
+    of the C encoder, with ",\\n" and its items' indentation as item
+    separator; the newlines after its opening and before its closing
+    bracket are added here.  A list or tuple of non-empty flat containers,
+    all dicts or all lists and tuples, is one call too, at the indentation
+    of its items' items, and the joins between its items are re-indented
+    by ``str.replace``.  That is safe because the encoder escapes control
+    characters in strings, so a raw ",\\n" is a separator asked for here.
+    Subclasses of dict, list and tuple are walked, so each is iterated as
+    json iterates it.  A flat dict may hold int, float, bool and None keys,
+    which the C encoder writes as json does.  No circular reference is
+    looked for: the CLI's documents are trees.
+    """
+    default = json.JSONEncoder().default
+    encoders = {}
+    out = []
+
+    def encode(o, depth: int) -> str:
+        # the C encoding of o, each item separator ending in depth's indentation
+        enc = encoders.get(depth)
+        if enc is None:
+            enc = encoders[depth] = json.encoder.c_make_encoder(
+                None, default, json.encoder.encode_basestring_ascii, None,
+                ": ", ",\n" + "  " * depth, False, False, True)
+        return "".join(enc(o, 0))
+
+    def member(head: str, o, depth: int) -> None:
+        # head, then o, which starts on a line indented to depth
+        if not isinstance(o, _CONTAINERS):
+            out.append(head + encode(o, 0))
+            return
+        if not o:
+            out.append(head + ("{}" if isinstance(o, dict) else "[]"))
+            return
+        pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+        if _flat(o):
+            text = encode(o, depth + 1)
+            out.append(head + text[0] + inner + text[1:-1] + pad + text[-1])
+        elif _rows(o):
+            deep = "\n" + "  " * (depth + 2)
+            text = encode(o, depth + 2)
+            opening, closing = text[1], text[-2]
+            rows = text[2:-2].replace(closing + "," + deep + opening,
+                                      inner + closing + "," + inner + opening + deep)
+            out.append(head + text[0] + inner + opening + deep + rows
+                       + inner + closing + pad + text[-1])
+        elif isinstance(o, dict):
+            out.append(head + "{")
+            sep = inner
+            for key, value in o.items():
+                if not isinstance(key, str):
+                    if key is not None and not isinstance(key, (int, float)):
+                        raise TypeError("keys must be str, int, float, bool or None, "
+                                        f"not {key.__class__.__name__}")
+                    key = encode(key, 0)
+                member(sep + json.encoder.encode_basestring_ascii(key) + ": ", value, depth + 1)
+                sep = "," + inner
+            out.append(pad + "}")
+        else:
+            out.append(head + "[")
+            sep = inner
+            for value in o:
+                member(sep, value, depth + 1)
+                sep = "," + inner
+            out.append(pad + "]")
+
+    member("", obj, 0)
+    return "".join(out)
+
+
 def _write_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")  # one write, not one per token
+    sys.stdout.write(_indented_json(doc) + "\n")  # one write, not one per token
 
 
 def _emit(args, human_lines, json_obj, echo=None):

@@ -39,7 +39,6 @@ __all__ = [
     "kernel_dim",
     "inertia",
     "signature",
-    "krein_signature",
 ]
 
 
@@ -407,7 +406,7 @@ def signature(S, tol: Tolerances = DEFAULT_TOL) -> int:
     return p - q
 
 
-def krein_signature(S, V, tol: Tolerances = DEFAULT_TOL) -> int:
+def _krein_signature(S, V, s_norm: float, tol: Tolerances) -> int:
     """Signature of x^T S x on the real span of Re v, Im v over the columns
     v of V, orthonormal eigenvectors of J S at one eigenvalue i mu, mu != 0:
     2 sgn(V^H S V).
@@ -415,16 +414,12 @@ def krein_signature(S, V, tol: Tolerances = DEFAULT_TOL) -> int:
     That eigenspace is S-isotropic (v^T S v = 0), so the real form is the
     realification of the Hermitian form V^H S V, of twice its signature
     (Robbin-Salamon 1993).  Raises DegenerateRestriction when an eigenvalue
-    of V^H S V is within rank_cut * max(max |eigenvalue|, |S|_2) of zero:
-    a form that vanishes on the eigenspace comes back as pure roundoff, and
-    its own largest eigenvalue is no yardstick.
+    of V^H S V is within rank_cut * max(max |eigenvalue|, s_norm) of zero,
+    where s_norm is |S|_2, taken once by a caller that signs several
+    eigenspaces of one S or holds its SVD: a form that vanishes on the
+    eigenspace comes back as pure roundoff, and its own largest eigenvalue
+    is no yardstick.
     """
-    return _krein_signature(S, V, float(np.linalg.norm(S, 2)), tol)
-
-
-def _krein_signature(S, V, s_norm: float, tol: Tolerances) -> int:
-    """``krein_signature`` with |S|_2 given as ``s_norm``, taken once by a
-    caller that signs several eigenspaces of one S or holds its SVD."""
     w = np.linalg.eigvalsh(V.conj().T @ S @ V)
     cut = tol.rank_cut * max(float(np.abs(w).max()), s_norm)
     if np.any(np.abs(w) <= cut):

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rfhquad
-from rfhquad.cli import main
+from rfhquad.cli import _indented_json, main
 from rfhquad.samples import random_orthosymplectic, random_symplectic
 
 SPEC31 = {
@@ -394,3 +396,113 @@ def test_default_window_reads_a0_once(sub, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     w = 4 * np.pi / np.sqrt(1.2 * 0.9 - 0.09) + 1e-6
     assert out["window"] == pytest.approx([-w, w], rel=1e-14)
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+# strings that break a naive writer: quotes, backslashes, control
+# characters, non-ASCII text, and the separators and joins it emits
+_TEXT = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\n", "\x00\x1f\x7f", "\u2028", "\u00e9\u4e2d\U0001f600",
+     '"},\n    {"', "},\n    {", "],\n      [", ",\n  ", ": "])
+_KEYS = _TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+_SCALARS = (st.none() | st.booleans() | _TEXT | st.floats().map(np.float64)
+            | st.integers() | st.integers(2 ** 63, 2 ** 200).map(lambda i: -i if i % 2 else i)
+            | st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]))
+_EMPTY = st.sampled_from([{}, [], (), _Dict(), _List()])
+# lists of flat dicts or lists, in one call when none is empty
+_ROWS = st.one_of([st.lists(st.dictionaries(_KEYS, _SCALARS, min_size=size, max_size=3)
+                            | st.lists(_SCALARS, min_size=size, max_size=3).map(tuple)
+                            | st.lists(_SCALARS, min_size=size, max_size=3), min_size=1, max_size=3)
+                   for size in (1, 0)])
+_SIDE = _SCALARS | _EMPTY | _ROWS | _ROWS.map(tuple)
+
+
+def _trees(depth: int):
+    """JSON trees with containers nested ``depth`` levels deep along one
+    spine: dicts, lists and tuples, a dict or list subclass too, whose
+    other items are scalars, empty containers, or lists of flat dicts or
+    lists (the shape the writer encodes in one call when none is empty)."""
+    if depth == 0:
+        return _SCALARS
+    spine = _trees(depth - 1)
+    items = st.tuples(st.lists(_SIDE, max_size=2), spine, st.lists(_SIDE, max_size=2)).map(
+        lambda t: [*t[0], t[1], *t[2]])
+    pairs = st.tuples(st.dictionaries(_KEYS, _SIDE, max_size=2), _KEYS, spine).map(
+        lambda t: {**t[0], t[1]: t[2]})
+    return (items | items.map(tuple) | items.map(_List) | pairs | pairs.map(_Dict)
+            | st.lists(spine, min_size=2, max_size=3) | st.dictionaries(_KEYS, spine, max_size=3))
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 6).flatmap(_trees))
+def test_writer_is_json_dumps_indent_2(tree):
+    assert _indented_json(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), np.int64(3)], ids=["bool_", "int64"])
+@pytest.mark.parametrize("place", [
+    lambda v: v, lambda v: [1, v], lambda v: {"a": v}, lambda v: [{"a": 1}, {"b": v}],
+    lambda v: {"a": [[1], [v]]}, lambda v: _List([v]), lambda v: _Dict(a=[2, {"b": v}]),
+], ids=["bare", "flat list", "flat dict", "rows", "nested", "list subclass", "dict subclass"])
+def test_writer_refuses_numpy_scalars_as_json_does(value, place):
+    """A numpy bool or integer is no JSON value: the writer raises
+    json.dumps's TypeError, wherever it sits."""
+    doc = place(value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as ours:
+        _indented_json(doc)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_writer_refuses_a_tuple_key_as_json_does():
+    doc = {"a": [1], (1, 2): 3}
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as ours:
+        _indented_json(doc)
+    assert str(ours.value) == str(theirs.value)
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("sub", ["check", "classify", "orbits", "census", "rfh"])
+def test_json_output_is_indented_json_in_one_write(sub, tmp_path, monkeypatch):
+    """--json writes json.dumps(doc, indent=2) and a newline, byte for
+    byte, in one write, on a block document and on a conjugated-matrix one."""
+    U = random_orthosymplectic(np.random.default_rng(4), 2)
+    a1 = rfhquad.normal_form([rfhquad.build_block("a", 1, 1.0),
+                              rfhquad.build_block("a", 1, 0.7)]).matrix
+    conjugated = {"n": 3, "k": 1, "a0": {"matrix": [[1.2, 0.3], [0.3, 0.9]]},
+                  "a1": {"matrix": (U @ a1 @ U.T).tolist()}}
+    for doc in (SPEC31, conjugated):
+        stdout = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main([sub, write_spec(tmp_path, doc), "--json"]) == 0
+        out = stdout.getvalue()
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert stdout.writes == 1
+
+
+def test_selftest_json_is_indented_json_in_one_write(monkeypatch):
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["selftest", "--criteria", "1", "--json"]) == 0
+    out = stdout.getvalue()
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert stdout.writes == 1

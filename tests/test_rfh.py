@@ -410,7 +410,7 @@ def _assert_longs_closed_form(H, gens):
         assert g.grading.as_int() == (cz - m + 1 if g.pole == "min" else cz + m), g.label
 
 
-SIGNERS = ("krein_signature", "_krein_signature", "signature", "spectrum_with_jordan")
+SIGNERS = ("_krein_signature", "signature", "spectrum_with_jordan")
 
 
 def test_census_enumerates_each_crossing_once(h42, monkeypatch):

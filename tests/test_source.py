@@ -224,3 +224,67 @@ def test_only_symlin_names_the_ring_cap():
     readers = {node.name for node in tree.body
                if isinstance(node, ast.FunctionDef | ast.ClassDef) and _names_ring(node)}
     assert readers == {"spectrum_with_jordan"}
+
+
+JSON_ENCODERS = {"dump", "dumps", "_indented_json"}
+
+
+def _json_output(tree) -> tuple:
+    """(lines, writers): the line of each json.dump or json.dumps call
+    given an ``indent``, and the innermost function around each call that
+    writes a JSON document to stdout: ``json.dump`` to ``sys.stdout``, or
+    ``print`` (to stdout) or ``sys.stdout.write`` of an expression that
+    calls json.dump, json.dumps or the CLI's writer."""
+
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    def is_stdout(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                and name(node.value) == "sys")
+
+    def encodes(node):
+        return any(isinstance(sub, ast.Call) and name(sub.func) in JSON_ENCODERS
+                   for sub in ast.walk(node))
+
+    owner = {}
+    for fn in ast.walk(tree):  # breadth first, so an inner function overwrites its outer one
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    lines, writers = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        called = name(node.func)
+        keywords = {kw.arg: kw.value for kw in node.keywords}
+        if called in ("dump", "dumps") and "indent" in keywords:
+            lines.append(node.lineno)
+        if called == "print":
+            to_stdout = "file" not in keywords or is_stdout(keywords["file"])
+        else:
+            to_stdout = called == "write" and is_stdout(getattr(node.func, "value", None))
+        if (to_stdout and any(map(encodes, node.args))
+                or called == "dump" and any(map(is_stdout, node.args[1:2] + [keywords.get("fp")]))):
+            writers.add(owner.get(id(node), "<module>"))
+    return sorted(lines), sorted(writers)
+
+
+def test_one_json_writer():
+    """Every --json document goes through one writer: no module of the
+    package passes ``indent`` to json.dump or json.dumps, and only
+    ``cli._write_json`` writes a JSON document to stdout."""
+    found = {path.name: _json_output(ast.parse(path.read_text()))
+             for path in sorted(Path(rfhquad.__file__).parent.glob("*.py"))}
+    assert {name: out for name, out in found.items() if out != ([], [])} == {
+        "cli.py": ([], ["_write_json"])}
+
+
+def test_a_second_json_writer_is_found():
+    tree = ast.parse("import json, sys\n"
+                     "def _write_json(doc):\n    sys.stdout.write(_indented_json(doc) + '\\n')\n"
+                     "def table(doc):\n    print(json.dumps(doc, indent=2))\n"
+                     "def dump(doc):\n    json.dump(doc, sys.stdout)\n"
+                     "def compact(doc):\n    def inner():\n        sys.stdout.write(json.dumps(doc))\n"
+                     "    print('done')\n    print(json.dumps(doc), file=sys.stderr)\n"
+                     "s = json.dumps({}, sort_keys=True, indent=4)\n")
+    assert _json_output(tree) == ([5, 13], ["_write_json", "dump", "inner", "table"])

@@ -15,7 +15,6 @@ from rfhquad import (
     Tolerances,
     build_block,
     kernel_dim,
-    krein_signature,
     normal_form,
     signature,
     spectrum_with_jordan,
@@ -25,7 +24,7 @@ from rfhquad import (
 from rfhquad import symlin
 from rfhquad.errors import ClusterAmbiguous, DegenerateInput, DegenerateRestriction, InputError
 from rfhquad.samples import random_orthosymplectic
-from rfhquad.symlin import hamiltonian_orbits, inertia, sym_matrix
+from rfhquad.symlin import DEFAULT_TOL, _krein_signature, hamiltonian_orbits, inertia, sym_matrix
 
 
 def test_standard_j_one_dof():
@@ -224,11 +223,10 @@ def test_expm_only_in_the_evaluator():
 
 def test_krein_signature_only_in_the_two_signers():
     """One signer for crossing forms and Krein splits: the package names
-    krein_signature, or its core _krein_signature that takes |S|_2, only
-    inside _Crossings's per-frequency signer and hormander's Krein split,
-    each on its own item's eigenvectors, and inside the public wrapper."""
-    signers = {"czindex.py": "_frequency_signature", "hormander.py": "_krein_split",
-               "symlin.py": "krein_signature"}
+    _krein_signature, which takes |S|_2 from its caller, only inside
+    _Crossings's per-frequency signer and hormander's Krein split, each on
+    its own item's eigenvectors; no public krein_signature wraps it."""
+    signers = {"czindex.py": "_frequency_signature", "hormander.py": "_krein_split"}
     names = ("krein_signature", "_krein_signature")
     uses = []
     for path in sorted(Path(rfhquad.__file__).parent.glob("*.py")):
@@ -284,17 +282,22 @@ def _eigenvectors(S, mu):
     return item.vectors
 
 
+def _krein(S, V):
+    """The Krein signer against |S|_2 at the default tolerances."""
+    return _krein_signature(S, V, np.linalg.norm(S, 2), DEFAULT_TOL)
+
+
 def test_krein_signature_examples():
     """2 sgn(V^H S V): +-2 for each eigenvector by its Krein sign, summed
     over a frequency that two blocks share."""
-    assert krein_signature(np.eye(2), _eigenvectors(np.eye(2), 1.0)) == 2
+    assert _krein(np.eye(2), _eigenvectors(np.eye(2), 1.0)) == 2
     S = np.diag([1.0, -2.0, 1.0, -2.0])
-    assert krein_signature(S, _eigenvectors(S, 1.0)) == 2
-    assert krein_signature(S, _eigenvectors(S, 2.0)) == -2
+    assert _krein(S, _eigenvectors(S, 1.0)) == 2
+    assert _krein(S, _eigenvectors(S, 2.0)) == -2
     S = np.diag([1.0, -1.0, 1.0, -1.0])
     assert _eigenvectors(S, 1.0).shape == (4, 2)
-    assert krein_signature(S, _eigenvectors(S, 1.0)) == 0
-    assert krein_signature(np.eye(4), _eigenvectors(np.eye(4), 1.0)) == 4
+    assert _krein(S, _eigenvectors(S, 1.0)) == 0
+    assert _krein(np.eye(4), _eigenvectors(np.eye(4), 1.0)) == 4
 
 
 def test_krein_signature_vanishing_form_raises():
@@ -304,7 +307,7 @@ def test_krein_signature_vanishing_form_raises():
     V = _eigenvectors(S, 1.0)
     assert V.shape == (4, 1)
     with pytest.raises(DegenerateRestriction):
-        krein_signature(S, V)
+        _krein(S, V)
 
 
 def test_symplectic_direct_sum_interleaves():
