@@ -38,6 +38,7 @@ from .hormander import (
     HormanderBlock,
     NormalForm,
     block_signature,
+    block_signatures,
     build_block,
     classify,
     normal_form,
@@ -85,7 +86,6 @@ from .tentacular import (
     ValidationReport,
     tentacular_check,
     validate,
-    williamson_frequencies,
 )
 
 __version__ = "0.1.0"

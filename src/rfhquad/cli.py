@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .czindex import HalfInt
+from .czindex import _sigma_doubled
 from .errors import (
     Inconsistent,
     InputError,
@@ -34,7 +34,7 @@ from .errors import (
     RfhquadError,
     Underdetermined,
 )
-from .hormander import NormalForm, block_signature, build_block, classify, normal_form
+from .hormander import NormalForm, block_signatures, build_block, classify, normal_form
 from .orbits import ActionWindow, _census, _orbit_families
 from .rfh import _generators, rfh_report
 from .selftest import BASE_SEED, run_all
@@ -47,6 +47,7 @@ from .tentacular import (
 )
 
 TOL_ENV = "RFHQUAD_TOLERANCES"
+_TOL_FIELDS = tuple(f.name for f in dataclasses.fields(Tolerances))
 
 __all__ = ["main"]
 
@@ -81,10 +82,12 @@ def _load_tolerances(doc_tol) -> Tolerances:
         if not isinstance(overrides, dict):
             raise InputError(f"{source} must be a JSON object")
         merged.update(overrides)
-    names = {f.name for f in dataclasses.fields(Tolerances)}
-    unknown = set(merged) - names
+    if not merged:
+        return DEFAULT_TOL
+    unknown = set(merged).difference(_TOL_FIELDS)
     if unknown:
-        raise InputError(f"unknown tolerance fields: {sorted(unknown)}; knowns: {sorted(names)}")
+        raise InputError(
+            f"unknown tolerance fields: {sorted(unknown)}; knowns: {sorted(_TOL_FIELDS)}")
     try:
         values = {k: float(v) for k, v in merged.items()}
     except (TypeError, ValueError) as exc:
@@ -171,7 +174,7 @@ def _parse_spec(doc: dict) -> _ParsedSpec:
     H = QuadraticHamiltonian(n, k, a0, a1,
                              tuple(frequencies) if frequencies is not None else None)
     echo = {"n": n, "k": k, "a0": echo_a0, "a1": echo_a1,
-            "tolerances": dataclasses.asdict(tol)}
+            "tolerances": {name: getattr(tol, name) for name in _TOL_FIELDS}}
     return _ParsedSpec(H, tol, echo, nf1)
 
 
@@ -210,12 +213,10 @@ def _read_doc(path: str) -> dict:
         raise InputError(f"input is not valid JSON: {exc}") from exc
 
 
-def _num(h):
-    """JSON-friendly exact value of a HalfInt: int when integral,
-    else a float (halves are exact in binary)."""
-    if isinstance(h, HalfInt):
-        return h.as_int() if h.is_integer else float(h)
-    return h
+def _half(doubled: int):
+    """JSON-friendly exact value of the half-integer doubled / 2: int when
+    integral, else a float (halves are exact in binary)."""
+    return doubled / 2 if doubled % 2 else doubled // 2
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -350,8 +351,7 @@ def _cmd_classify(args) -> int:
     nf = classify(spec.H.full_matrix, spec.tol)
     rows = []
     jblocks = []
-    for b in nf.blocks:
-        p, q = block_signature(b, spec.tol)
+    for b, (p, q) in zip(nf.blocks, block_signatures(nf.blocks, spec.tol)):
         rows.append(f"  {b.kind}  m={b.m}  lambda={b.lam.real:.9g}{b.lam.imag:+.9g}i"
                     + (f"  gamma={b.gamma:+d}" if b.gamma is not None else "")
                     + f"  dim={b.dim}  signature=({p},{q})")
@@ -438,9 +438,9 @@ def _cmd_census(args) -> int:
                    f"{str(g.sigma_index):>9} {str(g.family.cz_transverse):>6} "
                    f"{str(g.grading):>5}")
 
-    jgens = [{"side": g.family.side, "eta": g.action, "pole": g.pole,
-              "m": g.family.m, "sigma_index": _num(g.sigma_index),
-              "cz_transverse": _num(g.family.cz_transverse), "grading": _num(g.grading)}
+    jgens = [{"side": (f := g.family).side, "eta": f.eta, "pole": g.pole, "m": f.m,
+              "sigma_index": _half(_sigma_doubled(f, g.pole)),
+              "cz_transverse": _half(f.cz_transverse.doubled), "grading": _half(g.grading.doubled)}
              for g in gens]
     _emit(args, table(), {"window": [w.lo, w.hi], "generators": jgens}, spec.echo)
     return 0

@@ -38,9 +38,9 @@ from .errors import (
 from .symlin import (
     DEFAULT_TOL,
     Tolerances,
+    _inertias,
     _krein_signature,
     hamiltonian_orbits,
-    inertia,
     spectrum_with_jordan,
     standard_J,
     sym_matrix,
@@ -52,6 +52,7 @@ __all__ = [
     "NormalForm",
     "build_block",
     "block_signature",
+    "block_signatures",
     "classify",
 ]
 
@@ -170,20 +171,43 @@ def build_block(kind: str, m: int, lam: complex, gamma: int | None = None) -> Ho
 
 def block_signature(block: HormanderBlock, tol: Tolerances = DEFAULT_TOL):
     """(p, q) signature of the block, closed form checked numerically."""
-    if block.kind == "a":
-        expected = (block.m, block.m)
-    elif block.kind == "b":
-        expected = (2 * block.m, 2 * block.m)
-    else:
-        if block.m % 2 == 0:
-            expected = (block.m, block.m)
+    return block_signatures((block,), tol)[0]
+
+
+def block_signatures(blocks, tol: Tolerances = DEFAULT_TOL) -> list:
+    """``block_signature`` of each block, in order: the numerical check
+    takes one stacked inertia (``symlin._inertias``) per matrix shape, and
+    still decides each block on its own.  The first block that fails the
+    check raises what ``block_signature`` raises on it."""
+    blocks = tuple(blocks)
+    groups = {}
+    for i, b in enumerate(blocks):
+        groups.setdefault(np.shape(b.matrix), []).append(i)
+    numeric = [None] * len(blocks)
+    for shape, idx in groups.items():
+        if len(shape) == 2 and shape[0] == shape[1]:
+            found = _inertias(np.array([blocks[i].matrix for i in idx], dtype=float), tol)
         else:
-            expected = (block.m + block.gamma, block.m - block.gamma)
-    numeric = inertia(block.matrix, tol)
-    if numeric != expected:
-        raise SignatureMismatch(
-            f"block {block.key()}: closed form {expected} vs numerical {numeric}")
-    return expected
+            found = [InputError(f"matrix must be square, got shape {shape}")] * len(idx)
+        for i, pq in zip(idx, found):
+            numeric[i] = pq
+    out = []
+    for b, pq in zip(blocks, numeric):
+        if b.kind == "a":
+            expected = (b.m, b.m)
+        elif b.kind == "b":
+            expected = (2 * b.m, 2 * b.m)
+        elif b.m % 2 == 0:
+            expected = (b.m, b.m)
+        else:
+            expected = (b.m + b.gamma, b.m - b.gamma)
+        if isinstance(pq, Exception):
+            raise pq
+        if pq != expected:
+            raise SignatureMismatch(
+                f"block {b.key()}: closed form {expected} vs numerical {pq}")
+        out.append(expected)
+    return out
 
 
 @dataclass(frozen=True)

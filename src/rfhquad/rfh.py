@@ -11,6 +11,7 @@ theories together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import gt
 
 from .czindex import HalfInt, _sigma_doubled, sigma_index
 from .errors import Inconsistent, InputError, InternalError, Underdetermined
@@ -210,48 +211,47 @@ class SolvedSequence:
 
 def _intervals_step(lo, hi, rlo, rhi, maps, n):
     """One monotone tightening pass; returns True if a bound moved and no
-    bound crossed its partner (a crossed bound admits no solution)."""
-    changed = crossed = False
+    bound crossed its partner (a crossed bound admits no solution).
 
-    def set_lo(arr, i, v):
-        nonlocal changed, crossed
-        if v > arr[i]:
-            arr[i] = v
-            changed = True
-            crossed = crossed or v > (hi if arr is lo else rhi)[i]
-
-    def set_hi(arr, i, v):
-        nonlocal changed, crossed
-        if v < arr[i]:
-            arr[i] = v
-            changed = True
-            crossed = crossed or v < (lo if arr is hi else rlo)[i]
-
+    Bounds only tighten, so a pair crossed during the pass stays crossed:
+    the check is made once, after it."""
+    changed = False
     for i in range(n - 1):
-        # rank bounds from the two adjacent terms
-        set_hi(rhi, i, min(hi[i], hi[i + 1]))
+        # rank bounds from the two adjacent terms (a min() call here would
+        # cost a quarter of the pass)
+        if (v := hi[i] if hi[i] < hi[i + 1] else hi[i + 1]) < rhi[i]:
+            rhi[i], changed = v, True
         if maps[i] == "iso":
-            set_lo(rlo, i, max(lo[i], lo[i + 1]))
+            if (v := max(lo[i], lo[i + 1])) > rlo[i]:
+                rlo[i], changed = v, True
             # iso forces equal dims
-            set_lo(lo, i, lo[i + 1])
-            set_lo(lo, i + 1, lo[i])
-            set_hi(hi, i, hi[i + 1])
-            set_hi(hi, i + 1, hi[i])
+            if lo[i] != lo[i + 1]:
+                lo[i] = lo[i + 1] = max(lo[i], lo[i + 1])
+                changed = True
+            if hi[i] != hi[i + 1]:
+                hi[i] = hi[i + 1] = min(hi[i], hi[i + 1])
+                changed = True
     for i in range(n):
         # exactness at interior term i: dim = rank(in) + rank(out)
         rin_lo = rlo[i - 1] if i > 0 else 0
         rin_hi = rhi[i - 1] if i > 0 else 0
         rout_lo = rlo[i] if i < n - 1 else 0
         rout_hi = rhi[i] if i < n - 1 else 0
-        set_lo(lo, i, rin_lo + rout_lo)
-        set_hi(hi, i, rin_hi + rout_hi)
+        if (v := rin_lo + rout_lo) > lo[i]:
+            lo[i], changed = v, True
+        if (v := rin_hi + rout_hi) < hi[i]:
+            hi[i], changed = v, True
         if i > 0:
-            set_lo(rlo, i - 1, lo[i] - rout_hi)
-            set_hi(rhi, i - 1, hi[i] - rout_lo)
+            if (v := lo[i] - rout_hi) > rlo[i - 1]:
+                rlo[i - 1], changed = v, True
+            if (v := hi[i] - rout_lo) < rhi[i - 1]:
+                rhi[i - 1], changed = v, True
         if i < n - 1:
-            set_lo(rlo, i, lo[i] - rin_hi)
-            set_hi(rhi, i, hi[i] - rin_lo)
-    return changed and not crossed
+            if (v := lo[i] - rin_hi) > rlo[i]:
+                rlo[i], changed = v, True
+            if (v := hi[i] - rin_lo) < rhi[i]:
+                rhi[i], changed = v, True
+    return changed and not (any(map(gt, lo, hi)) or any(map(gt, rlo, rhi)))
 
 
 BIG = 10**9

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .czindex import cz_index_data, cz_index_path, crossing_times, grading
-from .hormander import block_signature, build_block, classify, normal_form
+from .hormander import block_signatures, build_block, classify, normal_form
 from .oracles import oracle_cz
 from .orbits import ActionWindow, census
 from .rfh import (
@@ -278,10 +278,7 @@ def criterion_6(seed: int = BASE_SEED) -> CriterionResult:
         if not _blocks_match(nf.blocks, rec.blocks):
             failures.append(f"trial {trial}: block data not recovered")
             continue
-        total = 0
-        for b in nf.blocks:
-            p, q = block_signature(b)
-            total += p - q
+        total = sum(p - q for p, q in block_signatures(nf.blocks))
         if total != signature(nf.matrix):
             failures.append(f"trial {trial}: signature sum {total} != {signature(nf.matrix)}")
     return _result(6, "normal-form round-trip", t0, failures, "100 mixed assemblies")

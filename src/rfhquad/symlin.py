@@ -207,8 +207,9 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     eigenvalues or when the sizes do not add up to p.
 
     Each item carries orthonormal eigenvectors, one per Jordan block: a
-    singleton its column of V, a cluster the kernel of T11 - c I from the
-    first rank step, mapped back through the reordered Schur vectors.
+    singleton its column of V (a view of V), a cluster the kernel of
+    T11 - c I from the first rank step, mapped back through the reordered
+    Schur vectors.
     """
     M = _as_square(M)
     n = M.shape[0]
@@ -233,15 +234,15 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
 
     items = []
     T = None
-    for first in np.unique(labels):
-        members = np.flatnonzero(labels == first)
-        p = members.size
-        if p == 1:
+    firsts, counts = np.unique(labels, return_counts=True)
+    for first, p in zip(firsts.tolist(), counts.tolist()):
+        if p == 1:  # a singleton's label is its own index
             if ring[first] >= _RING:
                 raise ClusterAmbiguous(
                     f"eigenvalue {complex(w[first])} is too ill-conditioned to place and has no partner")
-            items.append(SpectrumItem(complex(w[first]), (1,), V[:, [first]]))
+            items.append(SpectrumItem(complex(w[first]), (1,), V[:, first:first + 1]))
             continue
+        members = np.flatnonzero(labels == first)
         c = complex(np.mean(w[members]))
         if T is None:
             import scipy.linalg
@@ -381,23 +382,54 @@ def kernel_dim(M, tol: Tolerances = DEFAULT_TOL):
     return np.count_nonzero(sv < cut, axis=-1)
 
 
+def _inertias(S, tol: Tolerances) -> list:
+    """Inertia (p, q) of each matrix of the stack S, shape (s, d, d), by one
+    stacked eigvalsh.
+
+    Each matrix is decided on its own, as ``inertia`` decides it: its entry
+    is instead the InputError ``sym_matrix`` raises on it (non-finite, or
+    asymmetric past _SYMMETRY_TOL * max(1, max|entry|)), else the
+    DegenerateInput of a form whose eigenvalues are all zero or reach
+    within rank_cut * max|eigenvalue| of zero.  The eigenvalues are those
+    of the symmetrized matrix, as ``sym_matrix`` returns it; the few per
+    matrix are read as Python floats, cheaper than reductions by axis.
+    """
+    S = np.asarray(S, dtype=float)
+    d = S.shape[-1]
+    if d == 0:
+        return [(0, 0)] * len(S)
+    scales = np.abs(S).max(axis=(1, 2))
+    finite = np.isfinite(scales)
+    if not all(finite.tolist()):  # a zero stand-in keeps the stacked calls finite
+        S = np.where(finite[:, None, None], S, 0.0)
+    skews = np.abs(S - S.swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+    ws = np.linalg.eigvalsh((S + S.swapaxes(1, 2)) / 2.0).tolist()
+    out = []
+    for ok, scale, skew, w in zip(finite.tolist(), scales.tolist(), skews, ws):
+        amax = max(map(abs, w))
+        if not ok:
+            out.append(InputError("matrix has non-finite entries"))
+        elif skew > _SYMMETRY_TOL * max(scale, 1.0):
+            out.append(InputError("matrix is not symmetric within tolerance"))
+        elif amax == 0.0:
+            out.append(DegenerateInput("form is identically zero"))
+        elif min(map(abs, w)) <= tol.rank_cut * amax:
+            out.append(DegenerateInput("form has a numerical kernel"))
+        else:
+            p = len([x for x in w if x > 0])
+            out.append((p, d - p))
+    return out
+
+
 def inertia(S, tol: Tolerances = DEFAULT_TOL):
     """(p, q) = numbers of positive/negative eigenvalues of symmetric S.
 
     Raises DegenerateInput when an eigenvalue sits below the rank cutoff.
     """
-    S = sym_matrix(S)
-    if S.size == 0:
-        return (0, 0)
-    w = np.linalg.eigvalsh(S)
-    amax = float(np.abs(w).max())
-    if amax == 0.0:
-        raise DegenerateInput("form is identically zero")
-    cut = tol.rank_cut * amax
-    if np.any(np.abs(w) <= cut):
-        raise DegenerateInput("form has a numerical kernel")
-    p = int(np.count_nonzero(w > 0))
-    return (p, len(w) - p)
+    (pq,) = _inertias(_as_square(S)[None], tol)
+    if isinstance(pq, Exception):
+        raise pq
+    return pq
 
 
 def signature(S, tol: Tolerances = DEFAULT_TOL) -> int:

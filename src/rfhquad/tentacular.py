@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InternalError, NotPositiveDefinite
+from .errors import InputError, InternalError
 from .hormander import NormalForm
 from .symlin import (
     DEFAULT_TOL,
@@ -29,7 +29,6 @@ from .symlin import (
 __all__ = [
     "QuadraticHamiltonian",
     "ValidationReport",
-    "williamson_frequencies",
     "validate",
     "BlockCheck",
     "TentacularVerdict",
@@ -128,21 +127,6 @@ def _williamson(a0: np.ndarray, tol: Tolerances) -> tuple:
         raise InternalError("eigenvalues of J A0 did not split into k conjugate pairs")
     slack = 4 * len(w) * np.finfo(float).eps * w[-1]
     return bad, mus, mus * ((np.linalg.norm(L @ L.T - a0) + slack) / w[0]) + slack
-
-
-def williamson_frequencies(a0, tol: Tolerances = DEFAULT_TOL) -> tuple:
-    """Symplectic eigenvalues of a positive definite form, ascending.
-
-    These are the positive imaginary parts of the eigenvalues of J A0,
-    with multiplicity.
-    """
-    a0 = sym_matrix(a0, "A0")
-    if a0.size == 0:
-        return ()
-    bad, mus, _ = _williamson(a0, tol)
-    if bad:
-        raise NotPositiveDefinite("A0 is not positive definite")
-    return tuple(mus.tolist())
 
 
 def validate(H: QuadraticHamiltonian, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:

@@ -398,6 +398,57 @@ def test_default_window_reads_a0_once(sub, capsys, monkeypatch):
     assert out["window"] == pytest.approx([-w, w], rel=1e-14)
 
 
+def test_classify_signs_blocks_by_one_eigvalsh_per_dimension(capsys, monkeypatch):
+    """Guard against a return to one inertia per block: at n = 6, the
+    three 'c' and one 'a' blocks (2 x 2) and one 'b' block (4 x 4) are
+    signed by two real eigvalsh calls, one on each stack; the only other
+    eigvalsh of classify, the Krein signer's, is complex."""
+    calls = Counter()
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a)
+        calls[a.dtype.kind, a.shape[1:]] += 1
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    doc = {"n": 6, "k": 3, "a0": {"frequencies": [1.0, 1.3, 1.7]},
+           "a1": {"blocks": [{"kind": "a", "m": 1, "re": 0.8},
+                             {"kind": "b", "m": 1, "re": 0.5, "im": 1.1}]}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["classify", "-", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert sorted(b["dim"] for b in out["blocks"]) == [2, 2, 2, 2, 4]
+    assert {key: n for key, n in calls.items() if key[0] == "f"} == {
+        ("f", (2, 2)): 1, ("f", (4, 4)): 1}
+
+
+@pytest.mark.parametrize("fixture", ["h32", "h42"])
+def test_census_rows_match_the_half_int_route(fixture, request, capsys, monkeypatch):
+    """census --json writes sigma_index, cz_transverse and grading from the
+    doubled integers; each equals the public HalfInt value, written as an
+    int when integral and else as a float."""
+    H = request.getfixturevalue(fixture)
+
+    def num(h):
+        return h.as_int() if h.is_integer else float(h)
+
+    doc = {"n": H.n, "k": H.k, "a0": {"frequencies": list(H.frequencies)},
+           "a1": {"matrix": H.a1.tolist()}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["census", "-", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    gens = rfhquad.generator_census(H, rfhquad.ActionWindow(*out["window"]))
+    want = [(g.family.side, g.action, g.pole, g.family.m, num(g.sigma_index),
+             num(g.family.cz_transverse), num(g.grading)) for g in gens]
+    got = [(r["side"], r["eta"], r["pole"], r["m"], r["sigma_index"], r["cz_transverse"],
+            r["grading"]) for r in out["generators"]]
+    assert got == want
+    assert [tuple(map(type, row)) for row in got] == [tuple(map(type, row)) for row in want]
+    assert {type(r["sigma_index"]) for r in out["generators"]} == {float}
+    assert {type(r["grading"]) for r in out["generators"]} == {int}
+
+
 class _Dict(dict):
     pass
 

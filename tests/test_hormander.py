@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from rfhquad import (
     Spectrum,
     Tolerances,
     block_signature,
+    block_signatures,
     build_block,
     classify,
     normal_form,
@@ -26,6 +28,7 @@ from rfhquad.errors import (
     IncompatibleEigenvalue,
     InputError,
     InternalError,
+    SignatureMismatch,
 )
 from rfhquad.samples import (
     random_hamiltonian,
@@ -72,6 +75,40 @@ def test_block_signatures():
     assert block_signature(build_block("c", 1, 1.0j, gamma=1)) == (2, 0)
     assert block_signature(build_block("c", 1, 1.0j, gamma=-1)) == (0, 2)
     assert block_signature(build_block("b", 1, 0.5 + 1.0j)) == (2, 2)
+
+
+def test_planted_wrong_block_raises_signature_mismatch():
+    """A 'c' block whose matrix is negated has the closed form of its
+    gamma and the numerical signature of the opposite one."""
+    good = build_block("b", 1, 0.5 + 1.0j)
+    c = build_block("c", 1, 1.0j, gamma=1)
+    planted = dataclasses.replace(c, matrix=-c.matrix)
+    with pytest.raises(SignatureMismatch, match=r"closed form \(2, 0\) vs numerical \(0, 2\)"):
+        block_signature(planted)
+    with pytest.raises(SignatureMismatch, match=r"closed form \(2, 0\) vs numerical \(0, 2\)"):
+        block_signatures([good, planted])
+
+
+def test_batched_signatures_decide_each_block_in_order():
+    """block_signatures gives each block what block_signature gives it,
+    and raises what the first failing block, in order, raises, whichever
+    matrix shape that block shares with others."""
+    blocks = [build_block("a", 2, 3.0), build_block("c", 1, 1.0j, gamma=1),
+              build_block("b", 1, 0.5 + 1.0j), build_block("c", 1, 2.0j, gamma=-1),
+              build_block("c", 3, 1.5j, gamma=1), build_block("a", 1, 0.4)]
+    assert block_signatures(blocks) == [block_signature(b) for b in blocks]
+    assert block_signatures([]) == []
+    mismatch = dataclasses.replace(blocks[1], matrix=-blocks[1].matrix)  # 2 x 2
+    kernel = dataclasses.replace(blocks[0], matrix=np.zeros((4, 4)))  # 4 x 4
+    skew = dataclasses.replace(blocks[5], matrix=np.triu(np.ones((2, 2))))  # 2 x 2
+    with pytest.raises(SignatureMismatch):
+        block_signatures([blocks[2], mismatch, kernel])
+    with pytest.raises(DegenerateInput, match="identically zero"):
+        block_signatures([blocks[2], kernel, mismatch])
+    with pytest.raises(InputError, match="not symmetric"):
+        block_signatures([skew, mismatch, kernel])
+    with pytest.raises(InputError, match="must be square"):
+        block_signatures([blocks[1], dataclasses.replace(blocks[5], matrix=None), kernel])
 
 
 def test_build_block_input_errors():

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import critical_values
-from rfhquad import ActionWindow, QuadraticHamiltonian, generator_census, williamson_frequencies
+from rfhquad import DEFAULT_TOL, ActionWindow, QuadraticHamiltonian, generator_census
 from rfhquad.samples import random_hamiltonian, random_orthosymplectic
+from rfhquad.tentacular import _williamson
 
 TWO_PI = 2 * np.pi
 SHAPES = [(n, 1) for n in range(2, 7)] + [(5, 3)]
@@ -35,7 +36,7 @@ def test_scaling_a0_divides_the_critical_values(c, data):
         U = random_orthosymplectic(rng, k)
         a0 = U @ H.a0 @ U.T
         H = QuadraticHamiltonian(n, k, (a0 + a0.T) / 2, H.a1)
-    w = 3 * TWO_PI / min(williamson_frequencies(H.a0))
+    w = 3 * TWO_PI / min(_williamson(H.a0, DEFAULT_TOL)[1])
     values = critical_values(H, ActionWindow(-w, w))
     i = data.draw(st.integers(1, len(values) - 2), label="first")
     j = data.draw(st.integers(i, len(values) - 2), label="last")

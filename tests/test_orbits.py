@@ -17,15 +17,15 @@ from rfhquad import (
     kernel_dim,
     orbits,
     standard_J,
-    williamson_frequencies,
+    validate,
 )
 from rfhquad.errors import (
     CensusOverflow,
     InputError,
-    NotPositiveDefinite,
     ResonanceMismatch,
 )
 from rfhquad.samples import random_hyperbolic_blocks, random_orthosymplectic, random_symplectic
+from rfhquad.tentacular import _williamson
 
 TWO_PI = 2 * np.pi
 
@@ -39,29 +39,40 @@ def crit_values(frequencies, window):
     return critical_values(H, window)
 
 
+def _frequencies(a0):
+    """The Williamson frequencies of a positive definite A0, as the
+    census and ``validate`` read them."""
+    bad, mus, _ = _williamson(a0, DEFAULT_TOL)
+    assert not bad
+    return tuple(mus.tolist())
+
+
 def test_williamson_identity():
-    assert williamson_frequencies(np.diag([1.0, 1.0])) == (1.0,)
+    assert _frequencies(np.diag([1.0, 1.0])) == (1.0,)
 
 
 def test_williamson_two_frequencies():
-    got = williamson_frequencies(np.diag([1.0, 2.0, 1.0, 2.0]))
+    got = _frequencies(np.diag([1.0, 2.0, 1.0, 2.0]))
     assert np.allclose(got, (1.0, 2.0))
 
 
 def test_williamson_scaled():
-    assert np.allclose(williamson_frequencies(np.diag([3.0, 3.0])), (3.0,))
+    assert np.allclose(_frequencies(np.diag([3.0, 3.0])), (3.0,))
 
 
 def test_williamson_conjugation_invariant(rng):
     from rfhquad.samples import random_orthosymplectic
     a0 = np.diag([0.7, 1.9, 0.7, 1.9])
     U = random_orthosymplectic(rng, 2)
-    assert np.allclose(williamson_frequencies(U @ a0 @ U.T), (0.7, 1.9))
+    assert np.allclose(_frequencies(U @ a0 @ U.T), (0.7, 1.9))
 
 
 def test_williamson_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite):
-        williamson_frequencies(np.diag([1.0, -1.0]))
+    assert _williamson(np.diag([1.0, -1.0]), DEFAULT_TOL)[:2] == ([-1.0], None)
+    H = QuadraticHamiltonian(2, 1, np.diag([1.0, -1.0]), build_block("a", 1, 1.0).matrix)
+    report = validate(H)
+    assert not report.positive_definite
+    assert report.offending["a0_eigenvalues"] == [-1.0]
 
 
 def test_crit_values_single_frequency():
@@ -271,7 +282,7 @@ def test_census_enumerates_only_the_window_span(h42, monkeypatch):
     monkeypatch.undo()
     (path,) = built
     assert len(path.events) <= 6
-    freqs = tuple((mu, 1) for mu in williamson_frequencies(h42.a0))
+    freqs = tuple((mu, 1) for mu in _frequencies(h42.a0))
     for window in (ActionWindow(1e3, 1e3 + 40.0), ActionWindow(-1e3 - 40.0, -1e3)):
         late = census(h42, window)
         full = czindex._Crossings(h42.a0, freqs, max(-window.lo, window.hi), DEFAULT_TOL)

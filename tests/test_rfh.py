@@ -4,10 +4,11 @@ import itertools
 import pickle
 import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import critical_values, per_horizon_data
@@ -21,6 +22,8 @@ from rfhquad import (
     alternating_sum,
     build_block,
     census,
+    exact1_problem,
+    exact2_problem,
     generator_census,
     grading,
     rfh_geq0,
@@ -29,7 +32,6 @@ from rfhquad import (
     singular_homology,
     sigma_index,
     solve_exact_sequence,
-    williamson_frequencies,
 )
 from rfhquad import czindex, orbits, rfh, symlin
 from rfhquad.errors import (
@@ -42,6 +44,7 @@ from rfhquad.errors import (
 from rfhquad.samples import random_hamiltonian, random_hyperbolic_blocks, random_orthosymplectic
 from rfhquad.selftest import criterion_grid
 from rfhquad.symlin import DEFAULT_TOL
+from rfhquad.tentacular import _williamson
 
 TWO_PI = 2 * np.pi
 
@@ -194,6 +197,92 @@ def test_solver_is_sound_against_brute_force(inner, data):
         assert found == [(solved.dims, solved.ranks)]
 
 
+def _closure_intervals_step(lo, hi, rlo, rhi, maps, n):
+    """Reference for ``rfh._intervals_step``: every move goes through a
+    setter closure that checks the moved bound against its partner."""
+    changed = crossed = False
+
+    def set_lo(arr, i, v):
+        nonlocal changed, crossed
+        if v > arr[i]:
+            arr[i] = v
+            changed = True
+            crossed = crossed or v > (hi if arr is lo else rhi)[i]
+
+    def set_hi(arr, i, v):
+        nonlocal changed, crossed
+        if v < arr[i]:
+            arr[i] = v
+            changed = True
+            crossed = crossed or v < (lo if arr is hi else rlo)[i]
+
+    for i in range(n - 1):
+        set_hi(rhi, i, min(hi[i], hi[i + 1]))
+        if maps[i] == "iso":
+            set_lo(rlo, i, max(lo[i], lo[i + 1]))
+            set_lo(lo, i, lo[i + 1])
+            set_lo(lo, i + 1, lo[i])
+            set_hi(hi, i, hi[i + 1])
+            set_hi(hi, i + 1, hi[i])
+    for i in range(n):
+        rin_lo = rlo[i - 1] if i > 0 else 0
+        rin_hi = rhi[i - 1] if i > 0 else 0
+        rout_lo = rlo[i] if i < n - 1 else 0
+        rout_hi = rhi[i] if i < n - 1 else 0
+        set_lo(lo, i, rin_lo + rout_lo)
+        set_hi(hi, i, rin_hi + rout_hi)
+        if i > 0:
+            set_lo(rlo, i - 1, lo[i] - rout_hi)
+            set_hi(rhi, i - 1, hi[i] - rout_lo)
+        if i < n - 1:
+            set_lo(rlo, i, lo[i] - rin_hi)
+            set_hi(rhi, i, hi[i] - rin_lo)
+    return changed and not crossed
+
+
+def _solve_tracing(problem, step):
+    """solve_exact_sequence(problem) through ``step``: its outcome, and
+    the bounds and answer after every pass."""
+    passes = []
+
+    def traced(lo, hi, rlo, rhi, maps, n):
+        moved = step(lo, hi, rlo, rhi, maps, n)
+        passes.append((moved, lo[:], hi[:], rlo[:], rhi[:]))
+        return moved
+
+    with mock.patch.object(rfh, "_intervals_step", traced):
+        try:
+            solved = solve_exact_sequence(problem)
+        except (Inconsistent, Underdetermined) as exc:
+            return type(exc), str(exc), passes
+    return solved, passes
+
+
+_EXACT_PROBLEMS = [exact1_problem(n, k) for n in range(2, 7) for k in range(1, n)]
+_EXACT_PROBLEMS += [exact2_problem(n, k, rfh_geq0(n, k)) for n in range(2, 7) for k in range(1, n)]
+
+
+@st.composite
+def _sequence_problems(draw):
+    inner = draw(st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=1, max_size=12))
+    terms = (("0", 0), *((f"T{i}", d) for i, d in enumerate(inner)), ("0'", 0))
+    maps = draw(st.lists(st.sampled_from(["unknown", "iso"]),
+                         min_size=len(terms) - 1, max_size=len(terms) - 1))
+    return ExactSequenceProblem(terms, tuple(maps))
+
+
+@given(st.one_of(st.sampled_from(_EXACT_PROBLEMS), _sequence_problems()))
+@example(ExactSequenceProblem(terms=(("0", 0), ("A", 1), ("0'", 0))))  # Inconsistent
+@example(ExactSequenceProblem(terms=(("0", 0), ("X", None), ("M", None), ("Y", None), ("0'", 0))))
+def test_inline_intervals_step_matches_the_closure_version(problem):
+    """The inline tightening pass, which checks for a crossed pair once per
+    pass, moves every bound as the closure version does, pass by pass, and
+    the solver stops, answers or raises (Inconsistent, Underdetermined) at
+    the same pass."""
+    assert _solve_tracing(problem, rfh._intervals_step) == _solve_tracing(
+        problem, _closure_intervals_step)
+
+
 class TestHomology:
     def test_half_open_cylinder(self, h31):
         assert rfh_report(h31).full == {-2: 1, -1: 1}
@@ -319,7 +408,7 @@ class TestCensusEquivalence:
     def test_conjugated_a0(self, rng):
         for n, k in ((3, 2), (4, 3), (5, 2)):
             H = _conjugated(random_hamiltonian(rng, n, k), rng)
-            w = 4 * TWO_PI / min(williamson_frequencies(H.a0)) + 1e-6
+            w = 4 * TWO_PI / min(_williamson(H.a0, DEFAULT_TOL)[1]) + 1e-6
             _assert_census_matches_reference(H, ActionWindow(-w, w))
 
     def test_windows_ending_on_critical_values(self, h32):
@@ -397,7 +486,7 @@ def _assert_longs_closed_form(H, gens):
     #{2 pi j / mu = eta}, negated for eta < 0, and the grading adds the
     signature index and 1/2.  The mu are those the census reads, not the
     declared frequencies, which differ from them by round-off."""
-    mus = williamson_frequencies(H.a0)
+    mus = _williamson(H.a0, DEFAULT_TOL)[1].tolist()
     for g in gens:
         eta, m = abs(g.family.eta), g.family.m
         cz = H.k

@@ -275,6 +275,81 @@ def test_signature_degenerate_raises():
         signature(np.diag([1.0, 0.0]))
 
 
+def _inertia_one_at_a_time(S):
+    """Reference for the stacked inertia: ``sym_matrix``, then one eigvalsh
+    and the rank cut on this matrix alone; a refusal comes back as
+    (exception type, message)."""
+    try:
+        S = sym_matrix(S)
+        w = np.linalg.eigvalsh(S)
+        amax = float(np.abs(w).max())
+        if amax == 0.0:
+            raise DegenerateInput("form is identically zero")
+        if np.any(np.abs(w) <= DEFAULT_TOL.rank_cut * amax):
+            raise DegenerateInput("form has a numerical kernel")
+    except (InputError, DegenerateInput) as exc:
+        return type(exc), str(exc)
+    p = int(np.count_nonzero(w > 0))
+    return (p, len(w) - p)
+
+
+_PLANTS = ("none", "kernel", "zero", "skew", "roundoff skew", "nan", "inf")
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5),
+       plants=st.lists(st.sampled_from(_PLANTS), min_size=1, max_size=6))
+def test_stacked_inertia_decides_each_matrix_alone(seed, d, plants):
+    """Each matrix of a stack gets the inertia, or the refusal, that the
+    one-matrix route gives it, whatever else the stack holds."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for plant in plants:
+        X = rng.standard_normal((d, d))
+        S = X + X.T
+        if plant == "kernel":
+            w, Q = np.linalg.eigh(S)
+            w[rng.integers(d)] = 0.0
+            S = (Q * w) @ Q.T
+        elif plant == "zero":
+            S = np.zeros((d, d))
+        elif plant in ("skew", "roundoff skew") and d > 1:
+            S[0, 1] += 1e-6 if plant == "skew" else 1e-15
+        elif plant in ("nan", "inf"):
+            S[rng.integers(d), rng.integers(d)] = np.nan if plant == "nan" else -np.inf
+        stack.append(S)
+    got = [pq if isinstance(pq, tuple) else (type(pq), str(pq))
+           for pq in symlin._inertias(np.stack(stack), DEFAULT_TOL)]
+    assert got == [_inertia_one_at_a_time(S) for S in stack]
+    for S, want in zip(stack, got):
+        if isinstance(want[0], int):
+            assert inertia(S) == want
+        else:
+            with pytest.raises(want[0], match=want[1]):
+                inertia(S)
+
+
+def test_stacked_inertia_of_empty_matrices():
+    assert symlin._inertias(np.zeros((3, 0, 0)), DEFAULT_TOL) == [(0, 0)] * 3
+    assert inertia(np.zeros((0, 0))) == (0, 0)
+
+
+def test_singleton_items_are_columns_of_v(rng):
+    """A singleton item carries exactly its eigenvector column of the one
+    eigendecomposition of M."""
+    A = normal_form([build_block("c", 1, 1.0j, gamma=1), build_block("c", 1, 1.0j, gamma=1),
+                     build_block("a", 1, 0.6), build_block("b", 1, 0.5 + 1.5j)]).matrix
+    U = random_orthosymplectic(rng, 5)
+    M = standard_J(5) @ (U @ A @ U.T)
+    w, V = np.linalg.eig(M)
+    spec = spectrum_with_jordan(M)
+    singletons = [it for it in spec.items if it.block_sizes == (1,)]
+    assert len(singletons) == 6 and len(spec.items) == 8
+    for it in singletons:
+        (i,) = np.flatnonzero(w == it.eigenvalue)
+        assert np.array_equal(it.vectors, V[:, i:i + 1])
+        assert it.vectors.shape == (10, 1)
+
+
 def _eigenvectors(S, mu):
     """The eigenvectors the Jordan spectrum of J S gives its item at i mu."""
     (item,) = [it for it in spectrum_with_jordan(standard_J(len(S) // 2) @ S).items
