@@ -13,7 +13,6 @@ from .czindex import (
     cz_index_data,
     cz_index_path,
     grading,
-    sigma_index,
 )
 from .errors import (
     CensusOverflow,
@@ -27,7 +26,6 @@ from .errors import (
     InputError,
     InternalError,
     NonIntegerResult,
-    NotPositiveDefinite,
     NumericalError,
     ResonanceMismatch,
     RfhquadError,

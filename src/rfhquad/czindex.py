@@ -16,16 +16,15 @@ The crossings are enumerated in one pass over a window of times, from a
 list of frequencies with multiplicities: the Jordan spectrum of J S for a
 general form, the Williamson frequencies of A0 for the orbit census, which
 takes its critical values and resonance counts from the same enumeration.
-A pass answers at its own horizon only: each call of ``cz_index_data``
-or ``crossing_times`` enumerates up to its T.  The kernel at
-t = 2 pi j / mu is the sum of the mu i eigenspaces of J S over the
-frequencies resonant there, which are S-orthogonal (Robbin-Salamon
-1993), so ``cz_index_data`` signs each frequency once, on the eigenvectors
-its Jordan spectrum item carries.
-A positive definite S, as A0 is, makes every crossing form positive
-definite, so its index is a plain crossing count (Long 2002): the census
-grades every crossing of its pass by one running sum over the event
-times (``_positive_indices``) and signs nothing.
+The kernel at t = 2 pi j / mu is the sum of the mu i eigenspaces of J S
+over the frequencies resonant there, which are S-orthogonal
+(Robbin-Salamon 1993), so each frequency is signed once, on the
+eigenvectors its Jordan spectrum item carries.  Every index is one
+running signature sum (``_Crossings.before``), which counts the crossings
+below a pass per frequency, as Long (2002) does, and adds the listed
+ones: ``cz_index_data`` and ``crossing_times`` list from 0,
+``cz_index_path`` about one period below T, the census its window.  A0
+is positive definite, so the census signs each mu by 2 mult_mu.
 
 Half-integers are kept exact as doubled integers; no index or grading is
 ever computed in floating point.
@@ -68,7 +67,6 @@ __all__ = [
     "cz_index_path",
     "cz_index_data",
     "crossing_times",
-    "sigma_index",
     "grading",
 ]
 
@@ -187,12 +185,7 @@ class CzPathData:
     sgn_start: int  # sgn(S), weighted 1/2
     interior: tuple  # tuple[(time, signature)], full weight
     endpoint: tuple | None  # (time, signature) at t = T, weighted 1/2
-
-    @property
-    def index(self) -> HalfInt:
-        doubled = self.sgn_start + (self.endpoint[1] if self.endpoint else 0)
-        doubled += 2 * sum(sig for _, sig in self.interior)
-        return HalfInt(doubled)
+    index: HalfInt  # sgn_start/2 + the interior signatures + endpoint's/2
 
 
 def _merged_frequencies(pairs, scale: float, tol: Tolerances) -> tuple:
@@ -246,23 +239,6 @@ def _count_before(mu: float, t: float) -> int:
     while TWO_PI * (j + 1) / mu < t:
         j += 1
     return j
-
-
-def _positive_indices(path: _Crossings) -> list:
-    """(m, doubled index) at each merged crossing time of a path whose S is
-    positive definite, m the summed multiplicity of the crossing.
-
-    Every crossing form is S on the kernel, positive definite, so each
-    crossing weighs the kernel's dimension (Robbin-Salamon 1993; Long
-    2002): dim S at the start, 2 m at the endpoint and, twice, 2 * m' for
-    each crossing before it, summed as the pass goes from the count of
-    ``_count_before`` at its first crossing, one call per frequency.
-    """
-    first = sum(mult * _count_before(mu, path.times[0])
-                for mu, mult in path.multiplicities.items()) if path.times else 0
-    ms = [path.multiplicity(g) for g in range(len(path.times))]
-    return [(m, path.S.shape[0] + 2 * m + 4 * before)
-            for m, before in zip(ms, accumulate(ms, initial=first))]
 
 
 class _Crossings:
@@ -333,15 +309,27 @@ class _Crossings:
         """Summed multiplicity of the frequencies resonant at merged crossing g."""
         return sum(self.multiplicities[mu] for mu in self.members[g])
 
-    def _frequency_signature(self, mu: float, t: float, s_norm: float) -> int:
+    def before(self, weight, steps) -> list:
+        """Entry g: the summed signature of every merged crossing before
+        listed crossing g, counted from 0; one more entry follows the last
+        of ``steps``, the signatures of the first listed crossings.  Those
+        before the first listed one (or horizon + tol.crossing when none
+        is) are whole merged crossings of a pass from 0, counted by one
+        ``_count_before`` per frequency mu and weighed by ``weight(mu)``,
+        its signature, which a frequency counted 0 is not asked for."""
+        t = self.times[0] if self.times else self.horizon + self.tol.crossing
+        counts = [(mu, _count_before(mu, t)) for mu in self.multiplicities]
+        return list(accumulate(steps, initial=sum(c * weight(mu) for mu, c in counts if c)))
+
+    def _frequency_signature(self, mu: float, s_norm: float) -> int:
         """Signature of S on the mu i eigenspace of J S, from its
         eigenvectors, s_norm being |S|_2.  A degenerate form raises, naming
-        the crossing time t that met it.
+        the first crossing time of mu, 2 pi / mu.
         """
         try:
             return _krein_signature(self.S, self.vectors[mu], s_norm, self.tol)
         except DegenerateRestriction as exc:
-            raise CrossingDegenerate(f"degenerate crossing form at t = {t}: {exc}") from exc
+            raise CrossingDegenerate(f"degenerate crossing form at t = {TWO_PI / mu}: {exc}") from exc
 
     def _split(self) -> tuple:
         """(stop, end) at the horizon T: merged crossings before ``stop``
@@ -356,33 +344,40 @@ class _Crossings:
         return stop, (end - 1 if end > stop else None)
 
     def data(self) -> CzPathData:
+        """Crossing data at the horizon T, its doubled index sgn(S) + R(T-) +
+        R(T+), R the running signature sum: the endpoint weighs half."""
         sgn_start = signature(self.S, self.tol) if self.S.size else 0
         stop, end = self._split()
-        signatures = {}  # mu -> signature of S on the mu i eigenspace
-        s_norm = float(np.linalg.norm(self.S, 2)) if stop or end is not None else 0.0
+        signatures, s_norm = {}, None  # mu -> signature of S on the mu i eigenspace
 
-        def signed(g):
-            for mu in self.members[g]:
-                if mu not in signatures:
-                    signatures[mu] = self._frequency_signature(mu, self.times[g], s_norm)
-            return self.times[g], sum(signatures[mu] for mu in self.members[g])
+        def sign(mu):
+            nonlocal s_norm
+            if mu not in signatures:
+                if s_norm is None:
+                    s_norm = float(np.linalg.norm(self.S, 2))
+                signatures[mu] = self._frequency_signature(mu, s_norm)
+            return signatures[mu]
 
-        interior = tuple(signed(g) for g in range(stop))
-        return CzPathData(sgn_start, interior, None if end is None else signed(end))
+        signed = [(t, sum(map(sign, ms)))
+                  for t, ms in zip(self.times[:stop if end is None else end + 1], self.members)]
+        sums = self.before(sign, [sig for _, sig in signed])
+        return CzPathData(sgn_start, tuple(signed[:stop]), None if end is None else signed[end],
+                          HalfInt(sgn_start + sums[stop] + sums[-1]))
 
     def crossing_times(self) -> tuple:
         stop, end = self._split()
         return tuple(self.times[:stop]) + (() if end is None else (self.times[end],))
 
 
-def _form_crossings(S, T: float, tol: Tolerances) -> _Crossings:
-    """The crossings of exp(t J S) on (0, T], at the frequencies of the
-    Jordan spectrum of J S."""
+def _form_crossings(S, T: float, tol: Tolerances, start: float = 0.0) -> _Crossings:
+    """The crossings of exp(t J S) on (0, T], from ``start`` on, at the
+    frequencies of the Jordan spectrum of J S."""
     S = sym_matrix(S)
     if S.shape[0] % 2 != 0:
         raise InputError("S must act on an even-dimensional space")
     freqs = _imaginary_frequencies(standard_J(S.shape[0] // 2) @ S, tol)
-    return _Crossings(S, [(mu, V.shape[1]) for mu, V in freqs], T, tol, vectors=dict(freqs))
+    return _Crossings(S, [(mu, V.shape[1]) for mu, V in freqs], T, tol, start,
+                      vectors=dict(freqs))
 
 
 def cz_index_data(S, T: float, tol: Tolerances = DEFAULT_TOL) -> CzPathData:
@@ -391,8 +386,9 @@ def cz_index_data(S, T: float, tol: Tolerances = DEFAULT_TOL) -> CzPathData:
 
 
 def cz_index_path(S, T: float, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
-    """Conley-Zehnder index of t |-> exp(t J S) on [0, T]."""
-    return cz_index_data(S, T, tol).index
+    """Conley-Zehnder index of t |-> exp(t J S) on [0, T], off a pass that
+    lists from T - tol.crossing on, so as to list an endpoint below T."""
+    return _form_crossings(S, T, tol, T - tol.crossing).data().index
 
 
 def crossing_times(S, T: float, tol: Tolerances = DEFAULT_TOL) -> tuple:
@@ -409,7 +405,10 @@ def crossing_times(S, T: float, tol: Tolerances = DEFAULT_TOL) -> tuple:
 
 
 def _sigma_doubled(family: OrbitFamily, pole: str) -> int:
-    """Twice the signature index of the extremum ``pole`` on the family."""
+    """Twice the signature index of the extremum ``pole`` on the family:
+    -(2m - 1) at the minimum and 2m - 1 at the maximum of S^(2m-1) and of
+    the stationary compact family (m = k); -(2n - 1) and 2k - 1 on the
+    stationary noncompact family."""
     if pole not in ("min", "max"):
         raise InputError(f"pole must be 'min' or 'max', got {pole!r}")
     if family.topology in ("sphere", "sigma0"):
@@ -417,17 +416,6 @@ def _sigma_doubled(family: OrbitFamily, pole: str) -> int:
     if family.topology == "sigma":
         return -(2 * family.n - 1) if pole == "min" else 2 * family.k - 1
     raise InputError(f"unknown topology {family.topology!r}")
-
-
-def sigma_index(family: OrbitFamily, pole: str) -> HalfInt:
-    """Signature index of the Morse-Bott extremum on the family.
-
-    Sphere families S^(2m-1): -(m - 1/2) at the minimum, m - 1/2 at the
-    maximum.  The stationary compact family behaves like the sphere with
-    m = k; the stationary noncompact family has -(n - 1/2) at the minimum
-    and k - 1/2 at the maximum.
-    """
-    return HalfInt(_sigma_doubled(family, pole))
 
 
 def grading(family: OrbitFamily, pole: str) -> HalfInt:

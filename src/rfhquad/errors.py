@@ -47,10 +47,6 @@ class IncompatibleEigenvalue(InputError):
     """Eigenvalue data incompatible with the requested block kind."""
 
 
-class NotPositiveDefinite(InputError):
-    """Positive definiteness required but not satisfied."""
-
-
 class CensusOverflow(InputError):
     """Action window produces more orbit families than the census cap."""
 

@@ -13,19 +13,21 @@ themselves as stationary families.
 The critical values are the crossing times of exp(t J A0), so the census
 reads each |eta| and its m off the crossing enumeration of the index layer
 (``czindex._Crossings``) at the Williamson frequencies of A0, over the
-|eta| span of its window only, grades them all by one running crossing
-count (``czindex._positive_indices``), and checks each m by the phases
-eta * mu of the unmerged frequencies, with no matrix exponential.
+|eta| span of its window only, grades them all by the index layer's one
+running signature sum (``czindex._Crossings.before``), and checks each m
+by the phases eta * mu of the unmerged frequencies, with no matrix
+exponential.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
-from .czindex import _Crossings, _merged_frequencies, _positive_indices
+from .czindex import _Crossings, _merged_frequencies
 from .errors import CensusOverflow, InputError, ResonanceMismatch
 from .symlin import DEFAULT_TOL, TWO_PI, Tolerances
 from .tentacular import QuadraticHamiltonian, _validate
@@ -145,8 +147,9 @@ def _census(H: QuadraticHamiltonian, window, tol: Tolerances) -> tuple:
     None is +-(4 pi / mu_min + 1e-6), mu_min the least declared frequency,
     or else the least of A0's, which ``_validate`` reads once for all.
 
-    A0 is positive definite, so cz at eta = +-t is +- the crossing count of
-    ``_positive_indices``, and ``_check_resonance`` confirms each m."""
+    A0 is positive definite, so mu signs 2 mult_mu and cz at eta = +-t is
+    +-(2k + R(t-) + R(t+)), R the pass's running signature sum
+    (``_Crossings.before``); ``_check_resonance`` confirms each m."""
     report, mus, dmus = _validate(H, tol)
     if not report.all_ok:
         raise InputError(f"Hamiltonian fails validation: {report.offending}")
@@ -161,34 +164,35 @@ def _census(H: QuadraticHamiltonian, window, tol: Tolerances) -> tuple:
     lo, hi = window.lo, window.hi
     start = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
     path = _Crossings(H.a0, freqs, max(-lo, hi), tol, start)
-    graded = _positive_indices(path)
+    ms = [path.multiplicity(g) for g in range(len(path.times))]
+    sums = path.before(lambda mu: 2 * path.multiplicities[mu], [2 * m for m in ms])
+    cz = [len(H.a0) + r + s for r, s in pairwise(sums)]
 
     def span(t_lo, t_hi):  # the merged crossings with t_lo <= t <= t_hi
         return range(bisect_left(path.times, t_lo), bisect_right(path.times, t_hi))
 
     below, above = span(-hi, -lo), span(lo, hi)
-    negative = [(-path.times[g], graded[g][0], -graded[g][1]) for g in reversed(below)]
-    positive = [(path.times[g], *graded[g]) for g in above]
+    negative = [(-path.times[g], ms[g], -cz[g]) for g in reversed(below)]
+    positive = [(path.times[g], ms[g], cz[g]) for g in above]
     values = negative + [(0.0, None, 0)] * (0.0 in window) + positive
     if 2 * len(values) > DEFAULT_CENSUS_CAP:
         raise CensusOverflow(
             f"window yields up to {2 * len(values)} families, cap is {DEFAULT_CENSUS_CAP}")
     c = max(below, above, key=len)  # holds the other: it is empty or starts at 0 too
-    _check_resonance(path.times[c.start:c.stop], graded[c.start:c.stop], mus, dmus, tol)
+    _check_resonance(path.times[c.start:c.stop], ms[c.start:c.stop], mus, dmus, tol)
     return window, values
 
 
-def _check_resonance(times, graded, mus, dmus, tol: Tolerances) -> None:
-    """Raise unless at each crossing time t, graded (m, cz), exactly m unmerged
-    frequencies resonate, 2 |sin(t mu_j / 2)| < rank_cut * max(1, max_j
-    2 |sin(t mu_j / 2)|) + t dmus_j: the singular values of exp(t K) - Id,
+def _check_resonance(times, ms, mus, dmus, tol: Tolerances) -> None:
+    """Raise unless at each crossing time t, resonance count m, exactly m
+    unmerged frequencies resonate, 2 |sin(t mu_j / 2)| < rank_cut * max(1,
+    max_j 2 |sin(t mu_j / 2)|) + t dmus_j: the singular values of exp(t K) - Id,
     similar through L to exp(t J A0) - Id (``tentacular._williamson``),
     at kernel_dim's cut widened by how far dmus_j can move a phase."""
     times = np.asarray(times)
     phases = 2 * np.abs(np.sin(np.multiply.outer(times, mus) / 2))
     cuts = tol.rank_cut * np.maximum(phases.max(axis=1, keepdims=True), 1.0)
     counts = np.count_nonzero(phases < cuts + np.multiply.outer(times, dmus), axis=1)
-    ms = [m for m, _ in graded]
     bad = np.flatnonzero(counts != ms)
     if bad.size:
         g = bad[0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import gt
 
-from .czindex import HalfInt, _sigma_doubled, sigma_index
+from .czindex import HalfInt, _sigma_doubled
 from .errors import Inconsistent, InputError, InternalError, Underdetermined
 from .orbits import ActionWindow, OrbitFamily, _census, _families
 from .symlin import DEFAULT_TOL, Tolerances
@@ -95,7 +95,7 @@ class Generator:
 
     @property
     def sigma_index(self) -> HalfInt:
-        return sigma_index(self.family, self.pole)
+        return HalfInt(_sigma_doubled(self.family, self.pole))
 
     @property
     def label(self) -> str:

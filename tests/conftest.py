@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 from hypothesis import HealthCheck, settings
 
-from rfhquad import ActionWindow, QuadraticHamiltonian, build_block, census, symplectic_direct_sum
+from rfhquad import (ActionWindow, HalfInt, QuadraticHamiltonian, build_block, census,
+                     symplectic_direct_sum)
 from rfhquad.czindex import CzPathData, _imaginary_frequencies
 from rfhquad.errors import CrossingDegenerate, DegenerateRestriction
 from rfhquad.symlin import TWO_PI, signature, standard_J, sym_matrix
@@ -36,9 +37,10 @@ def per_horizon_data(S, T, tol):
     """The crossing data of exp(t J S) on [0, T] from a pass that stops at
     T, merging the crossings it meets on its own and signing each one
     afresh on its own eigenspaces, with no cache: the reference the
-    one-pass enumeration and the census must reproduce exactly.  Two
-    merged crossings within tol.crossing of T cannot both be the endpoint,
-    and it raises."""
+    one-pass enumeration and the census must reproduce exactly.  Its index
+    is its own sum, sgn(S)/2 + the interior signatures + the endpoint's/2.
+    Two merged crossings within tol.crossing of T cannot both be the
+    endpoint, and it raises."""
     S = sym_matrix(S)
     sgn_s = signature(S, tol)
     JS = standard_J(S.shape[0] // 2) @ S
@@ -67,7 +69,8 @@ def per_horizon_data(S, T, tol):
             endpoint = (t, sig)
         elif t < T:
             interior.append((t, sig))
-    return CzPathData(sgn_s, tuple(interior), endpoint)
+    doubled = sgn_s + 2 * sum(sig for _, sig in interior) + (endpoint[1] if endpoint else 0)
+    return CzPathData(sgn_s, tuple(interior), endpoint, HalfInt(doubled))
 
 
 def critical_values(H, window):

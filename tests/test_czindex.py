@@ -20,7 +20,6 @@ from rfhquad import (
     Spectrum,
     normal_form,
     oracle_cz,
-    sigma_index,
     spectrum_with_jordan,
     symplectic_direct_sum,
 )
@@ -29,6 +28,7 @@ from rfhquad.czindex import (
     _form_crossings,
     _imaginary_frequencies,
     _merged_frequencies,
+    _sigma_doubled,
 )
 from rfhquad.errors import (
     CrossingDegenerate,
@@ -154,10 +154,15 @@ class TestCzPath:
             cz_index_path(np.diag([1.0, 0.0]), 1.0)
 
     def test_degenerate_crossing_form_reported(self):
-        """A defective imaginary pair has a vanishing crossing form."""
+        """A defective imaginary pair has a vanishing crossing form: a path
+        that crosses it is refused, also where the crossing lies below
+        the period cz_index_path lists, and one that ends before its first
+        crossing signs nothing and is indexed."""
         S = build_block("c", 2, 1.0j, gamma=1).matrix
-        with pytest.raises(CrossingDegenerate):
-            cz_index_path(S, 3 * np.pi)
+        for T in (3 * np.pi, 100.0):
+            with pytest.raises(CrossingDegenerate, match=f"t = {TWO_PI}"):
+                cz_index_path(S, T)
+        assert cz_index_path(S, 6.0) == cz_index_data(S, 6.0).index == HalfInt(0)
 
     def test_conjugated_degenerate_crossing_form_reported(self):
         """A symplectic change of coordinates splits the defective pair's
@@ -212,18 +217,17 @@ class TestTransverseAndGrading:
 
     def test_sigma_index_sphere(self, h32, family):
         fam = family(h32, TWO_PI, side="H")  # m = 2
-        assert sigma_index(fam, "max") == HalfInt(3)
-        assert sigma_index(fam, "min") == HalfInt(-3)
+        assert _sigma_doubled(fam, "max") == 3
+        assert _sigma_doubled(fam, "min") == -3
 
     def test_sigma_index_stationary(self):
-        from rfhquad import census, ActionWindow
         H = QuadraticHamiltonian.from_frequencies(
             3, 2, [1.0, 1.0], build_block("a", 1, 1.0).matrix)
-        stat = census(H, ActionWindow(-0.5, 0.5))
-        sigma0, sigma = stat[0], stat[1]
-        assert sigma_index(sigma0, "max") == HalfInt(3)  # k - 1/2 at k=2
-        assert sigma_index(sigma, "min") == HalfInt(-5)  # -(n - 1/2) at n=3
-        assert sigma_index(sigma, "max") == HalfInt(3)
+        gens = generator_census(H, ActionWindow(-0.5, 0.5))
+        sigma = {(g.family.topology, g.pole): g.sigma_index for g in gens}
+        assert sigma[("sigma0", "max")] == HalfInt(3)  # k - 1/2 at k=2
+        assert sigma[("sigma", "min")] == HalfInt(-5)  # -(n - 1/2) at n=3
+        assert sigma[("sigma", "max")] == HalfInt(3)
 
     def test_grading_positive_resonant(self, family):
         H = QuadraticHamiltonian.from_frequencies(
@@ -418,11 +422,11 @@ def test_a_slow_frequency_beside_a_fast_one_is_placed():
     """J S lies 1e-5 in backward error from a matrix with the eigenvalue 0,
     far above the cut eig_cluster * 30, so mu = 1e-5 is on the imaginary
     axis and off 0, and is crossed at 2 pi / 1e-5, with the 3 millionth
-    crossing of mu = 30, both signed +2 (read from one period early: at
-    T = 7e5 the index is 6684510 by the closed form, but a pass from 0
-    enumerates 3.3 million crossings).  The same geometry at eig_cluster =
-    1e-4, mu = 0.1 beside 30, shows the slow frequency's crossing within a
-    short path and in the index.  A frequency
+    crossing of mu = 30, both signed +2.  At T = 7e5 the index is 6684510
+    by the closed form: cz_index_path counts the 3.3 million crossings
+    below its last period and lists only that period.  The same geometry
+    at eig_cluster = 1e-4, mu = 0.1 beside 30, shows the slow frequency's
+    crossing within a short path and in the index.  A frequency
     of 5e-10 lies within the cut of 0 and is refused, as classify refuses
     it.  Alone, mu = 1e-5 is placed and crossed too."""
     fast, slow = 30.0 * np.eye(2), 1e-5 * np.eye(2)
@@ -430,6 +434,7 @@ def test_a_slow_frequency_beside_a_fast_one_is_placed():
     freqs = _imaginary_frequencies(standard_J(2) @ S, DEFAULT_TOL)
     assert sorted(mu for mu, _ in freqs) == pytest.approx([1e-5, 30.0])
     assert cz_index_path(S, 1.0) == _long_index([30.0, 1e-5], 1.0) == HalfInt.from_int(10)
+    assert cz_index_path(S, 7e5) == _long_index([30.0, 1e-5], 7e5) == HalfInt.from_int(6684510)
     assert crossing_times(S, 1.0) == pytest.approx([TWO_PI * j / 30.0 for j in (1, 2, 3, 4)])
     late = czindex._Crossings(S, [(mu, V.shape[1]) for mu, V in freqs], TWO_PI / 1e-5 + 1.0,
                               DEFAULT_TOL, start=TWO_PI / 1e-5 - 1.0, vectors=dict(freqs))
@@ -496,3 +501,65 @@ def test_shared_frequency_signed_on_its_schur_kernel(gamma):
         assert sorted(V.shape[1] for _, V in freqs) == [1, 2]
         assert sorted(b.key(6) for b in classify(S).blocks) == want
         assert cz_index_data(S, 9.0).index == oracle_cz(S, 9.0).index
+
+
+def test_path_index_lists_one_period_whatever_the_horizon(monkeypatch):
+    """cz_index_path on 30 I_2 + 1e-5 I_2 builds one pass, which lists the
+    few events of about one period below T, at T = 7e2 as at 7e5: the
+    crossings below are counted, not listed (a pass from 0 lists 3 342
+    and 3.3 million of them)."""
+    built = []
+    init = czindex._Crossings.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(czindex._Crossings, "__init__", recording)
+    S = symplectic_direct_sum(30.0 * np.eye(2), 1e-5 * np.eye(2))
+    for T in (7e2, 7e5):
+        built.clear()
+        assert cz_index_path(S, T) == _long_index([30.0, 1e-5], T)
+        assert len(built) == 1 and len(built[0].events) <= 6, T
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 3.0])
+def test_path_index_keeps_an_endpoint_an_ulp_below_the_horizon(mu):
+    """On selftest criterion 3's grid, mu Id at T = 2 pi N / mu,
+    cz_index_path, whose pass lists from T - tol.crossing on, gives the
+    index of cz_index_data's pass from 0, 2 k N.  The Jordan spectrum reads
+    0.5 as 0.5000000000000001 and 3 as 2.9999999999999996, so the endpoint
+    crossing falls an ulp below or above T and is kept either way."""
+    for k in (1, 2, 3, 4):
+        S = mu * np.eye(2 * k)
+        for N in (1, 2, 3, 4, 5):
+            T = TWO_PI * N / mu
+            assert cz_index_path(S, T) == cz_index_data(S, T).index == HalfInt.from_int(2 * k * N)
+
+
+def test_late_pass_indexes_as_a_pass_from_zero():
+    """Under a crossing tolerance of 0.8 the crossings of ten frequencies
+    in [1, 1.63], of alternating Krein sign, chain into merged crossings
+    (test_late_start_merges_as_a_pass_from_zero).  At horizons on each
+    merged crossing and tol.crossing either side of it, a pass that starts
+    late, at T - tol.crossing as cz_index_path's does or further back,
+    gives the index of the pass from 0, or is refused where it is."""
+    wide = Tolerances(crossing=0.8)
+    mus = 1.0 + 0.07 * np.arange(10)
+    S = np.diag(np.concatenate([np.resize([1.0, -1.0], 10) * mus] * 2))
+    freqs = _imaginary_frequencies(standard_J(10) @ S, wide)
+    pairs, vectors = [(mu, V.shape[1]) for mu, V in freqs], dict(freqs)
+    full = czindex._Crossings(S, pairs, 60.0, wide)
+    horizons = sorted({t + f * wide.crossing for t in full.times for f in (-1, 0, 1)})
+    for T in horizons:
+        try:
+            want = czindex._Crossings(S, pairs, T, wide, vectors=vectors).data().index
+        except CrossingDegenerate:
+            want = CrossingDegenerate
+        for start in (T - wide.crossing, T - 3.0, T / 2):
+            late = czindex._Crossings(S, pairs, T, wide, start, vectors=vectors)
+            if want is CrossingDegenerate:
+                with pytest.raises(CrossingDegenerate):
+                    late.data()
+            else:
+                assert late.data().index == want, (T, start)

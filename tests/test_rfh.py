@@ -30,10 +30,9 @@ from rfhquad import (
     rfh_pm_compact,
     rfh_report,
     singular_homology,
-    sigma_index,
     solve_exact_sequence,
 )
-from rfhquad import czindex, orbits, rfh, symlin
+from rfhquad import czindex, rfh, symlin
 from rfhquad.errors import (
     Inconsistent,
     InputError,
@@ -375,7 +374,7 @@ def _assert_census_matches_reference(H, window):
         if eta not in reference:
             reference[eta] = per_horizon_data(H.a0, eta, DEFAULT_TOL).index
         cz = reference[eta] if g.family.eta >= 0 else -reference[eta]
-        grading = cz + sigma_index(g.family, g.pole) + HalfInt(1)
+        grading = cz + g.sigma_index + HalfInt(1)
         assert g.family.cz_transverse.doubled == cz.doubled, g.label
         assert g.grading.doubled == grading.doubled, g.label
 
@@ -586,11 +585,17 @@ class TestGradedOncePerValue:
             _assert_one_formula(gens)
 
     def test_odd_transverse_index_is_an_internal_error(self, h32, monkeypatch):
-        """Half-integer gradings name the first generator they reach, the
-        H-side maximum of the lowest critical value."""
-        indices = czindex._positive_indices
-        monkeypatch.setattr(orbits, "_positive_indices",
-                            lambda path: [(m, cz + 1) for m, cz in indices(path)])
+        """A running signature sum whose last entry is off by one grades
+        the last crossing of the pass half-integral; the census names the
+        first generator it reaches, the H-side maximum of the lowest
+        critical value."""
+        before = czindex._Crossings.before
+
+        def off_by_one(path, weight, steps):
+            *sums, last = before(path, weight, steps)
+            return [*sums, last + 1]
+
+        monkeypatch.setattr(czindex._Crossings, "before", off_by_one)
         with pytest.raises(InternalError,
                            match=r"non-integer grading -?\d+/2 for OrbitFamily\(eta=-.*"
                                  r"side='H'.* at max$"):
