@@ -44,8 +44,15 @@ step on the V lands on its vertex up to the curvature: three or four
 evaluations take a bracket from a grid step to 1e-11.  All brackets are
 refined together, one batched evaluation per step.
 
-Intended for test suites; cost linear in the grid size, with a small
-constant away from crossings.
+The scan starts just short of 2 pi / |J S|_2.  exp(t J S) has the
+eigenvalue 1 only where t w lies in 2 pi i Z for an eigenvalue w of J S,
+and 0 < |w| <= |J S|_2 for a nondegenerate S, so no crossing lies in
+(0, 2 pi / |J S|_2).  The bound reads only the norm the grid rule and
+the screen already read, no frequency, and holds on the Pade fallback
+and beside hyperbolic blocks.
+
+Intended for test suites; cost linear in the part of the grid scanned,
+with a small constant away from crossings.
 """
 
 from __future__ import annotations
@@ -151,13 +158,15 @@ def _screen_size(ev: ExpEvaluator):
 def _screened_scan(ev: ExpEvaluator, ts) -> np.ndarray:
     """sigma_min(exp(t J S) - Id) at each of the equally spaced ``ts``
     where it can fall below _BRACKET, and +inf where the screen rules
-    that out (the true value there is at least _BRACKET)."""
+    that out (the true value there is at least _BRACKET).  ``ts`` may be
+    any window [a, b]: the radii are in its own steps, so its cost is set
+    by its width, not by its distance from 0."""
     grid = len(ts) - 1
     eye = np.eye(ev.M.shape[0])
     F = np.full(grid + 1, np.inf)
     radius = np.full(grid + 1, -1)  # in grid steps; -1 where not taken
     screen_size = _screen_size(ev)
-    step_norm = ts[-1] / grid * ev.norm
+    step_norm = (ts[-1] - ts[0]) / grid * ev.norm
     lo = np.arange(0, grid, _STRIDES[0])  # left ends of the cells to take
     for level, stride in enumerate(_STRIDES):
         hi = np.minimum(lo + stride, grid)
@@ -196,6 +205,11 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
     docstring) cannot prove sigma_min at least _BRACKET from a point it
     evaluated; that proof takes the smaller of the Weyl size
     sigma_max + 1 and the eigenbasis size kappa * exp(t * max Re w).
+    It skips the grid points 4 or more steps short of 2 pi / |J S|_2,
+    below which no crossing lies, as every eigenvalue w of J S has
+    0 < |w| <= |J S|_2; when no point is left after the first one it
+    scans, no exp(t J S) is built and the answer is sgn(S) / 2 with no
+    crossing.  The bound reads |J S|_2 alone, no frequency.
 
     Raises InputError unless S acts on an even-dimensional space,
     DegenerateInput when S has a numerical kernel (before any scanning),
@@ -218,8 +232,17 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
     if reach >= 2 * _BRACKET:
         raise ValueError(f"grid {grid} cannot resolve crossings on [0, {T:g}]: "
                          f"|J S|_2 * T / grid = {reach:.3g} is not below {2 * _BRACKET:g}")
+    # 2 pi / |J S|_2 in grid steps, less 1e-9 for the rounding of the norm.
+    # The scan starts 4 steps short of it, so that a crossing on the bound
+    # keeps its left neighbour and its 3-step merge window.  The first
+    # scanned point has no scanned left neighbour and is never a candidate.
+    bound = 2 * math.pi / ev.norm * (1 - 1e-9) / T * grid
+    if bound >= grid + 4:
+        return OracleCz((), HalfInt(doubled), False)
+    start = max(0, math.floor(bound) - 4)
+    ts = np.linspace(0.0, T, grid + 1)[start:]
+    last = grid - start
     eye = np.eye(2 * dof)
-    ts = np.linspace(0.0, T, grid + 1)
     # Points the screen skips read +inf: they are only compared against
     # values below _BRACKET, and the true value there is not below it.
     F = _screened_scan(ev, ts)
@@ -237,7 +260,7 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
         merged.append(i)
     merged = np.array(merged, dtype=int)
 
-    t_star, val = _newton_lockstep(ev, ts[merged - 1], ts[np.minimum(merged + 1, grid)],
+    t_star, val = _newton_lockstep(ev, ts[merged - 1], ts[np.minimum(merged + 1, last)],
                                    ts[merged])
     t_star = t_star[val <= _ACCEPT]
     times = []

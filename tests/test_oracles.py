@@ -16,7 +16,7 @@ from rfhquad import (
     normal_form,
     oracle_cz,
 )
-from rfhquad.errors import DegenerateInput, InputError
+from rfhquad.errors import CrossingDegenerate, DegenerateInput, InputError
 from rfhquad.oracles import (
     _ACCEPT,
     _BRACKET,
@@ -250,6 +250,49 @@ _BESIDE_HYPERBOLIC = normal_form([build_block("a", 1, 0.3),
                                   build_block("c", 1, 1.3j, gamma=-1)]).matrix
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dof=st.integers(1, 3),
+    a=st.floats(1e-3, 1e6),
+    steps=st.sampled_from([1, 2, 5, 97, 1000]),
+    h=st.sampled_from([1e-4, 1e-3, 1e-2]),
+    magnitude=st.sampled_from([0.0, 0.5]),
+)
+def test_screen_scans_a_window_off_zero(seed, dof, a, steps, h, magnitude):
+    """The screen scans any equally spaced window [a, a + steps h] with
+    a > 0, one step wide or more and as far out as 1e6, as a full scan of
+    that window does."""
+    rng = np.random.default_rng(seed)
+    S = random_elliptic_form(rng, dof)
+    if magnitude:
+        S = _conjugated(S, seed, magnitude)
+    ev = ExpEvaluator(standard_J(dof) @ sym_matrix(S))
+    _assert_screen_matches_full_scan(ev, np.linspace(a, a + steps * h, steps + 1))
+
+
+@pytest.mark.parametrize("a", [1.0, 1e3, 1e6, 1e9])
+def test_a_far_window_costs_its_width(a):
+    """The screen's radii are in steps of the window itself, so a window
+    of width 20 at t = 1e9 takes about as many points as one at t = 1
+    (346 to 437 of 20001 here); a step read as ts[-1] / grid took all
+    20001 from t = 1e6 on."""
+    ev = ExpEvaluator(standard_J(2) @ _ELLIPTIC)
+    ts = np.linspace(a, a + 20.0, 20001)
+    _assert_screen_matches_full_scan(ev, ts)
+    assert np.isfinite(_screened_scan(ev, ts)).sum() <= 20000 / 32
+
+
+@pytest.mark.parametrize("S", [_c2(0.0), _conjugated(_BESIDE_HYPERBOLIC, 2, 0.3)],
+                         ids=["c2-pade", "hyperbolic-0.3"])
+@pytest.mark.parametrize("a, b, n", [(2.5, 2.501, 2), (TWO_PI - 1e-3, TWO_PI + 1e-3, 3),
+                                     (1.0, 12.0, 40), (5.0, 9.0, 1001)])
+def test_screen_scans_a_window_beside_jordan_and_hyperbolic_blocks(S, a, b, n):
+    """Windows off 0 on the Pade fallback and beside a hyperbolic block,
+    where the screen's size grows with t."""
+    ev = ExpEvaluator(standard_J(S.shape[0] // 2) @ S)
+    _assert_screen_matches_full_scan(ev, np.linspace(a, b, n))
+
+
 @pytest.mark.parametrize("S", [
     _c2(1e-2), _c2(1e-4), _c2(0.0), _conjugated(_c2(1e-3), 0, 0.3),
     _conjugated(_ELLIPTIC, 1, 1.0), _conjugated(_BESIDE_HYPERBOLIC, 2, 0.3),
@@ -279,12 +322,69 @@ def test_screen_size_bounds_the_step(S):
 
 
 def test_fallback_without_eigenbasis():
+    """On the Pade fallback the scan, from 4 steps short of 2 pi / |J S|_2,
+    finds the crossing the analytic path places; the analytic index
+    refuses that crossing's form as degenerate."""
     S = normal_form([build_block("c", 2, 1j, gamma=1)]).matrix
     ev = ExpEvaluator(standard_J(2) @ S)
     assert not ev.fast
     got = _assert_matches_reference(S, 9.0, 4000)
-    assert got.times
+    assert got.times == pytest.approx(crossing_times(S, 9.0), abs=1e-7)
+    assert TWO_PI / ev.norm <= min(got.times)
+    with pytest.raises(CrossingDegenerate):
+        cz_index_data(S, 9.0)
     _assert_screen_matches_full_scan(ev, np.linspace(0.0, 9.0, 4001))
+
+
+@pytest.mark.parametrize("S, T, grid", [
+    (np.diag([3.0, 1.0, 3.0, 1.0]), 7.0, 20000),
+    (2 * np.eye(2), math.pi, 20000),
+    (_conjugated(_ELLIPTIC, 1, 1.0), 9.0, 20000),
+    (_BESIDE_HYPERBOLIC, 9.0, 4000),
+], ids=["crossings-on-the-bound", "endpoint-on-the-bound", "elliptic-conjugated",
+        "beside-hyperbolic"])
+def test_scan_from_the_bound_matches_full_scan(S, T, grid):
+    """Forms whose first crossing lies on 2 pi / |J S|_2 (the first two),
+    or past it where rho(J S) < |J S|_2 (conjugated), and beside a
+    hyperbolic block: the oracle, which scans from 4 steps short of the
+    bound, answers as the reference scan from 0 and as the analytic index."""
+    got = _assert_matches_reference(S, T, grid)
+    assert got.times
+    norm = np.linalg.norm(standard_J(S.shape[0] // 2) @ S, 2)
+    assert TWO_PI / norm <= min(got.times) + 1e-12
+    data = cz_index_data(S, T)
+    assert got.index == data.index
+    assert got.endpoint_hit == (data.endpoint is not None)
+    analytic = [t for t, _ in data.interior] + ([data.endpoint[0]] if data.endpoint else [])
+    assert got.times == pytest.approx(analytic, abs=1e-10)
+
+
+def _horizon(k, grid):
+    """A horizon for I_2 (|J S|_2 = 1) on a grid of ``grid`` steps at
+    which the margined scan start is grid point grid + k."""
+    return TWO_PI * (1 - 1e-9) * grid / (grid + 4.5 + k)
+
+
+@pytest.mark.parametrize("T, grid", [(1.0, 20000)] + [
+    pytest.param(_horizon(k, g), g, id=f"grid{g}-start{k:+d}")
+    for g in (400, 20000) for k in (-3, -2, -1, 0, 1, 2)])
+def test_horizon_inside_the_prefix(monkeypatch, T, grid):
+    """A horizon short of the first possible crossing: no crossing,
+    index sgn(S) / 2 and no RuntimeWarning.  When the scan would start on
+    the last grid point or past it, nothing is left to scan and no
+    exp(t J S) is built; windows of one to three steps are scanned from
+    their start and answer as the reference does."""
+    start = math.floor(TWO_PI * (1 - 1e-9) / T * grid) - 4
+    scan, rest = _scan_calls(monkeypatch)
+    with np.errstate(all="raise"):
+        got = oracle_cz(np.eye(2), T, grid)
+    assert got == OracleCz((), HalfInt(2), False)
+    if start >= grid:
+        assert scan == [] and rest == []
+    else:
+        assert got.times == tuple(_reference_oracle(np.eye(2), T, grid)[0])
+        built = np.concatenate(scan)
+        assert built.size and built.min() == np.linspace(0.0, T, grid + 1)[start]
 
 
 def test_degenerate_form_is_refused_before_scanning(monkeypatch):
@@ -346,16 +446,15 @@ def test_rejects_bad_horizon_and_grid(T, grid, message):
         oracle_cz(np.eye(2), T, grid)
 
 
-def _guard_case_calls(monkeypatch):
-    """Sizes of the calls of ExpEvaluator.at while the oracle runs on a
-    dof-3 form over [0, 4 pi] with ten crossings: those made inside the
-    screened scan, and those made after it (refinement and kernels)."""
+def _scan_calls(monkeypatch):
+    """Lists that gather the times of each call of ExpEvaluator.at from
+    here on: those made inside the screened scan, and all others."""
     scan, rest = [], []
     sink = [rest]
     original_at, original_scan = ExpEvaluator.at, oracles._screened_scan
 
     def counting(self, ts):
-        sink[-1].append(len(ts))
+        sink[-1].append(np.array(ts, dtype=float))
         return original_at(self, ts)
 
     def scanning(ev, ts):
@@ -367,9 +466,19 @@ def _guard_case_calls(monkeypatch):
 
     monkeypatch.setattr(ExpEvaluator, "at", counting)
     monkeypatch.setattr(oracles, "_screened_scan", scanning)
-    T = 4 * math.pi
-    S = random_elliptic_form(np.random.default_rng(4), 3, horizon=T + 0.1)
-    assert len(oracle_cz(S, T, 20000).times) == 10
+    return scan, rest
+
+
+_GUARD_T = 4 * math.pi
+_GUARD_S = random_elliptic_form(np.random.default_rng(4), 3, horizon=_GUARD_T + 0.1)
+
+
+def _guard_case_calls(monkeypatch):
+    """Times of the calls of ExpEvaluator.at while the oracle runs on a
+    dof-3 form over [0, 4 pi] with ten crossings: those made inside the
+    screened scan, and those made after it (refinement and kernels)."""
+    scan, rest = _scan_calls(monkeypatch)
+    assert len(oracle_cz(_GUARD_S, _GUARD_T, 20000).times) == 10
     assert scan and rest
     return scan, rest
 
@@ -378,7 +487,19 @@ def test_scan_evaluates_a_fraction_of_the_grid(monkeypatch):
     """Guard against a return to a full-grid or single-level scan, or to
     splitting whole cells: count the matrices exp(t J S) the scan builds."""
     scan, _ = _guard_case_calls(monkeypatch)
-    assert sum(scan) <= 20000 / 32
+    assert sum(map(len, scan)) <= 20000 / 32
+
+
+@pytest.mark.parametrize("S, T", [(_GUARD_S, _GUARD_T), (np.eye(2), 7.0)],
+                         ids=["guard-case", "rotation"])
+def test_scan_skips_the_prefix_without_crossings(monkeypatch, S, T):
+    """No crossing lies in (0, 2 pi / |J S|_2), so the scan builds no
+    exp(t J S) more than its 4-step margin (5 steps with rounding) short
+    of that bound, and still finds the crossings after it."""
+    scan, _ = _scan_calls(monkeypatch)
+    assert oracle_cz(S, T, 20000).times
+    norm = np.linalg.norm(standard_J(S.shape[0] // 2) @ S, 2)
+    assert np.concatenate(scan).min() >= TWO_PI / norm - 5 * T / 20000
 
 
 def test_refinement_is_batched(monkeypatch):
