@@ -12,7 +12,6 @@ from .czindex import (
     crossing_times,
     cz_index_data,
     cz_index_path,
-    grading,
 )
 from .errors import (
     CensusOverflow,
@@ -35,7 +34,6 @@ from .errors import (
 from .hormander import (
     HormanderBlock,
     NormalForm,
-    block_signature,
     block_signatures,
     build_block,
     classify,

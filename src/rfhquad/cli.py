@@ -25,7 +25,6 @@ import sys
 
 import numpy as np
 
-from .czindex import _sigma_doubled
 from .errors import (
     Inconsistent,
     InputError,
@@ -35,7 +34,7 @@ from .errors import (
     Underdetermined,
 )
 from .hormander import NormalForm, block_signatures, build_block, classify, normal_form
-from .orbits import ActionWindow, _census, _orbit_families
+from .orbits import ActionWindow, _census, _orbit_families, _sigma_doubled
 from .rfh import _generators, rfh_report
 from .selftest import BASE_SEED, run_all
 from .symlin import DEFAULT_TOL, Tolerances
@@ -142,8 +141,6 @@ def _parse_spec(doc: dict) -> _ParsedSpec:
         raise InputError(f"{field}: {exc}") from exc
 
     if frequencies is not None:
-        a0 = (np.diag(np.concatenate([frequencies] * 2))
-              if frequencies else np.zeros((0, 0)))
         echo_a0 = {"frequencies": frequencies}
     elif isinstance(a0_doc, dict) and "matrix" in a0_doc:
         a0 = _matrix_from(a0_doc["matrix"], "a0")
@@ -171,8 +168,8 @@ def _parse_spec(doc: dict) -> _ParsedSpec:
     else:
         raise InputError("a1 must carry either 'blocks' or 'matrix'")
 
-    H = QuadraticHamiltonian(n, k, a0, a1,
-                             tuple(frequencies) if frequencies is not None else None)
+    H = (QuadraticHamiltonian(n, k, a0, a1) if frequencies is None
+         else QuadraticHamiltonian.from_frequencies(n, k, frequencies, a1))
     echo = {"n": n, "k": k, "a0": echo_a0, "a1": echo_a1,
             "tolerances": {name: getattr(tol, name) for name in _TOL_FIELDS}}
     return _ParsedSpec(H, tol, echo, nf1)

@@ -1,4 +1,4 @@
-"""Conley-Zehnder indices and gradings of orbit-family generators.
+"""Conley-Zehnder indices of the symplectic paths t |-> exp(t J S).
 
 The index of the symplectic path t |-> exp(t J S), t in [0, T], is computed
 by the signature-weighted crossing count
@@ -36,7 +36,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,15 +58,11 @@ from .symlin import (
     sym_matrix,
 )
 
-if TYPE_CHECKING:
-    from .orbits import OrbitFamily
-
 __all__ = [
     "HalfInt",
     "cz_index_path",
     "cz_index_data",
     "crossing_times",
-    "grading",
 ]
 
 
@@ -398,38 +393,3 @@ def crossing_times(S, T: float, tol: Tolerances = DEFAULT_TOL) -> tuple:
     """
     return _form_crossings(S, T, tol).crossing_times()
 
-
-# ---------------------------------------------------------------------------
-# family-level indices
-# ---------------------------------------------------------------------------
-
-
-def _sigma_doubled(family: OrbitFamily, pole: str) -> int:
-    """Twice the signature index of the extremum ``pole`` on the family:
-    -(2m - 1) at the minimum and 2m - 1 at the maximum of S^(2m-1) and of
-    the stationary compact family (m = k); -(2n - 1) and 2k - 1 on the
-    stationary noncompact family."""
-    if pole not in ("min", "max"):
-        raise InputError(f"pole must be 'min' or 'max', got {pole!r}")
-    if family.topology in ("sphere", "sigma0"):
-        return -(2 * family.m - 1) if pole == "min" else 2 * family.m - 1
-    if family.topology == "sigma":
-        return -(2 * family.n - 1) if pole == "min" else 2 * family.k - 1
-    raise InputError(f"unknown topology {family.topology!r}")
-
-
-def grading(family: OrbitFamily, pole: str) -> HalfInt:
-    """Full grading: transverse index + signature index + 1/2, summed as
-    doubled integers.
-
-    A nonstationary family carries its transverse index from the census
-    (``generator_census``); one without it is rejected.
-    """
-    if family.eta == 0.0:
-        cz = 0
-    elif family.cz_transverse is None:
-        raise InputError(f"family at eta = {family.eta} carries no transverse index; "
-                         "grade it through generator_census")
-    else:
-        cz = family.cz_transverse.doubled
-    return HalfInt(cz + _sigma_doubled(family, pole) + 1)

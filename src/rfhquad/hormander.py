@@ -51,7 +51,6 @@ __all__ = [
     "HormanderBlock",
     "NormalForm",
     "build_block",
-    "block_signature",
     "block_signatures",
     "classify",
 ]
@@ -136,7 +135,7 @@ def build_block(kind: str, m: int, lam: complex, gamma: int | None = None) -> Ho
     """
     if kind not in KINDS:
         raise InputError(f"unknown block kind {kind!r}")
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise InputError(f"Jordan size m must be a positive integer, got {m!r}")
     lam = complex(lam)
     if not cmath.isfinite(lam):
@@ -169,16 +168,11 @@ def build_block(kind: str, m: int, lam: complex, gamma: int | None = None) -> Ho
     return HormanderBlock("c", int(m), complex(0.0, im), int(gamma), _matrix_c(m, im, gamma))
 
 
-def block_signature(block: HormanderBlock, tol: Tolerances = DEFAULT_TOL):
-    """(p, q) signature of the block, closed form checked numerically."""
-    return block_signatures((block,), tol)[0]
-
-
 def block_signatures(blocks, tol: Tolerances = DEFAULT_TOL) -> list:
-    """``block_signature`` of each block, in order: the numerical check
-    takes one stacked inertia (``symlin._inertias``) per matrix shape, and
-    still decides each block on its own.  The first block that fails the
-    check raises what ``block_signature`` raises on it."""
+    """The (p, q) signature of each block, in order, its closed form
+    checked numerically: the check takes one stacked inertia
+    (``symlin._inertias``) per matrix shape, and still decides each block
+    on its own.  The first block, in order, that fails the check raises."""
     blocks = tuple(blocks)
     groups = {}
     for i, b in enumerate(blocks):

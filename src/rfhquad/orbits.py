@@ -108,6 +108,20 @@ _set_k = OrbitFamily.k.__set__
 _set_cz_transverse = OrbitFamily.cz_transverse.__set__
 
 
+def _sigma_doubled(family: OrbitFamily, pole: str) -> int:
+    """Twice the signature index of the extremum ``pole`` on the family:
+    -(2m - 1) at the minimum and 2m - 1 at the maximum of S^(2m-1) and of
+    the stationary compact family (m = k); -(2n - 1) and 2k - 1 on the
+    stationary noncompact family."""
+    if pole not in ("min", "max"):
+        raise InputError(f"pole must be 'min' or 'max', got {pole!r}")
+    if family.topology in ("sphere", "sigma0"):
+        return -(2 * family.m - 1) if pole == "min" else 2 * family.m - 1
+    if family.topology == "sigma":
+        return -(2 * family.n - 1) if pole == "min" else 2 * family.k - 1
+    raise InputError(f"unknown topology {family.topology!r}")
+
+
 def _lower_bound(freqs, window: ActionWindow) -> float:
     """A lower bound on the number of critical values in the window, from
     its ends alone: over all mu, the count of 2 pi j / mu in it (j in Z),

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import gt
 
-from .czindex import HalfInt, _sigma_doubled
+from .czindex import HalfInt
 from .errors import Inconsistent, InputError, InternalError, Underdetermined
-from .orbits import ActionWindow, OrbitFamily, _census, _families
+from .orbits import ActionWindow, OrbitFamily, _census, _families, _sigma_doubled
 from .symlin import DEFAULT_TOL, Tolerances
 from .tentacular import QuadraticHamiltonian
 
@@ -37,23 +37,28 @@ __all__ = [
 ]
 
 
+def _integer_at_least(value, least: int) -> bool:
+    """Whether value is an integer >= least: an integral float is one, a
+    bool is not, and a string or None is no integer rather than an error."""
+    try:
+        return not isinstance(value, bool) and int(value) == value >= least
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 class GradedZ2Space:
     """Finite-dimensional graded Z/2 vector space, held as degree -> dim."""
 
     def __init__(self, dims=None):
         self._dims = {}
         for deg, d in dict(dims or {}).items():
-            if isinstance(d, bool) or int(d) != d or d < 0:
+            if not _integer_at_least(d, 0):
                 raise InputError(f"dimension at degree {deg} must be a nonnegative integer")
             if d:
                 self._dims[int(deg)] = int(d)
 
     def dim(self, degree: int) -> int:
         return self._dims.get(int(degree), 0)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self._dims.values())
 
     def as_dict(self) -> dict:
         return dict(sorted(self._dims.items()))
@@ -157,7 +162,7 @@ def singular_homology(n: int, k: int) -> GradedZ2Space:
 def rfh_pm_compact(k: int) -> tuple:
     """Positive and negative homology of the compact model: one Z/2 class
     each, in degrees k+1 and -k."""
-    if isinstance(k, bool) or int(k) != k or k < 1:
+    if not _integer_at_least(k, 1):
         raise InputError(f"k must be a positive integer, got {k!r}")
     return GradedZ2Space({k + 1: 1}), GradedZ2Space({-k: 1})
 
@@ -270,7 +275,7 @@ def solve_exact_sequence(problem: ExactSequenceProblem) -> SolvedSequence:
     hi = [BIG] * n
     for i, (_, d) in enumerate(problem.terms):
         if d is not None:
-            if isinstance(d, bool) or int(d) != d or d < 0:
+            if not _integer_at_least(d, 0):
                 raise InputError(f"bad dimension {d!r} at term {labels[i]!r}")
             lo[i] = hi[i] = int(d)
     rlo = [0] * (n - 1)

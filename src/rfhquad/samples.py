@@ -87,18 +87,17 @@ def random_orthosymplectic(rng: np.random.Generator, dof: int) -> np.ndarray:
 
 
 def random_elliptic_form(rng: np.random.Generator, dof: int,
-                         mu_lo: float = 0.35, mu_hi: float = 2.4,
                          horizon: float = 30.0) -> np.ndarray:
-    """Positive or mixed-sign elliptic quadratic form with well-separated
-    crossing times up to the horizon, conjugated by a random
-    orthosymplectic map.
+    """Positive or mixed-sign elliptic quadratic form with frequencies in
+    [0.35, 2.4) and well-separated crossing times up to the horizon,
+    conjugated by a random orthosymplectic map.
 
     Frequencies are resampled until all crossing times 2 pi j / mu below
     the horizon stay pairwise separated by at least 5e-3, so analytic and
     scanning crossing detectors must agree on the count.
     """
     for _ in range(600):
-        mus = rng.uniform(mu_lo, mu_hi, size=dof)
+        mus = rng.uniform(0.35, 2.4, size=dof)
         times = []
         for mu in mus:
             j = 1

@@ -144,11 +144,12 @@ class SpectrumItem:
 class Spectrum:
     items: tuple  # tuple[SpectrumItem], sorted by (Re, Im)
 
-    def key(self, ndigits: int = 6):
-        """Rounded multiset representation, for comparisons in tests."""
+    def key(self):
+        """Rounded multiset representation, eigenvalues to 6 digits, which
+        ``classify``'s closure check compares."""
         return tuple(
             sorted(
-                (round(it.eigenvalue.real, ndigits), round(it.eigenvalue.imag, ndigits), it.block_sizes)
+                (round(it.eigenvalue.real, 6), round(it.eigenvalue.imag, 6), it.block_sizes)
                 for it in self.items
             )
         )

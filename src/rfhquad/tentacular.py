@@ -57,9 +57,10 @@ class QuadraticHamiltonian:
     frequencies: tuple | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        integer = (int, np.integer)  # a bool is an int, and no dimension
+        if isinstance(self.n, bool) or not (isinstance(self.n, integer) and self.n >= 1):
             raise InputError(f"n must be a positive integer, got {self.n!r}")
-        if not (isinstance(self.k, (int, np.integer)) and 0 <= self.k <= self.n):
+        if isinstance(self.k, bool) or not (isinstance(self.k, integer) and 0 <= self.k <= self.n):
             raise InputError(f"k must lie in [0, n], got {self.k!r}")
         a0 = sym_matrix(self.a0, "A0")
         a1 = sym_matrix(self.a1, "A1")

@@ -16,7 +16,6 @@ from rfhquad import (
     cz_index_data,
     cz_index_path,
     generator_census,
-    grading,
     Spectrum,
     normal_form,
     oracle_cz,
@@ -24,12 +23,8 @@ from rfhquad import (
     symplectic_direct_sum,
 )
 from rfhquad import czindex, hormander
-from rfhquad.czindex import (
-    _form_crossings,
-    _imaginary_frequencies,
-    _merged_frequencies,
-    _sigma_doubled,
-)
+from rfhquad.czindex import _form_crossings, _imaginary_frequencies, _merged_frequencies
+from rfhquad.orbits import _sigma_doubled
 from rfhquad.errors import (
     CrossingDegenerate,
     DegenerateInput,
@@ -205,6 +200,15 @@ def census_transverse(H, eta):
     return cz
 
 
+def census_gradings(H, eta):
+    """side -> pole -> grading of the census generators at the critical
+    value eta (their only producer)."""
+    out = {}
+    for g in generator_census(H, ActionWindow(eta - 0.5, eta + 0.5)):
+        out.setdefault(g.family.side, {})[g.pole] = g.grading
+    return out
+
+
 class TestTransverseAndGrading:
     def test_transverse_single_frequency(self, h21):
         assert census_transverse(h21, TWO_PI) == HalfInt.from_int(2)
@@ -229,23 +233,18 @@ class TestTransverseAndGrading:
         assert sigma[("sigma", "min")] == HalfInt(-5)  # -(n - 1/2) at n=3
         assert sigma[("sigma", "max")] == HalfInt(3)
 
-    def test_grading_positive_resonant(self, family):
+    def test_grading_positive_resonant(self):
         H = QuadraticHamiltonian.from_frequencies(
             3, 2, [1.0, 1.0], build_block("a", 1, 1.0).matrix)
-        fam = replace(family(H, TWO_PI, side="H0"), cz_transverse=HalfInt.from_int(4))
-        assert fam.m == 2
-        assert grading(fam, "min") == HalfInt.from_int(3)
-        assert grading(fam, "max") == HalfInt.from_int(6)
+        assert census_transverse(H, TWO_PI) == HalfInt.from_int(4)
+        gradings = census_gradings(H, TWO_PI)  # 4 -+ 3/2 + 1/2 on a sphere S^3 (m = 2)
+        assert gradings["H0"] == gradings["H"]
+        assert gradings["H0"] == {"min": HalfInt.from_int(3), "max": HalfInt.from_int(6)}
 
-    def test_grading_negative_action(self, h21, family):
-        fam = replace(family(h21, -TWO_PI, side="H0"), cz_transverse=HalfInt.from_int(-2))
-        assert grading(fam, "max") == HalfInt.from_int(-1)
-        assert grading(fam, "min") == HalfInt.from_int(-2)
-
-    def test_grading_needs_census_index(self, h21, family):
-        """Only the generator census attaches the transverse index."""
-        with pytest.raises(InputError):
-            grading(family(h21, TWO_PI), "min")
+    def test_grading_negative_action(self, h21):
+        gradings = census_gradings(h21, -TWO_PI)  # -2 -+ 1/2 + 1/2 on S^1 (m = 1)
+        assert gradings["H0"] == gradings["H"]
+        assert gradings["H0"] == {"max": HalfInt.from_int(-1), "min": HalfInt.from_int(-2)}
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from rfhquad import (
     Spectrum,
     Tolerances,
-    block_signature,
     block_signatures,
     build_block,
     classify,
@@ -71,10 +70,10 @@ def test_block_eigenvalues_match_request():
 
 
 def test_block_signatures():
-    assert block_signature(build_block("a", 2, 3.0)) == (2, 2)
-    assert block_signature(build_block("c", 1, 1.0j, gamma=1)) == (2, 0)
-    assert block_signature(build_block("c", 1, 1.0j, gamma=-1)) == (0, 2)
-    assert block_signature(build_block("b", 1, 0.5 + 1.0j)) == (2, 2)
+    assert block_signatures((build_block("a", 2, 3.0),)) == [(2, 2)]
+    assert block_signatures((build_block("c", 1, 1.0j, gamma=1),)) == [(2, 0)]
+    assert block_signatures((build_block("c", 1, 1.0j, gamma=-1),)) == [(0, 2)]
+    assert block_signatures((build_block("b", 1, 0.5 + 1.0j),)) == [(2, 2)]
 
 
 def test_planted_wrong_block_raises_signature_mismatch():
@@ -84,19 +83,19 @@ def test_planted_wrong_block_raises_signature_mismatch():
     c = build_block("c", 1, 1.0j, gamma=1)
     planted = dataclasses.replace(c, matrix=-c.matrix)
     with pytest.raises(SignatureMismatch, match=r"closed form \(2, 0\) vs numerical \(0, 2\)"):
-        block_signature(planted)
+        block_signatures((planted,))
     with pytest.raises(SignatureMismatch, match=r"closed form \(2, 0\) vs numerical \(0, 2\)"):
         block_signatures([good, planted])
 
 
 def test_batched_signatures_decide_each_block_in_order():
-    """block_signatures gives each block what block_signature gives it,
+    """block_signatures gives each block what it gives that block alone,
     and raises what the first failing block, in order, raises, whichever
     matrix shape that block shares with others."""
     blocks = [build_block("a", 2, 3.0), build_block("c", 1, 1.0j, gamma=1),
               build_block("b", 1, 0.5 + 1.0j), build_block("c", 1, 2.0j, gamma=-1),
               build_block("c", 3, 1.5j, gamma=1), build_block("a", 1, 0.4)]
-    assert block_signatures(blocks) == [block_signature(b) for b in blocks]
+    assert block_signatures(blocks) == [block_signatures((b,))[0] for b in blocks]
     assert block_signatures([]) == []
     mismatch = dataclasses.replace(blocks[1], matrix=-blocks[1].matrix)  # 2 x 2
     kernel = dataclasses.replace(blocks[0], matrix=np.zeros((4, 4)))  # 4 x 4
@@ -122,6 +121,13 @@ def test_build_block_input_errors():
         build_block("a", 1, 1.0j)  # real pair wants a real eigenvalue
     with pytest.raises(IncompatibleEigenvalue):
         build_block("c", 1, 1.0 + 1.0j, gamma=1)
+
+
+def test_build_block_refuses_a_bool_jordan_size():
+    """A bool is an int to Python, but no Jordan size."""
+    for m in (True, 1.0, "1"):
+        with pytest.raises(InputError, match="Jordan size"):
+            build_block("a", m, 1.0)
 
 
 @pytest.mark.parametrize("kind, lam, gamma", [
@@ -184,10 +190,7 @@ def test_classify_orthosymplectic_conjugation(rng):
 def test_classify_signature_additivity(rng):
     built = [build_block("a", 2, 1.5), build_block("c", 1, 0.6j, -1)]
     A = normal_form(built).matrix
-    total = np.array([0, 0])
-    for b in classify(A).blocks:
-        total += np.array(block_signature(b))
-    p, q = total
+    p, q = np.sum(block_signatures(classify(A).blocks), axis=0)
     assert p - q == signature(A)
     assert p + q == A.shape[0]
 

@@ -25,7 +25,6 @@ from rfhquad import (
     exact1_problem,
     exact2_problem,
     generator_census,
-    grading,
     rfh_geq0,
     rfh_pm_compact,
     rfh_report,
@@ -53,7 +52,6 @@ class TestGradedSpace:
         V = GradedZ2Space({0: 1, 3: 0, -2: 2})
         assert list(V.as_dict()) == [-2, 0]
         assert V.dim(3) == 0 and V.dim(-2) == 2
-        assert V.total_dim == 3
 
     def test_dict_equality(self):
         assert GradedZ2Space({1: 1}) == {1: 1}
@@ -65,6 +63,21 @@ class TestGradedSpace:
             GradedZ2Space({0: -1})
         with pytest.raises(InputError):
             GradedZ2Space({0: 1.5})
+
+    def test_rejects_non_numbers(self):
+        """A bool, a string or None is no dimension, and raises InputError,
+        not the ValueError or TypeError of int()."""
+        for bad in (True, "x", "1", None, [1], float("nan"), float("inf")):
+            with pytest.raises(InputError, match="nonnegative integer"):
+                GradedZ2Space({0: bad})
+
+    def test_solver_and_compact_inputs_reject_non_numbers(self):
+        for bad in ("x", [1], float("inf")):  # None marks an unknown to the solver
+            with pytest.raises(InputError, match="bad dimension"):
+                solve_exact_sequence(ExactSequenceProblem((("0", 0), ("A", bad), ("1", 0))))
+        for bad in ("x", None, float("inf")):
+            with pytest.raises(InputError, match="positive integer"):
+                rfh_pm_compact(bad)
 
 
 class TestKnownSpaces:
@@ -553,11 +566,10 @@ def test_census_far_from_zero_enumerates_its_window(h42, monkeypatch):
 
 def _assert_one_formula(gens):
     """Each generator's grading is its transverse index (0 at eta = 0)
-    plus its signature index plus 1/2, as ``grading`` computes it."""
+    plus its signature index plus 1/2."""
     for g in gens:
         cz = HalfInt(0) if g.family.eta == 0.0 else g.family.cz_transverse
         assert g.grading == cz + g.sigma_index + HalfInt(1), g.label
-        assert g.grading == grading(g.family, g.pole), g.label
 
 
 class TestGradedOncePerValue:

@@ -185,6 +185,62 @@ def test_an_unread_private_name_is_found():
                                               ("a.py", 6, "_C"), ("a.py", 9, "_h")]
 
 
+def _unread_public_names(package, readers) -> list:
+    """(module, name) for each name in the ``__all__`` of a module of
+    ``package``, a map of module name to source, that nothing reads: not
+    its own module as a name, and no other source of ``package`` or of
+    ``readers`` by importing it or as an attribute of what it imports.
+    A field read off a record (``g.grading``) reads no public name, nor
+    does a local name (a parameter ``grading``) outside its module."""
+
+    def root(node):
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return getattr(node, "id", None)
+
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    read = set()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        bound = {(alias.asname or alias.name).split(".")[0] for node in imports
+                 for alias in node.names}
+        read |= {alias.name for node in imports if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and root(node) in bound}
+    unread = []
+    for module, tree in trees.items():
+        own = {node.id for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [(module, name) for node in tree.body if isinstance(node, ast.Assign)
+                   and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+                   for name in ast.literal_eval(node.value) if name not in own | read]
+    return unread
+
+
+def test_every_public_name_is_read():
+    """A public name that only its own tests read is API kept for the
+    tests: every name in a module's ``__all__`` is read by the package
+    (its re-exports in __init__.py aside), by a script or by the
+    benchmark.  Reads in tests do not count."""
+    package = {path.name: path.read_text() for path in MODULES}
+    readers = [path.read_text() for path in sorted(ROOT.glob("scripts/*.py"))
+               + sorted(ROOT.glob("perfbench/*.py"))]
+    assert _unread_public_names(package, readers) == []
+
+
+def test_an_unread_public_name_is_found():
+    package = {"a.py": "__all__ = ['f', 'g', 'h', 'C', 'grading']\ndef f(): pass\n"
+                       "def g(): pass\ndef h(): pass\nclass C: pass\ndef grading(): pass\n"
+                       "f()\n",
+               "b.py": "__all__ = ['k', 'm']\nk = m = 1\nfrom .a import h\n"
+                       "def e(grading, x):\n    return grading, x.grading, x.m\n"}
+    readers = ["import pkg.a as a\nprint(a.g)\n", "from a import C\n"]
+    assert _unread_public_names(package, readers) == [("a.py", "grading"), ("b.py", "k"),
+                                                      ("b.py", "m")]
+
+
 def _uncalled_items(tree) -> list:
     """The line of each ``items`` attribute that is read but not called: a
     Spectrum's items, where a dict's are a call."""

@@ -114,6 +114,18 @@ def test_construction_shape_errors():
         QuadraticHamiltonian.from_frequencies(2, 1, [-1.0], np.eye(2))
 
 
+def test_construction_refuses_bool_dimensions():
+    """A bool is an int to Python but no dimension: H(2, True) would pass
+    validation and reach the census as k = 1, with k = True in its records."""
+    a1 = build_block("a", 1, 1.0).matrix
+    with pytest.raises(InputError, match="k must lie"):
+        QuadraticHamiltonian(2, True, np.eye(2), a1)
+    with pytest.raises(InputError, match="n must be"):
+        QuadraticHamiltonian(True, 0, np.zeros((0, 0)), a1)
+    with pytest.raises(InputError, match="k must lie"):
+        QuadraticHamiltonian.from_frequencies(2, True, [1.0], a1)
+
+
 def test_full_matrix_interleaves_parts(h31):
     full = h31.full_matrix
     assert full.shape == (6, 6)
