@@ -42,19 +42,19 @@ from .hormander import (
 from .oracles import OracleCz, oracle_cz
 from .orbits import (
     ActionWindow,
+    Generator,
     OrbitFamily,
     census,
+    generator_census,
 )
 from .rfh import (
     ExactSequenceProblem,
     GradedZ2Space,
-    Generator,
     RfhReport,
     SolvedSequence,
     alternating_sum,
     exact1_problem,
     exact2_problem,
-    generator_census,
     rfh_geq0,
     rfh_pm_compact,
     rfh_report,

@@ -34,8 +34,8 @@ from .errors import (
     Underdetermined,
 )
 from .hormander import NormalForm, block_signatures, build_block, classify, normal_form
-from .orbits import ActionWindow, _census, _orbit_families, _sigma_doubled
-from .rfh import _generators, rfh_report
+from .orbits import ActionWindow, _census, _generators, _sigma_doubled
+from .rfh import rfh_report
 from .selftest import BASE_SEED, run_all
 from .symlin import DEFAULT_TOL, Tolerances
 from .tentacular import (
@@ -406,8 +406,7 @@ def _window(args) -> ActionWindow | None:
 
 def _cmd_orbits(args) -> int:
     spec = _parse_spec(_read_doc(args.spec))
-    w, values = _census(spec.H, _window(args), spec.tol)
-    fams = _orbit_families(spec.H, values)
+    w, fams = _census(spec.H, _window(args), spec.tol)
 
     def table():
         yield f"orbit families with action in [{w.lo:.9g}, {w.hi:.9g}]: {len(fams)}"
@@ -424,8 +423,8 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_census(args) -> int:
     spec = _parse_spec(_read_doc(args.spec))
-    w, values = _census(spec.H, _window(args), spec.tol)
-    gens = _generators(spec.H, values)
+    w, fams = _census(spec.H, _window(args), spec.tol)
+    gens = _generators(fams)
 
     def table():
         yield f"generators with action in [{w.lo:.9g}, {w.hi:.9g}]: {len(gens)}"

@@ -74,15 +74,6 @@ class HormanderBlock:
     def dim(self) -> int:
         return 2 * self.dof
 
-    def key(self, ndigits: int = 9):
-        return (
-            self.kind,
-            self.m,
-            round(self.lam.real, ndigits),
-            round(self.lam.imag, ndigits),
-            self.gamma,
-        )
-
 
 def _matrix_a(m, lam_abs):
     # B has |lam| on the diagonal and ones directly under it
@@ -199,7 +190,8 @@ def block_signatures(blocks, tol: Tolerances = DEFAULT_TOL) -> list:
             raise pq
         if pq != expected:
             raise SignatureMismatch(
-                f"block {b.key()}: closed form {expected} vs numerical {pq}")
+                f"block ({b.kind}, m={b.m}, lam={b.lam}, gamma={b.gamma}): "
+                f"closed form {expected} vs numerical {pq}")
         out.append(expected)
     return out
 

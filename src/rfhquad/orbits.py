@@ -16,7 +16,9 @@ reads each |eta| and its m off the crossing enumeration of the index layer
 |eta| span of its window only, grades them all by the index layer's one
 running signature sum (``czindex._Crossings.before``), and checks each m
 by the phases eta * mu of the unmerged frequencies, with no matrix
-exponential.
+exponential.  Each family is built once, with its transverse index, and
+``generator_census`` caps it at its minimum and maximum: the two
+generators of the Floer complex it contributes.
 """
 
 from __future__ import annotations
@@ -27,15 +29,17 @@ from itertools import pairwise
 
 import numpy as np
 
-from .czindex import _Crossings, _merged_frequencies
-from .errors import CensusOverflow, InputError, ResonanceMismatch
+from .czindex import HalfInt, _Crossings, _merged_frequencies
+from .errors import CensusOverflow, InputError, InternalError, ResonanceMismatch
 from .symlin import DEFAULT_TOL, TWO_PI, Tolerances
 from .tentacular import QuadraticHamiltonian, _validate
 
 __all__ = [
     "ActionWindow",
     "OrbitFamily",
+    "Generator",
     "census",
+    "generator_census",
     "DEFAULT_CENSUS_CAP",
 ]
 
@@ -60,66 +64,98 @@ class ActionWindow:
 
 @dataclass(frozen=True, slots=True, init=False)
 class OrbitFamily:
-    """One Morse-Bott family of closed orbits at action eta.
+    """One Morse-Bott family of closed orbits at action eta, with its
+    transverse index.
 
-    m is half the kernel dimension of the linearized return map; for the
-    stationary families (eta == 0) it equals k resp. n and the topology tag
-    distinguishes the two level sets.
+    m is half the kernel dimension of the linearized return map.  Off
+    eta = 0 the H0 and H families are the same sphere S^(2m-1); at eta = 0
+    they are the two level sets, the compact one (m = k) on H0 and the
+    noncompact one (m = n) on H.
     """
 
     eta: float
     m: int
-    family_dim: int
-    topology: str  # "sphere" | "sigma0" | "sigma"
     side: str  # "H" | "H0"
-    n: int
     k: int
-    cz_transverse: object | None = None  # HalfInt, filled by the index layer
+    cz_transverse: HalfInt
 
-    def __init__(self, eta, m, family_dim, topology, side, n, k, cz_transverse=None):
+    def __init__(self, eta, m, side, k, cz_transverse):
         # One slot setter call per field, each bound once below: the
         # generated frozen __init__ makes one object.__setattr__ call per
         # field, and a census builds thousands of families.
         _set_eta(self, eta)
         _set_m(self, m)
-        _set_family_dim(self, family_dim)
-        _set_topology(self, topology)
         _set_side(self, side)
-        _set_n(self, n)
         _set_k(self, k)
         _set_cz_transverse(self, cz_transverse)
 
     @property
+    def topology(self) -> str:
+        if self.eta != 0.0:
+            return "sphere"
+        return "sigma0" if self.side == "H0" else "sigma"
+
+    @property
+    def family_dim(self) -> int:
+        return 2 * self.m - 1
+
+    @property
     def topology_name(self) -> str:
-        if self.topology == "sphere":
-            return f"S^{2 * self.m - 1}"
-        if self.topology == "sigma0":
-            return f"S^{2 * self.k - 1}"
-        return f"S^{self.n + self.k - 1} x R^{self.n - self.k}"
+        if self.eta == 0.0 and self.side == "H":
+            return f"S^{self.m + self.k - 1} x R^{self.m - self.k}"
+        return f"S^{2 * self.m - 1}"
 
 
 _set_eta = OrbitFamily.eta.__set__
 _set_m = OrbitFamily.m.__set__
-_set_family_dim = OrbitFamily.family_dim.__set__
-_set_topology = OrbitFamily.topology.__set__
 _set_side = OrbitFamily.side.__set__
-_set_n = OrbitFamily.n.__set__
 _set_k = OrbitFamily.k.__set__
 _set_cz_transverse = OrbitFamily.cz_transverse.__set__
 
 
 def _sigma_doubled(family: OrbitFamily, pole: str) -> int:
     """Twice the signature index of the extremum ``pole`` on the family:
-    -(2m - 1) at the minimum and 2m - 1 at the maximum of S^(2m-1) and of
-    the stationary compact family (m = k); -(2n - 1) and 2k - 1 on the
-    stationary noncompact family."""
+    -(2m - 1) at the minimum and 2m - 1 at the maximum, but 2k - 1 at the
+    maximum of the stationary noncompact family (m = n)."""
     if pole not in ("min", "max"):
         raise InputError(f"pole must be 'min' or 'max', got {pole!r}")
-    if family.topology in ("sphere", "sigma0"):
-        return -(2 * family.m - 1) if pole == "min" else 2 * family.m - 1
-    if family.topology == "sigma":
-        return -(2 * family.n - 1) if pole == "min" else 2 * family.k - 1
-    raise InputError(f"unknown topology {family.topology!r}")
+    if pole == "min":
+        return 1 - 2 * family.m
+    if family.eta == 0.0 and family.side == "H":
+        return 2 * family.k - 1
+    return 2 * family.m - 1
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Generator:
+    """One Morse-Bott generator: an orbit family capped at one extremum."""
+
+    family: OrbitFamily
+    pole: str
+    grading: HalfInt
+
+    def __init__(self, family: OrbitFamily, pole: str, grading: HalfInt):
+        _set_family(self, family)  # one slot setter call per field, as in OrbitFamily
+        _set_pole(self, pole)
+        _set_grading(self, grading)
+
+    @property
+    def action(self) -> float:
+        return self.family.eta
+
+    @property
+    def sigma_index(self) -> HalfInt:
+        return HalfInt(_sigma_doubled(self.family, self.pole))
+
+    @property
+    def label(self) -> str:
+        side = "stationary" if self.family.eta == 0.0 else f"eta={self.family.eta:.6g}"
+        return f"{self.family.side}/{side}/{self.pole}"
+
+
+_set_family = Generator.family.__set__
+_set_pole = Generator.pole.__set__
+_set_grading = Generator.grading.__set__
 
 
 def _lower_bound(freqs, window: ActionWindow) -> float:
@@ -135,10 +171,10 @@ def census(H: QuadraticHamiltonian, window: ActionWindow,
     """All orbit families with action in the window, sorted by action.
 
     Every nonzero critical value carries a matched (H0-side, H-side) pair
-    with identical (eta, m); eta = 0, when present, carries the two
-    stationary families.  The family count is capped at DEFAULT_CENSUS_CAP;
-    a window that exceeds it by a closed-form count is refused before any
-    crossing is enumerated.
+    with identical eta, m and transverse index; eta = 0, when present,
+    carries the two stationary families.  The family count is capped at
+    DEFAULT_CENSUS_CAP; a window that exceeds it by a closed-form count is
+    refused before any crossing is enumerated.
 
     The values are eta = +-t over the merged crossings t of exp(t J A0)
     at the Williamson frequencies of A0, and m is the summed multiplicity
@@ -146,18 +182,47 @@ def census(H: QuadraticHamiltonian, window: ActionWindow,
     of frequencies whose phase t * mu is 0 modulo 2 pi, all t at once; a
     disagreement is an internal error, not a user error.
     """
-    return _orbit_families(H, _census(H, window, tol)[1])
+    return tuple(_census(H, window, tol)[1])
 
 
-def _orbit_families(H: QuadraticHamiltonian, values) -> tuple:
-    """The families of the census values ``_census`` returns, ungraded."""
-    return tuple(fam for eta, m, _ in values for fam in _families(H, eta, m, None))
+def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
+                     tol: Tolerances = DEFAULT_TOL) -> list:
+    """All generators with action in the window, two per orbit family, by
+    action, then side (H before H0), then pole (max before min).
+
+    One crossing enumeration over the window's |eta| span grades every
+    critical value by a running crossing count, negated for eta < 0, so
+    the cost follows the window's width, not its distance from 0.  Each
+    value's doubled gradings, transverse index + signature index + 1/2,
+    are summed once as integers and shared by its two sphere families
+    (the stationary pair at eta = 0 differs); all four have the parity of
+    the transverse index, checked once per value.
+    """
+    return _generators(_census(H, window, tol)[1])
+
+
+def _generators(families) -> list:
+    """The generators of the (H0, H) family pairs ``_census`` returns."""
+    out = []
+    pairs = iter(families)
+    for h0, h in zip(pairs, pairs):
+        cz = h.cz_transverse.doubled
+        top = cz + _sigma_doubled(h, "max") + 1
+        if top % 2:
+            raise InternalError(f"non-integer grading {HalfInt(top)} for {h} at max")
+        top, bottom = HalfInt(top), HalfInt(cz + _sigma_doubled(h, "min") + 1)
+        out += (Generator(h, "max", top), Generator(h, "min", bottom))
+        if h.eta == 0.0:
+            top = HalfInt(cz + _sigma_doubled(h0, "max") + 1)
+            bottom = HalfInt(cz + _sigma_doubled(h0, "min") + 1)
+        out += (Generator(h0, "max", top), Generator(h0, "min", bottom))
+    return out
 
 
 def _census(H: QuadraticHamiltonian, window, tol: Tolerances) -> tuple:
-    """(window, values): (eta, m, cz) for each critical value in the window,
-    ascending, cz the doubled transverse index (m None and cz 0 at eta = 0),
-    off one crossing enumeration over the window's |eta| span.  A window of
+    """(window, families): the (H0, H) family pair at each critical value
+    in the window, ascending, both carrying one transverse index, off one
+    crossing enumeration over the window's |eta| span.  A window of
     None is +-(4 pi / mu_min + 1e-6), mu_min the least declared frequency,
     or else the least of A0's, which ``_validate`` reads once for all.
 
@@ -185,16 +250,23 @@ def _census(H: QuadraticHamiltonian, window, tol: Tolerances) -> tuple:
     def span(t_lo, t_hi):  # the merged crossings with t_lo <= t <= t_hi
         return range(bisect_left(path.times, t_lo), bisect_right(path.times, t_hi))
 
+    k = H.k
+
+    def pair(eta, m, index):  # the H0 and H spheres at eta, sharing one transverse index
+        return OrbitFamily(eta, m, "H0", k, index), OrbitFamily(eta, m, "H", k, index)
+
     below, above = span(-hi, -lo), span(lo, hi)
-    negative = [(-path.times[g], ms[g], -cz[g]) for g in reversed(below)]
-    positive = [(path.times[g], ms[g], cz[g]) for g in above]
-    values = negative + [(0.0, None, 0)] * (0.0 in window) + positive
-    if 2 * len(values) > DEFAULT_CENSUS_CAP:
+    families = [f for g in reversed(below) for f in pair(-path.times[g], ms[g], HalfInt(-cz[g]))]
+    if 0.0 in window:
+        zero = HalfInt(0)
+        families += (OrbitFamily(0.0, k, "H0", k, zero), OrbitFamily(0.0, H.n, "H", k, zero))
+    families += [f for g in above for f in pair(path.times[g], ms[g], HalfInt(cz[g]))]
+    if len(families) > DEFAULT_CENSUS_CAP:
         raise CensusOverflow(
-            f"window yields up to {2 * len(values)} families, cap is {DEFAULT_CENSUS_CAP}")
+            f"window yields up to {len(families)} families, cap is {DEFAULT_CENSUS_CAP}")
     c = max(below, above, key=len)  # holds the other: it is empty or starts at 0 too
     _check_resonance(path.times[c.start:c.stop], ms[c.start:c.stop], mus, dmus, tol)
-    return window, values
+    return window, families
 
 
 def _check_resonance(times, ms, mus, dmus, tol: Tolerances) -> None:
@@ -212,14 +284,3 @@ def _check_resonance(times, ms, mus, dmus, tol: Tolerances) -> None:
         g = bad[0]
         raise ResonanceMismatch(f"{counts[g]} frequencies resonant != resonance count "
                                 f"{ms[g]} at eta = +-{times[g]}")
-
-
-def _families(H: QuadraticHamiltonian, eta: float, m, cz) -> tuple:
-    """The (H0, H) families at one critical value of the census, each
-    carrying the transverse index ``cz`` (a HalfInt, or None): the
-    stationary pair at eta = 0, a pair of equal spheres elsewhere."""
-    if eta == 0.0:
-        return (OrbitFamily(0.0, H.k, 2 * H.k - 1, "sigma0", "H0", H.n, H.k, cz),
-                OrbitFamily(0.0, H.n, 2 * H.n - 1, "sigma", "H", H.n, H.k, cz))
-    return (OrbitFamily(eta, m, 2 * m - 1, "sphere", "H0", H.n, H.k, cz),
-            OrbitFamily(eta, m, 2 * m - 1, "sphere", "H", H.n, H.k, cz))

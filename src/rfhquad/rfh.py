@@ -13,16 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import gt
 
-from .czindex import HalfInt
 from .errors import Inconsistent, InputError, InternalError, Underdetermined
-from .orbits import ActionWindow, OrbitFamily, _census, _families, _sigma_doubled
-from .symlin import DEFAULT_TOL, Tolerances
 from .tentacular import QuadraticHamiltonian
 
 __all__ = [
     "GradedZ2Space",
-    "Generator",
-    "generator_census",
     "singular_homology",
     "rfh_pm_compact",
     "ExactSequenceProblem",
@@ -46,19 +41,28 @@ def _integer_at_least(value, least: int) -> bool:
         return False
 
 
+def _degree(value) -> int:
+    """value as a degree: any integer, an integral float among them, but
+    not a bool; anything else raises InputError."""
+    if not _integer_at_least(value, float("-inf")):
+        raise InputError(f"degree must be an integer, got {value!r}")
+    return int(value)
+
+
 class GradedZ2Space:
     """Finite-dimensional graded Z/2 vector space, held as degree -> dim."""
 
     def __init__(self, dims=None):
         self._dims = {}
         for deg, d in dict(dims or {}).items():
+            deg = _degree(deg)
             if not _integer_at_least(d, 0):
                 raise InputError(f"dimension at degree {deg} must be a nonnegative integer")
             if d:
-                self._dims[int(deg)] = int(d)
+                self._dims[deg] = int(d)
 
     def dim(self, degree: int) -> int:
-        return self._dims.get(int(degree), 0)
+        return self._dims.get(_degree(degree), 0)
 
     def as_dict(self) -> dict:
         return dict(sorted(self._dims.items()))
@@ -79,71 +83,6 @@ class GradedZ2Space:
     def __repr__(self):
         inner = ", ".join(f"{d}: {v}" for d, v in sorted(self._dims.items()))
         return f"GradedZ2Space({{{inner}}})"
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class Generator:
-    """One Morse-Bott generator: an orbit family capped at one extremum."""
-
-    family: OrbitFamily
-    pole: str
-    grading: HalfInt
-
-    def __init__(self, family: OrbitFamily, pole: str, grading: HalfInt):
-        _set_family(self, family)  # one slot setter call per field, as in OrbitFamily
-        _set_pole(self, pole)
-        _set_grading(self, grading)
-
-    @property
-    def action(self) -> float:
-        return self.family.eta
-
-    @property
-    def sigma_index(self) -> HalfInt:
-        return HalfInt(_sigma_doubled(self.family, self.pole))
-
-    @property
-    def label(self) -> str:
-        side = "stationary" if self.family.eta == 0.0 else f"eta={self.family.eta:.6g}"
-        return f"{self.family.side}/{side}/{self.pole}"
-
-
-_set_family = Generator.family.__set__
-_set_pole = Generator.pole.__set__
-_set_grading = Generator.grading.__set__
-
-
-def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
-                     tol: Tolerances = DEFAULT_TOL) -> list:
-    """All generators with action in the window, two per orbit family, by
-    action, then side (H before H0), then pole (max before min).
-
-    One crossing enumeration over the window's |eta| span grades every
-    critical value by a running crossing count, negated for eta < 0, so
-    the cost follows the window's width, not its distance from 0.  Each
-    value's doubled gradings, transverse index + signature index + 1/2,
-    are summed once as integers and shared by its two sphere families
-    (the stationary pair at eta = 0 differs); all four have the parity of
-    the transverse index, checked once per value.
-    """
-    return _generators(H, _census(H, window, tol)[1])
-
-
-def _generators(H: QuadraticHamiltonian, values) -> list:
-    """The generators of the census values ``_census`` returns."""
-    out = []
-    for eta, m, cz in values:
-        h0, h = _families(H, eta, m, HalfInt(cz))
-        top = cz + _sigma_doubled(h, "max") + 1
-        if top % 2:
-            raise InternalError(f"non-integer grading {HalfInt(top)} for {h} at max")
-        top, bottom = HalfInt(top), HalfInt(cz + _sigma_doubled(h, "min") + 1)
-        out += (Generator(h, "max", top), Generator(h, "min", bottom))
-        if eta == 0.0:
-            top = HalfInt(cz + _sigma_doubled(h0, "max") + 1)
-            bottom = HalfInt(cz + _sigma_doubled(h0, "min") + 1)
-        out += (Generator(h0, "max", top), Generator(h0, "min", bottom))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,13 @@ import numpy as np
 from .czindex import cz_index_data, cz_index_path, crossing_times
 from .hormander import block_signatures, build_block, classify, normal_form
 from .oracles import oracle_cz
-from .orbits import ActionWindow, census
+from .orbits import ActionWindow, census, generator_census
 from .rfh import (
     ExactSequenceProblem,
     GradedZ2Space,
     alternating_sum,
     exact1_problem,
     exact2_problem,
-    generator_census,
     rfh_geq0,
     rfh_report,
     solve_exact_sequence,

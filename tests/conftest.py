@@ -73,6 +73,13 @@ def per_horizon_data(S, T, tol):
     return CzPathData(sgn_s, tuple(interior), endpoint, HalfInt(doubled))
 
 
+def block_keys(blocks, ndigits: int = 6) -> list:
+    """The sorted (kind, m, Re lam, Im lam, gamma) of Hormander blocks,
+    lam rounded to ndigits: a classification compared up to round-off."""
+    return sorted((b.kind, b.m, round(b.lam.real, ndigits), round(b.lam.imag, ndigits), b.gamma)
+                  for b in blocks)
+
+
 def critical_values(H, window):
     """The critical values of the census of H in the window: the actions
     of its H0-side families, zero included when in the window."""

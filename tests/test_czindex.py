@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, reject
 from hypothesis import strategies as st
 
-from conftest import per_horizon_data
+from conftest import block_keys, per_horizon_data
 from rfhquad import (
     ActionWindow,
     HalfInt,
@@ -403,7 +403,7 @@ def test_ill_conditioned_frequencies_keep_their_crossings():
     G = random_symplectic(np.random.default_rng(24), 2, 10)
     S = G.T @ S0 @ G
     assert cz_index_path(S, 9.0) == cz_index_path(S0, 9.0) == HalfInt.from_int(-2)
-    assert sorted(b.key(6) for b in classify(S).blocks) == sorted(b.key(6) for b in built)
+    assert block_keys(classify(S).blocks) == block_keys(built)
     JS = standard_J(2) @ sym_matrix(S)
     freqs = _imaginary_frequencies(JS, DEFAULT_TOL)
     assert sorted(mu for mu, _ in freqs) == pytest.approx([1.0, 1.7])
@@ -492,13 +492,13 @@ def test_shared_frequency_signed_on_its_schur_kernel(gamma):
     built = [build_block("c", 1, 1.0j, 1), build_block("c", 1, 1.0j, -1),
              build_block("c", 1, 1.6j, gamma)]
     A = normal_form(built).matrix
-    want = sorted(b.key(6) for b in built)
+    want = block_keys(built)
     for _ in range(30):
         P = random_symplectic(rng, 3, magnitude=0.4)
         S = P.T @ A @ P
         freqs = _imaginary_frequencies(standard_J(3) @ sym_matrix(S), DEFAULT_TOL)
         assert sorted(V.shape[1] for _, V in freqs) == [1, 2]
-        assert sorted(b.key(6) for b in classify(S).blocks) == want
+        assert block_keys(classify(S).blocks) == want
         assert cz_index_data(S, 9.0).index == oracle_cz(S, 9.0).index
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import block_keys
 from rfhquad import (
     Spectrum,
     Tolerances,
@@ -170,8 +171,8 @@ def test_classify_two_frequencies():
 def test_classify_round_trip(blocks):
     built = [build_block(k, m, lam, g) for k, m, lam, g in blocks]
     nf = classify(normal_form(built).matrix)
-    got = sorted(b.key() for b in nf.blocks)
-    want = sorted(b.key() for b in built)
+    got = block_keys(nf.blocks, 9)
+    want = block_keys(built, 9)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g[0] == w[0] and g[1] == w[1] and g[-1] == w[-1]
@@ -211,13 +212,13 @@ def test_conjugated_jordan_block_is_recovered(blocks, conjugation):
     built = [build_block(k, m, lam, g) for k, m, lam, g in blocks]
     A = normal_form(built).matrix
     dof = A.shape[0] // 2
-    want = sorted(b.key(6) for b in built)
+    want = block_keys(built)
     for _ in range(30):
         if conjugation == "orthosymplectic":
             P = random_orthosymplectic(rng, dof)
         else:
             P = random_symplectic(rng, dof, magnitude=0.1)
-        assert sorted(b.key(6) for b in classify(P.T @ A @ P).blocks) == want
+        assert block_keys(classify(P.T @ A @ P).blocks) == want
 
 
 @pytest.mark.parametrize("n, seed", [(20, 0), (20, 1), (30, 1), (30, 4)])
@@ -231,8 +232,8 @@ def test_classify_large_random_hamiltonian(n, seed):
     freqs = np.sort(rng.uniform(0.5, 5.0, size=k))
     built = [build_block("c", 1, 1j * mu, 1) for mu in freqs]
     built += list(random_hyperbolic_blocks(rng, n - k).blocks)
-    got = sorted(b.key(6) for b in classify(H.full_matrix).blocks)
-    assert got == sorted(b.key(6) for b in built)
+    got = block_keys(classify(H.full_matrix).blocks)
+    assert got == block_keys(built)
 
 
 def test_classify_gamma_undetermined_for_defective_imaginary():
@@ -307,7 +308,7 @@ def test_a_conjugated_close_pair_returns_its_blocks(pair, tmp_path):
     A = normal_form(built).matrix
     U = random_orthosymplectic(np.random.default_rng(0), A.shape[0] // 2)
     A = U @ A @ U.T
-    assert sorted(b.key(6) for b in classify(A).blocks) == sorted(b.key(6) for b in built)
+    assert block_keys(classify(A).blocks) == block_keys(built)
     path = _write_a1_doc(tmp_path, A)
     assert main(["classify", path]) == 0
     assert main(["check", path]) == 0

@@ -64,6 +64,18 @@ class TestGradedSpace:
         with pytest.raises(InputError):
             GradedZ2Space({0: 1.5})
 
+    def test_degrees_are_integers(self):
+        """A degree is an integer, an integral float among them but not a
+        bool: anything else raises InputError, in the constructor and in
+        dim, where int() would truncate 1.5 to degree 1."""
+        assert GradedZ2Space({2.0: 1, -1: 1}) == GradedZ2Space({2: 1, -1: 1})
+        assert GradedZ2Space({1: 1}).dim(1.0) == 1
+        for bad in (1.5, "x", "1", True, None, float("nan"), float("inf")):
+            with pytest.raises(InputError, match="degree must be an integer"):
+                GradedZ2Space({bad: 1})
+            with pytest.raises(InputError, match="degree must be an integer"):
+                GradedZ2Space({1: 1}).dim(bad)
+
     def test_rejects_non_numbers(self):
         """A bool, a string or None is no dimension, and raises InputError,
         not the ValueError or TypeError of int()."""
@@ -699,7 +711,10 @@ def test_census_objects_are_frozen_values(h32):
     for obj in fams + tuple(g.family for g in gens) + tuple(gens):
         _assert_frozen_value(obj)
     assert len(set(gens)) == len(gens) and len(set(fams)) == len(fams)
-    assert OrbitFamily(1.0, 1, 1, "sphere", "H", 3, 2).cz_transverse is None
+    fam = OrbitFamily(1.0, 1, "H", 2, HalfInt(2))
+    assert [f.name for f in dataclasses.fields(fam)] == ["eta", "m", "side", "k", "cz_transverse"]
+    assert (fam.topology, fam.family_dim, fam.topology_name) == ("sphere", 1, "S^1")
+    _assert_frozen_value(fam)
     halves = [h for g in gens for h in (g.grading, g.family.cz_transverse)]
     assert len(halves) == 2 * len(gens) and all(type(h) is HalfInt for h in halves)
     for obj in fams + tuple(g.family for g in gens) + tuple(gens) + tuple(halves):
@@ -707,6 +722,21 @@ def test_census_objects_are_frozen_values(h32):
         for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
             assert type(twin) is type(obj) and twin == obj and hash(twin) == hash(obj)
             assert repr(twin) == repr(obj)
+
+
+def test_census_carries_the_generators_families(h32, h42):
+    """census(H, w) returns the families generator_census(H, w) caps, each
+    with its transverse index: the (H0, H) pair at each critical value is
+    equal, and hashed alike, to the family of the generators on that side."""
+    for H, window in ((h32, ActionWindow(-8.0, 8.0)), (h42, ActionWindow(0.1, 30.0)),
+                      (h42, ActionWindow(-25.0, -0.1))):
+        fams = census(H, window)
+        gens = generator_census(H, window)
+        assert len(gens) == 2 * len(fams) > 0
+        paired = [f for h0, h in zip(fams[::2], fams[1::2]) for f in (h, h, h0, h0)]
+        for fam, g in zip(paired, gens, strict=True):
+            assert fam == g.family and hash(fam) == hash(g.family), g.label
+            assert type(fam.cz_transverse) is HalfInt, g.label
 
 
 def _h0_gradings(H, window):

@@ -36,6 +36,45 @@ def test_an_unused_import_is_found():
     assert _unused_imports(tree) == [(2, "math"), (3, "s")]
 
 
+PIPELINE = ["errors", "symlin", "hormander", "tentacular", "czindex", "oracles", "orbits",
+            "rfh", "samples", "selftest", "cli"]
+
+
+def _out_of_order_imports(sources, order) -> list:
+    """(module, line, imported) for each relative import, at any depth, in
+    a module of ``sources`` (a map of module name to source) that names a
+    module not earlier than its own in ``order``."""
+    rank = {name: i for i, name in enumerate(order)}
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = ([node.module.split(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+                found += [(module, node.lineno, name) for name in names
+                          if rank.get(name, len(order)) >= rank[module]]
+    return found
+
+
+def test_modules_import_in_pipeline_order():
+    """The package's modules follow its pipeline: validate, classify, the
+    orbit census and its gradings, then the homology, the samplers, the
+    self-test and the CLI.  A module imports only from modules before it
+    (__init__.py, which re-exports them all, aside)."""
+    assert sorted(path.stem for path in MODULES) == sorted(PIPELINE)
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert _out_of_order_imports(sources, PIPELINE) == []
+
+
+def test_an_out_of_order_import_is_found():
+    sources = {"a": "from .b import f\nimport os\n",
+               "b": "from .a import g\nfrom . import c\nfrom os import path\n",
+               "c": "def h():\n    from .c import x\n    from .a.e import y\n"
+                    "    from .d import z\n"}
+    assert _out_of_order_imports(sources, ["a", "b", "c"]) == [
+        ("a", 1, "b"), ("b", 2, "c"), ("c", 2, "c"), ("c", 4, "d")]
+
+
 MEMOS = {"cache", "lru_cache"}
 
 
