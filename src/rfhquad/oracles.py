@@ -24,8 +24,8 @@ for either of two sizes:
         (kappa = +inf on the Pade fallback).
 
 The smaller size holds, so each evaluated point proves sigma_min at least
-_BRACKET out to a radius of floor(log1p(room / size_c) / (|J S|_2 h))
-grid steps of width h, where room is its sigma_min less _BRACKET and a
+the floor out to a radius of floor(log1p(room / size_c) / (|J S|_2 h))
+grid steps of width h, where room is its sigma_min less the floor and a
 rounding allowance _SLACK * (sigma_max + 1), and the radius is 0 when
 room is not positive (Lipschitz exclusion: Shubert, SIAM J. Numer. Anal.
 9, 1972; Rump, Acta Numerica 19, 2010).  The screen works in levels,
@@ -36,6 +36,15 @@ stride 1 every such point is taken.  Elsewhere no dip can hide, and the
 scan finds the same dips, at the same values, as a full-grid scan.  The
 bound reads no crossing frequencies, and its first size holds on the
 Pade fallback too.
+
+A grid minimum is refined only below the floor: twice the Weyl bound
+_ACCEPT + top * expm1(|J S|_2 h / 2), plus 1e-8 * (top + 1) for rounding,
+at most _BRACKET, with top = kappa * exp(T * max(0, max Re w)) >= |E(t)|_2
+on [0, T].  If Newton accepts t' (sigma <= _ACCEPT) from the bracket
+[i - 1, i + 1] of grid minimum i, the bound holds at t''s nearest grid
+point, one of the three, so F[i] lies below the floor: dropping minima at
+or above it leaves the merged candidates (by induction over the 3-step
+merge), the brackets and the output unchanged.  On Pade it is _BRACKET.
 
 Each bracket is refined from its grid minimum.  The slope of a simple
 singular value is u^T (dE/dt) v for its singular pair (u, v) (Stewart &
@@ -155,28 +164,35 @@ def _screen_size(ev: ExpEvaluator):
     return lambda t_c, sigma_max: np.minimum(sigma_max + 1.0, kappa * np.exp(t_c * growth))
 
 
-def _screened_scan(ev: ExpEvaluator, ts) -> np.ndarray:
+def _grid_floor(size, T: float, reach: float) -> float:
+    """The floor (module docstring) of a grid over [0, T] with |J S|_2 h = reach."""
+    top = float(size(T, np.inf))  # the eigenbasis size at T
+    return min(_BRACKET, 2 * (_ACCEPT + top * math.expm1(reach / 2)) + 1e-8 * (top + 1.0))
+
+
+def _screened_scan(ev: ExpEvaluator, ts, size, floor: float) -> np.ndarray:
     """sigma_min(exp(t J S) - Id) at each of the equally spaced ``ts``
-    where it can fall below _BRACKET, and +inf where the screen rules
-    that out (the true value there is at least _BRACKET).  ``ts`` may be
-    any window [a, b]: the radii are in its own steps, so its cost is set
-    by its width, not by its distance from 0."""
+    where it can fall below ``floor``, and +inf where the screen, of sizes
+    ``size`` = _screen_size(ev), proves it is not.  ``ts`` may be any
+    window [a, b]: the radii are in its own steps, so its cost is set by
+    its width, not by its distance from 0."""
     grid = len(ts) - 1
     eye = np.eye(ev.M.shape[0])
     F = np.full(grid + 1, np.inf)
     radius = np.full(grid + 1, -1)  # in grid steps; -1 where not taken
-    screen_size = _screen_size(ev)
     step_norm = (ts[-1] - ts[0]) / grid * ev.norm
     lo = np.arange(0, grid, _STRIDES[0])  # left ends of the cells to take
     for level, stride in enumerate(_STRIDES):
         hi = np.minimum(lo + stride, grid)
-        ends = np.union1d(lo, hi)
+        ends = np.empty(2 * lo.size, dtype=lo.dtype)
+        ends[0::2], ends[1::2] = lo, hi  # sorted, as lo is sorted and stride-aligned
+        ends = ends[np.concatenate((ends[:1] >= 0, ends[1:] != ends[:-1]))]
         fresh = ends[radius[ends] < 0]
         s = np.linalg.svd(ev.at(ts[fresh]) - eye, compute_uv=False)
         F[fresh] = s[:, -1]
-        size = screen_size(ts[fresh], s[:, 0])
-        room = np.maximum(F[fresh] - _BRACKET - _SLACK * (s[:, 0] + 1.0), 0.0)
-        radius[fresh] = np.minimum(np.floor(np.log1p(room / size) / step_norm), grid)
+        size_c = size(ts[fresh], s[:, 0])
+        room = np.maximum(F[fresh] - floor - _SLACK * (s[:, 0] + 1.0), 0.0)
+        radius[fresh] = np.minimum(np.floor(np.log1p(room / size_c) / step_norm), grid)
         if stride == 1:
             break
         # The points from a to b of a cell are out of both ends' reach.
@@ -195,21 +211,18 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
     scanning.  Crossings whose grid minima lie at most 3 grid steps apart
     fall into one candidate and count as one crossing, silently.
 
-    The grid must also keep |J S|_2 * T / grid below 2 * _BRACKET.  When
-    J S is normal, sigma_min at the sample nearest a crossing is then at
-    most about |J S|_2 * step / 2 < _BRACKET, so every dip is bracketed.
-    The rule is necessary but not sufficient for non-normal J S, whose
-    |exp(t J S)|_2 > 1 can lift that sample above _BRACKET.
+    The grid must also keep |J S|_2 * T / grid below 2 * _BRACKET.  Only
+    grid minima below the floor are refined, and the sample nearest each
+    crossing lies below half the floor (module docstring), so wherever the
+    floor is below _BRACKET the rule is sufficient, for non-normal J S too.
+    Where the floor is _BRACKET (the Pade fallback, or a large
+    |exp(t J S)|_2) the rule is necessary but not sufficient.
 
-    The scan evaluates a point only where the screen (see the module
-    docstring) cannot prove sigma_min at least _BRACKET from a point it
-    evaluated; that proof takes the smaller of the Weyl size
-    sigma_max + 1 and the eigenbasis size kappa * exp(t * max Re w).
-    It skips the grid points 4 or more steps short of 2 pi / |J S|_2,
-    below which no crossing lies, as every eigenvalue w of J S has
-    0 < |w| <= |J S|_2; when no point is left after the first one it
-    scans, no exp(t J S) is built and the answer is sgn(S) / 2 with no
-    crossing.  The bound reads |J S|_2 alone, no frequency.
+    The scan evaluates a point only where the screen cannot prove sigma_min
+    at least the floor from a point it evaluated, from 4 grid steps short
+    of 2 pi / |J S|_2 on (module docstring); when no point is left after
+    the first one it scans, no exp(t J S) is built and the answer is
+    sgn(S) / 2 with no crossing.
 
     Raises InputError unless S acts on an even-dimensional space,
     DegenerateInput when S has a numerical kernel (before any scanning),
@@ -243,13 +256,15 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
     ts = np.linspace(0.0, T, grid + 1)[start:]
     last = grid - start
     eye = np.eye(2 * dof)
+    size = _screen_size(ev)
+    floor = _grid_floor(size, T, reach)
     # Points the screen skips read +inf: they are only compared against
-    # values below _BRACKET, and the true value there is not below it.
-    F = _screened_scan(ev, ts)
+    # values below the floor, and the true value there is not below it.
+    F = _screened_scan(ev, ts, size, floor)
 
-    # Local minima below _BRACKET; the last point has no right neighbour.
+    # Local minima below the floor; the last point has no right neighbour.
     mid = F[1:]
-    cands = np.flatnonzero((mid < _BRACKET) & (mid <= F[:-1])
+    cands = np.flatnonzero((mid < floor) & (mid <= F[:-1])
                            & (mid <= np.append(F[2:], np.inf))) + 1
     merged = []
     for i in cands.tolist():

@@ -24,6 +24,7 @@ from rfhquad.oracles import (
     _SLACK,
     _WIDTH,
     _form_signature,
+    _grid_floor,
     _kernel_cols,
     _newton_lockstep,
     _screen_size,
@@ -82,11 +83,13 @@ def _newton_min(ev, a, b, x):
         x = step
 
 
-def _reference_oracle(S, T, grid=20000, tol=DEFAULT_TOL):
-    """The oracle with sigma_min taken at every grid point, candidates
-    tested one by one and each bracket refined alone, point by point,
-    kept as the reference the screened, batched oracle must reproduce
-    exactly."""
+def _reference_oracle(S, T, grid=20000, tol=DEFAULT_TOL, rejected=None):
+    """The oracle with sigma_min taken at every grid point, every local
+    minimum below _BRACKET a candidate, candidates tested one by one and
+    each bracket refined alone, point by point, kept as the reference the
+    screened, batched oracle must reproduce exactly.  The least sigma of
+    each refined candidate that is not accepted is appended to
+    ``rejected`` when a list is given."""
     S = sym_matrix(S)
     T = float(T)
     dof = S.shape[0] // 2
@@ -115,6 +118,8 @@ def _reference_oracle(S, T, grid=20000, tol=DEFAULT_TOL):
     for i in merged:
         t_star, val = _newton_min(ev, ts[i - 1], ts[min(i + 1, grid)], ts[i])
         if val > _ACCEPT:
+            if rejected is not None:
+                rejected.append(val)
             continue
         B = _kernel_cols(_at(ev, t_star) - eye)
         if B is None:
@@ -130,9 +135,9 @@ def _reference_oracle(S, T, grid=20000, tol=DEFAULT_TOL):
     return times, HalfInt(doubled), endpoint_hit
 
 
-def _assert_matches_reference(S, T, grid):
+def _assert_matches_reference(S, T, grid, rejected=None):
     got = oracle_cz(S, T, grid)
-    times, index, endpoint_hit = _reference_oracle(S, T, grid)
+    times, index, endpoint_hit = _reference_oracle(S, T, grid, rejected=rejected)
     assert got.times == tuple(times)
     assert all(type(t) is float for t in got.times)
     assert got.index == index
@@ -140,13 +145,22 @@ def _assert_matches_reference(S, T, grid):
     return got
 
 
+def _window_floor(ev, ts):
+    """The grid floor oracle_cz would set on the window ``ts``: its own
+    step, and |exp(t J S)|_2 bounded up to its right end."""
+    return _grid_floor(_screen_size(ev), ts[-1], ev.norm * (ts[-1] - ts[0]) / (len(ts) - 1))
+
+
 def _assert_screen_matches_full_scan(ev, ts):
-    """The screened scan takes sigma_min exactly where it can fall below
-    _BRACKET, and skips only points where the full scan is not below it."""
-    F, ref = _screened_scan(ev, ts), _full_scan(ev, ts)
-    seen = np.isfinite(F)
-    assert np.array_equal(F[seen], ref[seen])
-    assert (ref[~seen] >= _BRACKET).all()
+    """At each floor, _BRACKET and the window's grid floor, the screened
+    scan takes sigma_min exactly where it can fall below that floor, and
+    skips only points where the full scan is not below it."""
+    ref = _full_scan(ev, ts)
+    for floor in (_BRACKET, _window_floor(ev, ts)):
+        F = _screened_scan(ev, ts, _screen_size(ev), floor)
+        seen = np.isfinite(F)
+        assert np.array_equal(F[seen], ref[seen])
+        assert (ref[~seen] >= floor).all()
 
 
 def _too_coarse(S, T, grid):
@@ -195,19 +209,26 @@ def test_screen_holds_on_a_skew_eigenbasis(seed, dof, magnitude, grid):
     that kappa(V) > 1 (1.1 to 5.8 over 200 draws at these magnitudes) and
     the screen's eigenbasis size kappa * exp(t max Re w) is the smaller
     one at most points.  The oracle still matches the full-scan reference
-    and the screen skips no point below _BRACKET."""
+    and the screen skips no point below either floor.  sigma_min at the
+    grid point nearest each crossing lies below the grid floor, and below
+    half of it, the Weyl bound kappa * expm1(|J S|_2 h / 2), wherever the
+    floor is under _BRACKET."""
     rng = np.random.default_rng(seed)
     T = float(rng.uniform(0.5, 4 * math.pi))
     G = random_symplectic(rng, dof, magnitude)
     S = sym_matrix(G.T @ random_elliptic_form(rng, dof, horizon=T + 0.1) @ G)
     ev = ExpEvaluator(standard_J(dof) @ S)
-    assert ev.fast
+    assert ev.fast and _kappa(ev) > 1.01
+    ts = np.linspace(0.0, T, grid + 1)
     if _too_coarse(S, T, grid):
         with pytest.raises(ValueError, match=f"grid {grid} cannot resolve"):
             oracle_cz(S, T, grid)
     else:
         _assert_matches_reference(S, T, grid)
-    _assert_screen_matches_full_scan(ev, np.linspace(0.0, T, grid + 1))
+        floor = _window_floor(ev, ts)
+        near = np.minimum(np.rint(np.array(crossing_times(S, T)) / T * grid).astype(int), grid)
+        assert (_full_scan(ev, ts[near]) < (floor / 2 if floor < _BRACKET else floor)).all()
+    _assert_screen_matches_full_scan(ev, ts)
 
 
 @pytest.mark.parametrize("blocks, T, grid", [
@@ -279,7 +300,7 @@ def test_a_far_window_costs_its_width(a):
     ev = ExpEvaluator(standard_J(2) @ _ELLIPTIC)
     ts = np.linspace(a, a + 20.0, 20001)
     _assert_screen_matches_full_scan(ev, ts)
-    assert np.isfinite(_screened_scan(ev, ts)).sum() <= 20000 / 32
+    assert np.isfinite(_screened_scan(ev, ts, _screen_size(ev), _BRACKET)).sum() <= 20000 / 32
 
 
 @pytest.mark.parametrize("S", [_c2(0.0), _conjugated(_BESIDE_HYPERBOLIC, 2, 0.3)],
@@ -319,6 +340,69 @@ def test_screen_size_bounds_the_step(S):
         moved = np.linalg.norm(ev.at(centers[keep] + step) - E_c[keep], 2, axis=(1, 2))
         bound = size_c[keep] * np.expm1(abs(step) * ev.norm) + _SLACK * (sigma_max[keep] + 1.0)
         assert (moved <= bound).all(), (step, float((moved / bound).max()))
+
+
+@pytest.mark.parametrize("S, fast", [(_c2(0.0), False), (_BESIDE_HYPERBOLIC, True)],
+                         ids=["c2-pade", "beside-hyperbolic"])
+def test_floor_stays_at_the_bracket(S, fast):
+    """On the Pade fallback (kappa = +inf) and beside a hyperbolic block
+    (|exp(t J S)|_2 up to exp(0.3 T)) on [0, 9] at grid 4000, the grid
+    floor is _BRACKET itself."""
+    ev = ExpEvaluator(standard_J(2) @ S)
+    assert ev.fast == fast
+    assert _grid_floor(_screen_size(ev), 9.0, ev.norm * 9.0 / 4000) == _BRACKET
+
+
+def test_floor_brackets_a_crossing_midway_between_grid_points(monkeypatch):
+    """S = mu I_2 crosses at 2 pi / mu, placed half a step h between grid
+    points 18000 and 18001: the nearest grid point lies as far from the
+    crossing as any can, and sigma_min there, 2 sin(mu h / 4), meets the
+    Weyl bound _ACCEPT + expm1(mu h / 2) to within 1.2e-7.  The oracle
+    finds the crossing as the reference does; a twin floor at half that
+    bound misses it."""
+    grid, T = 20000, 7.0
+    mu = TWO_PI / (18000.5 * T / grid)
+    S = mu * np.eye(2)
+    got = _assert_matches_reference(S, T, grid)
+    assert got.times == pytest.approx((TWO_PI / mu,), abs=1e-10)
+    monkeypatch.setattr(oracles, "_grid_floor",
+                        lambda size, T, reach: (_ACCEPT + math.expm1(reach / 2)) / 2)
+    assert oracle_cz(S, T, grid).times == ()
+
+
+def test_spurious_dips_are_dropped_as_the_reference_rejects_them(monkeypatch):
+    """400 elliptic forms on horizons up to 25 at grid 20000, every even
+    draw conjugated by a symplectic map.  On draws 104, 172, 215, 248 and
+    287 the reference refines a local minimum below _BRACKET and rejects
+    it (least sigma 1.5e-3 to 1.8e-2), and the oracle answers as the
+    reference does.  Four of those minima lie above their grid floor and
+    the oracle refines none of them; draw 172's (1.5e-3) lies below its
+    floor (3.6e-3: kappa 1.9, |J S|_2 4.5), and the oracle refines and
+    rejects it, with the same least sigma."""
+    rng = np.random.default_rng(11)
+    draws = []
+    for i in range(400):
+        dof = 1 + i % 3
+        T = float(rng.uniform(2.0, 25.0))
+        S = random_elliptic_form(rng, dof, horizon=T + 0.1)
+        if i % 2 == 0:
+            G = random_symplectic(rng, dof, float(rng.uniform(0.3, 0.9)))
+            S = sym_matrix(G.T @ S @ G)
+        draws.append((S, T))
+    refined = []
+    original = oracles._newton_lockstep
+
+    def spying(*args):
+        best, val = original(*args)
+        refined.extend(val.tolist())
+        return best, val
+
+    monkeypatch.setattr(oracles, "_newton_lockstep", spying)
+    for i in (104, 172, 215, 248, 287):
+        rejected, refined[:] = [], []
+        _assert_matches_reference(*draws[i], 20000, rejected=rejected)
+        assert rejected and 1e-3 < min(rejected) and max(rejected) < _BRACKET
+        assert [v for v in refined if v > _ACCEPT] == (rejected if i == 172 else [])
 
 
 def test_fallback_without_eigenbasis():
@@ -457,10 +541,10 @@ def _scan_calls(monkeypatch):
         sink[-1].append(np.array(ts, dtype=float))
         return original_at(self, ts)
 
-    def scanning(ev, ts):
+    def scanning(*args):
         sink.append(scan)
         try:
-            return original_scan(ev, ts)
+            return original_scan(*args)
         finally:
             sink.pop()
 
@@ -488,6 +572,18 @@ def test_scan_evaluates_a_fraction_of_the_grid(monkeypatch):
     splitting whole cells: count the matrices exp(t J S) the scan builds."""
     scan, _ = _guard_case_calls(monkeypatch)
     assert sum(map(len, scan)) <= 20000 / 32
+
+
+def test_grid_floor_cuts_the_scan(monkeypatch):
+    """The oracle screens at its grid floor (1.5e-3 here), not at
+    _BRACKET: it builds at most a third of the matrices that the _BRACKET
+    screen builds on the same window (141 against 425)."""
+    scan, _ = _guard_case_calls(monkeypatch)
+    ev = ExpEvaluator(standard_J(3) @ _GUARD_S)
+    ts = np.linspace(0.0, _GUARD_T, 20001)
+    ts = ts[ts >= np.concatenate(scan).min()]  # the scan evaluates its window's first point
+    bracketed = np.isfinite(_screened_scan(ev, ts, _screen_size(ev), _BRACKET)).sum()
+    assert 3 * sum(map(len, scan)) <= bracketed
 
 
 @pytest.mark.parametrize("S, T", [(_GUARD_S, _GUARD_T), (np.eye(2), 7.0)],

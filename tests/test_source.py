@@ -383,3 +383,44 @@ def test_a_second_json_writer_is_found():
                      "    print('done')\n    print(json.dumps(doc), file=sys.stderr)\n"
                      "s = json.dumps({}, sort_keys=True, indent=4)\n")
     assert _json_output(tree) == ([5, 13], ["_write_json", "dump", "inner", "table"])
+
+
+FREQUENCY_READERS = {"spectrum_with_jordan", "hamiltonian_orbits", "imaginary_axis_eigenvalues"}
+
+
+def _frequency_reads(tree) -> list:
+    """(line, name) for each place a module may read an eigenvalue
+    frequency: an ``.imag`` attribute, an import of czindex or of a name
+    from it other than HalfInt, and an import or use of one of
+    FREQUENCY_READERS, by name or as an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in FREQUENCY_READERS | {"imag"}:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in FREQUENCY_READERS:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            from_czindex = (getattr(node, "module", None) or "").split(".")[-1] == "czindex"
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in FREQUENCY_READERS or alias.name.split(".")[-1] == "czindex"
+                      or from_czindex and alias.name != "HalfInt"]
+    return sorted(found)
+
+
+def test_the_oracle_reads_no_frequency():
+    """oracle_cz is the frequency-free check of the analytic index: its
+    grid rule, scan start, screen and floor read |J S|_2, kappa(V) and
+    Re w, never Im w, and it takes nothing from czindex but HalfInt."""
+    path = Path(rfhquad.__file__).parent / "oracles.py"
+    assert _frequency_reads(ast.parse(path.read_text())) == []
+
+
+def test_a_frequency_read_is_found():
+    tree = ast.parse("from .czindex import HalfInt, crossing_times\nfrom . import czindex\n"
+                     "from .symlin import ExpEvaluator, spectrum_with_jordan\n"
+                     "import rfhquad.czindex\nw = ev.w.imag + ev.w.real\n"
+                     "x = symlin.hamiltonian_orbits(M)\ny = imaginary_axis_eigenvalues(A)\n")
+    assert _frequency_reads(tree) == [(1, "crossing_times"), (2, "czindex"),
+                                      (3, "spectrum_with_jordan"), (4, "rfhquad.czindex"),
+                                      (5, "imag"), (6, "hamiltonian_orbits"),
+                                      (7, "imaginary_axis_eigenvalues")]
