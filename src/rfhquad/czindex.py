@@ -245,11 +245,11 @@ class _Crossings:
     Jordan spectrum of J S in ``_form_crossings``, the Williamson
     frequencies of A0 in the census).  ``vectors`` maps each mu to its
     orthonormal mu i eigenvectors of J S, which signing reads; the census
-    signs nothing and gives none.  Crossing times are 2 pi j / mu,
-    listed in ``events`` up to horizon + tol.crossing; an event within
-    tol.crossing of the first event of a merged crossing joins it, with
-    its kernel and multiplicity.  ``times`` holds each merged crossing's
-    first time and ``members`` its frequencies.
+    signs nothing and gives none.  Crossing times are 2 pi j / mu, listed
+    up to horizon + tol.crossing; an event within tol.crossing of the
+    first event of a merged crossing joins it, with its kernel and
+    multiplicity.  ``times`` holds each merged crossing's first time and
+    ``members`` its frequencies.
 
     Nothing is signed until crossing data is asked for, then each
     frequency once per call, against one |S|_2 taken for the call (when
@@ -291,7 +291,6 @@ class _Crossings:
                 events = late[first:]
         if events is None:
             events = _events(mus, 0.0, end)
-        self.events = events
         self.times, self.members = [], []  # per merged crossing: first time, frequencies
         for t, mu in events:
             if self.times and t - self.times[-1] <= tol.crossing:

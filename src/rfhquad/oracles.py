@@ -42,23 +42,30 @@ _ACCEPT + top * expm1(|J S|_2 h / 2), plus 1e-8 * (top + 1) for rounding,
 at most _BRACKET, with top = kappa * exp(T * max(0, max Re w)) >= |E(t)|_2
 on [0, T].  If Newton accepts t' (sigma <= _ACCEPT) from the bracket
 [i - 1, i + 1] of grid minimum i, the bound holds at t''s nearest grid
-point, one of the three, so F[i] lies below the floor: dropping minima at
-or above it leaves the merged candidates (by induction over the 3-step
-merge), the brackets and the output unchanged.  On Pade it is _BRACKET.
+point, one of the three, so sigma at point i lies below the floor:
+dropping minima at or above it leaves the merged candidates (by induction
+over the 3-step merge), the brackets and the output unchanged.  On Pade
+it is _BRACKET.
 
 Each bracket is refined from its grid minimum.  The slope of a simple
 singular value is u^T (dE/dt) v for its singular pair (u, v) (Stewart &
 Sun, Matrix Perturbation Theory, 1990), with dE/dt = J S E, so Newton's
 step on the V lands on its vertex up to the curvature: three or four
 evaluations take a bracket from a grid step to 1e-11.  All brackets are
-refined together, one batched evaluation per step.
+refined together, one batched evaluation per step.  An accepted
+crossing's kernel is read from the SVD Newton took at its point.
+
+The scan keeps state only at the points it evaluates, keyed by grid
+index; index i stands for np.linspace(0, T, grid + 1)[i], computed by
+linspace's own arithmetic as i * (T / grid), and T itself at i = grid.
 
 The scan starts just short of 2 pi / |J S|_2.  exp(t J S) has the
 eigenvalue 1 only where t w lies in 2 pi i Z for an eigenvalue w of J S,
 and 0 < |w| <= |J S|_2 for a nondegenerate S, so no crossing lies in
 (0, 2 pi / |J S|_2).  The bound reads only the norm the grid rule and
 the screen already read, no frequency, and holds on the Pade fallback
-and beside hyperbolic blocks.
+and beside hyperbolic blocks.  |J S|_2 is taken before the
+eigendecomposition, so a horizon inside the bound pays for neither.
 
 Intended for test suites; cost linear in the part of the grid scanned,
 with a small constant away from crossings.
@@ -72,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .czindex import HalfInt
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .symlin import DEFAULT_TOL, ExpEvaluator, signature, standard_J, sym_matrix
 
 __all__ = ["OracleCz", "oracle_cz"]
@@ -106,42 +113,42 @@ def _newton_lockstep(ev: ExpEvaluator, a, b, x):
     a point that a step of at most _WIDTH reached, once it is at most
     _WIDTH wide, when sigma did not decrease, or after as many evaluations
     as bisection needs to narrow it to _WIDTH.  Bracket j ends as a search
-    on it alone would.  Returns the point of least sigma each bracket
-    evaluated, and that sigma."""
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    x = np.array(x, dtype=float)
-    best = x.copy()
-    val = np.full(x.size, np.inf)
-    left = 1 + np.ceil(np.log2(np.maximum(b - a, _WIDTH) / _WIDTH))  # evaluations allowed
-    near = np.zeros(x.size, dtype=bool)  # x[j] lies a step of at most _WIDTH away
+    on it alone would.  Returns three lists: the point of least sigma each
+    bracket evaluated, that sigma, and the singular values and right
+    singular vectors (s, Vt) of exp(t J S) - Id there."""
+    a, b, x = list(a), list(b), list(x)
+    best, val, svd = x[:], [math.inf] * len(x), [None] * len(x)
+    left = (1 + np.ceil(np.log2(np.maximum(np.subtract(b, a), _WIDTH) / _WIDTH))).tolist()
+    near = [False] * len(x)  # x[j] lies a step of at most _WIDTH away
     eye = np.eye(ev.M.shape[0])
-    live = np.arange(x.size)
-    while live.size:
-        t = x[live]
-        E = ev.at(t)
+    live = list(range(len(x)))
+    while live:
+        ts = [x[j] for j in live]
+        E = ev.at(ts)
         U, s, Vt = np.linalg.svd(E - eye)
         sigma = s[:, -1]
         slope = np.sum(U[:, :, -1] * (ev.M @ E @ Vt[:, -1, :, None])[:, :, 0], axis=1)
-        fell = sigma < val[live]
-        best[live[fell]], val[live[fell]] = t[fell], sigma[fell]
-        rising = slope > 0
-        b[live[rising]] = t[rising]
-        a[live[~rising]] = t[~rising]
-        lo, hi = a[live], b[live]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = t - sigma / slope
-        step = np.where((lo < step) & (step < hi), step, (lo + hi) / 2)
-        left[live] -= 1
-        stop = near[live] | ~fell | (hi - lo <= _WIDTH) | (left[live] <= 0)
-        near[live] = np.abs(step - t) <= _WIDTH
-        x[live] = step
-        live = live[~stop]
-    return best, val
+        going = []
+        for k, (j, t, sg, sl) in enumerate(zip(live, ts, sigma.tolist(), slope.tolist())):
+            fell = sg < val[j]
+            if fell:
+                best[j], val[j], svd[j] = t, sg, (s[k], Vt[k])
+            (b if sl > 0 else a)[j] = t
+            lo, hi = a[j], b[j]
+            step = t - sg / sl if sl else math.nan
+            if not lo < step < hi:
+                step = (lo + hi) / 2
+            left[j] -= 1
+            if fell and not near[j] and hi - lo > _WIDTH and left[j] > 0:
+                going.append(j)
+            near[j] = abs(step - t) <= _WIDTH
+            x[j] = step
+        live = going
+    return best, val, svd
 
 
-def _kernel_cols(M):
-    _, s, Vt = np.linalg.svd(M)
+def _kernel_cols(s, Vt):
+    """The rows of Vt whose singular values s lie below the cut, as columns, or None."""
     cut = _KERNEL_CUT * max(float(s[0]), 1e-3)
     k = int((s < cut).sum())
     return Vt[len(s) - k:].T if k else None
@@ -159,7 +166,9 @@ def _screen_size(ev: ExpEvaluator):
     E(t_c) - Id at each: the smaller of sigma_max + 1 and the eigenbasis
     size kappa * exp(t_c * max(0, max Re w)) (module docstring), so that
     |E(t) - E(t_c)|_2 <= size * expm1(|t - t_c| * |J S|_2) for all t."""
-    kappa = np.linalg.norm(ev.V, 2) * np.linalg.norm(ev.Vi, 2) if ev.fast else np.inf
+    # kappa = |V|_2 |V^-1|_2, from one stacked SVD
+    kappa = (math.prod(np.linalg.svd(np.stack((ev.V, ev.Vi)), compute_uv=False)[:, 0].tolist())
+             if ev.fast else np.inf)
     growth = max(0.0, float(ev.w.real.max()))
     return lambda t_c, sigma_max: np.minimum(sigma_max + 1.0, kappa * np.exp(t_c * growth))
 
@@ -170,40 +179,53 @@ def _grid_floor(size, T: float, reach: float) -> float:
     return min(_BRACKET, 2 * (_ACCEPT + top * math.expm1(reach / 2)) + 1e-8 * (top + 1.0))
 
 
-def _screened_scan(ev: ExpEvaluator, ts, size, floor: float) -> np.ndarray:
-    """sigma_min(exp(t J S) - Id) at each of the equally spaced ``ts``
-    where it can fall below ``floor``, and +inf where the screen, of sizes
-    ``size`` = _screen_size(ev), proves it is not.  ``ts`` may be any
-    window [a, b]: the radii are in its own steps, so its cost is set by
-    its width, not by its distance from 0."""
-    grid = len(ts) - 1
+def _grid_time(T: float, grid: int):
+    """The times of a sequence of grid indices i, np.linspace(0, T, grid + 1)[i],
+    by linspace's own arithmetic: i * (T / grid), and T itself at i = grid."""
+    h = T / grid
+    return lambda idx: np.where(np.equal(idx, grid), T, np.multiply(idx, h))
+
+
+def _screened_scan(ev: ExpEvaluator, time, lo: int, hi: int, norm: float, size,
+                   floor: float) -> dict:
+    """{i: sigma_min(exp(t_i J S) - Id)} over the grid indices i in lo..hi
+    that the screen, of sizes ``size`` = _screen_size(ev) and |J S|_2 =
+    ``norm``, evaluates, t_i being the time ``time`` = _grid_time(T, grid)
+    gives i: every point where sigma_min can fall below ``floor``, and the
+    points that prove it cannot elsewhere.  The radii are in the window's
+    own steps, so its cost is set by its width hi - lo, not by its
+    distance from 0."""
     eye = np.eye(ev.M.shape[0])
-    F = np.full(grid + 1, np.inf)
-    radius = np.full(grid + 1, -1)  # in grid steps; -1 where not taken
-    step_norm = (ts[-1] - ts[0]) / grid * ev.norm
-    lo = np.arange(0, grid, _STRIDES[0])  # left ends of the cells to take
+    sigma, radius = {}, {}  # by grid index; radius in grid steps
+    width = hi - lo
+    t_lo, t_hi = time([lo, hi]).tolist()
+    step_norm = (t_hi - t_lo) / width * norm
+    cells = range(lo, hi, _STRIDES[0])  # left ends of the cells to take
     for level, stride in enumerate(_STRIDES):
-        hi = np.minimum(lo + stride, grid)
-        ends = np.empty(2 * lo.size, dtype=lo.dtype)
-        ends[0::2], ends[1::2] = lo, hi  # sorted, as lo is sorted and stride-aligned
-        ends = ends[np.concatenate((ends[:1] >= 0, ends[1:] != ends[:-1]))]
-        fresh = ends[radius[ends] < 0]
-        s = np.linalg.svd(ev.at(ts[fresh]) - eye, compute_uv=False)
-        F[fresh] = s[:, -1]
-        size_c = size(ts[fresh], s[:, 0])
-        room = np.maximum(F[fresh] - floor - _SLACK * (s[:, 0] + 1.0), 0.0)
-        radius[fresh] = np.minimum(np.floor(np.log1p(room / size_c) / step_norm), grid)
+        ends = [e for c in cells for e in (c, c + stride)]
+        ends[-1] = min(ends[-1], hi)  # only the last cell can pass the window's end
+        fresh = [i for i in dict.fromkeys(ends) if i not in radius]
+        ts = time(fresh)
+        s = np.linalg.svd(ev.at(ts) - eye, compute_uv=False)
+        room = np.maximum(s[:, -1] - floor - _SLACK * (s[:, 0] + 1.0), 0.0)
+        reach = np.minimum(np.floor(np.log1p(room / size(ts, s[:, 0])) / step_norm), width)
+        sigma.update(zip(fresh, s[:, -1].tolist()))
+        radius.update(zip(fresh, reach.astype(int).tolist()))
         if stride == 1:
             break
         # The points from a to b of a cell are out of both ends' reach.
-        # Take each cell of the next stride that holds one of them, by its
-        # inside or by its left end (a = b on a cell boundary).
-        a = (lo + radius[lo] + 1)[:, None]
-        b = (hi - radius[hi] - 1)[:, None]
-        sub = _STRIDES[level + 1]
-        x = lo[:, None] + np.arange(0, stride, sub)
-        lo = x[(a <= b) & (x + sub > a) & ((x < b) | (x == a))]
-    return F
+        # Take each cell of the next stride that holds one of them: from
+        # the one that holds a, each that starts before b, or the one that
+        # starts at a = b.
+        sub, cells = _STRIDES[level + 1], []
+        for c, e in zip(ends[0::2], ends[1::2]):
+            a, b = c + radius[c] + 1, e - radius[e] - 1
+            if a <= b:
+                first = c + (a - c) // sub * sub
+                cells += range(first, max(b, first + 1), sub)
+        if not cells:
+            break
+    return sigma
 
 
 def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
@@ -220,14 +242,18 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
 
     The scan evaluates a point only where the screen cannot prove sigma_min
     at least the floor from a point it evaluated, from 4 grid steps short
-    of 2 pi / |J S|_2 on (module docstring); when no point is left after
-    the first one it scans, no exp(t J S) is built and the answer is
-    sgn(S) / 2 with no crossing.
+    of 2 pi / |J S|_2 on (module docstring), and keeps sigma_min only at
+    those points, by grid index; when no point is left after the first one
+    it scans, no exp(t J S) is built and the answer is sgn(S) / 2 with no
+    crossing.  Each accepted crossing's kernel is read from the SVD that
+    the refinement took at its point.
 
     Raises InputError unless S acts on an even-dimensional space,
     DegenerateInput when S has a numerical kernel (before any scanning),
-    and ValueError unless T is finite and positive and ``grid`` is an
-    integer of at least 1 that meets the rule above."""
+    ValueError unless T is finite and positive and ``grid`` is an integer
+    of at least 1 that meets the rule above, and NumericalError, before any
+    exp(t J S) is built, when T * max Re w reaches log of the largest
+    float, w over the eigenvalues of J S: |exp(T J S)| overflows there."""
     S = sym_matrix(S)
     if S.shape[0] % 2:
         raise InputError("S must act on an even-dimensional space")
@@ -239,9 +265,9 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
     if not S.size:
         return OracleCz((), HalfInt(0), False)
     doubled = signature(S, DEFAULT_TOL)  # refuses a degenerate S; so |J S|_2 > 0
-    dof = S.shape[0] // 2
-    ev = ExpEvaluator(standard_J(dof) @ S)
-    reach = ev.norm * T / grid
+    M = standard_J(S.shape[0] // 2) @ S
+    norm = float(np.linalg.norm(M, 2))
+    reach = norm * T / grid
     if reach >= 2 * _BRACKET:
         raise ValueError(f"grid {grid} cannot resolve crossings on [0, {T:g}]: "
                          f"|J S|_2 * T / grid = {reach:.3g} is not below {2 * _BRACKET:g}")
@@ -249,39 +275,39 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
     # The scan starts 4 steps short of it, so that a crossing on the bound
     # keeps its left neighbour and its 3-step merge window.  The first
     # scanned point has no scanned left neighbour and is never a candidate.
-    bound = 2 * math.pi / ev.norm * (1 - 1e-9) / T * grid
+    bound = 2 * math.pi / norm * (1 - 1e-9) / T * grid
     if bound >= grid + 4:
         return OracleCz((), HalfInt(doubled), False)
+    ev = ExpEvaluator(M)
+    growth = float(ev.w.real.max())
+    if T * growth >= math.log(np.finfo(float).max):
+        raise NumericalError(f"exp(t J S) overflows on [0, {T:g}]: T = {T:g} times "
+                             f"max Re w = {growth:g} reaches log of the largest float")
     start = max(0, math.floor(bound) - 4)
-    ts = np.linspace(0.0, T, grid + 1)[start:]
-    last = grid - start
-    eye = np.eye(2 * dof)
+    time = _grid_time(T, grid)
     size = _screen_size(ev)
     floor = _grid_floor(size, T, reach)
-    # Points the screen skips read +inf: they are only compared against
-    # values below the floor, and the true value there is not below it.
-    F = _screened_scan(ev, ts, size, floor)
+    F = _screened_scan(ev, time, start, grid, norm, size, floor)
 
-    # Local minima below the floor; the last point has no right neighbour.
-    mid = F[1:]
-    cands = np.flatnonzero((mid < floor) & (mid <= F[:-1])
-                           & (mid <= np.append(F[2:], np.inf))) + 1
+    # Local minima below the floor; the last point has no right neighbour,
+    # and a point the scan skipped is not below the floor.
+    cands = sorted(i for i, v in F.items() if v < floor and i > start
+                   and v <= F.get(i - 1, math.inf) and v <= F.get(i + 1, math.inf))
     merged = []
-    for i in cands.tolist():
+    for i in cands:
         if merged and i - merged[-1] <= 3:
             if F[i] < F[merged[-1]]:
                 merged[-1] = i
             continue
         merged.append(i)
-    merged = np.array(merged, dtype=int)
 
-    t_star, val = _newton_lockstep(ev, ts[merged - 1], ts[np.minimum(merged + 1, last)],
-                                   ts[merged])
-    t_star = t_star[val <= _ACCEPT]
+    best, val, svd = _newton_lockstep(ev, time([i - 1 for i in merged]).tolist(),
+                                      time([min(i + 1, grid) for i in merged]).tolist(),
+                                      time(merged).tolist())
     times = []
     endpoint_hit = False
-    for t, M in zip(t_star.tolist(), ev.at(t_star) - eye):
-        B = _kernel_cols(M)
+    for t, sigma, s_vt in zip(best, val, svd):
+        B = _kernel_cols(*s_vt) if sigma <= _ACCEPT else None
         if B is None:
             continue
         sig = _form_signature(S, B)

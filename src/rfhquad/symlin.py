@@ -12,7 +12,6 @@ whose spectra are all simple never loads it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -347,11 +346,6 @@ class ExpEvaluator:
             self.fast = bool(resid <= 1e-10 * max(1.0, scale))
         except np.linalg.LinAlgError:
             self.fast = False
-
-    @functools.cached_property
-    def norm(self) -> float:
-        """|M|_2, taken on first use."""
-        return float(np.linalg.norm(self.M, 2))
 
     def at(self, ts) -> np.ndarray:
         """exp(t M) for each t of the 1-D sequence ``ts``, stacked."""

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from rfhquad import (
     normal_form,
     oracle_cz,
 )
-from rfhquad.errors import CrossingDegenerate, DegenerateInput, InputError
+from rfhquad.errors import CrossingDegenerate, DegenerateInput, InputError, NumericalError
 from rfhquad.oracles import (
     _ACCEPT,
     _BRACKET,
@@ -25,6 +27,7 @@ from rfhquad.oracles import (
     _WIDTH,
     _form_signature,
     _grid_floor,
+    _grid_time,
     _kernel_cols,
     _newton_lockstep,
     _screen_size,
@@ -39,6 +42,22 @@ TWO_PI = 2 * np.pi
 def _full_scan(ev, ts):
     eye = np.eye(ev.M.shape[0])
     return np.linalg.svd(ev.at(ts) - eye, compute_uv=False)[:, -1]
+
+
+def _norm(ev):
+    """|J S|_2 of the evaluator's J S."""
+    return float(np.linalg.norm(ev.M, 2))
+
+
+def _scan(ev, T, grid, lo, hi, floor):
+    """The screened scan of the grid indices lo..hi of a grid of ``grid``
+    steps over [0, T], as a dense array over lo..hi: sigma_min where the
+    scan evaluates it, +inf where it does not."""
+    got = _screened_scan(ev, _grid_time(T, grid), lo, hi, _norm(ev), _screen_size(ev), floor)
+    assert min(got) >= lo and max(got) <= hi
+    F = np.full(hi - lo + 1, np.inf)
+    F[np.array(list(got)) - lo] = list(got.values())
+    return F
 
 
 def _at(ev, t):
@@ -121,7 +140,8 @@ def _reference_oracle(S, T, grid=20000, tol=DEFAULT_TOL, rejected=None):
             if rejected is not None:
                 rejected.append(val)
             continue
-        B = _kernel_cols(_at(ev, t_star) - eye)
+        _, s, Vt = np.linalg.svd(_at(ev, t_star) - eye)
+        B = _kernel_cols(s, Vt)
         if B is None:
             continue
         sig = _form_signature(S, B)
@@ -148,16 +168,20 @@ def _assert_matches_reference(S, T, grid, rejected=None):
 def _window_floor(ev, ts):
     """The grid floor oracle_cz would set on the window ``ts``: its own
     step, and |exp(t J S)|_2 bounded up to its right end."""
-    return _grid_floor(_screen_size(ev), ts[-1], ev.norm * (ts[-1] - ts[0]) / (len(ts) - 1))
+    return _grid_floor(_screen_size(ev), ts[-1], _norm(ev) * (ts[-1] - ts[0]) / (len(ts) - 1))
 
 
-def _assert_screen_matches_full_scan(ev, ts):
-    """At each floor, _BRACKET and the window's grid floor, the screened
-    scan takes sigma_min exactly where it can fall below that floor, and
-    skips only points where the full scan is not below it."""
+def _assert_screen_matches_full_scan(ev, T, grid, lo=0, hi=None):
+    """On the grid indices lo..hi (hi = grid by default) of a grid of
+    ``grid`` steps over [0, T], at each floor, _BRACKET and the window's
+    grid floor, the screened scan takes sigma_min exactly where it can
+    fall below that floor, and skips only points where the full scan is
+    not below it."""
+    hi = grid if hi is None else hi
+    ts = _grid_time(T, grid)(range(lo, hi + 1))  # np.linspace(0.0, T, grid + 1)[lo:hi + 1]
     ref = _full_scan(ev, ts)
     for floor in (_BRACKET, _window_floor(ev, ts)):
-        F = _screened_scan(ev, ts, _screen_size(ev), floor)
+        F = _scan(ev, T, grid, lo, hi, floor)
         seen = np.isfinite(F)
         assert np.array_equal(F[seen], ref[seen])
         assert (ref[~seen] >= floor).all()
@@ -191,7 +215,7 @@ def test_screened_oracle_matches_full_scan(seed, dof, grid, where, offset, pick)
     else:
         _assert_matches_reference(S, T, grid)
     ev = ExpEvaluator(standard_J(dof) @ sym_matrix(S))
-    _assert_screen_matches_full_scan(ev, np.linspace(0.0, T, grid + 1))
+    _assert_screen_matches_full_scan(ev, T, grid)
 
 
 def _kappa(ev):
@@ -228,7 +252,7 @@ def test_screen_holds_on_a_skew_eigenbasis(seed, dof, magnitude, grid):
         floor = _window_floor(ev, ts)
         near = np.minimum(np.rint(np.array(crossing_times(S, T)) / T * grid).astype(int), grid)
         assert (_full_scan(ev, ts[near]) < (floor / 2 if floor < _BRACKET else floor)).all()
-    _assert_screen_matches_full_scan(ev, ts)
+    _assert_screen_matches_full_scan(ev, T, grid)
 
 
 @pytest.mark.parametrize("blocks, T, grid", [
@@ -250,7 +274,7 @@ def test_screen_holds_beside_a_hyperbolic_block(blocks, T, grid, magnitude):
     assert ev.fast and ev.w.real.max() > 0.25
     assert (_kappa(ev) > 1.05) == bool(magnitude)
     assert _assert_matches_reference(S, T, grid).times
-    _assert_screen_matches_full_scan(ev, np.linspace(0.0, T, grid + 1))
+    _assert_screen_matches_full_scan(ev, T, grid)
 
 
 def _c2(eps):
@@ -277,30 +301,35 @@ _BESIDE_HYPERBOLIC = normal_form([build_block("a", 1, 0.3),
     a=st.floats(1e-3, 1e6),
     steps=st.sampled_from([1, 2, 5, 97, 1000]),
     h=st.sampled_from([1e-4, 1e-3, 1e-2]),
+    beyond=st.sampled_from([0, 1, 3000]),
     magnitude=st.sampled_from([0.0, 0.5]),
 )
-def test_screen_scans_a_window_off_zero(seed, dof, a, steps, h, magnitude):
-    """The screen scans any equally spaced window [a, a + steps h] with
-    a > 0, one step wide or more and as far out as 1e6, as a full scan of
-    that window does."""
+def test_screen_scans_a_window_off_zero(seed, dof, a, steps, h, beyond, magnitude):
+    """The screen scans any window of grid indices, from the first past
+    a / h to ``steps`` steps of about h later, with ``beyond`` more steps
+    of the grid after it: one step wide or more and as far out as
+    t = 1e6, as a full scan of that window does."""
     rng = np.random.default_rng(seed)
     S = random_elliptic_form(rng, dof)
     if magnitude:
         S = _conjugated(S, seed, magnitude)
     ev = ExpEvaluator(standard_J(dof) @ sym_matrix(S))
-    _assert_screen_matches_full_scan(ev, np.linspace(a, a + steps * h, steps + 1))
+    lo = math.ceil(a / h)
+    grid = lo + steps + beyond
+    _assert_screen_matches_full_scan(ev, grid * h, grid, lo, lo + steps)
 
 
 @pytest.mark.parametrize("a", [1.0, 1e3, 1e6, 1e9])
 def test_a_far_window_costs_its_width(a):
     """The screen's radii are in steps of the window itself, so a window
     of width 20 at t = 1e9 takes about as many points as one at t = 1
-    (346 to 437 of 20001 here); a step read as ts[-1] / grid took all
-    20001 from t = 1e6 on."""
+    (346 to 437 of 20001 here); a step read as T / grid took all 20001
+    from t = 1e6 on."""
     ev = ExpEvaluator(standard_J(2) @ _ELLIPTIC)
-    ts = np.linspace(a, a + 20.0, 20001)
-    _assert_screen_matches_full_scan(ev, ts)
-    assert np.isfinite(_screened_scan(ev, ts, _screen_size(ev), _BRACKET)).sum() <= 20000 / 32
+    lo = round(a * 1000)  # a window of 20000 steps of 1e-3 from t = a
+    _assert_screen_matches_full_scan(ev, (lo + 20000) / 1000, lo + 20000, lo)
+    assert np.isfinite(_scan(ev, (lo + 20000) / 1000, lo + 20000, lo, lo + 20000,
+                             _BRACKET)).sum() <= 20000 / 32
 
 
 @pytest.mark.parametrize("S", [_c2(0.0), _conjugated(_BESIDE_HYPERBOLIC, 2, 0.3)],
@@ -308,10 +337,13 @@ def test_a_far_window_costs_its_width(a):
 @pytest.mark.parametrize("a, b, n", [(2.5, 2.501, 2), (TWO_PI - 1e-3, TWO_PI + 1e-3, 3),
                                      (1.0, 12.0, 40), (5.0, 9.0, 1001)])
 def test_screen_scans_a_window_beside_jordan_and_hyperbolic_blocks(S, a, b, n):
-    """Windows off 0 on the Pade fallback and beside a hyperbolic block,
-    where the screen's size grows with t."""
+    """Windows of n points off 0 on the Pade fallback and beside a
+    hyperbolic block, where the screen's size grows with t: from the grid
+    point nearest a on a grid of steps (b - a) / (n - 1) over [0, b + 1]."""
     ev = ExpEvaluator(standard_J(S.shape[0] // 2) @ S)
-    _assert_screen_matches_full_scan(ev, np.linspace(a, b, n))
+    grid = round((b + 1.0) / (b - a) * (n - 1))
+    lo = round(a / (b + 1.0) * grid)
+    _assert_screen_matches_full_scan(ev, b + 1.0, grid, lo, lo + n - 1)
 
 
 @pytest.mark.parametrize("S", [
@@ -338,7 +370,7 @@ def test_screen_size_bounds_the_step(S):
     for step in (-0.5, -0.1, -1e-2, -1e-3, 1e-3, 1e-2, 0.1, 0.5):
         keep = centers + step >= 0.0
         moved = np.linalg.norm(ev.at(centers[keep] + step) - E_c[keep], 2, axis=(1, 2))
-        bound = size_c[keep] * np.expm1(abs(step) * ev.norm) + _SLACK * (sigma_max[keep] + 1.0)
+        bound = size_c[keep] * np.expm1(abs(step) * _norm(ev)) + _SLACK * (sigma_max[keep] + 1.0)
         assert (moved <= bound).all(), (step, float((moved / bound).max()))
 
 
@@ -350,7 +382,7 @@ def test_floor_stays_at_the_bracket(S, fast):
     floor is _BRACKET itself."""
     ev = ExpEvaluator(standard_J(2) @ S)
     assert ev.fast == fast
-    assert _grid_floor(_screen_size(ev), 9.0, ev.norm * 9.0 / 4000) == _BRACKET
+    assert _grid_floor(_screen_size(ev), 9.0, _norm(ev) * 9.0 / 4000) == _BRACKET
 
 
 def test_floor_brackets_a_crossing_midway_between_grid_points(monkeypatch):
@@ -393,9 +425,9 @@ def test_spurious_dips_are_dropped_as_the_reference_rejects_them(monkeypatch):
     original = oracles._newton_lockstep
 
     def spying(*args):
-        best, val = original(*args)
-        refined.extend(val.tolist())
-        return best, val
+        best, val, svd = original(*args)
+        refined.extend(val)
+        return best, val, svd
 
     monkeypatch.setattr(oracles, "_newton_lockstep", spying)
     for i in (104, 172, 215, 248, 287):
@@ -414,10 +446,10 @@ def test_fallback_without_eigenbasis():
     assert not ev.fast
     got = _assert_matches_reference(S, 9.0, 4000)
     assert got.times == pytest.approx(crossing_times(S, 9.0), abs=1e-7)
-    assert TWO_PI / ev.norm <= min(got.times)
+    assert TWO_PI / _norm(ev) <= min(got.times)
     with pytest.raises(CrossingDegenerate):
         cz_index_data(S, 9.0)
-    _assert_screen_matches_full_scan(ev, np.linspace(0.0, 9.0, 4001))
+    _assert_screen_matches_full_scan(ev, 9.0, 4000)
 
 
 @pytest.mark.parametrize("S, T, grid", [
@@ -491,9 +523,31 @@ def test_degenerate_form_is_refused_before_scanning(monkeypatch):
 def test_coarse_grid_opens_every_cell(T, grid):
     """Cells far wider than 1 / |J S| must open, not overflow the bound;
     the oracle refuses such a grid."""
-    _assert_screen_matches_full_scan(ExpEvaluator(standard_J(1)), np.linspace(0.0, T, grid + 1))
+    _assert_screen_matches_full_scan(ExpEvaluator(standard_J(1)), T, grid)
     with pytest.raises(ValueError, match=f"grid {grid} cannot resolve"):
         oracle_cz(np.eye(2), T, grid)
+
+
+def test_refuses_a_horizon_where_exp_overflows(monkeypatch):
+    """Beside a hyperbolic block of rate 1, |exp(t J S)| overflows past
+    t = log of the largest float, about 709.8.  At T = 720 the oracle
+    refuses, naming T and max Re w, before it builds any exp(t J S) and
+    with no floating-point warning; at T = 700 it still answers."""
+    S = normal_form([build_block("a", 1, 1.0), build_block("c", 1, 1.3j, gamma=-1)]).matrix
+    calls = []
+    original_at = ExpEvaluator.at
+
+    def counting(self, ts):
+        calls.append(len(ts))
+        return original_at(self, ts)
+
+    monkeypatch.setattr(ExpEvaluator, "at", counting)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="T = 720 times max Re w = 1 "):
+            oracle_cz(S, 720.0, 40000)
+    assert calls == []
+    assert oracle_cz(S, 700.0, 40000).index == HalfInt(2 * -289)
 
 
 def test_refuses_an_under_resolved_grid():
@@ -580,9 +634,9 @@ def test_grid_floor_cuts_the_scan(monkeypatch):
     screen builds on the same window (141 against 425)."""
     scan, _ = _guard_case_calls(monkeypatch)
     ev = ExpEvaluator(standard_J(3) @ _GUARD_S)
-    ts = np.linspace(0.0, _GUARD_T, 20001)
-    ts = ts[ts >= np.concatenate(scan).min()]  # the scan evaluates its window's first point
-    bracketed = np.isfinite(_screened_scan(ev, ts, _screen_size(ev), _BRACKET)).sum()
+    # the scan evaluates its window's first point
+    lo = int(np.searchsorted(np.linspace(0.0, _GUARD_T, 20001), np.concatenate(scan).min()))
+    bracketed = np.isfinite(_scan(ev, _GUARD_T, 20000, lo, 20000, _BRACKET)).sum()
     assert 3 * sum(map(len, scan)) <= bracketed
 
 
@@ -598,12 +652,36 @@ def test_scan_skips_the_prefix_without_crossings(monkeypatch, S, T):
     assert np.concatenate(scan).min() >= TWO_PI / norm - 5 * T / 20000
 
 
+@pytest.mark.parametrize("grid", [1, 3, 400, 20000, 40001])
+def test_grid_time_is_linspace(grid):
+    """The scan's grid index -> time map gives np.linspace(0, T, grid + 1)
+    at every index, bit for bit, T itself at the last."""
+    for T in (1e-3, 1.0, 4 * math.pi, 7.0, 720.0, 1e6 / 3):
+        got = _grid_time(T, grid)(range(grid + 1))
+        assert np.array_equal(got.view(np.int64), np.linspace(0.0, T, grid + 1).view(np.int64))
+
+
+def test_oracle_memory_does_not_grow_with_the_grid():
+    """The oracle keeps state only at the points it evaluates: on [0, 7]
+    at grid 2e6 its traced allocations peak under 1 MB (62 kB here), where
+    dense arrays of the scanned times, sigma_min and radii took 20 MB."""
+    oracle_cz(np.eye(2), 7.0, 2_000_000)  # first-call allocations
+    tracemalloc.start()
+    try:
+        got = oracle_cz(np.eye(2), 7.0, 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.times == pytest.approx((TWO_PI,), abs=1e-10)
+    assert peak < 1e6
+
+
 def test_refinement_is_batched(monkeypatch):
     """Guard against a return to point-by-point refinement or to golden
     section (about 40 batched steps): the lockstep Newton search makes one
     batched evaluation per step for all brackets, and a few steps take
-    each bracket from a grid step to _WIDTH.  One more call reads the
-    kernels."""
+    each bracket from a grid step to _WIDTH.  The kernels are read from
+    the refinement's own SVDs, with no further call."""
     _, rest = _guard_case_calls(monkeypatch)
     assert len(rest) <= 6
 
@@ -654,7 +732,7 @@ def test_lockstep_refinement_matches_scalar_search(seed, dof, grid, widths):
         b.append(lo + w)
         x.append(lo + w * float(rng.uniform()))
 
-    t_star, val = _newton_lockstep(ev, a, b, x)
+    t_star, val, _ = _newton_lockstep(ev, a, b, x)
     for j, (aj, bj, xj) in enumerate(zip(a, b, x)):
         assert (t_star[j], val[j]) == _newton_min(ev, aj, bj, xj)
 
