@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Print one sha256 over oracle_cz's answers on a fixed evidence set.
+"""Print one sha256 over oracle_cz's answers on a fixed evidence set, and
+one over cz_index_data's answers on the same (S, T) of the set.
 
-Two checkouts that print the same digest give oracle_cz the same
-answers, bit for bit, on every call of the set: the repr of each answer
-(its crossing times at full float precision), or the type and message of
-the exception a call raises, is hashed in order.  Run it in each
-checkout, from the checkout's root:
+Two checkouts that print the same digests give oracle_cz and
+cz_index_data the same answers, bit for bit, on every call of the set:
+the repr of each answer (its crossing times at full float precision), or
+the type and message of the exception a call raises, is hashed in order.
+Run it in each checkout, from the checkout's root:
 
     python scripts/oracle_digest.py
 
@@ -33,7 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np
 
-from rfhquad import build_block, crossing_times, oracle_cz
+from rfhquad import build_block, crossing_times, cz_index_data, oracle_cz
 from rfhquad.samples import random_elliptic_form, random_symplectic
 from rfhquad.selftest import BASE_SEED
 from rfhquad.symlin import sym_matrix
@@ -91,18 +92,28 @@ def calls():
                     yield form, T, grid
 
 
+def _answer(call):
+    """The repr of call()'s answer, or the type and message of its refusal,
+    and whether it refused."""
+    try:
+        return repr(call()), False
+    except Exception as exc:  # a refusal is part of the answer
+        return f"{type(exc).__name__}: {exc}", True
+
+
 def main() -> None:
-    digest = hashlib.sha256()
-    count = refused = 0
+    oracle, index = hashlib.sha256(), hashlib.sha256()
+    count = refused = index_refused = 0
     for S, T, grid in calls():
-        try:
-            got = repr(oracle_cz(S, T) if grid is None else oracle_cz(S, T, grid))
-        except Exception as exc:  # a refusal is part of the answer
-            got = f"{type(exc).__name__}: {exc}"
-            refused += 1
-        digest.update(got.encode() + b"\n")
+        got, no = _answer(lambda: oracle_cz(S, T) if grid is None else oracle_cz(S, T, grid))
+        oracle.update(got.encode() + b"\n")
+        refused += no
+        got, no = _answer(lambda: cz_index_data(S, T))
+        index.update(got.encode() + b"\n")
+        index_refused += no
         count += 1
-    print(f"{digest.hexdigest()}  {count} calls, {refused} refused")
+    print(f"{oracle.hexdigest()}  {count} calls, {refused} refused")
+    print(f"{index.hexdigest()}  {count} cz_index_data calls, {index_refused} refused")
 
 
 if __name__ == "__main__":

@@ -50,7 +50,9 @@ from .symlin import (
     DEFAULT_TOL,
     TWO_PI,
     Tolerances,
+    _is_real,
     _krein_signature,
+    _spectral_norm,
     hamiltonian_orbits,
     signature,
     spectrum_with_jordan,
@@ -83,12 +85,6 @@ class HalfInt:
             doubled = int(doubled)
         _set_doubled(self, doubled)
 
-    @classmethod
-    def from_int(cls, n: int) -> "HalfInt":
-        if isinstance(n, bool):  # 2 * True is 2; __init__ checks the rest
-            raise InputError(f"HalfInt.from_int needs an integer, got {n!r}")
-        return cls(2 * n)
-
     @property
     def is_integer(self) -> bool:
         return self.doubled % 2 == 0
@@ -97,9 +93,6 @@ class HalfInt:
         if not self.is_integer:
             raise NonIntegerResult(f"{self} is not an integer")
         return self.doubled // 2
-
-    def __float__(self) -> float:
-        return self.doubled / 2.0
 
     @staticmethod
     def _coerce(other):
@@ -117,23 +110,8 @@ class HalfInt:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        d = self._coerce(other)
-        return NotImplemented if d is NotImplemented else HalfInt(self.doubled - d)
-
-    def __rsub__(self, other):
-        d = self._coerce(other)
-        return NotImplemented if d is NotImplemented else HalfInt(d - self.doubled)
-
     def __neg__(self):
         return HalfInt(-self.doubled)
-
-    def __mul__(self, other):
-        if isinstance(other, bool) or not isinstance(other, (int, np.integer)):
-            return NotImplemented
-        return HalfInt(self.doubled * int(other))
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         d = self._coerce(other)
@@ -142,18 +120,6 @@ class HalfInt:
     def __lt__(self, other):
         d = self._coerce(other)
         return NotImplemented if d is NotImplemented else self.doubled < d
-
-    def __le__(self, other):
-        d = self._coerce(other)
-        return NotImplemented if d is NotImplemented else self.doubled <= d
-
-    def __gt__(self, other):
-        d = self._coerce(other)
-        return NotImplemented if d is NotImplemented else self.doubled > d
-
-    def __ge__(self, other):
-        d = self._coerce(other)
-        return NotImplemented if d is NotImplemented else self.doubled >= d
 
     def __hash__(self):
         return hash(Fraction(self.doubled, 2))
@@ -348,7 +314,7 @@ class _Crossings:
             nonlocal s_norm
             if mu not in signatures:
                 if s_norm is None:
-                    s_norm = float(np.linalg.norm(self.S, 2))
+                    s_norm = _spectral_norm(self.S)
                 signatures[mu] = self._frequency_signature(mu, s_norm)
             return signatures[mu]
 
@@ -363,15 +329,18 @@ class _Crossings:
         return tuple(self.times[:stop]) + (() if end is None else (self.times[end],))
 
 
-def _form_crossings(S, T: float, tol: Tolerances, start: float = 0.0) -> _Crossings:
-    """The crossings of exp(t J S) on (0, T], from ``start`` on, at the
-    frequencies of the Jordan spectrum of J S."""
+def _form_crossings(S, T: float, tol: Tolerances, lead: float | None = None) -> _Crossings:
+    """The crossings of exp(t J S) on (0, T], from T - ``lead`` on (from 0
+    without one), at the frequencies of the Jordan spectrum of J S.  A
+    bool or a string T is refused, not read as the float it makes."""
     S = sym_matrix(S)
     if S.shape[0] % 2 != 0:
         raise InputError("S must act on an even-dimensional space")
+    if not _is_real(T):
+        raise InputError(f"path length T must be a real number, got {T!r}")
     freqs = _imaginary_frequencies(standard_J(S.shape[0] // 2) @ S, tol)
-    return _Crossings(S, [(mu, V.shape[1]) for mu, V in freqs], T, tol, start,
-                      vectors=dict(freqs))
+    return _Crossings(S, [(mu, V.shape[1]) for mu, V in freqs], T, tol,
+                      0.0 if lead is None else T - lead, vectors=dict(freqs))
 
 
 def cz_index_data(S, T: float, tol: Tolerances = DEFAULT_TOL) -> CzPathData:
@@ -382,7 +351,7 @@ def cz_index_data(S, T: float, tol: Tolerances = DEFAULT_TOL) -> CzPathData:
 def cz_index_path(S, T: float, tol: Tolerances = DEFAULT_TOL) -> HalfInt:
     """Conley-Zehnder index of t |-> exp(t J S) on [0, T], off a pass that
     lists from T - tol.crossing on, so as to list an endpoint below T."""
-    return _form_crossings(S, T, tol, T - tol.crossing).data().index
+    return _form_crossings(S, T, tol, tol.crossing).data().index
 
 
 def crossing_times(S, T: float, tol: Tolerances = DEFAULT_TOL) -> tuple:

@@ -53,11 +53,14 @@ Sun, Matrix Perturbation Theory, 1990), with dE/dt = J S E, so Newton's
 step on the V lands on its vertex up to the curvature: three or four
 evaluations take a bracket from a grid step to 1e-11.  All brackets are
 refined together, one batched evaluation per step.  An accepted
-crossing's kernel is read from the SVD Newton took at its point.
+crossing's kernel is read from the SVD Newton took at its point, and the
+crossing forms on the kernels of each dimension are signed together, by
+one stacked eigvalsh.
 
 The scan keeps state only at the points it evaluates, keyed by grid
-index; index i stands for np.linspace(0, T, grid + 1)[i], computed by
-linspace's own arithmetic as i * (T / grid), and T itself at i = grid.
+index; index i stands for np.linspace(0, T, grid + 1)[i], computed in
+Python floats by linspace's own arithmetic as i * (T / grid), and T
+itself at i = grid, and made an array once per level.
 
 The scan starts just short of 2 pi / |J S|_2.  exp(t J S) has the
 eigenvalue 1 only where t w lies in 2 pi i Z for an eigenvalue w of J S,
@@ -80,7 +83,15 @@ import numpy as np
 
 from .czindex import HalfInt
 from .errors import InputError, NumericalError
-from .symlin import DEFAULT_TOL, ExpEvaluator, signature, standard_J, sym_matrix
+from .symlin import (
+    DEFAULT_TOL,
+    ExpEvaluator,
+    _is_real,
+    _spectral_norm,
+    signature,
+    standard_J,
+    sym_matrix,
+)
 
 __all__ = ["OracleCz", "oracle_cz"]
 
@@ -88,7 +99,7 @@ _BRACKET = 2e-2  # sampled dip must fall below this to be refined
 _ACCEPT = 1e-7  # refined minimum below this counts as a crossing
 _KERNEL_CUT = 1e-6
 _ENDPOINT = 1e-6
-_STRIDES = (1024, 256, 64, 16, 4, 1)  # cell widths of the screen's levels; each divides the one before
+_STRIDES = (512, 128, 32, 8, 1)  # cell widths of the screen's levels; each divides the one before
 _SLACK = 1e-8  # rounding allowance on the screen, relative to sigma_max + 1
 _WIDTH = 1e-11  # a refinement stops at a step or a bracket this narrow
 
@@ -154,11 +165,21 @@ def _kernel_cols(s, Vt):
     return Vt[len(s) - k:].T if k else None
 
 
-def _form_signature(S, B) -> int:
-    G = B.T @ S @ B
-    w = np.linalg.eigvalsh((G + G.T) / 2)
-    c = 1e-8 * max(1.0, float(np.abs(w).max()))
-    return int((w > c).sum()) - int((w < -c).sum())
+def _form_signatures(S, kernels) -> list:
+    """sgn(B^T S B) for each kernel B of the list, one stacked eigvalsh for
+    the kernels of each dimension; eigenvalues within 1e-8 * max(1, max|w|)
+    of zero, w those of the one form, count as neither sign."""
+    sigs = [0] * len(kernels)
+    groups = {}  # kernel dimension -> indices into kernels
+    for j, B in enumerate(kernels):
+        groups.setdefault(B.shape[1], []).append(j)
+    for idx in groups.values():
+        R = np.stack([kernels[j].T for j in idx])
+        G = R @ S @ R.transpose(0, 2, 1)
+        for j, w in zip(idx, np.linalg.eigvalsh((G + G.transpose(0, 2, 1)) / 2).tolist()):
+            c = 1e-8 * max(1.0, max(map(abs, w)))
+            sigs[j] = len([x for x in w if x > c]) - len([x for x in w if x < -c])
+    return sigs
 
 
 def _screen_size(ev: ExpEvaluator):
@@ -181,9 +202,10 @@ def _grid_floor(size, T: float, reach: float) -> float:
 
 def _grid_time(T: float, grid: int):
     """The times of a sequence of grid indices i, np.linspace(0, T, grid + 1)[i],
-    by linspace's own arithmetic: i * (T / grid), and T itself at i = grid."""
+    as a list of floats by linspace's own arithmetic: i * (T / grid), and T
+    itself at i = grid."""
     h = T / grid
-    return lambda idx: np.where(np.equal(idx, grid), T, np.multiply(idx, h))
+    return lambda idx: [T if i == grid else i * h for i in idx]
 
 
 def _screened_scan(ev: ExpEvaluator, time, lo: int, hi: int, norm: float, size,
@@ -198,14 +220,14 @@ def _screened_scan(ev: ExpEvaluator, time, lo: int, hi: int, norm: float, size,
     eye = np.eye(ev.M.shape[0])
     sigma, radius = {}, {}  # by grid index; radius in grid steps
     width = hi - lo
-    t_lo, t_hi = time([lo, hi]).tolist()
+    t_lo, t_hi = time([lo, hi])
     step_norm = (t_hi - t_lo) / width * norm
     cells = range(lo, hi, _STRIDES[0])  # left ends of the cells to take
     for level, stride in enumerate(_STRIDES):
         ends = [e for c in cells for e in (c, c + stride)]
         ends[-1] = min(ends[-1], hi)  # only the last cell can pass the window's end
         fresh = [i for i in dict.fromkeys(ends) if i not in radius]
-        ts = time(fresh)
+        ts = np.array(time(fresh))
         s = np.linalg.svd(ev.at(ts) - eye, compute_uv=False)
         room = np.maximum(s[:, -1] - floor - _SLACK * (s[:, 0] + 1.0), 0.0)
         reach = np.minimum(np.floor(np.log1p(room / size(ts, s[:, 0])) / step_norm), width)
@@ -246,17 +268,21 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
     those points, by grid index; when no point is left after the first one
     it scans, no exp(t J S) is built and the answer is sgn(S) / 2 with no
     crossing.  Each accepted crossing's kernel is read from the SVD that
-    the refinement took at its point.
+    the refinement took at its point, and the forms on the kernels of each
+    dimension are signed by one stacked eigvalsh.
 
     Raises InputError unless S acts on an even-dimensional space,
     DegenerateInput when S has a numerical kernel (before any scanning),
-    ValueError unless T is finite and positive and ``grid`` is an integer
-    of at least 1 that meets the rule above, and NumericalError, before any
-    exp(t J S) is built, when T * max Re w reaches log of the largest
-    float, w over the eigenvalues of J S: |exp(T J S)| overflows there."""
+    ValueError unless T is a real number (a bool or a string is none),
+    finite and positive, and ``grid`` is an integer of at least 1 that
+    meets the rule above, and NumericalError, before any exp(t J S) is
+    built, when T * max Re w reaches log of the largest float, w over the
+    eigenvalues of J S: |exp(T J S)| overflows there."""
     S = sym_matrix(S)
     if S.shape[0] % 2:
         raise InputError("S must act on an even-dimensional space")
+    if not _is_real(T):
+        raise ValueError(f"T must be a real number, got {T!r}")
     T = float(T)
     if not (math.isfinite(T) and T > 0):
         raise ValueError("T must be finite and positive")
@@ -266,7 +292,7 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
         return OracleCz((), HalfInt(0), False)
     doubled = signature(S, DEFAULT_TOL)  # refuses a degenerate S; so |J S|_2 > 0
     M = standard_J(S.shape[0] // 2) @ S
-    norm = float(np.linalg.norm(M, 2))
+    norm = _spectral_norm(M)
     reach = norm * T / grid
     if reach >= 2 * _BRACKET:
         raise ValueError(f"grid {grid} cannot resolve crossings on [0, {T:g}]: "
@@ -301,16 +327,13 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
             continue
         merged.append(i)
 
-    best, val, svd = _newton_lockstep(ev, time([i - 1 for i in merged]).tolist(),
-                                      time([min(i + 1, grid) for i in merged]).tolist(),
-                                      time(merged).tolist())
+    best, val, svd = _newton_lockstep(ev, time([i - 1 for i in merged]),
+                                      time([min(i + 1, grid) for i in merged]), time(merged))
+    crossings = [(t, B) for t, sigma, s_vt in zip(best, val, svd)
+                 if sigma <= _ACCEPT and (B := _kernel_cols(*s_vt)) is not None]
     times = []
     endpoint_hit = False
-    for t, sigma, s_vt in zip(best, val, svd):
-        B = _kernel_cols(*s_vt) if sigma <= _ACCEPT else None
-        if B is None:
-            continue
-        sig = _form_signature(S, B)
+    for (t, _), sig in zip(crossings, _form_signatures(S, [B for _, B in crossings])):
         if abs(t - T) <= _ENDPOINT:
             doubled += sig
             endpoint_hit = True

@@ -31,7 +31,7 @@ import numpy as np
 
 from .czindex import HalfInt, _Crossings, _merged_frequencies
 from .errors import CensusOverflow, InputError, InternalError, ResonanceMismatch
-from .symlin import DEFAULT_TOL, TWO_PI, Tolerances
+from .symlin import DEFAULT_TOL, TWO_PI, Tolerances, _is_real
 from .tentacular import QuadraticHamiltonian, _validate
 
 __all__ = [
@@ -52,6 +52,8 @@ class ActionWindow:
     hi: float
 
     def __post_init__(self):
+        if not (_is_real(self.lo) and _is_real(self.hi)):
+            raise InputError(f"window ends must be real numbers, got [{self.lo!r}, {self.hi!r}]")
         lo, hi = float(self.lo), float(self.hi)
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise InputError(f"window must satisfy lo < hi, got [{self.lo}, {self.hi}]")

@@ -70,6 +70,12 @@ DEFAULT_TOL = Tolerances()
 _SYMMETRY_TOL = 1e-12
 
 
+def _is_real(x) -> bool:
+    """x is a number the package reads as real: a Python or numpy integer or
+    float, not a bool, nor a string that float() would parse."""
+    return not isinstance(x, bool) and isinstance(x, (int, float, np.integer, np.floating))
+
+
 def _as_square(M, name="matrix"):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -88,6 +94,12 @@ def sym_matrix(A, name="matrix"):
     if float(np.abs(A - A.T).max()) > _SYMMETRY_TOL * max(scale, 1.0):
         raise InputError(f"{name} is not symmetric within tolerance")
     return (A + A.T) / 2.0
+
+
+def _spectral_norm(A) -> float:
+    """|A|_2 of a matrix, bit for bit np.linalg.norm(A, 2): the first of its
+    singular values, which LAPACK returns in descending order."""
+    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def standard_J(m: int) -> np.ndarray:
@@ -118,10 +130,9 @@ def symplectic_direct_sum(*parts) -> np.ndarray:
     out = np.zeros((2 * m_tot, 2 * m_tot))
     off = 0
     for p, m in zip(mats, dofs):
-        if m == 0:
-            continue
-        idx = np.concatenate([np.arange(off, off + m), m_tot + np.arange(off, off + m)])
-        out[np.ix_(idx, idx)] = p
+        q, P = slice(off, off + m), slice(m_tot + off, m_tot + off + m)
+        out[q, q], out[q, P] = p[:m, :m], p[:m, m:]
+        out[P, q], out[P, P] = p[m:, :m], p[m:, m:]
         off += m
     return out
 
@@ -218,7 +229,8 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     w, V = np.linalg.eig(M)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow means kappa = inf
-            kappa = np.nan_to_num(np.linalg.norm(np.linalg.inv(V), axis=1), nan=np.inf)
+            kappa = np.linalg.norm(np.linalg.inv(V), axis=1)
+        kappa[np.isnan(kappa)] = np.inf  # overflow too; inf decides as any kappa past the _RING cap
     except np.linalg.LinAlgError:
         kappa = np.full(n, np.inf)
     scale = max(1.0, float(np.abs(w).max()))
@@ -226,7 +238,9 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     radius = (tol.eig_cluster + np.minimum(ring, _RING)) * scale
     near = np.abs(w[:, None] - w) <= np.maximum.outer(radius, radius)
     labels = np.arange(n)
-    while True:  # single linkage: each label falls to the lowest index of its cluster
+    # single linkage, when some pair of distinct eigenvalues is near: each
+    # label falls to the lowest index of its cluster
+    while np.count_nonzero(near) > n:
         lower = np.where(near, labels, n).min(axis=1)
         if np.array_equal(lower, labels):
             break
@@ -234,20 +248,23 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
 
     items = []
     T = None
-    firsts, counts = np.unique(labels, return_counts=True)
-    for first, p in zip(firsts.tolist(), counts.tolist()):
+    counts = {}  # first index of each cluster -> its size
+    for first in labels.tolist():
+        counts[first] = counts.get(first, 0) + 1
+    values, rings = w.astype(complex).tolist(), ring.tolist()
+    for first, p in sorted(counts.items()):
         if p == 1:  # a singleton's label is its own index
-            if ring[first] >= _RING:
+            if rings[first] >= _RING:
                 raise ClusterAmbiguous(
-                    f"eigenvalue {complex(w[first])} is too ill-conditioned to place and has no partner")
-            items.append(SpectrumItem(complex(w[first]), (1,), V[:, first:first + 1]))
+                    f"eigenvalue {values[first]} is too ill-conditioned to place and has no partner")
+            items.append(SpectrumItem(values[first], (1,), V[:, first:first + 1]))
             continue
         members = np.flatnonzero(labels == first)
         c = complex(np.mean(w[members]))
         if T is None:
             import scipy.linalg
             T, Z = scipy.linalg.schur(M, output="complex")
-            norm = max(1.0, float(np.linalg.norm(M, 2)))
+            norm = max(1.0, _spectral_norm(M))
         reach = float(np.abs(w[members] - c).max() + radius[members].max())
         select = np.abs(np.diag(T) - c) <= reach
         if np.count_nonzero(select) != p:
@@ -447,8 +464,8 @@ def _krein_signature(S, V, s_norm: float, tol: Tolerances) -> int:
     eigenspace comes back as pure roundoff, and its own largest eigenvalue
     is no yardstick.
     """
-    w = np.linalg.eigvalsh(V.conj().T @ S @ V)
-    cut = tol.rank_cut * max(float(np.abs(w).max()), s_norm)
-    if np.any(np.abs(w) <= cut):
+    w = np.linalg.eigvalsh(V.conj().T @ S @ V).tolist()
+    cut = tol.rank_cut * max(max(map(abs, w)), s_norm)
+    if min(map(abs, w)) <= cut:
         raise DegenerateRestriction("restricted form has a numerical kernel")
-    return 2 * int(np.count_nonzero(w > 0) - np.count_nonzero(w < 0))
+    return 2 * (len([x for x in w if x > 0]) - len([x for x in w if x < 0]))

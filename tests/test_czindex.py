@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ class TestHalfInt:
         assert str(HalfInt(4)) == "2"
         assert str(HalfInt(3)) == "3/2"
         assert str(HalfInt(-1)) == "-1/2"
-        assert HalfInt.from_int(2) == HalfInt(4)
+        assert HalfInt(4).doubled == 4 and HalfInt(4) == 2
 
     def test_rejects_non_integers(self):
         for bad in (1.5, 2.0, True, False, np.bool_(True), "2", None):
@@ -58,17 +59,6 @@ class TestHalfInt:
             assert half == HalfInt(3) and repr(half) == "HalfInt(3/2)"
         assert type(replace(HalfInt(4), doubled=np.int64(5)).doubled) is int
 
-    def test_from_int_checks_like_the_constructor(self):
-        """from_int refuses what HalfInt refuses, instead of truncating
-        2.5 to 2 and reading True as 1; numpy integers stay accepted."""
-        for bad in (2.5, 2.0, True, False, "2"):
-            with pytest.raises(InputError):
-                HalfInt.from_int(bad)
-        for good in (np.int64(3), np.int32(3), np.uint8(3)):
-            half = HalfInt.from_int(good)
-            assert half == HalfInt(6) and type(half.doubled) is int
-        assert HalfInt.from_int(-2) == HalfInt(-4)
-
     def test_integrality(self):
         assert HalfInt(4).is_integer
         assert not HalfInt(3).is_integer
@@ -78,26 +68,26 @@ class TestHalfInt:
 
     def test_arithmetic(self):
         one_half = HalfInt(1)
-        assert one_half + one_half == HalfInt.from_int(1)
-        assert one_half - HalfInt(3) == HalfInt(-2)
-        assert -one_half == HalfInt(-1)
-        assert 3 * one_half == HalfInt(3)
-        assert one_half + 1 == HalfInt(3)
-        assert float(one_half) == 0.5
+        assert (one_half + one_half).doubled == 2
+        assert (one_half + -HalfInt(3)).doubled == -2
+        assert (-one_half).doubled == -1
+        assert (one_half + 1).doubled == (1 + one_half).doubled == 3
+        assert sum([one_half] * 3).doubled == 3
 
     def test_ordering(self):
-        assert HalfInt(1) < HalfInt(2) <= HalfInt.from_int(1)
-        assert HalfInt(5) > 2
-        assert HalfInt(4) >= 2 and HalfInt(4) <= 2
+        assert HalfInt(1) < HalfInt(2) and not HalfInt(2) < HalfInt(2)
+        assert HalfInt(3) < 2 and not HalfInt(4) < 2
+        assert [h.doubled for h in sorted([HalfInt(5), HalfInt(-1), HalfInt(2)])] == [-1, 2, 5]
 
     def test_hash_consistency(self):
         assert hash(HalfInt(4)) == hash(2)
-        assert len({HalfInt(4), HalfInt.from_int(2)}) == 1
+        assert hash(HalfInt(3)) == hash(Fraction(3, 2))
+        assert len({HalfInt(4), HalfInt(np.int64(4)), 2}) == 1
 
 
 class TestCzPath:
     def test_full_rotation(self):
-        assert cz_index_path(np.eye(2), TWO_PI) == HalfInt.from_int(2)
+        assert cz_index_path(np.eye(2), TWO_PI) == HalfInt(4)
 
     def test_full_rotation_data(self):
         data = cz_index_data(np.eye(2), TWO_PI)
@@ -109,20 +99,20 @@ class TestCzPath:
         data = cz_index_data(np.eye(2), 3 * np.pi)
         assert data.endpoint is None
         assert [round(t, 9) for t, _ in data.interior] == [round(TWO_PI, 9)]
-        assert cz_index_path(np.eye(2), 3 * np.pi) == HalfInt.from_int(3)
+        assert cz_index_path(np.eye(2), 3 * np.pi) == HalfInt(6)
 
     @pytest.mark.parametrize("k,N,mu", [(1, 1, 1.0), (2, 3, 0.7), (3, 2, 1.3), (4, 5, 1.0)])
     def test_scaled_identity_closed_form(self, k, N, mu):
         S = mu * np.eye(2 * k)
-        assert cz_index_path(S, TWO_PI * N / mu) == HalfInt.from_int(2 * k * N)
+        assert cz_index_path(S, TWO_PI * N / mu) == HalfInt(4 * k * N)
 
     @pytest.mark.parametrize("T", [1.0, np.pi, TWO_PI, 10.0])
     def test_hyperbolic_vanishing(self, T):
         S = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert cz_index_path(S, T) == HalfInt.from_int(0)
+        assert cz_index_path(S, T) == HalfInt(0)
 
     def test_empty_form(self):
-        assert cz_index_path(np.zeros((0, 0)), 1.0) == HalfInt.from_int(0)
+        assert cz_index_path(np.zeros((0, 0)), 1.0) == HalfInt(0)
 
     def test_crossing_times(self):
         got = crossing_times(np.eye(2), 2 * TWO_PI + 0.1)
@@ -211,13 +201,13 @@ def census_gradings(H, eta):
 
 class TestTransverseAndGrading:
     def test_transverse_single_frequency(self, h21):
-        assert census_transverse(h21, TWO_PI) == HalfInt.from_int(2)
+        assert census_transverse(h21, TWO_PI) == HalfInt(4)
 
     def test_transverse_interleaved(self, h32):
-        assert census_transverse(h32, np.pi) == HalfInt.from_int(3)
+        assert census_transverse(h32, np.pi) == HalfInt(6)
 
     def test_transverse_negative_action(self, h21):
-        assert census_transverse(h21, -TWO_PI) == HalfInt.from_int(-2)
+        assert census_transverse(h21, -TWO_PI) == HalfInt(-4)
 
     def test_sigma_index_sphere(self, h32, family):
         fam = family(h32, TWO_PI, side="H")  # m = 2
@@ -236,15 +226,15 @@ class TestTransverseAndGrading:
     def test_grading_positive_resonant(self):
         H = QuadraticHamiltonian.from_frequencies(
             3, 2, [1.0, 1.0], build_block("a", 1, 1.0).matrix)
-        assert census_transverse(H, TWO_PI) == HalfInt.from_int(4)
+        assert census_transverse(H, TWO_PI) == HalfInt(8)
         gradings = census_gradings(H, TWO_PI)  # 4 -+ 3/2 + 1/2 on a sphere S^3 (m = 2)
         assert gradings["H0"] == gradings["H"]
-        assert gradings["H0"] == {"min": HalfInt.from_int(3), "max": HalfInt.from_int(6)}
+        assert gradings["H0"] == {"min": HalfInt(6), "max": HalfInt(12)}
 
     def test_grading_negative_action(self, h21):
         gradings = census_gradings(h21, -TWO_PI)  # -2 -+ 1/2 + 1/2 on S^1 (m = 1)
         assert gradings["H0"] == gradings["H"]
-        assert gradings["H0"] == {"max": HalfInt.from_int(-1), "min": HalfInt.from_int(-2)}
+        assert gradings["H0"] == {"max": HalfInt(-2), "min": HalfInt(-4)}
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40))
@@ -252,7 +242,7 @@ def test_halfint_total_order_consistent(a, b):
     x, y = HalfInt(a), HalfInt(b)
     assert (x < y) == (a < b)
     assert (x == y) == (a == b)
-    assert float(x - y) == pytest.approx((a - b) / 2)
+    assert (x + -y).doubled == a - b
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.floats(0.4, 2.5))
@@ -260,7 +250,7 @@ def test_rotation_index_monotone_in_period(k, N, mu):
     S = mu * np.eye(2 * k)
     small = cz_index_path(S, TWO_PI * N / mu)
     large = cz_index_path(S, TWO_PI * (N + 1) / mu)
-    assert large - small == HalfInt.from_int(2 * k)
+    assert large.doubled - small.doubled == 4 * k
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +330,7 @@ def test_two_crossings_at_the_endpoint_are_refused():
         with pytest.raises(CrossingDegenerate, match="0.785.* and t = 1.570"):
             ask(S, 1.0, wide)
     assert crossing_times(S, 0.75, wide) == (pytest.approx(TWO_PI / 8),)
-    assert cz_index_path(S, 0.75, wide) == HalfInt.from_int(2)
+    assert cz_index_path(S, 0.75, wide) == HalfInt(4)
 
 
 def test_frequency_faster_than_the_crossing_tolerance_is_refused():
@@ -368,11 +358,12 @@ def test_frequencies_closer_than_the_cluster_radius_merge():
 def test_signing_reads_the_jordan_spectrum_eigenvectors(monkeypatch):
     """Crossing forms and Krein splits are signed on the eigenvectors the
     Jordan spectrum computed: on three simple frequencies cz_index_data
-    calls np.linalg.svd never and classify only for its degeneracy check,
-    and each takes one eigendecomposition, that of its one Jordan
-    spectrum.  The signer's |S|_2, numpy's own np.linalg.norm(S, 2), is
-    taken once for cz_index_data's three frequencies, and classify reuses
-    the largest singular value of its degeneracy check."""
+    calls np.linalg.svd only for |S|_2 and classify only for its
+    degeneracy check, and each takes one eigendecomposition, that of its
+    one Jordan spectrum.  The signer's |S|_2, the first singular value of
+    one np.linalg.svd (bit for bit np.linalg.norm(S, 2)), is taken once for
+    cz_index_data's three frequencies, and classify reuses the largest
+    singular value of its degeneracy check."""
     A = normal_form([build_block("c", 1, 1.0j, 1), build_block("c", 1, 1.3j, -1),
                      build_block("c", 1, 1.7j, 1)]).matrix
     P = random_symplectic(np.random.default_rng(0), 3, magnitude=0.4)
@@ -384,7 +375,7 @@ def test_signing_reads_the_jordan_spectrum_eigenvectors(monkeypatch):
                 calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
-    for run, want in ((lambda: cz_index_data(S, 9.0), {"svd": 0, "eig": 1, "norm": 1}),
+    for run, want in ((lambda: cz_index_data(S, 9.0), {"svd": 1, "eig": 1, "norm": 0}),
                       (lambda: classify(S), {"svd": 1, "eig": 1, "norm": 0})):
         calls.update(dict.fromkeys(calls, 0))
         run()
@@ -402,7 +393,7 @@ def test_ill_conditioned_frequencies_keep_their_crossings():
     S0 = normal_form(built).matrix
     G = random_symplectic(np.random.default_rng(24), 2, 10)
     S = G.T @ S0 @ G
-    assert cz_index_path(S, 9.0) == cz_index_path(S0, 9.0) == HalfInt.from_int(-2)
+    assert cz_index_path(S, 9.0) == cz_index_path(S0, 9.0) == HalfInt(-4)
     assert block_keys(classify(S).blocks) == block_keys(built)
     JS = standard_J(2) @ sym_matrix(S)
     freqs = _imaginary_frequencies(JS, DEFAULT_TOL)
@@ -414,7 +405,7 @@ def test_ill_conditioned_frequencies_keep_their_crossings():
 def _long_index(mus, T) -> HalfInt:
     """Long's closed form for a positive definite S with the simple
     frequencies mus, T off every crossing: sum of 2 floor(T mu / 2 pi) + 1."""
-    return HalfInt.from_int(sum(2 * int(T * mu / TWO_PI) + 1 for mu in mus))
+    return HalfInt(2 * sum(2 * int(T * mu / TWO_PI) + 1 for mu in mus))
 
 
 def test_a_slow_frequency_beside_a_fast_one_is_placed():
@@ -432,8 +423,8 @@ def test_a_slow_frequency_beside_a_fast_one_is_placed():
     S = symplectic_direct_sum(fast, slow)
     freqs = _imaginary_frequencies(standard_J(2) @ S, DEFAULT_TOL)
     assert sorted(mu for mu, _ in freqs) == pytest.approx([1e-5, 30.0])
-    assert cz_index_path(S, 1.0) == _long_index([30.0, 1e-5], 1.0) == HalfInt.from_int(10)
-    assert cz_index_path(S, 7e5) == _long_index([30.0, 1e-5], 7e5) == HalfInt.from_int(6684510)
+    assert cz_index_path(S, 1.0) == _long_index([30.0, 1e-5], 1.0) == HalfInt(20)
+    assert cz_index_path(S, 7e5) == _long_index([30.0, 1e-5], 7e5) == HalfInt(13369020)
     assert crossing_times(S, 1.0) == pytest.approx([TWO_PI * j / 30.0 for j in (1, 2, 3, 4)])
     late = czindex._Crossings(S, [(mu, V.shape[1]) for mu, V in freqs], TWO_PI / 1e-5 + 1.0,
                               DEFAULT_TOL, start=TWO_PI / 1e-5 - 1.0, vectors=dict(freqs))
@@ -441,14 +432,14 @@ def test_a_slow_frequency_beside_a_fast_one_is_placed():
     assert near == [(pytest.approx(TWO_PI / 1e-5), 4)]
     wide = Tolerances(eig_cluster=1e-4)
     S = symplectic_direct_sum(fast, 0.1 * np.eye(2))
-    assert cz_index_path(S, 70.0, wide) == _long_index([30.0, 0.1], 70.0) == HalfInt.from_int(672)
+    assert cz_index_path(S, 70.0, wide) == _long_index([30.0, 0.1], 70.0) == HalfInt(1344)
     assert TWO_PI / 0.1 in crossing_times(S, 70.0, wide)
     S = symplectic_direct_sum(fast, 5e-10 * np.eye(2))
     with pytest.raises(DegenerateInput, match="backward error of 0"):
         cz_index_data(S, 1.0)
     with pytest.raises(DegenerateInput):
         classify(S)
-    assert cz_index_path(slow, 7e5) == _long_index([1e-5], 7e5) == HalfInt.from_int(3)
+    assert cz_index_path(slow, 7e5) == _long_index([1e-5], 7e5) == HalfInt(6)
     assert crossing_times(slow, 7e5) == (pytest.approx(TWO_PI * 1e5),)
 
 
@@ -533,7 +524,7 @@ def test_path_index_keeps_an_endpoint_an_ulp_below_the_horizon(mu):
         S = mu * np.eye(2 * k)
         for N in (1, 2, 3, 4, 5):
             T = TWO_PI * N / mu
-            assert cz_index_path(S, T) == cz_index_data(S, T).index == HalfInt.from_int(2 * k * N)
+            assert cz_index_path(S, T) == cz_index_data(S, T).index == HalfInt(4 * k * N)
 
 
 def test_late_pass_indexes_as_a_pass_from_zero():
@@ -562,3 +553,31 @@ def test_late_pass_indexes_as_a_pass_from_zero():
                     late.data()
             else:
                 assert late.data().index == want, (T, start)
+
+
+_HORIZON_CALLS = {
+    "oracle_cz": (lambda T: oracle_cz(7 * np.eye(2), T), ValueError),
+    "cz_index_data": (lambda T: cz_index_data(7 * np.eye(2), T), InputError),
+    "cz_index_path": (lambda T: cz_index_path(7 * np.eye(2), T), InputError),
+    "crossing_times": (lambda T: crossing_times(7 * np.eye(2), T), InputError),
+    "window-lo": (lambda T: ActionWindow(T, 9.0), InputError),
+    "window-hi": (lambda T: ActionWindow(-1.0, T), InputError),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "7"], ids=["bool", "numpy-bool", "str"])
+@pytest.mark.parametrize("name", list(_HORIZON_CALLS))
+def test_a_bool_or_string_horizon_is_refused(name, value):
+    """A bool or a string is no horizon and no window end, as a bool is no
+    dimension: each is refused, not read as the number float() makes of it
+    (True as T = 1, "7" as T = 7)."""
+    call, error = _HORIZON_CALLS[name]
+    with pytest.raises(error, match="real number"):
+        call(value)
+
+
+@pytest.mark.parametrize("name", list(_HORIZON_CALLS))
+def test_a_numpy_scalar_horizon_is_read(name):
+    """Numpy integer and float scalars stay accepted, read as the float they hold."""
+    call, _ = _HORIZON_CALLS[name]
+    assert call(np.float64(7.0)) == call(np.int64(7)) == call(7.0)

@@ -25,7 +25,6 @@ from rfhquad.oracles import (
     _ENDPOINT,
     _SLACK,
     _WIDTH,
-    _form_signature,
     _grid_floor,
     _grid_time,
     _kernel_cols,
@@ -100,6 +99,15 @@ def _newton_min(ev, a, b, x):
             return best, val
         near = abs(step - x) <= _WIDTH
         x = step
+
+
+def _form_signature(S, B) -> int:
+    """sgn(B^T S B) of one crossing's kernel B, by its own eigvalsh, at the
+    oracle's cut 1e-8 * max(1, max|w|)."""
+    G = B.T @ S @ B
+    w = np.linalg.eigvalsh((G + G.T) / 2)
+    c = 1e-8 * max(1.0, float(np.abs(w).max()))
+    return int((w > c).sum()) - int((w < -c).sum())
 
 
 def _reference_oracle(S, T, grid=20000, tol=DEFAULT_TOL, rejected=None):
@@ -178,7 +186,7 @@ def _assert_screen_matches_full_scan(ev, T, grid, lo=0, hi=None):
     fall below that floor, and skips only points where the full scan is
     not below it."""
     hi = grid if hi is None else hi
-    ts = _grid_time(T, grid)(range(lo, hi + 1))  # np.linspace(0.0, T, grid + 1)[lo:hi + 1]
+    ts = np.array(_grid_time(T, grid)(range(lo, hi + 1)))  # linspace(0, T, grid + 1)[lo:hi + 1]
     ref = _full_scan(ev, ts)
     for floor in (_BRACKET, _window_floor(ev, ts)):
         F = _scan(ev, T, grid, lo, hi, floor)
@@ -568,6 +576,30 @@ def test_rotation_crosses_at_two_pi():
     assert not got.endpoint_hit
 
 
+def test_signs_kernels_of_two_dimensions_in_one_call(monkeypatch):
+    """diag(1, 2, 1, 2) on [0, 13] crosses at pi and 3 pi with 2-dimensional
+    kernels and at 2 pi and 4 pi, where both frequencies resonate, with
+    4-dimensional ones.  The oracle signs each dimension's kernels by one
+    stacked eigvalsh, after the one of sgn(S), and answers as the
+    reference signing one crossing at a time does."""
+    S = np.diag([1.0, 2.0, 1.0, 2.0])
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    got = oracle_cz(S, 13.0)
+    monkeypatch.undo()
+    assert shapes[1:] == [(2, 2, 2), (2, 4, 4)]
+    assert got.times == pytest.approx((math.pi, TWO_PI, 3 * math.pi, 2 * TWO_PI), abs=1e-10)
+    assert got.index == HalfInt(28)
+    assert got == _assert_matches_reference(S, 13.0, 20000)
+    assert got.index == cz_index_data(S, 13.0).index
+
+
 @pytest.mark.parametrize("T, grid, message", [
     (7.0, 0, "grid must"),
     (7.0, -5, "grid must"),
@@ -631,7 +663,7 @@ def test_scan_evaluates_a_fraction_of_the_grid(monkeypatch):
 def test_grid_floor_cuts_the_scan(monkeypatch):
     """The oracle screens at its grid floor (1.5e-3 here), not at
     _BRACKET: it builds at most a third of the matrices that the _BRACKET
-    screen builds on the same window (141 against 425)."""
+    screen builds on the same window (142 against 428)."""
     scan, _ = _guard_case_calls(monkeypatch)
     ev = ExpEvaluator(standard_J(3) @ _GUARD_S)
     # the scan evaluates its window's first point
@@ -657,7 +689,7 @@ def test_grid_time_is_linspace(grid):
     """The scan's grid index -> time map gives np.linspace(0, T, grid + 1)
     at every index, bit for bit, T itself at the last."""
     for T in (1e-3, 1.0, 4 * math.pi, 7.0, 720.0, 1e6 / 3):
-        got = _grid_time(T, grid)(range(grid + 1))
+        got = np.array(_grid_time(T, grid)(range(grid + 1)))
         assert np.array_equal(got.view(np.int64), np.linspace(0.0, T, grid + 1).view(np.int64))
 
 
