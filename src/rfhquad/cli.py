@@ -37,7 +37,7 @@ from .hormander import NormalForm, block_signatures, build_block, classify, norm
 from .orbits import ActionWindow, _census, _generators, _sigma_doubled
 from .rfh import rfh_report
 from .selftest import BASE_SEED, run_all
-from .symlin import DEFAULT_TOL, Tolerances
+from .symlin import DEFAULT_TOL, Tolerances, _is_real
 from .tentacular import (
     QuadraticHamiltonian,
     TentacularVerdict,
@@ -87,11 +87,10 @@ def _load_tolerances(doc_tol) -> Tolerances:
     if unknown:
         raise InputError(
             f"unknown tolerance fields: {sorted(unknown)}; knowns: {sorted(_TOL_FIELDS)}")
-    try:
-        values = {k: float(v) for k, v in merged.items()}
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"tolerances must be numbers: {exc}") from exc
-    return dataclasses.replace(DEFAULT_TOL, **values)
+    for name, v in merged.items():  # a JSON true or "1e-8" is no number
+        if not _is_real(v):
+            raise InputError(f"tolerance {name} must be a number, got {json.dumps(v)}")
+    return dataclasses.replace(DEFAULT_TOL, **{k: float(v) for k, v in merged.items()})
 
 
 def _matrix_from(rows, name) -> np.ndarray:

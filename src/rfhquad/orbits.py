@@ -23,6 +23,7 @@ generators of the Floer complex it contributes.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import pairwise
@@ -115,17 +116,20 @@ _set_k = OrbitFamily.k.__set__
 _set_cz_transverse = OrbitFamily.cz_transverse.__set__
 
 
+def _sigmas_doubled(family: OrbitFamily) -> tuple:
+    """Twice the signature index at the maximum and at the minimum of the
+    family: 2m - 1 and -(2m - 1), but 2k - 1 at the maximum of the
+    stationary noncompact family (m = n)."""
+    if family.eta == 0.0 and family.side == "H":
+        return 2 * family.k - 1, 1 - 2 * family.m
+    return 2 * family.m - 1, 1 - 2 * family.m
+
+
 def _sigma_doubled(family: OrbitFamily, pole: str) -> int:
-    """Twice the signature index of the extremum ``pole`` on the family:
-    -(2m - 1) at the minimum and 2m - 1 at the maximum, but 2k - 1 at the
-    maximum of the stationary noncompact family (m = n)."""
+    """Twice the signature index of the extremum ``pole`` on the family."""
     if pole not in ("min", "max"):
         raise InputError(f"pole must be 'min' or 'max', got {pole!r}")
-    if pole == "min":
-        return 1 - 2 * family.m
-    if family.eta == 0.0 and family.side == "H":
-        return 2 * family.k - 1
-    return 2 * family.m - 1
+    return _sigmas_doubled(family)[pole == "min"]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -155,6 +159,7 @@ class Generator:
         return f"{self.family.side}/{side}/{self.pole}"
 
 
+_new = object.__new__
 _set_family = Generator.family.__set__
 _set_pole = Generator.pole.__set__
 _set_grading = Generator.grading.__set__
@@ -163,8 +168,11 @@ _set_grading = Generator.grading.__set__
 def _lower_bound(freqs, window: ActionWindow) -> float:
     """A lower bound on the number of critical values in the window, from
     its ends alone: over all mu, the count of 2 pi j / mu in it (j in Z),
-    less one at each end for rounding."""
-    return max(np.floor(window.hi * mu / TWO_PI) - np.ceil(window.lo * mu / TWO_PI) - 1.0
+    less one at each end for rounding.  An end times mu past the float
+    range is inf, which numpy's floor and ceil keep and Python's refuse."""
+    finite = math.isfinite(max(-window.lo, window.hi) * freqs[-1][0])
+    floor, ceil = (math.floor, math.ceil) if finite else (np.floor, np.ceil)
+    return max(floor(window.hi * mu / TWO_PI) - ceil(window.lo * mu / TWO_PI) - 1.0
                for mu, _ in freqs)
 
 
@@ -204,20 +212,36 @@ def generator_census(H: QuadraticHamiltonian, window: ActionWindow,
 
 
 def _generators(families) -> list:
-    """The generators of the (H0, H) family pairs ``_census`` returns."""
+    """The generators of the (H0, H) family pairs ``_census`` returns.
+
+    Integer work only: one ``_sigmas_doubled`` call gives a value's two
+    doubled signature indices, its doubled gradings are cz + sigma + 1,
+    their parity is checked once, at the maximum, and at m = 1 the
+    minimum's grading is the transverse index itself.  Each Generator is
+    stored by its slot setters, with no ``__init__`` frame."""
     out = []
+    append = out.append
     pairs = iter(families)
     for h0, h in zip(pairs, pairs):
-        cz = h.cz_transverse.doubled
-        top = cz + _sigma_doubled(h, "max") + 1
+        cz = h.cz_transverse
+        top, bottom = _sigmas_doubled(h)
+        top += cz.doubled + 1
         if top % 2:
             raise InternalError(f"non-integer grading {HalfInt(top)} for {h} at max")
-        top, bottom = HalfInt(top), HalfInt(cz + _sigma_doubled(h, "min") + 1)
-        out += (Generator(h, "max", top), Generator(h, "min", bottom))
-        if h.eta == 0.0:
-            top = HalfInt(cz + _sigma_doubled(h0, "max") + 1)
-            bottom = HalfInt(cz + _sigma_doubled(h0, "min") + 1)
-        out += (Generator(h0, "max", top), Generator(h0, "min", bottom))
+        top, bottom = HalfInt(top), cz if h.m == 1 else HalfInt(cz.doubled + bottom + 1)
+        for family in (h, h0):
+            if family is h0 and h.eta == 0.0:  # the stationary pair: m = k on H0
+                top, bottom = (HalfInt(cz.doubled + s + 1) for s in _sigmas_doubled(h0))
+            g = _new(Generator)
+            _set_family(g, family)
+            _set_pole(g, "max")
+            _set_grading(g, top)
+            append(g)
+            g = _new(Generator)
+            _set_family(g, family)
+            _set_pole(g, "min")
+            _set_grading(g, bottom)
+            append(g)
     return out
 
 
@@ -252,17 +276,18 @@ def _census(H: QuadraticHamiltonian, window, tol: Tolerances) -> tuple:
     def span(t_lo, t_hi):  # the merged crossings with t_lo <= t <= t_hi
         return range(bisect_left(path.times, t_lo), bisect_right(path.times, t_hi))
 
-    k = H.k
-
-    def pair(eta, m, index):  # the H0 and H spheres at eta, sharing one transverse index
-        return OrbitFamily(eta, m, "H0", k, index), OrbitFamily(eta, m, "H", k, index)
-
     below, above = span(-hi, -lo), span(lo, hi)
-    families = [f for g in reversed(below) for f in pair(-path.times[g], ms[g], HalfInt(-cz[g]))]
+
+    k, times, families = H.k, path.times, []
+    for g in reversed(below):  # the H0 and H spheres at -t, sharing one transverse index
+        eta, m, index = -times[g], ms[g], HalfInt(-cz[g])
+        families += (OrbitFamily(eta, m, "H0", k, index), OrbitFamily(eta, m, "H", k, index))
     if 0.0 in window:
         zero = HalfInt(0)
         families += (OrbitFamily(0.0, k, "H0", k, zero), OrbitFamily(0.0, H.n, "H", k, zero))
-    families += [f for g in above for f in pair(path.times[g], ms[g], HalfInt(cz[g]))]
+    for g in above:
+        eta, m, index = times[g], ms[g], HalfInt(cz[g])
+        families += (OrbitFamily(eta, m, "H0", k, index), OrbitFamily(eta, m, "H", k, index))
     if len(families) > DEFAULT_CENSUS_CAP:
         raise CensusOverflow(
             f"window yields up to {len(families)} families, cap is {DEFAULT_CENSUS_CAP}")
@@ -277,12 +302,11 @@ def _check_resonance(times, ms, mus, dmus, tol: Tolerances) -> None:
     max_j 2 |sin(t mu_j / 2)|) + t dmus_j: the singular values of exp(t K) - Id,
     similar through L to exp(t J A0) - Id (``tentacular._williamson``),
     at kernel_dim's cut widened by how far dmus_j can move a phase."""
-    times = np.asarray(times)
-    phases = 2 * np.abs(np.sin(np.multiply.outer(times, mus) / 2))
+    t = np.asarray(times)[:, None]
+    phases = 2 * np.abs(np.sin(t * mus / 2))
     cuts = tol.rank_cut * np.maximum(phases.max(axis=1, keepdims=True), 1.0)
-    counts = np.count_nonzero(phases < cuts + np.multiply.outer(times, dmus), axis=1)
-    bad = np.flatnonzero(counts != ms)
-    if bad.size:
-        g = bad[0]
+    counts = np.count_nonzero(phases < cuts + t * dmus, axis=1).tolist()
+    if counts != ms:
+        g = next(g for g, (c, m) in enumerate(zip(counts, ms)) if c != m)
         raise ResonanceMismatch(f"{counts[g]} frequencies resonant != resonance count "
                                 f"{ms[g]} at eta = +-{times[g]}")

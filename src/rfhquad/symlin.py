@@ -44,6 +44,12 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
+def _is_real(x) -> bool:
+    """x is a number the package reads as real: a Python or numpy integer or
+    float, not a bool, nor a string that float() would parse."""
+    return not isinstance(x, bool) and isinstance(x, (int, float, np.integer, np.floating))
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances shared by every routine in the package.
@@ -60,7 +66,7 @@ class Tolerances:
     def __post_init__(self):
         for name in ("eig_cluster", "rank_cut", "crossing"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and np.isfinite(v) and v > 0):
+            if not (_is_real(v) and np.isfinite(v) and v > 0):
                 raise InputError(f"tolerance {name} must be a positive finite number, got {v!r}")
 
 
@@ -68,12 +74,6 @@ DEFAULT_TOL = Tolerances()
 
 # relative asymmetry sym_matrix accepts as roundoff
 _SYMMETRY_TOL = 1e-12
-
-
-def _is_real(x) -> bool:
-    """x is a number the package reads as real: a Python or numpy integer or
-    float, not a bool, nor a string that float() would parse."""
-    return not isinstance(x, bool) and isinstance(x, (int, float, np.integer, np.floating))
 
 
 def _as_square(M, name="matrix"):
@@ -291,6 +291,9 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
 # and 9.5e-3; from size 10 on, some of the 2m lie past it.  Sampler A1: 0.16.
 _REACH = 1e-2
 
+# |A|_F as computed, times this, bounds max|eigvalsh(A)| through both roundoffs
+_FROBENIUS_PAD = 1.0 + 1e-8
+
 
 def _on_axis(M, shift, offset: float, scale: float, tol: Tolerances) -> bool:
     """sigma_min(M - shift I) <= cut = eig_cluster * scale: M is within backward
@@ -328,11 +331,20 @@ def imaginary_axis_eigenvalues(A, tol: Tolerances = DEFAULT_TOL) -> list:
     """The eigenvalues lambda of J A, A real symmetric, where ``_on_axis``
     places i Im lambda in the spectrum at the cut eig_cluster * max(1, |A|_2):
     a size-m imaginary Jordan block scatters them eps^(1/m) off the axis, but
-    not its backward error; all 2m are found while they lie within _REACH."""
-    JA = standard_J(A.shape[0] // 2) @ A
+    not its backward error; all 2m are found while they lie within _REACH.
+
+    J A is formed from the row blocks of A, as [A_p; -A_q].  |A|_2, one
+    eigvalsh, is read only when some |Re lambda| is at most max(_REACH,
+    eig_cluster) * max(1, |A|_F), padded for roundoff: |A|_F >= |A|_2, so
+    past it every ``_on_axis`` verdict is False at either scale."""
+    m = A.shape[0] // 2
+    JA = np.concatenate([A[m:], -A[:m]])
+    zs = np.linalg.eigvals(JA).tolist()
+    near = max(_REACH, tol.eig_cluster) * max(1.0, _FROBENIUS_PAD * float(np.linalg.norm(A)))
+    if all(abs(z.real) > near for z in zs):
+        return []
     scale = max(1.0, float(np.abs(np.linalg.eigvalsh(A)).max()))
-    return [complex(z) for z in np.linalg.eigvals(JA)
-            if _on_axis(JA, 1j * z.imag, abs(z.real), scale, tol)]
+    return [complex(z) for z in zs if _on_axis(JA, 1j * z.imag, abs(z.real), scale, tol)]
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,8 @@ def _williamson(a0: np.ndarray, tol: Tolerances) -> tuple:
     mu_j |E|_2 |A0^-1|_2; forming K and its eigvalsh add a few eps max w.
     """
     w, Q = np.linalg.eigh(a0)
-    bad = [float(x) for x in w if x <= tol.rank_cut * float(np.abs(w).max())]
+    cut = tol.rank_cut * float(np.abs(w).max())
+    bad = [x for x in w.tolist() if x <= cut]
     if bad:
         return bad, None, None
     k = len(w) // 2
@@ -145,7 +146,9 @@ def _validate(H: QuadraticHamiltonian, tol: Tolerances) -> tuple:
     """``validate``'s report, with the Williamson frequencies of A0 and
     their error bounds from ``_williamson`` (None, None when A0 is empty
     or not positive definite): one eigh and one eigvalsh read A0 for
-    validate, the census and the CLI's default window alike."""
+    validate, the census and the CLI's default window alike.  A1 is read
+    by one eigvals of J A1, and by one eigvalsh for |A1|_2 only when an
+    eigenvalue lies near the imaginary axis (``imaginary_axis_eigenvalues``)."""
     offending: dict = {}
 
     bad, mus, dmus = _williamson(H.a0, tol) if H.a0.size else ([], None, None)

@@ -296,6 +296,21 @@ def test_non_object_env_tolerances_is_input_error(spec31, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+@pytest.mark.parametrize("value", [True, "1e-8"], ids=["true", "string"])
+def test_non_number_tolerance_is_input_error(tmp_path, capsys, monkeypatch, value):
+    """A tolerance given as a JSON true or as a numeric string is refused,
+    naming its field, in the document and in RFHQUAD_TOLERANCES alike; it
+    is not read as 1.0 or as the number the string spells."""
+    path = write_spec(tmp_path, dict(SPEC31, tolerances={"crossing": value}))
+    assert main(["census", path, "--json"]) == 1
+    assert capsys.readouterr().err == (
+        f"input error: tolerance crossing must be a number, got {json.dumps(value)}\n")
+    monkeypatch.setenv("RFHQUAD_TOLERANCES", json.dumps({"rank_cut": value}))
+    assert main(["census", write_spec(tmp_path, SPEC31, "plain.json"), "--json"]) == 1
+    assert capsys.readouterr().err == (
+        f"input error: tolerance rank_cut must be a number, got {json.dumps(value)}\n")
+
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 

@@ -39,6 +39,7 @@ from rfhquad.errors import (
     ResonanceMismatch,
     Underdetermined,
 )
+from rfhquad.orbits import _sigma_doubled
 from rfhquad.samples import random_hamiltonian, random_hyperbolic_blocks, random_orthosymplectic
 from rfhquad.selftest import criterion_grid
 from rfhquad.symlin import DEFAULT_TOL
@@ -608,6 +609,33 @@ class TestGradedOncePerValue:
             assert len(gens) >= 12, window
             _assert_one_formula(gens)
 
+    @pytest.mark.parametrize("freqs", [[1.0, 2.0], [1.0, 1.5, 3.0], [2.0, 2.0, 1.0]])
+    @pytest.mark.parametrize("lo, hi", [(-20.0, 20.0), (0.0, 15.0), (-30.0, -2.0)])
+    def test_gradings_are_closed_form(self, freqs, lo, hi):
+        """Every generator's doubled grading is cz + sigma + 1, sigma its
+        family's doubled signature index at its pole, on resonant values
+        (m = 2 at 2 pi for [1, 2], m = 3 at 4 pi for [1, 1.5, 3] and at
+        2 pi for [2, 2, 1]), on windows holding 0, where the stationary H
+        family has m = n and sigma 2k - 1 at its maximum, and on windows
+        below 0, declared and conjugated alike."""
+        k = len(freqs)
+        n = k + 2
+        a1 = symlin.symplectic_direct_sum(build_block("a", 1, 0.7).matrix,
+                                          build_block("a", 1, 1.3).matrix)
+        declared = QuadraticHamiltonian.from_frequencies(n, k, freqs, a1)
+        for H in (declared, _conjugated(declared, np.random.default_rng(35))):
+            gens = generator_census(H, ActionWindow(lo, hi))
+            for g in gens:
+                f = g.family
+                assert g.grading.doubled == (f.cz_transverse.doubled
+                                             + _sigma_doubled(f, g.pole) + 1), g.label
+            assert max(g.family.m for g in gens if g.family.eta != 0.0) == (2 if k == 2 else 3)
+            stationary = [g for g in gens if g.family.eta == 0.0 and g.family.side == "H"]
+            assert len(stationary) == 2 * (lo <= 0.0 <= hi)
+            for g in stationary:
+                assert g.family.m == n
+                assert _sigma_doubled(g.family, g.pole) == (2 * k - 1 if g.pole == "max" else 1 - 2 * n)
+
     def test_odd_transverse_index_is_an_internal_error(self, h32, monkeypatch):
         """A running signature sum whose last entry is off by one grades
         the last crossing of the pass half-integral; the census names the
@@ -631,9 +659,9 @@ def test_census_reads_a0_spectrum_once(rng, monkeypatch):
     definiteness and its factor L, and reads its Williamson frequencies
     with one eigvalsh of the complex i L^T J L, whether the frequencies
     are declared, and so checked, or not; no eigvals touches A0.  k = 1
-    and n - k = 3 tell A0's calls from A1's, which stay one eigvals and
-    one real eigvalsh: the sampler's hyperbolic A1 lie beyond the reach
-    of the imaginary-axis test, so it takes no SVD."""
+    and n - k = 3 tell A0's calls from A1's, which stay one eigvals: the
+    sampler's hyperbolic A1 lie beyond the reach of the imaginary-axis
+    test, so it reads neither |A1|_2 by eigvalsh nor any SVD."""
     calls = Counter()
     modules = [np.linalg] + [mod for name, mod in sys.modules.items()
                              if name.split(".")[0] == "rfhquad"]
@@ -655,7 +683,7 @@ def test_census_reads_a0_spectrum_once(rng, monkeypatch):
             calls.clear()
             run(H, window)
             assert calls == {("eigh", (2, 2), "f"): 1, ("eigvalsh", (2, 2), "c"): 1,
-                             ("eigvalsh", (6, 6), "f"): 1, ("eigvals", (6, 6), "f"): 1}, \
+                             ("eigvals", (6, 6), "f"): 1}, \
                 (run, H.frequencies)
 
 

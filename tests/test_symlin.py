@@ -23,7 +23,7 @@ from rfhquad import (
 )
 from rfhquad import symlin
 from rfhquad.errors import ClusterAmbiguous, DegenerateInput, DegenerateRestriction, InputError
-from rfhquad.samples import random_orthosymplectic
+from rfhquad.samples import random_hyperbolic_blocks, random_orthosymplectic, random_symplectic
 from rfhquad.symlin import DEFAULT_TOL, _krein_signature, hamiltonian_orbits, inertia, sym_matrix
 
 
@@ -406,3 +406,71 @@ def test_tolerances_reject_nonpositive():
         Tolerances(eig_cluster=0.0)
     with pytest.raises(InputError):
         Tolerances(rank_cut=-1e-9)
+
+
+def _axis_reference(A, tol) -> list:
+    """imaginary_axis_eigenvalues with its scale |A|_2 read by eigvalsh on
+    every call and J A formed by a product with standard_J."""
+    JA = standard_J(A.shape[0] // 2) @ A
+    scale = max(1.0, float(np.abs(np.linalg.eigvalsh(A)).max()))
+    return [complex(z) for z in np.linalg.eigvals(JA)
+            if symlin._on_axis(JA, 1j * z.imag, abs(z.real), scale, tol)]
+
+
+def _axis_draws():
+    """Hyperbolic normal forms and imaginary Jordan blocks of size 1-9,
+    each conjugated by an orthosymplectic and by a symplectic map."""
+    for seed in range(6):
+        rng = np.random.default_rng([35, seed])
+        dof = 1 + seed % 4
+        forms = [random_hyperbolic_blocks(rng, dof).matrix]
+        forms += [build_block("c", m, 1j * (1 + seed / 4), 1).matrix for m in range(1, 10)]
+        for B in forms:
+            m = B.shape[0] // 2
+            U, P = random_orthosymplectic(rng, m), random_symplectic(rng, m, magnitude=0.4)
+            for A in (U @ B @ U.T, P.T @ B @ P):
+                yield (A + A.T) / 2
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerances(eig_cluster=1e-3),
+                                 Tolerances(eig_cluster=0.05)], ids=["default", "1e-3", "0.05"])
+def test_axis_shortcut_matches_the_exact_scale(tol):
+    """Skipping eigvalsh when every eigenvalue of J A lies past max(_REACH,
+    eig_cluster) * max(1, |A|_F) off the axis changes no answer: on every
+    draw the list equals the reference that always reads |A|_2."""
+    draws = list(_axis_draws())
+    assert len(draws) == 120
+    for i, A in enumerate(draws):
+        assert symlin.imaginary_axis_eigenvalues(A, tol) == _axis_reference(A, tol), i
+
+
+def test_axis_scale_is_read_between_the_two_norms(monkeypatch):
+    """An eigenvalue 0.04 off the axis, with |A|_2 = 3 and |A|_F = 4.69,
+    lies past _REACH * |A|_2 but within _REACH * |A|_F: the exact scale is
+    read, by one eigvalsh, and places nothing on the axis.  Move the
+    quadruple to 0.3 off and no eigvalsh runs."""
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for re, reads in ((0.04, [(6, 6)]), (0.3, [])):
+        A = symplectic_direct_sum(build_block("a", 1, 3.0).matrix,
+                                  build_block("b", 1, re + 1j).matrix)
+        if reads:
+            assert symlin._REACH * np.linalg.norm(A, 2) < re <= symlin._REACH * np.linalg.norm(A)
+        calls.clear()
+        assert symlin.imaginary_axis_eigenvalues(A) == [], re
+        assert calls == reads, re
+        assert _axis_reference(A, DEFAULT_TOL) == []
+
+
+@pytest.mark.parametrize("name", ["eig_cluster", "rank_cut", "crossing"])
+def test_tolerances_refuse_a_bool(name):
+    """True is an int to Python but no tolerance; a numpy float is one."""
+    with pytest.raises(InputError, match=f"tolerance {name} must be"):
+        Tolerances(**{name: True})
+    assert getattr(Tolerances(**{name: np.float64(1e-8)}), name) == 1e-8
