@@ -3,11 +3,14 @@
 Input is a single JSON document describing the Hamiltonian:
 
     {
-      "n": 3, "k": 1,
+      "n": 3, "k": 1,                          // JSON integers, as are m and gamma
       "a0": {"frequencies": [1.0]},            // or {"matrix": [[...], ...]}
       "a1": {"blocks": [{"kind": "a", "m": 1, "re": 1.0}]},   // or matrix
-      "tolerances": {"eig_cluster": 1e-9}      // optional overrides
+      "tolerances": {"eig_cluster": 1e-9}      // optional; crossing > 0, the others in (0, 1)
     }
+
+Every other number is a finite JSON number: a string, a bool or an integer
+past the float range is refused, never read as one.
 
 Exit codes: 0 success, 1 input error, 2 numerical failure, 3 internal
 inconsistency (including acceptance self-test failures).
@@ -33,11 +36,11 @@ from .errors import (
     RfhquadError,
     Underdetermined,
 )
-from .hormander import NormalForm, block_signatures, build_block, classify, normal_form
+from .hormander import NormalForm, _block_dim, block_signatures, build_block, classify, normal_form
 from .orbits import ActionWindow, _census, _generators, _sigma_doubled
 from .rfh import rfh_report
 from .selftest import BASE_SEED, run_all
-from .symlin import DEFAULT_TOL, Tolerances, _is_real
+from .symlin import DEFAULT_TOL, Tolerances, _is_integer, _is_real
 from .tentacular import (
     QuadraticHamiltonian,
     TentacularVerdict,
@@ -87,22 +90,24 @@ def _load_tolerances(doc_tol) -> Tolerances:
     if unknown:
         raise InputError(
             f"unknown tolerance fields: {sorted(unknown)}; knowns: {sorted(_TOL_FIELDS)}")
-    for name, v in merged.items():  # a JSON true or "1e-8" is no number
-        if not _is_real(v):
-            raise InputError(f"tolerance {name} must be a number, got {json.dumps(v)}")
-    return dataclasses.replace(DEFAULT_TOL, **{k: float(v) for k, v in merged.items()})
+    return dataclasses.replace(
+        DEFAULT_TOL, **{name: _number(v, f"tolerance {name}") for name, v in merged.items()})
 
 
 def _matrix_from(rows, name) -> np.ndarray:
+    """The matrix of a JSON array of rows.  Rows of floats alone are taken
+    whole, their entry types checked at once (NaN and inf are for
+    ``symlin._as_square`` to refuse); else each entry is read by ``_number``."""
+    field = f"{name} matrix"
+    rows = _array(rows, field)
+    if not (all(type(r) is list for r in rows)
+            and {float}.issuperset(map(type, chain.from_iterable(rows)))):
+        rows = [[_number(x, f"{field} entry") for x in _array(r, f"{field} row")] for r in rows]
     try:
         M = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} matrix is not numeric: {exc}") from exc
-    if M.size == 0:
-        return np.zeros((0, 0))
-    if M.ndim != 2:
-        raise InputError(f"{name} matrix must be two-dimensional")
-    return M
+    except ValueError as exc:  # rows of unequal length
+        raise InputError(f"{field} is not rectangular: {exc}") from exc
+    return M if M.size else np.zeros((0, 0))
 
 
 def _parse_spec(doc: dict) -> _ParsedSpec:
@@ -111,35 +116,15 @@ def _parse_spec(doc: dict) -> _ParsedSpec:
     for key in ("n", "k", "a0"):
         if key not in doc:
             raise InputError(f"missing required field {key!r}")
-    n, k = doc["n"], doc["k"]
-    for key, value in (("n", n), ("k", k)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InputError(f"{key} must be an integer, got {json.dumps(value)}")
+    n, k = _integer(doc["n"], "n"), _integer(doc["k"], "k")
     tol = _load_tolerances(doc.get("tolerances"))
 
     a0_doc = doc["a0"]
     a1_doc = doc.get("a1")
     frequencies = None
-    block_args = None
-    field = "a0 frequencies"
-    try:
-        if isinstance(a0_doc, dict) and "frequencies" in a0_doc:
-            frequencies = sorted(float(f) for f in _array(a0_doc["frequencies"]))
-        if isinstance(a1_doc, dict) and "blocks" in a1_doc:
-            field = "a1 blocks"
-            block_args = []
-            for i, item in enumerate(_array(a1_doc["blocks"])):
-                field = f"a1 block {i}"
-                kind, m = item["kind"], _integer(item["m"], "m")
-                lam = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
-                gamma = item.get("gamma")
-                if gamma is not None:
-                    gamma = _integer(gamma, "gamma")
-                block_args.append((kind, m, lam, gamma))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{field}: {exc}") from exc
-
-    if frequencies is not None:
+    if isinstance(a0_doc, dict) and "frequencies" in a0_doc:
+        frequencies = sorted(_number(f, "a0 frequency")
+                             for f in _array(a0_doc["frequencies"], "a0 frequencies"))
         echo_a0 = {"frequencies": frequencies}
     elif isinstance(a0_doc, dict) and "matrix" in a0_doc:
         a0 = _matrix_from(a0_doc["matrix"], "a0")
@@ -153,12 +138,22 @@ def _parse_spec(doc: dict) -> _ParsedSpec:
             raise InputError("a1 is required when k < n")
         a1 = np.zeros((0, 0))
         echo_a1 = {"matrix": []}
-    elif block_args is not None:
+    elif isinstance(a1_doc, dict) and "blocks" in a1_doc:
+        block_args = []
+        for i, item in enumerate(_array(a1_doc["blocks"], "a1 blocks")):
+            field = f"a1 block {i}"
+            if not isinstance(item, dict) or "kind" not in item or "m" not in item:
+                raise InputError(f"{field} needs 'kind' and 'm', got {json.dumps(item)}")
+            gamma = item.get("gamma")
+            block_args.append((item["kind"], _integer(item["m"], f"{field} m"),
+                               complex(_number(item.get("re", 0.0), f"{field} re"),
+                                       _number(item.get("im", 0.0), f"{field} im")),
+                               None if gamma is None else _integer(gamma, f"{field} gamma")))
+        dim = sum(_block_dim(kind, m) for kind, m, _, _ in block_args)  # nothing built yet
+        if dim != 2 * (n - k):
+            raise InputError(f"a1 blocks span dimension {dim}, expected {2 * (n - k)}")
         nf1 = normal_form([build_block(kind, m, lam, gamma=gamma)
                            for kind, m, lam, gamma in block_args])
-        if nf1.total_dim != 2 * (n - k):
-            raise InputError(
-                f"a1 blocks span dimension {nf1.total_dim}, expected {2 * (n - k)}")
         a1 = nf1.matrix
         echo_a1 = {"blocks": [_block_echo(b) for b in nf1.blocks]}
     elif isinstance(a1_doc, dict) and "matrix" in a1_doc:
@@ -174,16 +169,24 @@ def _parse_spec(doc: dict) -> _ParsedSpec:
     return _ParsedSpec(H, tol, echo, nf1)
 
 
-def _array(value) -> list:
+def _array(value, field: str) -> list:
     if not isinstance(value, list):
-        raise TypeError(f"expected a JSON array, got {json.dumps(value)}")
+        raise InputError(f"{field} must be a JSON array, got {json.dumps(value)}")
     return value
 
 
-def _integer(value, name: str) -> int:
+def _number(value, field: str) -> float:
+    """A finite JSON number as a float, by ``symlin._is_real``; nothing else is converted."""
+    if not _is_real(value):
+        finite = "finite " if type(value) in (int, float) else ""  # a JSON number, yet no float
+        raise InputError(f"{field} must be a {finite}number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _integer(value, field: str) -> int:
     """A JSON integer; booleans, fractions and strings are refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {json.dumps(value)}")
+    if not _is_integer(value):
+        raise InputError(f"{field} must be an integer, got {json.dumps(value)}")
     return value
 
 
@@ -522,7 +525,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (InternalError, Underdetermined, Inconsistent) as exc:

@@ -50,6 +50,7 @@ from .symlin import (
     DEFAULT_TOL,
     TWO_PI,
     Tolerances,
+    _is_integer,
     _is_real,
     _krein_signature,
     _spectral_norm,
@@ -80,7 +81,7 @@ class HalfInt:
 
     def __init__(self, doubled: int):
         if type(doubled) is not int:  # the common case is already normalized
-            if isinstance(doubled, bool) or not isinstance(doubled, (int, np.integer)):
+            if not _is_integer(doubled):
                 raise InputError(f"HalfInt needs an integer, got {doubled!r}")
             doubled = int(doubled)
         _set_doubled(self, doubled)
@@ -98,9 +99,7 @@ class HalfInt:
     def _coerce(other):
         if isinstance(other, HalfInt):
             return other.doubled
-        if isinstance(other, bool):
-            return NotImplemented
-        if isinstance(other, (int, np.integer)):
+        if _is_integer(other):
             return 2 * int(other)
         return NotImplemented
 
@@ -337,7 +336,7 @@ def _form_crossings(S, T: float, tol: Tolerances, lead: float | None = None) -> 
     if S.shape[0] % 2 != 0:
         raise InputError("S must act on an even-dimensional space")
     if not _is_real(T):
-        raise InputError(f"path length T must be a real number, got {T!r}")
+        raise InputError(f"path length T must be a finite real number, got {T!r}")
     freqs = _imaginary_frequencies(standard_J(S.shape[0] // 2) @ S, tol)
     return _Crossings(S, [(mu, V.shape[1]) for mu, V in freqs], T, tol,
                       0.0 if lead is None else T - lead, vectors=dict(freqs))

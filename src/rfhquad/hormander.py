@@ -39,6 +39,8 @@ from .symlin import (
     DEFAULT_TOL,
     Tolerances,
     _inertias,
+    _is_integer,
+    _is_real,
     _krein_signature,
     hamiltonian_orbits,
     spectrum_with_jordan,
@@ -118,19 +120,29 @@ def _matrix_c(m, im, gamma):
     return A
 
 
+def _block_dim(kind: str, m: int) -> int:
+    """``HormanderBlock.dim`` of the block (kind, m), found without building it."""
+    if kind not in KINDS:
+        raise InputError(f"unknown block kind {kind!r}")
+    if not _is_integer(m) or m < 1:
+        raise InputError(f"Jordan size m must be a positive integer, got {m!r}")
+    return (4 if kind == "b" else 2) * int(m)
+
+
 def build_block(kind: str, m: int, lam: complex, gamma: int | None = None) -> HormanderBlock:
     """Canonical block for the given kind, Jordan size and eigenvalue.
 
     The eigenvalue is canonicalized to Re >= 0, Im >= 0; gamma is required
     exactly when kind == 'c'.
     """
-    if kind not in KINDS:
-        raise InputError(f"unknown block kind {kind!r}")
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise InputError(f"Jordan size m must be a positive integer, got {m!r}")
+    _block_dim(kind, m)  # refuses an unknown kind or an m that is no positive integer
+    if not (_is_real(lam) or (isinstance(lam, complex) and cmath.isfinite(lam))):
+        raise InputError(f"eigenvalue must be a finite number, got {lam!r}")
+    if kind != "c" and gamma is not None:
+        raise InputError("gamma is only meaningful for kind 'c'")
+    if kind == "c" and not (_is_integer(gamma) and gamma in (-1, 1)):
+        raise InputError("kind 'c' requires gamma in {-1, +1}")
     lam = complex(lam)
-    if not cmath.isfinite(lam):
-        raise InputError(f"eigenvalue must be finite, got {lam!r}")
     scale = max(1.0, abs(lam))
     re, im = abs(lam.real), abs(lam.imag)
     axis = 1e-12 * scale
@@ -139,23 +151,17 @@ def build_block(kind: str, m: int, lam: complex, gamma: int | None = None) -> Ho
             raise IncompatibleEigenvalue("kind 'a' requires a real eigenvalue")
         if re <= axis:
             raise IncompatibleEigenvalue("kind 'a' requires a nonzero eigenvalue")
-        if gamma is not None:
-            raise InputError("gamma is only meaningful for kind 'c'")
         return HormanderBlock("a", int(m), complex(re), None, _matrix_a(m, re))
     if kind == "b":
         if re <= axis or im <= axis:
             raise IncompatibleEigenvalue(
                 "kind 'b' requires nonzero real and imaginary parts")
-        if gamma is not None:
-            raise InputError("gamma is only meaningful for kind 'c'")
         return HormanderBlock("b", int(m), complex(re, im), None, _matrix_b(m, re, im))
     # kind 'c'
     if re > axis:
         raise IncompatibleEigenvalue("kind 'c' requires a purely imaginary eigenvalue")
     if im <= axis:
         raise IncompatibleEigenvalue("kind 'c' requires a nonzero eigenvalue")
-    if gamma not in (-1, 1):
-        raise InputError("kind 'c' requires gamma in {-1, +1}")
     return HormanderBlock("c", int(m), complex(0.0, im), int(gamma), _matrix_c(m, im, gamma))
 
 

@@ -86,6 +86,7 @@ from .errors import InputError, NumericalError
 from .symlin import (
     DEFAULT_TOL,
     ExpEvaluator,
+    _is_integer,
     _is_real,
     _spectral_norm,
     signature,
@@ -281,12 +282,10 @@ def oracle_cz(S, T: float, grid: int = 20000) -> OracleCz:
     S = sym_matrix(S)
     if S.shape[0] % 2:
         raise InputError("S must act on an even-dimensional space")
-    if not _is_real(T):
-        raise ValueError(f"T must be a real number, got {T!r}")
+    if not (_is_real(T) and T > 0):
+        raise ValueError(f"T must be a finite positive real number, got {T!r}")
     T = float(T)
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError("T must be finite and positive")
-    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
+    if not _is_integer(grid) or grid < 1:
         raise ValueError("grid must be an integer of at least 1")
     if not S.size:
         return OracleCz((), HalfInt(0), False)

@@ -53,13 +53,11 @@ class ActionWindow:
     hi: float
 
     def __post_init__(self):
-        if not (_is_real(self.lo) and _is_real(self.hi)):
-            raise InputError(f"window ends must be real numbers, got [{self.lo!r}, {self.hi!r}]")
-        lo, hi = float(self.lo), float(self.hi)
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise InputError(f"window must satisfy lo < hi, got [{self.lo}, {self.hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        if not (_is_real(self.lo) and _is_real(self.hi) and self.lo < self.hi):
+            raise InputError(f"window ends must be finite real numbers with lo < hi, "
+                             f"got [{self.lo!r}, {self.hi!r}]")
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
 
     def __contains__(self, x: float) -> bool:
         return self.lo <= x <= self.hi  # endpoints inclusive
@@ -259,7 +257,7 @@ def _census(H: QuadraticHamiltonian, window, tol: Tolerances) -> tuple:
     if not report.all_ok:
         raise InputError(f"Hamiltonian fails validation: {report.offending}")
     if window is None:
-        w = 2 * TWO_PI / min(H.frequencies or mus) + 1e-6
+        w = 2 * TWO_PI / min(H.frequencies or mus.tolist()) + 1e-6  # inf past the float range
         window = ActionWindow(-w, w)
     freqs = _merged_frequencies([(mu, 1) for mu in mus.tolist()], max(1.0, mus[-1]), tol)
     least = 2 * _lower_bound(freqs, window)

@@ -13,6 +13,7 @@ whose spectra are all simple never loads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -42,12 +43,21 @@ __all__ = [
 
 
 TWO_PI = 2.0 * np.pi
+_FLOAT_MAX = float(np.finfo(float).max)  # a Python float, compared exactly with any int
+
+
+def _is_integer(x) -> bool:
+    """x is a Python or numpy integer, not a bool."""
+    return not isinstance(x, bool) and isinstance(x, (int, np.integer))
 
 
 def _is_real(x) -> bool:
     """x is a number the package reads as real: a Python or numpy integer or
-    float, not a bool, nor a string that float() would parse."""
-    return not isinstance(x, bool) and isinstance(x, (int, float, np.integer, np.floating))
+    float, finite as a float.  A bool, a string that float() would parse,
+    NaN, +-inf and an integer past the largest float are not."""
+    if isinstance(x, (float, np.floating)):
+        return math.isfinite(x)
+    return _is_integer(x) and -_FLOAT_MAX <= x <= _FLOAT_MAX
 
 
 @dataclass(frozen=True)
@@ -64,10 +74,10 @@ class Tolerances:
     crossing: float = 1e-10
 
     def __post_init__(self):
-        for name in ("eig_cluster", "rank_cut", "crossing"):
-            v = getattr(self, name)
-            if not (_is_real(v) and np.isfinite(v) and v > 0):
-                raise InputError(f"tolerance {name} must be a positive finite number, got {v!r}")
+        for name, top in (("eig_cluster", 1.0), ("rank_cut", 1.0), ("crossing", np.inf)):
+            v = getattr(self, name)  # a relative cut of 1 or more cuts everything
+            if not (_is_real(v) and 0 < v < top):
+                raise InputError(f"tolerance {name} must be a number in (0, {top:g}), got {v!r}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -91,9 +101,10 @@ def sym_matrix(A, name="matrix"):
     if A.size == 0:
         return A
     scale = float(np.abs(A).max())
-    if float(np.abs(A - A.T).max()) > _SYMMETRY_TOL * max(scale, 1.0):
+    H = A / 2.0  # halved first, so that neither H - H.T nor H + H.T overflows
+    if float(np.abs(H - H.T).max()) > _SYMMETRY_TOL / 2.0 * max(scale, 1.0):
         raise InputError(f"{name} is not symmetric within tolerance")
-    return (A + A.T) / 2.0
+    return H + H.T
 
 
 def _spectral_norm(A) -> float:
@@ -104,7 +115,7 @@ def _spectral_norm(A) -> float:
 
 def standard_J(m: int) -> np.ndarray:
     """Standard symplectic matrix [[0, Id_m], [-Id_m, 0]] on R^(2m)."""
-    if not isinstance(m, (int, np.integer)) or m < 0:
+    if not _is_integer(m) or m < 0:
         raise InputError(f"m must be a nonnegative integer, got {m!r}")
     J = np.zeros((2 * m, 2 * m))
     J[:m, m:] = np.eye(m)
@@ -227,16 +238,16 @@ def spectrum_with_jordan(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     if n == 0:
         return Spectrum(())
     w, V = np.linalg.eig(M)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow means kappa = inf
-            kappa = np.linalg.norm(np.linalg.inv(V), axis=1)
-        kappa[np.isnan(kappa)] = np.inf  # overflow too; inf decides as any kappa past the _RING cap
-    except np.linalg.LinAlgError:
-        kappa = np.full(n, np.inf)
     scale = max(1.0, float(np.abs(w).max()))
-    ring = 100.0 * np.finfo(float).eps * kappa
-    radius = (tol.eig_cluster + np.minimum(ring, _RING)) * scale
-    near = np.abs(w[:, None] - w) <= np.maximum.outer(radius, radius)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: kappa = inf, or w far apart
+        try:
+            kappa = np.linalg.norm(np.linalg.inv(V), axis=1)
+        except np.linalg.LinAlgError:
+            kappa = np.full(n, np.inf)
+        kappa[np.isnan(kappa)] = np.inf  # overflow too; inf decides as any kappa past the _RING cap
+        ring = 100.0 * np.finfo(float).eps * kappa
+        radius = (tol.eig_cluster + np.minimum(ring, _RING)) * scale
+        near = np.abs(w[:, None] - w) <= np.maximum.outer(radius, radius)
     labels = np.arange(n)
     # single linkage, when some pair of distinct eigenvalues is near: each
     # label falls to the lowest index of its cluster
@@ -340,7 +351,8 @@ def imaginary_axis_eigenvalues(A, tol: Tolerances = DEFAULT_TOL) -> list:
     m = A.shape[0] // 2
     JA = np.concatenate([A[m:], -A[:m]])
     zs = np.linalg.eigvals(JA).tolist()
-    near = max(_REACH, tol.eig_cluster) * max(1.0, _FROBENIUS_PAD * float(np.linalg.norm(A)))
+    frobenius = math.hypot(*A.ravel().tolist())  # scaled as it sums: past the float range, inf
+    near = max(_REACH, tol.eig_cluster) * max(1.0, _FROBENIUS_PAD * frobenius)
     if all(abs(z.real) > near for z in zs):
         return []
     scale = max(1.0, float(np.abs(np.linalg.eigvalsh(A)).max()))
@@ -426,14 +438,15 @@ def _inertias(S, tol: Tolerances) -> list:
     finite = np.isfinite(scales)
     if not all(finite.tolist()):  # a zero stand-in keeps the stacked calls finite
         S = np.where(finite[:, None, None], S, 0.0)
-    skews = np.abs(S - S.swapaxes(1, 2)).max(axis=(1, 2)).tolist()
-    ws = np.linalg.eigvalsh((S + S.swapaxes(1, 2)) / 2.0).tolist()
+    H = S / 2.0  # halved first, as sym_matrix halves it
+    skews = np.abs(H - H.swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+    ws = np.linalg.eigvalsh(H + H.swapaxes(1, 2)).tolist()
     out = []
     for ok, scale, skew, w in zip(finite.tolist(), scales.tolist(), skews, ws):
         amax = max(map(abs, w))
         if not ok:
             out.append(InputError("matrix has non-finite entries"))
-        elif skew > _SYMMETRY_TOL * max(scale, 1.0):
+        elif skew > _SYMMETRY_TOL / 2.0 * max(scale, 1.0):
             out.append(InputError("matrix is not symmetric within tolerance"))
         elif amax == 0.0:
             out.append(DegenerateInput("form is identically zero"))

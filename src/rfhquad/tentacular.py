@@ -21,6 +21,8 @@ from .hormander import NormalForm
 from .symlin import (
     DEFAULT_TOL,
     Tolerances,
+    _is_integer,
+    _is_real,
     imaginary_axis_eigenvalues,
     sym_matrix,
     symplectic_direct_sum,
@@ -57,10 +59,9 @@ class QuadraticHamiltonian:
     frequencies: tuple | None = None
 
     def __post_init__(self):
-        integer = (int, np.integer)  # a bool is an int, and no dimension
-        if isinstance(self.n, bool) or not (isinstance(self.n, integer) and self.n >= 1):
+        if not (_is_integer(self.n) and self.n >= 1):  # a bool is an int, and no dimension
             raise InputError(f"n must be a positive integer, got {self.n!r}")
-        if isinstance(self.k, bool) or not (isinstance(self.k, integer) and 0 <= self.k <= self.n):
+        if not (_is_integer(self.k) and 0 <= self.k <= self.n):
             raise InputError(f"k must lie in [0, n], got {self.k!r}")
         a0 = sym_matrix(self.a0, "A0")
         a1 = sym_matrix(self.a1, "A1")
@@ -71,15 +72,18 @@ class QuadraticHamiltonian:
                 f"A1 must be {2 * (self.n - self.k)}x{2 * (self.n - self.k)}, got {a1.shape}")
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
-        if self.frequencies is not None:
-            freqs = tuple(float(f) for f in self.frequencies)
-            if len(freqs) != self.k or any(f <= 0 for f in freqs):
-                raise InputError("frequencies must be k positive numbers")
-            object.__setattr__(self, "frequencies", tuple(sorted(freqs)))
+        if self.frequencies is not None:  # each a real number by symlin._is_real
+            freqs = tuple(self.frequencies)
+            if len(freqs) != self.k or not all(_is_real(f) and f > 0 for f in freqs):
+                raise InputError(f"frequencies must be k positive finite numbers, got {freqs!r}")
+            object.__setattr__(self, "frequencies", tuple(sorted(map(float, freqs))))
 
     @classmethod
     def from_frequencies(cls, n: int, k: int, frequencies, a1) -> "QuadraticHamiltonian":
-        freqs = sorted(float(f) for f in frequencies)
+        frequencies = tuple(frequencies)
+        if not all(map(_is_real, frequencies)):  # before float() reads "4.7" or True
+            raise InputError(f"frequencies must be finite real numbers, got {frequencies!r}")
+        freqs = sorted(map(float, frequencies))
         a0 = np.diag(np.concatenate([freqs, freqs])) if freqs else np.zeros((0, 0))
         return cls(n, k, a0, np.asarray(a1, dtype=float), tuple(freqs))
 
@@ -119,7 +123,7 @@ def _williamson(a0: np.ndarray, tol: Tolerances) -> tuple:
     """
     w, Q = np.linalg.eigh(a0)
     cut = tol.rank_cut * float(np.abs(w).max())
-    bad = [x for x in w.tolist() if x <= cut]
+    bad = [x for x in w.tolist() if not x > cut]  # a NaN is an offender too
     if bad:
         return bad, None, None
     k = len(w) // 2

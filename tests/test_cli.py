@@ -311,6 +311,86 @@ def test_non_number_tolerance_is_input_error(tmp_path, capsys, monkeypatch, valu
         f"input error: tolerance rank_cut must be a number, got {json.dumps(value)}\n")
 
 
+SPEC32 = {"n": 3, "k": 2, "a0": {"frequencies": [2.8, 4.7]},
+          "a1": {"blocks": [{"kind": "a", "m": 1, "re": 1.0}]}}
+A0_32 = [[2.8, 0.0, 0.0, 0.0], [0.0, 4.7, 0.0, 0.0], [0.0, 0.0, 2.8, 0.0], [0.0, 0.0, 0.0, 4.7]]
+BIG = 10**400  # a JSON integer past the float range
+
+
+def _with_entry(value):
+    rows = [list(r) for r in A0_32]
+    rows[0][0] = value
+    return {"matrix": rows}
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"a0": {"frequencies": [2.8, "4.7"]}}, 'a0 frequency must be a number, got "4.7"'),
+    ({"a0": {"frequencies": [2.8, True]}}, "a0 frequency must be a number, got true"),
+    ({"a1": {"blocks": [{"kind": "a", "m": 1, "re": True}]}},
+     "a1 block 0 re must be a number, got true"),
+    ({"a1": {"blocks": [{"kind": "a", "m": 1, "re": "1.0"}]}},
+     'a1 block 0 re must be a number, got "1.0"'),
+    ({"a0": _with_entry("2")}, 'a0 matrix entry must be a number, got "2"'),
+    ({"a0": _with_entry(True)}, "a0 matrix entry must be a number, got true"),
+    ({"a0": {"frequencies": [2.8, BIG]}}, f"a0 frequency must be a finite number, got {BIG}"),
+    ({"tolerances": {"crossing": BIG}}, f"tolerance crossing must be a finite number, got {BIG}"),
+    ({"a0": _with_entry(BIG)}, f"a0 matrix entry must be a finite number, got {BIG}"),
+    ({"a1": {"blocks": [{"kind": "a", "m": BIG, "re": 1.0}]}},
+     f"a1 blocks span dimension {2 * BIG}, expected 2"),
+], ids=["string frequency", "true frequency", "true re", "string re", "string entry",
+        "true entry", "big frequency", "big tolerance", "big entry", "big m"])
+def test_every_leaf_is_read_as_a_finite_number_or_refused(capsys, monkeypatch, patch, message):
+    """Each leaf of a spec is a JSON number: a string or a bool is not read
+    as the number it spells, and an integer past the float range is an
+    input error naming its field, not an OverflowError or numpy's refusal
+    to allocate."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(dict(SPEC32, **patch))))
+    assert main(["census", "-", "--json"]) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_block_dimensions_are_checked_before_any_block_is_built(tmp_path, capsys, monkeypatch):
+    """A block one size too large is refused from (kind, m) alone."""
+    built = []
+    monkeypatch.setattr(rfhquad.cli, "build_block", lambda *a, **kw: built.append(a))
+    doc = dict(SPEC31, a1={"blocks": [{"kind": "a", "m": 1, "re": 1.0},
+                                      {"kind": "a", "m": 2, "re": 0.7}]})
+    assert main(["check", write_spec(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == "input error: a1 blocks span dimension 6, expected 4\n"
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["eig_cluster", "rank_cut"])
+def test_relative_tolerance_of_one_or_more_is_input_error(tmp_path, capsys, name):
+    path = write_spec(tmp_path, dict(SPEC31, tolerances={name: 2}))
+    assert main(["census", path]) == 1
+    assert capsys.readouterr().err == (
+        f"input error: tolerance {name} must be a number in (0, 1), got 2.0\n")
+
+
+def test_a_finite_a0_whose_sum_overflows_is_not_positive_definite(tmp_path, capsys):
+    """diag(-1e308, 2) is finite; symmetrizing it must not make it -inf,
+    whose NaN eigenvalues passed for no offender."""
+    doc = {"n": 2, "k": 1, "a0": {"matrix": [[-1e308, 0.0], [0.0, 2.0]]},
+           "a1": {"matrix": [[0.0, 1.0], [1.0, 0.0]]}}
+    path = write_spec(tmp_path, doc)
+    assert main(["check", path]) == 0
+    assert "A0 positive definite: False" in capsys.readouterr().out
+    assert main(["rfh", path]) == 1
+    assert "a0_eigenvalues" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["check", "orbits", "census", "rfh"])
+def test_lapack_failure_is_numerical_failure(spec31, capsys, monkeypatch, sub):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main([sub, spec31]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: LinAlgError: Eigenvalues did not converge\n")
+
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 

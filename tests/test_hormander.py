@@ -111,6 +111,21 @@ def test_batched_signatures_decide_each_block_in_order():
         block_signatures([blocks[1], dataclasses.replace(blocks[5], matrix=None), kernel])
 
 
+@pytest.mark.parametrize("kind, m, lam, gamma", [
+    ("c", 1, 1.3j, True),
+    ("c", 1, 1.3j, 1.0),
+    ("a", 1, "1.0", None),
+    ("a", 1, True, None),
+    pytest.param("a", 1, 10**400, None, id="a-1-10**400-None"),
+])
+def test_build_block_reads_numbers_by_the_package_rule(kind, m, lam, gamma):
+    """gamma is an integer by symlin._is_integer and lam a finite real by
+    symlin._is_real or a finite complex: a bool or float gamma and a
+    string, bool or huge-int eigenvalue are refused, not converted."""
+    with pytest.raises(InputError):
+        build_block(kind, m, lam, gamma)
+
+
 def test_build_block_input_errors():
     with pytest.raises(InputError):
         build_block("d", 1, 1.0)

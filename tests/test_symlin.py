@@ -50,6 +50,41 @@ def test_sym_matrix_rejects_non_finite(bad):
         sym_matrix([[bad, 0.0], [0.0, 1.0]])
 
 
+def test_sym_matrix_does_not_overflow_a_finite_matrix():
+    """(A + A.T) / 2 makes -inf of the finite entry -1e308; halving first does not."""
+    A = np.diag([-1e308, 2.0])
+    assert np.array_equal(sym_matrix(A), A)
+    assert inertia(np.diag([-1e308, 1e300])) == (1, 1)  # inertia halves first too
+
+
+def test_is_integer_and_is_real_refuse_bools_and_strings():
+    ints = [0, -3, np.int64(2), np.uint8(1)]
+    assert all(map(symlin._is_integer, ints))
+    assert not any(map(symlin._is_integer, [True, np.bool_(True), 1.0, "2", None]))
+    finite = [0, 3.5, -1e308, 1e-320, np.float32(2.0), np.int64(7), 2**1000]
+    assert all(map(symlin._is_real, finite))
+    assert not any(map(symlin._is_real, [True, "1.0", None, np.nan, np.inf, 10**400, 1j]))
+
+
+def test_standard_j_refuses_a_bool():
+    with pytest.raises(InputError, match="nonnegative integer"):
+        standard_J(True)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("eig_cluster", 1), ("eig_cluster", 2.0), ("rank_cut", 1.0), ("rank_cut", 40),
+    pytest.param("crossing", 10**400, id="crossing-10**400"), ("crossing", np.nan),
+    ("crossing", np.inf), ("crossing", "1e-8"),
+])
+def test_tolerances_refuse_values_outside_their_range(name, value):
+    """eig_cluster and rank_cut scale relative cuts and lie in (0, 1); the
+    crossing tolerance is an absolute time, any positive finite number."""
+    top = "inf" if name == "crossing" else "1"
+    with pytest.raises(InputError, match=rf"tolerance {name} must be a number in \(0, {top}\)"):
+        Tolerances(**{name: value})
+    assert Tolerances(eig_cluster=0.5, rank_cut=0.5, crossing=40.0).crossing == 40.0
+
+
 def test_spectrum_diagonal():
     spec = spectrum_with_jordan(np.diag([1.0, -1.0]))
     assert spec.key() == ((-1.0, 0.0, (1,)), (1.0, 0.0, (1,)))

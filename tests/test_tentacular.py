@@ -16,7 +16,8 @@ from rfhquad import (
 )
 from rfhquad.errors import ClusterAmbiguous, InputError
 from rfhquad.samples import random_orthosymplectic, random_symplectic
-from rfhquad.symlin import standard_J
+from rfhquad.symlin import DEFAULT_TOL, standard_J
+from rfhquad.tentacular import _williamson
 
 
 def test_validate_passes(h21):
@@ -124,6 +125,31 @@ def test_construction_refuses_bool_dimensions():
         QuadraticHamiltonian(True, 0, np.zeros((0, 0)), a1)
     with pytest.raises(InputError, match="k must lie"):
         QuadraticHamiltonian.from_frequencies(2, True, [1.0], a1)
+
+
+@pytest.mark.parametrize("value", ["1.0", True, pytest.param(10**400, id="10**400"), np.nan])
+def test_frequencies_are_finite_numbers(value):
+    a1 = build_block("a", 1, 1.0).matrix
+    with pytest.raises(InputError, match="frequencies must be finite real numbers"):
+        QuadraticHamiltonian.from_frequencies(2, 1, [value], a1)
+    with pytest.raises(InputError, match="frequencies must be k positive finite numbers"):
+        QuadraticHamiltonian(2, 1, np.eye(2), a1, frequencies=(value,))
+
+
+def test_a_finite_a0_whose_sum_overflows_fails_validation():
+    """The finite diag(-1e308, 2) is no positive definite A0: symmetrized as
+    (A + A.T) / 2 it held -inf, whose NaN eigenvalues passed for none."""
+    H = QuadraticHamiltonian(2, 1, np.diag([-1e308, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    report = validate(H)
+    assert not report.positive_definite
+    assert report.offending["a0_eigenvalues"] == [-1e308, 2.0]
+
+
+def test_a_nan_eigenvalue_of_a0_is_an_offender(monkeypatch):
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([np.nan, 1.0]), eigh(a)[1]))
+    bad, mus, dmus = _williamson(np.eye(2), DEFAULT_TOL)
+    assert len(bad) == 2 and mus is None
 
 
 def test_full_matrix_interleaves_parts(h31):
